@@ -249,10 +249,6 @@ def mono_t_order(table: VariableTable, mono) -> int:
     return sum(e for p, e in mono if table.kinds[p] in (TFORM, TCHECK))
 
 
-def mono_pq_order(table: VariableTable, mono) -> int:
-    return sum(e for p, e in mono if table.kinds[p] in (QORBIT, PORBIT))
-
-
 def mono_hbar_order(table: VariableTable, mono) -> int:
     return sum(e for p, e in mono if table.kinds[p] == HBAR)
 
@@ -765,10 +761,6 @@ def weyl_commutator(f: GradedSeries, g: GradedSeries) -> GradedSeries:
             sgn = -1 if (fpar and gpar) else 1
             out = out + star_product(fp, gp) - sgn * star_product(gp, fp)
     return out
-
-
-def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    return f * g
 
 
 def truncate(f: GradedSeries, policy: TruncationPolicy) -> GradedSeries:

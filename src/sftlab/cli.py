@@ -33,21 +33,6 @@ def _emit(args, text: str):
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    if args.suite == "all" and args.jobs > 1 and not args.counts:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def run_one(name):
-            ns = argparse.Namespace(**vars(args))
-            ns.suite = name
-            ns.jobs = 1
-            return _suite_report(ns, name)
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run_one, names))
-        report = merge_reports(reports)
-        text = (report.render_machine(args.timings) if args.format == "machine"
-                else report.render_text(args.timings))
-        _emit(args, text)
-        return report.exit_code
     reports = [_suite_report(args, name) for name in names]
     report = reports[0] if len(reports) == 1 else merge_reports(reports)
     text = (report.render_machine(args.timings) if args.format == "machine"
@@ -58,21 +43,20 @@ def cmd_verify(args) -> int:
 
 def _suite_report(args, name) -> VerificationReport:
     if name == "algebra":
-        return SUITES[name](samples=args.samples, seed=args.seed, jobs=args.jobs)
+        return SUITES[name](samples=args.samples, seed=args.seed)
     if name == "hierarchy":
-        return SUITES[name](cover_bound=args.max_cover, max_level=args.levels,
-                            jobs=args.jobs)
+        return SUITES[name](cover_bound=args.max_cover, max_level=args.levels)
     if name == "gw":
         return SUITES[name](max_points=args.max_points,
                             max_level=min(args.levels + 1, args.max_points - 3),
-                            window=args.trunc_t, jobs=args.jobs)
+                            window=args.trunc_t)
     if name == "cylhom":
         if args.counts:
             return _single_counts_report(sio.load_counts(args.counts))
-        return SUITES[name](jobs=args.jobs)
+        return SUITES[name]()
     if name == "divisor":
         ledger = sio.load_json(args.ledger) if args.ledger else None
-        return SUITES[name](ledger=ledger, jobs=args.jobs)
+        return SUITES[name](ledger=ledger)
     raise SftlabError(f"unknown suite {name!r}")
 
 
@@ -202,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument("--timings", action="store_true",
                        help="include runtimes (makes reports nondeterministic)")

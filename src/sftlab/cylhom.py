@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Optional
 
+from . import linalg
 from .algebra import (
     GradedSeries, TruncationPolicy, Variable, VariableTable,
     curve_class_variable, descendant_variable,
@@ -33,6 +34,7 @@ from .gw import (
     Bounds, CorrelatorTable, TargetModel, assemble_potential, descendant_table,
     t_name, tc_name, z_name,
 )
+from .linalg import _zp_add, _zp_mul
 from .operators import LinearOperator
 
 SECTION_CHOICES = ("(2,0)", "(1,1)", "(0,2)", "generic")
@@ -205,34 +207,6 @@ class ChainComplexData:
 # -- z-polynomial sparse matrices -------------------------------------------------
 
 
-def _zp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for d, v in b.items():
-        s = out.get(d, Fraction(0)) + v
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
-def _zp_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for d1, v1 in a.items():
-        for d2, v2 in b.items():
-            d = tuple(x + y for x, y in zip(d1, d2)) if d1 else d2
-            s = out.get(d, Fraction(0)) + v1 * v2
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-    return out
-
-
-def _zp_scale(a: dict, c: Fraction) -> dict:
-    return {d: c * v for d, v in a.items()} if c else {}
-
-
 class LinearChainMap:
     """Sparse matrix over z-polynomials with a declared map degree."""
 
@@ -343,144 +317,10 @@ def d_squared_residual(data: ChainComplexData):
 # -- homology ---------------------------------------------------------------------
 
 
-def _poly_divexact(num: dict, den: dict) -> dict:
-    """Exact division of multivariate polynomials (dict exponent -> Fraction)."""
-    if not num:
-        return {}
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = max(den)
-    lead_c = den[lead]
-    rem = dict(num)
-    out = {}
-    while rem:
-        top = max(rem)
-        q = tuple(a - b for a, b in zip(top, lead)) if top else ()
-        if top and any(x < 0 for x in q):
-            raise ArithmeticError("inexact polynomial division")
-        c = rem[top] / lead_c
-        out[q] = c
-        for d, v in den.items():
-            dd = tuple(a + b for a, b in zip(q, d)) if q or d else ()
-            s = rem.get(dd, Fraction(0)) - c * v
-            if s:
-                rem[dd] = s
-            else:
-                rem.pop(dd, None)
-    return out
-
-
-def rank_fraction_free(matrix, width: int) -> int:
-    """Bareiss elimination over the polynomial ring; exact rank.
-
-    Every division is by the previous pivot and exact by Sylvester's
-    identity, so no rational functions appear.
-    """
-    m = [[dict(x) for x in row] for row in matrix]
-    rows, cols = len(m), len(m[0]) if m else 0
-    prev = {(0,) * width: Fraction(1)}
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = _zp_add(_zp_mul(m[r][c], m[i][j]),
-                              _zp_scale(_zp_mul(m[i][c], m[r][j]), Fraction(-1)))
-                m[i][j] = _poly_divexact(num, prev) if num else {}
-            m[i][c] = {}
-        prev = m[r][c]
-        r += 1
-    return r
-
-
-class _RatFn:
-    """Minimal rational function num/den over the z-polynomial ring."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        self.num = num
-        self.den = den if den is not None else _one_like(num)
-        if not self.den:
-            raise ZeroDivisionError
-        if not self.num:
-            self.den = _one_like(self.num)
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, o):
-        return _RatFn(_zp_add(_zp_mul(self.num, o.den), _zp_mul(o.num, self.den)),
-                      _zp_mul(self.den, o.den))
-
-    def __sub__(self, o):
-        return self + _RatFn(_zp_scale(o.num, Fraction(-1)), o.den)
-
-    def __mul__(self, o):
-        return _RatFn(_zp_mul(self.num, o.num), _zp_mul(self.den, o.den))
-
-    def __truediv__(self, o):
-        if not o.num:
-            raise ZeroDivisionError
-        return _RatFn(_zp_mul(self.num, o.den), _zp_mul(self.den, o.num))
-
-    def simplify(self):
-        if self.num:
-            try:
-                q = _poly_divexact(self.num, self.den)
-                return _RatFn(q)
-            except (ArithmeticError, ZeroDivisionError):
-                pass
-        return self
-
-
-def _one_like(poly):
-    width = next((len(d) for d in poly), 0) if poly else 0
-    return {(0,) * width: Fraction(1)}
-
-
-def _zero_rf(width):
-    return _RatFn({}, {(0,) * width: Fraction(1)})
-
-
-def kernel_basis(matrix, width):
-    """Kernel of a matrix over the rational-function field in the z variables."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    m = [[_RatFn(dict(x)) if x else _zero_rf(width) for x in row] for row in matrix]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [(x / pv).simplify() for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b).simplify() for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [_zero_rf(width) for _ in range(cols)]
-        vec[fc] = _RatFn({(0,) * width: Fraction(1)})
-        for ri, pc in enumerate(pivots):
-            vec[pc] = (_zero_rf(width) - m[ri][fc]).simplify()
-        basis.append(vec)
-    return basis, pivots
-
-
 @dataclass
 class HomologyResult:
     betti: dict  # degree -> rank
-    representatives: dict  # degree -> list of {generator name: zpoly or ratfn}
+    representatives: dict  # degree -> list of {generator name: z-polynomial}
 
     def total(self):
         return sum(self.betti.values())
@@ -526,59 +366,29 @@ def compute_homology(data: ChainComplexData) -> HomologyResult:
             above = by_degree.get((deg + 1) % modulus, [])
         mat_out = [[d.entries.get((b, s), {}) for s in idxs] for b in below]
         mat_in = [[d.entries.get((t, a), {}) for a in above] for t in idxs]
-        rank_out = rank_fraction_free(mat_out, width) if below and idxs else 0
-        rank_in = rank_fraction_free(mat_in, width) if above and idxs else 0
-        b = len(idxs) - rank_out - rank_in
+        b = len(idxs) - linalg.rank(mat_out) - linalg.rank(mat_in)
         betti[deg] = b
         if b <= 0:
             continue
-        if mat_out:
-            kernel, _ = kernel_basis(mat_out, width)
+        if below:
+            cycles = linalg.kernel(mat_out, width)
         else:
-            kernel = [[_RatFn({(0,) * width: Fraction(1)}) if j == k else
-                       _zero_rf(width) for j in range(len(idxs))]
+            one = {(0,) * width: Fraction(1)}
+            cycles = [[one if j == k else {} for j in range(len(idxs))]
                       for k in range(len(idxs))]
-        boundary_cols = [[mat_in[t][a] for a in range(len(above))]
-                         for t in range(len(idxs))]
-        reps[deg] = [
-            {str(gens[idxs[j]]): vec[j].num for j in range(len(idxs)) if vec[j]}
-            for vec in _complete_modulo(kernel, boundary_cols, width, b)]
+        # greedily keep cycles independent modulo the boundaries
+        span = [list(row) for row in mat_in]
+        chosen = []
+        for vec in cycles:
+            if len(chosen) == b:
+                break
+            if not linalg.in_span(span, vec):
+                chosen.append(vec)
+                for row, x in zip(span, vec):
+                    row.append(x)
+        reps[deg] = [{str(gens[idxs[j]]): x for j, x in enumerate(vec) if x}
+                     for vec in chosen]
     return HomologyResult(betti, reps)
-
-
-def _complete_modulo(kernel, boundary_cols, width, count):
-    """Kernel vectors independent modulo the boundary column space."""
-    rows = len(boundary_cols)
-    ncols = len(boundary_cols[0]) if rows else 0
-    span = [[_RatFn(dict(boundary_cols[i][a])) if boundary_cols[i][a]
-             else _zero_rf(width) for i in range(rows)] for a in range(ncols)]
-    chosen = []
-    for vec in kernel:
-        if len(chosen) == count:
-            break
-        if not _reduces_to_zero(span + chosen, vec):
-            chosen.append(vec)
-    return chosen
-
-
-def _reduces_to_zero(span, vec):
-    """Row-reduce the span and test membership of vec (over rational fns)."""
-    basis = []  # (pivot column, reduced row)
-    for v in span:
-        row = list(v)
-        for pc, brow in basis:
-            if row[pc]:
-                f = row[pc] / brow[pc]
-                row = [(a - f * b).simplify() for a, b in zip(row, brow)]
-        pc = next((c for c, x in enumerate(row) if x), None)
-        if pc is not None:
-            basis.append((pc, row))
-    target = list(vec)
-    for pc, brow in basis:
-        if target[pc]:
-            f = target[pc] / brow[pc]
-            target = [(a - f * b).simplify() for a, b in zip(target, brow)]
-    return all(not x for x in target)
 
 
 # -- dressed operators -------------------------------------------------------------
@@ -687,11 +497,6 @@ class DressedComplex:
             return out
 
         return LinearOperator(apply, degree=None, label="dressed-d")
-
-    def plain_differential_operator(self) -> LinearOperator:
-        sub = [e for e in self.entries if not e.insertions]
-        return DressedComplex(self.data, sub, self.model, self.corr)\
-            .dressed_differential()
 
     def derivative_op(self, name: str) -> LinearOperator:
         return LinearOperator(lambda s: s.derivative(name), label=f"d/d{name}")
@@ -964,53 +769,18 @@ def _exact_on_cycles(data: ChainComplexData, plain: LinearChainMap,
     width = data.model.h2_rank
     n = len(gens)
     dmat = [[plain.entries.get((i, j), {}) for j in range(n)] for i in range(n)]
-    kernel, _ = kernel_basis(dmat, width)
-    rmat = [[residual.entries.get((i, j), {}) for j in range(n)] for i in range(n)]
-    for vec in kernel:
-        img = [_sum_rf([_RatFn(dict(rmat[i][j])) * vec[j]
-                        for j in range(n) if rmat[i][j] and vec[j]], width)
-               for i in range(n)]
-        if all(not x for x in img):
+    for vec in linalg.kernel(dmat, width):
+        img = [{} for _ in range(n)]
+        for (i, j), poly in residual.entries.items():
+            if vec[j]:
+                img[i] = _zp_add(img[i], _zp_mul(poly, vec[j]))
+        if not any(img):
             continue
-        if not _in_column_span(dmat, img, width):
+        if not linalg.in_span(dmat, img):
             witness = (("cycle", tuple(str(gens[j]) for j in range(n) if vec[j])),
                        None)
             return False, witness
     return True, None
-
-
-def _sum_rf(items, width):
-    acc = _zero_rf(width)
-    for x in items:
-        acc = (acc + x).simplify()
-    return acc
-
-
-def _in_column_span(mat, vec, width):
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [[_RatFn(dict(mat[i][j])) if mat[i][j] else _zero_rf(width)
-            for j in range(cols)] + [vec[i]] for i in range(rows)]
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [(x / pv).simplify() for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(a - f * b).simplify() for a, b in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return False
-    for i in range(rows):
-        if aug[i][cols] and all(not aug[i][c] for c in range(cols)):
-            return False
-    return True
 
 
 # -- block extraction and the Floer case --------------------------------------------
@@ -1022,10 +792,6 @@ class BlockExtraction:
     plain_blocks_equal: bool      # hat-hat against check-check
     offdiag_plain_zero: bool      # connecting map hat -> check of the plain part
     identification_consistent: bool  # free diagonal against constrained offdiagonal
-
-
-def _diag_deg_shift(flavor):
-    return 1 if flavor == "check" else 0
 
 
 def extract_equivariant(data: ChainComplexData,
@@ -1158,21 +924,6 @@ def equivariant_trr_residuals(data: ChainComplexData, variant: str,
             w = cx.operator_residual(op, max_arg_order)
             reports.append(ResidualReport(
                 f"eq {variant} alpha={cls} i={i} [{source_flavor}]", not w, w))
-    return reports
-
-
-def floer_trr_residuals(data: ChainComplexData, variant: str,
-                        max_arg_order: Optional[int] = None):
-    """Residuals of the recursion identities on the Floer restriction."""
-    fl = extract_floer(data)
-    cx = DressedComplex(fl)
-    reports = []
-    for cls in data.fiber_model.classes:
-        for i in range(1, data.level_bound + 1):
-            op = _trr_residual_operator(cx, variant, cls.id, i, equivariant=False)
-            w = cx.operator_residual(op, max_arg_order)
-            reports.append(ResidualReport(
-                f"floer {variant} alpha={cls.id} i={i}", not w, w))
     return reports
 
 

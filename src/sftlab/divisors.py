@@ -16,6 +16,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import SftlabError, ValidationError
+from .linalg import solve
 
 
 @dataclass(frozen=True)
@@ -156,16 +157,6 @@ def m05_intersection(e1: DivisorExpression, e2: DivisorExpression) -> Fraction:
     return total
 
 
-def pair_splitting(pair, n: int) -> Splitting:
-    """Splitting of 1..n whose bubble side is the given 2-subset; the side
-    containing point 1 is the i-side."""
-    pair = tuple(sorted(pair))
-    rest = tuple(sorted(set(range(1, n + 1)) - set(pair)))
-    if 1 in pair:
-        return Splitting(pair, rest)
-    return Splitting(rest, pair)
-
-
 # -- zero loci on the map moduli -----------------------------------------------
 
 
@@ -267,39 +258,6 @@ class CombinationFinding:
         return f"{self.target}: infeasible, witnessed by {a} vs {b}"
 
 
-def _solve_exact(rows, rhs):
-    """Solve an exact overdetermined linear system; returns weights or None."""
-    m = [list(row) + [v] for row, v in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank_rows = []
-    for col in range(ncols):
-        pivot = None
-        for row in m:
-            if id(row) not in {id(x) for x in rank_rows} and row[col]:
-                pivot = row
-                break
-        if pivot is None:
-            continue
-        pv = pivot[col]
-        for k in range(len(pivot)):
-            pivot[k] /= pv
-        for row in m:
-            if row is not pivot and row[col]:
-                f = row[col]
-                for k in range(len(row)):
-                    row[k] -= f * pivot[k]
-        pivots.append(col)
-        rank_rows.append(pivot)
-    for row in m:
-        if all(not row[k] for k in range(ncols)) and row[ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for col, row in zip(pivots, rank_rows):
-        sol[col] = row[ncols]
-    return tuple(sol)
-
-
 def solve_combination(expressions, target: str, r: int, p: int):
     """Exact weights lambda with sum(lambda_v * expr_v) = target rule.
 
@@ -320,7 +278,7 @@ def solve_combination(expressions, target: str, r: int, p: int):
             for s in splittings]
     rhs = [rule(s) for s in splittings]
     if all(not v for v in rhs):
-        weights = _solve_exact(rows, rhs)
+        weights = solve(rows, rhs)
         lhs_ok = False
         if weights is not None:
             lhs = sum((Fraction(w) * Fraction(f)
@@ -329,12 +287,12 @@ def solve_combination(expressions, target: str, r: int, p: int):
         return CombinationFinding(target, weights is not None,
                                   weights or (), lhs_consistent=lhs_ok,
                                   degenerate=True)
-    sol = _solve_exact(rows, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         # find a small certificate: solve on a maximal consistent prefix,
         # then report the first violated splitting against a pinned one
         for upto in range(1, len(splittings) + 1):
-            part = _solve_exact(rows[:upto], rhs[:upto])
+            part = solve(rows[:upto], rhs[:upto])
             if part is None:
                 bad = splittings[upto - 1]
                 pinned = splittings[0]

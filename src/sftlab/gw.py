@@ -23,6 +23,7 @@ from .algebra import (
     descendant_variable,
 )
 from .errors import MissingPrimaryError, ValidationError
+from .linalg import inverse
 from .operators import point_count
 
 
@@ -43,25 +44,6 @@ class CorrelatorKey:
         ins = " ".join(f"tau_{a}({c})" for c, a in self.insertions)
         d = "" if not any(self.degree) else f" d={list(self.degree)}"
         return f"<{ins}>{d}"
-
-
-def _inverse(matrix):
-    """Exact inverse of a square Fraction matrix by Gaussian elimination."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValidationError("eta not invertible", "eta")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 class TargetModel:
@@ -89,7 +71,10 @@ class TargetModel:
         self.contact = bool(contact)
         self._index = {c.id: i for i, c in enumerate(self.classes)}
         self._validate_static()
-        self.eta_inv = _inverse(self.eta)
+        try:
+            self.eta_inv = inverse(self.eta)
+        except ZeroDivisionError:
+            raise ValidationError("eta not invertible", "eta") from None
         self.primaries = {}
         for key, value in (primaries or {}).items():
             self.add_primary(key, value)
@@ -648,14 +633,6 @@ def _z_pairing(vt, model, mono):
         if v.kind == "z":
             total += pair[v.indices[0]] * e
     return Fraction(total)
-
-
-def restrict_series_min_t_order(series: GradedSeries, min_order: int) -> GradedSeries:
-    """Drop terms below a t-order threshold (boundary window for the divisor
-    equation, whose low-point instances reference excluded 2-point data)."""
-    from .algebra import mono_t_order
-    return series.map_terms(
-        lambda m: 1 if mono_t_order(series.table, m) >= min_order else 0)
 
 
 def restrict_series_max_t_order(series: GradedSeries, max_order: int) -> GradedSeries:

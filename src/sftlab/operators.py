@@ -66,11 +66,6 @@ def identity_operator() -> LinearOperator:
     return LinearOperator(lambda s: s, 0, "id")
 
 
-def multiplication_operator(series: GradedSeries) -> LinearOperator:
-    deg = series.degree()
-    return LinearOperator(lambda s: series * s, deg, "mult")
-
-
 def _require_degrees(a: LinearOperator, b: LinearOperator):
     if a.degree is None or b.degree is None:
         raise SftlabError("graded (anti)commutator needs declared operator degrees")
@@ -164,10 +159,6 @@ def point_count(series: GradedSeries) -> GradedSeries:
     return series.map_terms(weight)
 
 
-def point_count_operator(table: VariableTable) -> LinearOperator:
-    return LinearOperator(point_count, 0, "N")
-
-
 def point_count_differential(table: VariableTable) -> DifferentialOperator:
     """N as the explicit sum of t d/dt terms (used to cross-check point_count)."""
     terms = [(1, {v.name: 1}, (v.name,))
@@ -219,10 +210,6 @@ def euler_scale(series: GradedSeries) -> GradedSeries:
     return series.map_terms(weight)
 
 
-def euler_operator(table: VariableTable) -> LinearOperator:
-    return LinearOperator(euler_scale, 0, "Euler")
-
-
 def euler_differential(table: VariableTable) -> DifferentialOperator:
     terms = []
     for v in table.variables:
@@ -231,8 +218,3 @@ def euler_differential(table: VariableTable) -> DifferentialOperator:
         elif v.kind in (TFORM, QORBIT, PORBIT):
             terms.append((-1, {v.name: 1}, (v.name,)))
     return DifferentialOperator(table, terms)
-
-
-def derivative_operator(table: VariableTable, name: str) -> LinearOperator:
-    v = table.variable(name)
-    return LinearOperator(lambda s: s.derivative(name), -v.degree, f"d/d{name}")

@@ -2,8 +2,8 @@
 
 Each suite function returns a VerificationReport whose checks carry the
 mathematical statement being verified and a residual summary.  Checks are
-pure; a suite may evaluate them in a thread pool, and records are sorted by
-id for deterministic output.
+pure and run one after another; records are sorted by id for deterministic
+output.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _record(report, check_id, statement, ok, residual="", detail="", ms=None,
     report.add(CheckRecord(check_id, statement, status, residual, detail, ms))
 
 
-def _run_checks(report, checks, jobs=1):
+def _run_checks(report, checks):
     """checks: list of (id, statement, thunk -> (ok, residual, detail))."""
     def run(item):
         cid, statement, thunk = item
@@ -48,13 +48,8 @@ def _run_checks(report, checks, jobs=1):
         ms = int((time.monotonic() - t0) * 1000)
         return CheckRecord(cid, statement, PASS if ok else FAIL, residual,
                            detail, ms)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for rec in pool.map(run, checks):
-                report.add(rec)
-    else:
-        for item in checks:
-            report.add(run(item))
+    for item in checks:
+        report.add(run(item))
 
 
 # -- randomized series for the algebra suite ------------------------------------------
@@ -95,7 +90,7 @@ def _parity_split(f):
     return [p for p in (even, odd) if not p.is_zero()]
 
 
-def algebra_suite(samples=1000, seed=20240, jobs=1) -> VerificationReport:
+def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
     """Randomized graded-algebra axioms plus the Weyl relations."""
     report = VerificationReport("algebra")
     rng = random.Random(seed)
@@ -219,7 +214,7 @@ def _hbar_coefficient(table, series, power):
 # -- hierarchy ------------------------------------------------------------------------
 
 
-def hierarchy_suite(cover_bound=6, max_level=3, jobs=1) -> VerificationReport:
+def hierarchy_suite(cover_bound=6, max_level=3) -> VerificationReport:
     report = VerificationReport("hierarchy")
     levels = list(range(max_level + 1))
     (residuals, hams), ms = _timed(
@@ -287,7 +282,7 @@ def hierarchy_suite(cover_bound=6, max_level=3, jobs=1) -> VerificationReport:
 # -- gw ------------------------------------------------------------------------------
 
 
-def gw_suite(max_points=8, max_level=4, window=5, jobs=1) -> VerificationReport:
+def gw_suite(max_points=8, max_level=4, window=5) -> VerificationReport:
     report = VerificationReport("gw")
     model = point_model()
     bounds = gw.Bounds(max_points=max_points, max_level=max_level)
@@ -414,7 +409,7 @@ def _choice_independence(model, max_points, max_level) -> bool:
 # -- cylhom ---------------------------------------------------------------------------
 
 
-def cylhom_suite(datasets=None, jobs=1) -> VerificationReport:
+def cylhom_suite(datasets=None) -> VerificationReport:
     """Floer-model fixtures: differentials, recursion, action, homology."""
     report = VerificationReport("cylhom")
     if datasets is None:
@@ -610,7 +605,7 @@ def _generic_fixture(exact=True):
 # -- divisor --------------------------------------------------------------------------
 
 
-def divisor_suite(ledger=None, jobs=1) -> VerificationReport:
+def divisor_suite(ledger=None) -> VerificationReport:
     report = VerificationReport("divisor")
     e4 = divisors.averaged_psi(4, 1)
     ok4 = sorted(e4.coefficients.values()) == [Fraction(1, 3)] * 3
@@ -682,7 +677,7 @@ def divisor_suite(ledger=None, jobs=1) -> VerificationReport:
             combos.append((f"combinations.r{r}p{p}.{target}",
                            f"exact weights for the {target} rule at r={r}, P={p}",
                            thunk))
-    _run_checks(report, combos, jobs)
+    _run_checks(report, combos)
     # variant A kills light splittings
     _, exprA = divisors.map_zero_locus(3, 1, 1, "A")
     light_ok = all(s.p2 >= 2 for s in exprA.coefficients)

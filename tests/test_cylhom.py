@@ -6,11 +6,12 @@ from sftlab.cylhom import (
     ChainComplexData, CountData, CountEntry, Insertion, Orbit, OrbitSet,
     build_differential, build_floer_model, compare_equivariant_floer,
     compute_homology, contact_vanishing, d_squared_residual,
-    equivariant_trr_residuals, extract_equivariant, extract_floer,
-    kernel_basis, noneq_trr_residuals, quantum_action, rank_fraction_free,
+    LinearChainMap, _exact_on_cycles, equivariant_trr_residuals,
+    extract_equivariant, extract_floer, noneq_trr_residuals, quantum_action,
 )
 from sftlab.errors import LabelMismatchError, ValidationError
-from sftlab.gw import CorrelatorTable
+from sftlab.gw import CorrelatorTable, TargetModel
+from sftlab.linalg import kernel, rank
 from sftlab.models import point_model, projective_line_model, two_point_model
 from sftlab.suites import _generic_fixture, _trivial_02_fixture
 
@@ -121,9 +122,56 @@ def test_homology_with_curve_class_coefficients():
 def test_rank_and_kernel_over_polynomials():
     z = lambda k: {(k,): Fraction(1)}
     mat = [[z(1), z(0)], [z(2), z(1)]]  # determinant 0: rank 1
-    assert rank_fraction_free(mat, 1) == 1
-    basis, pivots = kernel_basis(mat, 1)
-    assert len(basis) == 1
+    assert rank(mat) == 1
+    assert kernel(mat, 1) == [[{(0,): Fraction(-1)}, {(1,): Fraction(1)}]]
+
+
+def test_kernel_keeps_polynomial_coefficients():
+    z = lambda k: {(k,): Fraction(1)}
+    assert kernel([[z(1), z(2)]], 1) == [[{(1,): Fraction(-1)}, z(0)]]
+
+
+def _z_complex(entries):
+    """Equivariant generators a, b (degree 1), c, e (degree 0) over a model
+    with two degree-0 curve classes."""
+    m = TargetModel("two-curves", [("pt", 0)], "pt", [[1]], h2_rank=2,
+                    chern=(0, 0))
+    orbits = OrbitSet([Orbit("a", 1), Orbit("b", 1), Orbit("c", 0),
+                       Orbit("e", 0)], equivariant=True)
+    counts = [CountEntry((s, ""), (d, ""), (), deg, Fraction(1))
+              for s, d, deg in entries]
+    return ChainComplexData(orbits, CountData(counts), m, CorrelatorTable(m))
+
+
+def test_exactness_with_polynomial_cycles():
+    # d(a) = z1 c, d(b) = z1^2 c; the only cycle is z1 a - b up to scale,
+    # and R(a) = z1 e, R(b) = z1^2 e kills it
+    data = _z_complex([("a", "c", (1, 0)), ("b", "c", (2, 0))])
+    plain = build_differential(data).plain
+    ix = data.orbits.index
+    residual = LinearChainMap(data.orbits)
+    residual.add_term(ix(("e", "")), ix(("a", "")), (1, 0), Fraction(1))
+    residual.add_term(ix(("e", "")), ix(("b", "")), (2, 0), Fraction(1))
+    assert _exact_on_cycles(data, plain, residual) == (True, None)
+
+
+def test_homology_representatives_are_cycles():
+    # d(a) = z1 c, d(b) = (z1 + z2) c
+    data = _z_complex([("a", "c", (1, 0)), ("b", "c", (1, 0)),
+                       ("b", "c", (0, 1))])
+    h = compute_homology(data)
+    assert h.betti == {0: 1, 1: 1}
+    plain = build_differential(data).plain
+    gens = [str(g) for g in data.orbits.generators]
+    for reps in h.representatives.values():
+        for rep in reps:
+            image = {}
+            for (dst, src), poly in plain.entries.items():
+                for ds, cs in rep.get(gens[src], {}).items():
+                    for dp, cp in poly.items():
+                        k = (dst, tuple(x + y for x, y in zip(ds, dp)))
+                        image[k] = image.get(k, 0) + cs * cp
+            assert not any(image.values()), rep
 
 
 # -- the split product model ---------------------------------------------------------

@@ -125,6 +125,8 @@ def test_solver_infeasibility_certificate():
     lhs, expr = map_zero_locus(3, 2, 1, "A")
     f = solve_combination([(lhs, expr)], "two-points", 3, 3)
     assert not f.feasible and len(f.certificate) == 2
+    assert f.describe() == ("two-points: infeasible, witnessed by "
+                            "D(1,2,3;+1;-|+2;-1) vs D(1;+1;-|2,3;+2;-1)")
 
 
 def test_empty_splitting_set_rejected():

@@ -118,16 +118,6 @@ def test_cli_verify_machine_deterministic(tmp_path):
     assert payload["status"] == "pass"
 
 
-def test_cli_verify_jobs_deterministic(tmp_path):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "--suite", "hierarchy", "--max-cover", "2",
-                 "--levels", "1", "--format", "machine", "--out", str(p1)]) == 0
-    assert main(["verify", "--suite", "hierarchy", "--max-cover", "2",
-                 "--levels", "1", "--format", "machine", "--jobs", "4",
-                 "--out", str(p2)]) == 0
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_cli_reconstruct(tmp_path):
     out = tmp_path / "table.json"
     code = main(["reconstruct", "--model", "point", "--max-points", "5",

@@ -158,6 +158,9 @@ class VariableTable:
         self.parity = tuple(v.odd for v in self.variables)
         self.degrees = tuple(v.degree for v in self.variables)
         self.kinds = tuple(v.kind for v in self.variables)
+        # cover index of each q/p variable, 0 for every other kind
+        self.covers = tuple(v.indices[1] if v.kind in (QORBIT, PORBIT) else 0
+                            for v in self.variables)
         self.has_odd = any(self.parity)
         # q-position -> (p-position, kappa) for the bracket sums
         self.orbit_pairs = tuple(
@@ -261,7 +264,7 @@ def _allowed(table: VariableTable, mono, policy: TruncationPolicy) -> bool:
             t_order += exp
         elif kind in (QORBIT, PORBIT):
             pq += exp
-            if table.variables[pos].indices[1] > policy.max_cover:
+            if table.covers[pos] > policy.max_cover:
                 return False
         elif kind == HBAR:
             hb += exp
@@ -586,7 +589,8 @@ def right_derivative(f: GradedSeries, name: str) -> GradedSeries:
     return odd.derivative(name) - even.derivative(name)
 
 
-def poisson_bracket(f: GradedSeries, g: GradedSeries) -> GradedSeries:
+def poisson_bracket(f: GradedSeries, g: GradedSeries,
+                    policy: Optional[TruncationPolicy] = None) -> GradedSeries:
     """{f,g} = sum_orbits kappa*(df/dp dg/dq - (-1)^{|f||g|} dg/dp df/dq).
 
     The p-slots differentiate from the right and the q-slots from the left:
@@ -596,33 +600,92 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     with the naive reading whenever the orbit variables are even).
     Non-homogeneous inputs are split into parity components, which is all
     the sign depends on.
+
+    The result is truncated to ``f._join(g).cap(policy)`` (the operands'
+    joint policy when ``policy`` is None) and equals the full bracket
+    truncated to that policy, term for term.  Only the output window is
+    ever formed: a partial derivative monomial that breaks the cover,
+    pq-order or t-order cap is dropped before any product is taken.  Those
+    caps are monotone under multiplication (q, p, t and t-check exponents
+    are never negative, so a product has every factor of its operands,
+    at exponents at least as large), hence no product of a dropped monomial
+    lies in the window.  Only the paired variable of each term may lie
+    outside the window, because differentiation removes it.  The hbar cap
+    is applied to products only: hbar exponents may be negative, so a
+    factor above the cap can pair with one below zero and land inside.
     """
-    policy = f._join(g)
+    window = f._join(g) if policy is None else f._join(g).cap(policy)
     table = f.table
+    fparts = [(odd, _partials(table, part.terms, odd, window))
+              for odd, part in enumerate(f.parity_parts()) if part]
+    gparts = [(odd, _partials(table, part.terms, odd, window))
+              for odd, part in enumerate(g.parity_parts()) if part]
     acc: dict = {}
-    fe, fo = f.parity_parts()
-    ge, go = g.parity_parts()
-    for fp, fpar in ((fe, 0), (fo, 1)):
-        if fp.is_zero():
-            continue
-        for gp, gpar in ((ge, 0), (go, 1)):
-            if gp.is_zero():
-                continue
-            sgn = -1 if (fpar and gpar) else 1
+    for fodd, (fdq, fdp) in fparts:
+        for godd, (gdq, gdp) in gparts:
+            sgn = -1 if (fodd and godd) else 1
             for qpos, ppos, kappa in table.orbit_pairs:
-                qn = table.variables[qpos].name
-                pn = table.variables[ppos].name
-                df_dp = right_derivative(fp, pn)
-                dg_dq = gp.derivative(qn)
+                df_dp, dg_dq = fdp.get(ppos), gdq.get(qpos)
                 if df_dp and dg_dq:
-                    _acc_update(acc, _mul_terms(table, df_dp.terms, dg_dq.terms,
-                                                policy, Fraction(kappa)))
-                dg_dp = right_derivative(gp, pn)
-                df_dq = fp.derivative(qn)
+                    _acc_update(acc, _mul_terms(table, df_dp, dg_dq, window,
+                                                Fraction(kappa)))
+                dg_dp, df_dq = gdp.get(ppos), fdq.get(qpos)
                 if dg_dp and df_dq:
-                    _acc_update(acc, _mul_terms(table, dg_dp.terms, df_dq.terms,
-                                                policy, Fraction(-sgn * kappa)))
-    return GradedSeries(table, {m: c for m, c in acc.items() if c}, policy)
+                    _acc_update(acc, _mul_terms(table, dg_dp, df_dq, window,
+                                                Fraction(-sgn * kappa)))
+    return GradedSeries(table, {m: c for m, c in acc.items() if c}, window)
+
+
+def _partials(table: VariableTable, terms: dict, odd: int,
+              policy: TruncationPolicy):
+    """All q- and p-derivatives of one parity part, in one pass over it.
+
+    Returns (dq, dp), each mapping a variable position to the terms of the
+    derivative: d/dq from the left, d/dp from the right.  On a part of
+    parity ``odd`` the right derivative is the left one times
+    (-1)^{|p|(|f|+1)}.  Derivative monomials that break the cover,
+    pq-order or t-order cap of ``policy`` are left out (see
+    :func:`poisson_bracket`); the hbar cap is not applied.
+    Differentiation by one variable is injective on monomials, so each
+    derivative monomial is reached from exactly one term.
+    """
+    kinds, parity, covers = table.kinds, table.parity, table.covers
+    max_cover = policy.max_cover
+    dq: dict = {}
+    dp: dict = {}
+    for mono, coeff in terms.items():
+        t_order = pq = 0
+        wide = []  # indices of q/p factors with cover above the cap
+        for k, (pos, e) in enumerate(mono):
+            kind = kinds[pos]
+            if kind == QORBIT or kind == PORBIT:
+                pq += e
+                if covers[pos] > max_cover:
+                    wide.append(k)
+            elif kind == TFORM or kind == TCHECK:
+                t_order += e
+        if (t_order > policy.max_t_order or pq > policy.max_pq_order + 1
+                or len(wide) > 1):
+            continue
+        odd_before = 0
+        for k, (pos, e) in enumerate(mono):
+            kind = kinds[pos]
+            if ((kind == QORBIT or kind == PORBIT)
+                    and (not wide or (wide[0] == k and e == 1))):
+                if e == 1:
+                    new = mono[:k] + mono[k + 1:]
+                else:
+                    new = mono[:k] + ((pos, e - 1),) + mono[k + 1:]
+                c = coeff * e
+                if parity[pos] and (odd_before + (kind == PORBIT and not odd)) % 2:
+                    c = -c
+                out = dq if kind == QORBIT else dp
+                if pos not in out:
+                    out[pos] = {}
+                out[pos][new] = c
+            if parity[pos]:
+                odd_before += 1
+    return dq, dp
 
 
 def _acc_update(acc: dict, terms: dict):

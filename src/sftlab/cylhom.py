@@ -507,8 +507,6 @@ class DressedComplex:
         return self.derivative_op(nm).compose(dd)
 
     def point_count_op(self) -> LinearOperator:
-        from .operators import point_count
-
         def count_plain(series):
             vt = series.table
             return series.map_terms(
@@ -734,7 +732,6 @@ def _f_term_matrix(data: ChainComplexData, maps: DifferentialMaps,
     model = data.model
     out = LinearChainMap(data.orbits)
     for mu, cm in enumerate(model.classes):
-        key2 = None
         coeff = {}
         # t=0 coefficient of d2f/dt dt is a 2-point correlator: zero by the
         # stability convention except through explicitly stored table entries

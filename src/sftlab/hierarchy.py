@@ -15,9 +15,17 @@ Cover truncation is subtle: the bracket of two Hamiltonians built at cover
 bound K is *not* the cover-K window of the full bracket, because pairings
 at covers n > K land inside the window.  `commutator_residuals` therefore
 builds the Hamiltonians on an extended lattice (at most one factor beyond
-K, up to the pairing bound K*(max level + 1)) and truncates the bracket
-back to cover K; the result is exactly the K-window of the untruncated
-bracket.
+K, up to the pairing bound K*(max level + 1)) and evaluates the bracket
+on the cover-K window only; the result is exactly the K-window of the
+untruncated bracket.
+
+Only the paired variable of a contributing term ranges past K: it is the
+one the derivative removes.  Every other factor of a product that lands
+in the window already has cover <= K, because the cover, pq-order and
+t-order caps are monotone under multiplication (those exponents are
+never negative).  So each partial derivative is cut to the window before
+any product is formed.  The hbar cap is not monotone (hbar exponents may
+be negative) and is applied to the products only.
 """
 
 from __future__ import annotations
@@ -201,9 +209,16 @@ def commutator_residuals(levels, cover_bound: int,
     """Pairwise Poisson brackets, exact on the cover window.
 
     Returns (residuals, hamiltonians): residuals[i][j] is the cover-K
-    window of the full bracket {g_{levels[i]}, g_{levels[j]}}, computed on
-    the extended lattice and truncated back.  ``builder`` defaults to the
-    circle Hamiltonian; a custom builder receives (lattice, level, table).
+    window of the full bracket {g_{levels[i]}, g_{levels[j]}}.  The
+    Hamiltonians live on the extended lattice, so the variable a term is
+    paired on may have any cover up to the lattice window; every other
+    factor of a term that lands in the window has cover <= K.  The cover,
+    pq-order and t-order caps are monotone under multiplication, so
+    `poisson_bracket` drops each derivative monomial outside the window
+    before forming products and the result equals the full bracket
+    truncated to the window.  The hbar cap (hbar is Laurent) is applied
+    to products only.  ``builder`` defaults to the circle Hamiltonian; a
+    custom builder receives (lattice, level, table, policy).
     """
     levels = list(levels)
     window = cover_bound * (max(levels) + 2) if levels else cover_bound
@@ -219,7 +234,7 @@ def commutator_residuals(levels, cover_bound: int,
     residuals = [[None] * len(levels) for _ in levels]
     for i in range(len(levels)):
         for j in range(i, len(levels)):
-            br = poisson_bracket(hams[i], hams[j]).truncate(out_policy)
+            br = poisson_bracket(hams[i], hams[j], out_policy)
             residuals[i][j] = br
             residuals[j][i] = -br
     return residuals, hams

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftlab.algebra import (
-    TruncationPolicy, Variable, VariableTable, curve_class_variable,
-    descendant_variable, orbit_variable_pair, planck_variable,
-    poisson_bracket, right_derivative, star_product, truncate,
-    weyl_commutator,
+    TruncationPolicy, Variable, VariableTable, _partials,
+    curve_class_variable, descendant_variable, orbit_variable_pair,
+    planck_variable, poisson_bracket, right_derivative, star_product,
+    truncate, weyl_commutator,
 )
 from sftlab.errors import DeclarationError, TableMismatchError
 
@@ -273,6 +273,89 @@ def test_hbar_linear_term_is_bracket(ts):
             d.pop(pos)
             lin[tuple(sorted(d.items()))] = c
     assert lin == poisson_bracket(fe, ge).terms
+
+
+# -- windowed brackets ------------------------------------------------------------
+
+
+@st.composite
+def wide_table_and_series(draw):
+    """Orbits at covers 1..3, t variables, odd q/p, Laurent hbar exponents."""
+    half_dim = draw(st.sampled_from((1, 2)))
+    variables = [planck_variable(half_dim)]
+    for k in range(draw(st.integers(1, 2))):
+        for cover in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3,
+                                   unique=True)):
+            variables.extend(orbit_variable_pair(
+                f"o{k}", cover, cz=draw(st.integers(-1, 1)),
+                half_dim=half_dim, multiplicity=draw(st.integers(1, 3))))
+    for level in range(draw(st.integers(0, 2))):
+        variables.append(descendant_variable("a", level, draw(st.integers(0, 1))))
+    table = VariableTable(variables, half_dim=half_dim)
+    out = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(draw(st.integers(1, 6))):
+            mono = []
+            for pos in draw(st.sets(st.integers(0, len(table) - 1), max_size=4)):
+                v = table.variables[pos]
+                if v.kind == "hbar":
+                    e = draw(st.integers(-2, 3).filter(bool))
+                else:
+                    e = 1 if v.odd else draw(st.integers(1, 3))
+                mono.append((pos, e))
+            mono.sort()
+            coeff = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+            mono = tuple(mono)
+            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        out.append(table.series(terms))
+    return (table, *out)
+
+
+tight_policies = st.builds(
+    TruncationPolicy, max_t_order=st.integers(0, 3), max_cover=st.integers(1, 3),
+    max_pq_order=st.integers(0, 5), max_hbar_order=st.integers(-1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_table_and_series(), tight_policies)
+def test_windowed_bracket_equals_truncated_full_bracket(ts, policy):
+    table, f, g = ts
+    windowed = poisson_bracket(f, g, policy)
+    assert windowed.terms == poisson_bracket(f, g).truncate(policy).terms
+    assert windowed.policy == f.policy.cap(g.policy).cap(policy)
+
+
+@pytest.mark.parametrize("f, g, policy, want", [
+    # hbar^3 p pairs with hbar^-2 q: the hbar-3 derivative lies above the
+    # output cap, the product (hbar^1) inside it
+    ({"hbar": 3, "p[o0,1]": 1}, {"hbar": -2, "q[o0,1]": 1},
+     TruncationPolicy(max_hbar_order=1), {"hbar": 1}),
+    # d(p q^2)/dp = q^2 sits exactly on the pq cap
+    ({"p[o0,1]": 1, "q[o0,1]": 2}, {"q[o0,1]": 1},
+     TruncationPolicy(max_pq_order=2), {"q[o0,1]": 2}),
+])
+def test_windowed_bracket_on_the_cap(f, g, policy, want):
+    table = make_table(multiplicities=[2])
+    f, g = table.monomial(f), table.monomial(g)
+    assert poisson_bracket(f, g, policy) == table.monomial(want, 2)
+    assert poisson_bracket(f, g, policy) == poisson_bracket(f, g).truncate(policy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_table_and_series())
+def test_fused_partials_match_single_derivatives(ts):
+    table, f, _ = ts
+    loose = TruncationPolicy(max_t_order=99, max_cover=99, max_pq_order=99)
+    for odd, part in enumerate(f.parity_parts()):
+        dq, dp = _partials(table, part.terms, odd, loose)
+        for pos, v in enumerate(table.variables):
+            if v.kind == "q":
+                assert dq.get(pos, {}) == part.derivative(v.name).terms
+            elif v.kind == "p":
+                assert dp.get(pos, {}) == right_derivative(part, v.name).terms
+            else:
+                assert pos not in dq and pos not in dp
 
 
 def test_deterministic_term_order():

@@ -1,5 +1,9 @@
+import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from sftlab import algebra
 from sftlab.algebra import TruncationPolicy, poisson_bracket
 from sftlab.hierarchy import (
     GradingProfile, OrbitLattice, SignProfile, circle_hamiltonian,
@@ -185,3 +189,85 @@ def test_explicit_sign_rule():
                                  table=table)
     assert not plus.is_zero()
     assert (plus + minus).is_zero()
+
+
+# -- the window pre-filter of commutator_residuals --------------------------------
+
+
+def perturbed_circle(seed, count=3):
+    """Circle builder with a few coefficients (any cover) doubled."""
+    rng = random.Random(seed)
+
+    def build(lattice, level, table, policy):
+        h = circle_hamiltonian(lattice, level, table=table, policy=policy)
+        terms = dict(h.terms)
+        for mono in rng.sample(sorted(terms), min(count, len(terms))):
+            terms[mono] *= 2
+        return table.series(terms, policy)
+    return build
+
+
+def geodesic_builder(grading, signs):
+    """Geodesic builder on one graded table per lattice window."""
+    tables = {}
+
+    def build(lattice, level, table, policy):
+        if lattice.window not in tables:
+            tables[lattice.window] = OrbitLattice(
+                lattice.cover_bound, lattice.window, q_degree=grading.q_degree,
+                half_dim=grading.half_dim).table()
+        return geodesic_hamiltonian(lattice, level, grading, signs,
+                                    table=tables[lattice.window], policy=policy)
+    return build
+
+
+def assert_residuals_are_windowed_full_brackets(levels, cover, builder):
+    res, hams = commutator_residuals(levels, cover, builder=builder)
+    out_policy = TruncationPolicy(max_cover=cover,
+                                  max_pq_order=2 * (max(levels) + 3))
+    nonzero = 0
+    for i in range(len(levels)):
+        for j in range(len(levels)):
+            full = poisson_bracket(hams[i], hams[j]).truncate(out_policy)
+            assert res[i][j].terms == full.terms
+            nonzero += not full.is_zero()
+    assert nonzero > 0
+    return hams
+
+
+def test_perturbed_circle_residuals_equal_windowed_full_brackets():
+    assert_residuals_are_windowed_full_brackets([0, 1, 2], 3, perturbed_circle(3))
+    assert_residuals_are_windowed_full_brackets([0, 1], 4, perturbed_circle(4))
+
+
+def test_geodesic_residuals_equal_windowed_full_brackets():
+    # covers 3, 6, 9 are odd; the sign rule is not a coherent orientation
+    cover, levels = 3, [0, 1, 2]
+    window = cover * (max(levels) + 2)
+    grading = GradingProfile({n: 2 if n % 3 else 1 for n in range(1, window + 1)},
+                             half_dim=5)
+    signs = SignProfile(rule=lambda ns: -1 if ns[0] < 0 else 1)
+    hams = assert_residuals_are_windowed_full_brackets(
+        levels, cover, geodesic_builder(grading, signs))
+    table = hams[0].table
+    assert any(table.parity[pos] for h in hams for m in h.terms for pos, _ in m)
+
+
+@settings(max_examples=8, deadline=None)
+@given(cover=st.integers(2, 3),
+       levels=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+def test_kernel_never_sees_covers_above_the_window(cover, levels):
+    seen = []
+    original = algebra._mul_terms
+
+    def spy(table, terms1, terms2, policy, factor):
+        seen.extend(table.covers[pos] for terms in (terms1, terms2)
+                    for mono in terms for pos, _ in mono)
+        return original(table, terms1, terms2, policy, factor)
+
+    algebra._mul_terms = spy
+    try:
+        commutator_residuals(sorted(levels), cover)
+    finally:
+        algebra._mul_terms = original
+    assert seen and max(seen) <= cover

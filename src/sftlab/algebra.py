@@ -13,6 +13,24 @@ Monomials are stored in a canonical factor order (hbar, z, t, t-check, q,
 p; ties broken by declared indices).  Placing every q before every p makes
 canonical monomials normal-ordered for the star product by construction.
 Signs are the Koszul signs of sorting words of odd letters.
+
+Products and Poisson brackets run through one packed-monomial kernel
+(Kronecker substitution, after Monagan & Pearce).  Inside it a term is a
+record: an int key holding the exponent of table position i in bits
+[w*i, w*(i+1)), an integer numerator over one common denominator per
+operand, the term's pq-order, t-order and hbar exponent, a bitmask of its
+odd letters and its largest q/p cover.  Multiplying monomials is adding
+keys; a cap check is an integer compare against what the first factor
+leaves of the budget; two factors sharing an odd letter give zero
+(``odd1 & odd2``); the Koszul sign is the parity of the number of pairs
+(a, b) with a an odd letter of the first factor, b one of the second and
+a > b.  The fields are balanced (signed two's-complement digits), so the
+negative exponents of Laurent hbar and z need no offset and adding keys
+adds exponents field by field.  The width w is chosen per call from the
+operands' largest absolute exponents a and b: w = (a+b).bit_length() + 1
+bits hold every exponent sum in [-(a+b), a+b], so no field can carry into
+the next.  Keys become tuple monomials, and numerators Fractions, only
+once per surviving output term.
 """
 
 from __future__ import annotations
@@ -161,7 +179,6 @@ class VariableTable:
         # cover index of each q/p variable, 0 for every other kind
         self.covers = tuple(v.indices[1] if v.kind in (QORBIT, PORBIT) else 0
                             for v in self.variables)
-        self.has_odd = any(self.parity)
         # q-position -> (p-position, kappa) for the bracket sums
         self.orbit_pairs = tuple(
             (self._pos[q.name], self._pos[p.name], q.multiplicity)
@@ -274,6 +291,9 @@ def _allowed(table: VariableTable, mono, policy: TruncationPolicy) -> bool:
 
 def _mono_mul(table: VariableTable, m1, m2):
     """Merge two canonical monomials; returns (sign, monomial) or None for zero.
+
+    Products of series go through the packed kernel (:func:`_mul_packed`);
+    this tuple merge serves the central blocks of :func:`star_product`.
 
     The sign is the Koszul sign of interleaving the two sorted factor words:
     each odd letter taken from m2 crosses the odd letters of m1 not yet
@@ -491,7 +511,16 @@ class GradedSeries:
     __repr__ = __str__
 
 
-# -- term-level multiplication kernel -------------------------------------------
+# -- packed-monomial kernel ------------------------------------------------------
+#
+# A packed record is (key, numerator, pq-order, t-order, hbar exponent, odd
+# mask, cross mask, largest q/p cover); see the module docstring.  The cross
+# mask is the XOR, over the record's odd letters b, of the mask of every bit
+# above b.  Parity of a count is linear, so popcount(odd1 & cross2) has the
+# parity of the number of pairs (a, b), a an odd letter of the first factor
+# above b an odd letter of the second: the Koszul sign of the product.
+
+_COVER = 7  # index of the largest q/p cover in a packed record
 
 
 def _lcm_denominator(terms) -> int:
@@ -504,74 +533,110 @@ def _lcm_denominator(terms) -> int:
     return d
 
 
-def _mul_terms(table, terms1, terms2, policy, factor: Fraction) -> dict:
-    """factor * terms1 * terms2 with integer-scaled inner arithmetic.
+def _field_width(terms1, terms2) -> int:
+    """Bits per exponent field for products of terms1 by terms2.
 
-    Coefficients are rescaled to integers by the LCM of denominators so the
-    accumulation loop avoids per-product gcd normalization; the common
-    denominator is divided back out once per result term.
+    Every exponent of a product is a sum of one exponent of each operand,
+    so its absolute value is at most a + b (the operands' largest absolute
+    exponents), which fits a balanced field of (a + b).bit_length() + 1
+    bits: no sum of keys can carry out of a field.
     """
+    a = max((abs(e) for mono in terms1 for _, e in mono), default=0)
+    b = max((abs(e) for mono in terms2 for _, e in mono), default=0)
+    return (a + b).bit_length() + 1
+
+
+def _numerators(terms: dict, den: int) -> dict:
+    """Coefficients times den, as ints; den is a multiple of every denominator."""
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+
+
+def _pack(table: VariableTable, terms: dict, width: int) -> list:
+    """Packed records of terms with integer coefficients."""
+    kinds, parity, covers = table.kinds, table.parity, table.covers
+    records = []
+    for mono, c in terms.items():
+        key = pq = t_order = hb = odd = cross = cover = 0
+        for pos, e in mono:
+            key += e << width * pos
+            kind = kinds[pos]
+            if kind == QORBIT or kind == PORBIT:
+                pq += e
+                if covers[pos] > cover:
+                    cover = covers[pos]
+            elif kind == TFORM or kind == TCHECK:
+                t_order += e
+            elif kind == HBAR:
+                hb += e
+            if parity[pos]:
+                odd |= 1 << pos
+                cross ^= -1 << pos + 1  # every bit above pos
+        records.append((key, c, pq, t_order, hb, odd, cross, cover))
+    return records
+
+
+def _mul_packed(acc: dict, records1: list, records2: list,
+                policy: TruncationPolicy, factor: int):
+    """acc[key] += factor * c1 * c2 (Koszul-signed) over the products in policy.
+
+    The q/p, t and t-check exponents of a product are those of its operands
+    added, and never negative, so an operand over the cover cap contributes
+    nothing and every other cap is an integer compare against the budget
+    the first operand leaves.  Two operands sharing an odd letter multiply
+    to zero.
+    """
+    max_cover = policy.max_cover
+    records2 = [r for r in records2 if r[_COVER] <= max_cover]
+    get = acc.get
+    for k1, c1, pq1, t1, h1, o1, _, x1 in records1:
+        pq_left = policy.max_pq_order - pq1
+        t_left = policy.max_t_order - t1
+        if x1 > max_cover or pq_left < 0 or t_left < 0:
+            continue
+        h_left = policy.max_hbar_order - h1
+        c1 *= factor
+        for k2, c2, pq2, t2, h2, o2, cross2, _ in records2:
+            if pq2 > pq_left or t2 > t_left or h2 > h_left or o1 & o2:
+                continue
+            key = k1 + k2
+            c = c1 * c2
+            if o1 & cross2 and (o1 & cross2).bit_count() & 1:
+                c = -c
+            acc[key] = get(key, 0) + c
+
+
+def _unpack(acc: dict, width: int, den: int) -> dict:
+    """Tuple monomials and coefficient/den of the nonzero accumulated terms."""
+    mask, half, base = (1 << width) - 1, 1 << width - 1, 1 << width
+    out = {}
+    for key, c in acc.items():
+        if not c:
+            continue
+        mono = []
+        pos = 0
+        while key:
+            e = key & mask
+            if e >= half:
+                e -= base
+            if e:
+                mono.append((pos, e))
+            key = (key - e) >> width
+            pos += 1
+        out[tuple(mono)] = Fraction(c, den)
+    return out
+
+
+def _mul_terms(table, terms1, terms2, policy, factor: Fraction) -> dict:
+    """factor * terms1 * terms2, truncated to policy, through the packed kernel."""
     if not terms1 or not terms2 or not factor:
         return {}
-    d1 = _lcm_denominator(terms1)
-    d2 = _lcm_denominator(terms2)
-    t1 = [(m, int(c * d1)) for m, c in terms1.items()]
-    t2 = [(m, int(c * d2)) for m, c in terms2.items()]
-    even_only = not table.has_odd
-    out: dict = {}
-    get = out.get
-    for m1, c1 in t1:
-        for m2, c2 in t2:
-            if even_only:
-                m = _mono_merge_even(m1, m2)
-                c = c1 * c2
-            else:
-                r = _mono_mul(table, m1, m2)
-                if r is None:
-                    continue
-                sign, m = r
-                c = c1 * c2 if sign > 0 else -c1 * c2
-            if m in out:
-                out[m] += c
-            else:
-                if not _allowed(table, m, policy):
-                    continue
-                out[m] = c
-    scale = factor / (d1 * d2)
-    result = {}
-    for m, c in out.items():
-        if c:
-            result[m] = scale * c
-    return result
-
-
-def _mono_merge_even(m1, m2):
-    """Exponent merge for tables with no odd variables (no signs, no squares)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        p1, e1 = m1[i]
-        p2, e2 = m2[j]
-        if p1 < p2:
-            out.append(m1[i])
-            i += 1
-        elif p1 > p2:
-            out.append(m2[j])
-            j += 1
-        else:
-            e = e1 + e2
-            if e:
-                out.append((p1, e))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+    width = _field_width(terms1, terms2)
+    d1, d2 = _lcm_denominator(terms1), _lcm_denominator(terms2)
+    acc: dict = {}
+    _mul_packed(acc, _pack(table, _numerators(terms1, d1), width),
+                _pack(table, _numerators(terms2, d2), width), policy,
+                factor.numerator)
+    return _unpack(acc, width, d1 * d2 * factor.denominator)
 
 
 # -- brackets ------------------------------------------------------------------
@@ -616,24 +681,32 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     """
     window = f._join(g) if policy is None else f._join(g).cap(policy)
     table = f.table
-    fparts = [(odd, _partials(table, part.terms, odd, window))
-              for odd, part in enumerate(f.parity_parts()) if part]
-    gparts = [(odd, _partials(table, part.terms, odd, window))
-              for odd, part in enumerate(g.parity_parts()) if part]
+    width = _field_width(f.terms, g.terms)
+    # differentiation multiplies by an integer, so one denominator per
+    # operand serves all its partials, taken on integer numerators
+    fden, gden = _lcm_denominator(f.terms), _lcm_denominator(g.terms)
+
+    def packed_partials(h, den):
+        out = []
+        for odd, part in enumerate(h.parity_parts()):
+            if part:
+                dq, dp = _partials(table, _numerators(part.terms, den), odd, window)
+                out.append((odd,
+                            {pos: _pack(table, t, width) for pos, t in dq.items()},
+                            {pos: _pack(table, t, width) for pos, t in dp.items()}))
+        return out
+
+    fparts, gparts = packed_partials(f, fden), packed_partials(g, gden)
     acc: dict = {}
-    for fodd, (fdq, fdp) in fparts:
-        for godd, (gdq, gdp) in gparts:
+    for fodd, fdq, fdp in fparts:
+        for godd, gdq, gdp in gparts:
             sgn = -1 if (fodd and godd) else 1
             for qpos, ppos, kappa in table.orbit_pairs:
-                df_dp, dg_dq = fdp.get(ppos), gdq.get(qpos)
-                if df_dp and dg_dq:
-                    _acc_update(acc, _mul_terms(table, df_dp, dg_dq, window,
-                                                Fraction(kappa)))
-                dg_dp, df_dq = gdp.get(ppos), fdq.get(qpos)
-                if dg_dp and df_dq:
-                    _acc_update(acc, _mul_terms(table, dg_dp, df_dq, window,
-                                                Fraction(-sgn * kappa)))
-    return GradedSeries(table, {m: c for m, c in acc.items() if c}, window)
+                if ppos in fdp and qpos in gdq:
+                    _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
+                if ppos in gdp and qpos in fdq:
+                    _mul_packed(acc, gdp[ppos], fdq[qpos], window, -sgn * kappa)
+    return GradedSeries(table, _unpack(acc, width, fden * gden), window)
 
 
 def _partials(table: VariableTable, terms: dict, odd: int,
@@ -641,7 +714,8 @@ def _partials(table: VariableTable, terms: dict, odd: int,
     """All q- and p-derivatives of one parity part, in one pass over it.
 
     Returns (dq, dp), each mapping a variable position to the terms of the
-    derivative: d/dq from the left, d/dp from the right.  On a part of
+    derivative: d/dq from the left, d/dp from the right.  Coefficients may
+    be Fractions or ints; they are only multiplied by ints.  On a part of
     parity ``odd`` the right derivative is the left one times
     (-1)^{|p|(|f|+1)}.  Derivative monomials that break the cover,
     pq-order or t-order cap of ``policy`` are left out (see
@@ -686,14 +760,6 @@ def _partials(table: VariableTable, terms: dict, odd: int,
             if parity[pos]:
                 odd_before += 1
     return dq, dp
-
-
-def _acc_update(acc: dict, terms: dict):
-    for m, c in terms.items():
-        if m in acc:
-            acc[m] += c
-        else:
-            acc[m] = c
 
 
 def _letters(table: VariableTable, mono):

@@ -1,14 +1,16 @@
 """Command-line interface: verification suites, reconstruction, exports.
 
-Exit codes: 0 all checks pass, 1 some check failed, 2 bad input.  Reports
-are deterministic byte-for-byte unless --timings is given.
+Exit codes: 0 all checks pass, 1 some check failed, 2 bad input (the error
+names the offending field), 3 internal error (an unexpected exception in
+sftlab itself; a traceback goes to stderr).  Reports are deterministic
+byte-for-byte unless --timings is given.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+import traceback
 from pathlib import Path
 
 from . import cylhom, divisors, gw, hierarchy, io as sio
@@ -16,6 +18,9 @@ from .errors import SftlabError, ValidationError
 from .models import BUILTIN_MODELS
 from .report import VerificationReport, merge_reports
 from .suites import SUITES
+
+
+EXIT_INTERNAL = 3
 
 
 def _load_model_arg(spec: str):
@@ -248,6 +253,11 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a bug, never "a check failed"
+        traceback.print_exc()
+        print("internal error: please report this with the command line",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -46,8 +46,19 @@ def decode_rational(x, path="value") -> Fraction:
 
 def _require(obj, key, path):
     if key not in obj:
-        raise ValidationError(f"missing field {key!r}", path)
+        raise ValidationError(f"missing field {key!r}", f"{path}.{key}")
     return obj[key]
+
+
+def _int_field(obj, key, path, default=None, minimum=None):
+    """obj[key] as a JSON integer; required unless a default is given."""
+    value = _require(obj, key, path) if default is None else obj.get(key, default)
+    if type(value) is not int:  # bool is an int subclass and is refused too
+        raise ValidationError(f"expected an integer, got {value!r}", f"{path}.{key}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"must be at least {minimum}, got {value}",
+                              f"{path}.{key}")
+    return value
 
 
 def _check_schema(obj, expected, path):
@@ -198,20 +209,26 @@ def counts_to_dict(data: ChainComplexData) -> dict:
 
 def counts_from_dict(obj, path="counts") -> ChainComplexData:
     _check_schema(obj, COUNTS_SCHEMA, path)
-    orbits = OrbitSet(
-        [Orbit(o["id"], int(o["degree"]), int(o.get("multiplicity", 1)),
-               bool(o.get("good", True)))
-         for o in _require(obj, "orbits", path)],
-        bool(_require(obj, "equivariant", path)))
+    orbits = []
+    for k, o in enumerate(_require(obj, "orbits", path)):
+        opath = f"{path}.orbits[{k}]"
+        orbits.append(Orbit(_require(o, "id", opath), _int_field(o, "degree", opath),
+                            _int_field(o, "multiplicity", opath, 1, minimum=1),
+                            bool(o.get("good", True))))
+    orbits = OrbitSet(orbits, bool(_require(obj, "equivariant", path)))
     model = model_from_dict(_require(obj, "model", path), f"{path}.model")
     table = table_from_dict(_require(obj, "table", path), model, f"{path}.table")
     entries = []
     for k, e in enumerate(obj.get("entries", [])):
         epath = f"{path}.entries[{k}]"
+        insertions = e.get("insertions", [])
+        for i, ins in enumerate(insertions):
+            if not isinstance(ins, list) or len(ins) != 3:
+                raise ValidationError(f"expected [class, level, constrained], got {ins!r}",
+                                      f"{epath}.insertions[{i}]")
         entries.append(CountEntry(
             tuple(_require(e, "src", epath)), tuple(_require(e, "dst", epath)),
-            tuple(Insertion(str(c), int(a), bool(flag))
-                  for c, a, flag in e.get("insertions", [])),
+            tuple(Insertion(str(c), int(a), bool(flag)) for c, a, flag in insertions),
             tuple(int(x) for x in e.get("degree", [])),
             decode_rational(_require(e, "value", epath), epath)))
     fiber_model = fiber_table = None
@@ -221,7 +238,8 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
                                       f"{path}.fiber_table")
     return ChainComplexData(
         orbits, CountData(entries, obj.get("section_choice", "generic")),
-        model, table, obj.get("level_bound", 2), obj.get("t_order", 2),
+        model, table, _int_field(obj, "level_bound", path, 2, minimum=0),
+        _int_field(obj, "t_order", path, 2, minimum=0),
         obj.get("contact", False), fiber_model, fiber_table,
         obj.get("wedge_map"), name=obj.get("name", "counts"))
 

@@ -258,16 +258,16 @@ def test_geodesic_residuals_equal_windowed_full_brackets():
        levels=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
 def test_kernel_never_sees_covers_above_the_window(cover, levels):
     seen = []
-    original = algebra._mul_terms
+    original = algebra._mul_packed
 
-    def spy(table, terms1, terms2, policy, factor):
-        seen.extend(table.covers[pos] for terms in (terms1, terms2)
-                    for mono in terms for pos, _ in mono)
-        return original(table, terms1, terms2, policy, factor)
+    def spy(acc, records1, records2, policy, factor):
+        seen.extend(r[algebra._COVER] for records in (records1, records2)
+                    for r in records)
+        return original(acc, records1, records2, policy, factor)
 
-    algebra._mul_terms = spy
+    algebra._mul_packed = spy
     try:
         commutator_residuals(sorted(levels), cover)
     finally:
-        algebra._mul_terms = original
+        algebra._mul_packed = original
     assert seen and max(seen) <= cover

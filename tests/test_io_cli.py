@@ -188,3 +188,52 @@ def test_cli_failing_check_exit_code(tmp_path, capsys):
     code = main(["verify", "--suite", "cylhom", "--counts",
                  str(sio.fixture_path("generic_fault.counts.json"))])
     assert code == 1
+
+
+def _set(path, value):
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        del obj[last]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_drop(("orbits", 0, "id")), "orbits[0].id"),
+    (_set(("orbits", 0, "degree"), "one"), "orbits[0].degree"),
+    (_set(("level_bound",), "two"), "level_bound"),
+    (_set(("orbits", 0, "multiplicity"), 0), "orbits[0].multiplicity"),
+    (_set(("entries", 0, "insertions"), [["x", 1]]), "entries[0].insertions[0]"),
+], ids=["missing-id", "text-degree", "text-level-bound", "zero-multiplicity",
+        "short-insertion"])
+def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
+    obj = sio.load_json(sio.fixture_path("generic.counts.json"))
+    mutate(obj)
+    path = tmp_path / "bad.counts.json"
+    path.write_text(json.dumps(obj))
+    assert main(["homology", "--counts", str(path)]) == 2
+    assert f"{path}.{field}:" in capsys.readouterr().err
+
+
+def test_cli_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    import sftlab.cli as cli
+
+    def broken(data):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(cli.cylhom, "compute_homology", broken)
+    code = main(["homology", "--counts",
+                 str(sio.fixture_path("floer_point_20.counts.json"))])
+    assert code == cli.EXIT_INTERNAL
+    assert code not in (0, 1, 2)
+    assert "internal error" in capsys.readouterr().err

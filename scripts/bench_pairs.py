@@ -4,14 +4,16 @@ Runs ``perfbench/run.py`` in a base and a change checkout, one pair of
 runs per seed, alternating which side goes first so that a slow phase of
 the machine falls on both sides alike.  For every end-to-end metric of
 ``BENCHMARK.json`` it records each side's median and quartiles over the
-pairs and how many pairs the change wins.  With ``--trace-seconds`` each
-side also gets one traced run per workload for the per-layer metrics.
+pairs and how many pairs the change wins.  With ``--trace`` each side
+also gets one traced run per workload for the per-layer metrics.
 
     python3 scripts/bench_pairs.py --base ../parent --change . \\
-        --label packed_kernel --pairs 10 --seconds 60 --trace-seconds 30
+        --label packed_kernel --pairs 10 --trace
 
 Both checkouts need ``src/``, ``perfbench/`` and ``BENCHMARK.json``; the
-metric directions are read from the change's ``BENCHMARK.json``.
+run length (``run_seconds``) and the metric directions are read from the
+change's ``BENCHMARK.json``.  The report is written to
+``BENCH_<label>.json`` in the working directory.
 """
 
 from __future__ import annotations
@@ -58,23 +60,22 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--label", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=60)
     ap.add_argument("--seed", type=int, default=101,
                     help="seed of the first pair; pair i uses seed + i")
     ap.add_argument("--workload", action="append",
                     help="workload to run (repeatable; default: all)")
-    ap.add_argument("--trace-seconds", type=float, default=0,
-                    help="length of one traced run per side and workload (0: none)")
-    ap.add_argument("--out", type=Path, help="default: BENCH_<label>.json")
+    ap.add_argument("--trace", action="store_true",
+                    help="add one traced run per side and workload")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    report = {"label": args.label, "pairs": args.pairs, "seconds": args.seconds,
+    report = {"label": args.label, "pairs": args.pairs, "seconds": seconds,
               "seeds": [args.seed, args.seed + args.pairs - 1],
               "sides": {name: {"src_sha256": src_digest(path)}
                         for name, path in sides.items()},
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for name in order:
                 t0 = time.perf_counter()
-                run = run_once(sides[name], workload, args.seed + i, args.seconds, 0)
+                run = run_once(sides[name], workload, args.seed + i, seconds, 0)
                 runs[name].append(run)
                 print(f"{workload} pair {i} {name}: verdict_s "
                       f"{run['result']['metrics']['verdict_s']['value']:.3f} "
@@ -102,14 +103,13 @@ def main(argv=None) -> int:
             entry["metrics"][metric] = {
                 "better": direction, "change_wins": wins,
                 **{name: summary(v) for name, v in vals.items()}}
-        if args.trace_seconds:
+        if args.trace:
             entry["traced"] = {
-                name: run_once(sides[name], workload, args.seed, args.trace_seconds,
+                name: run_once(sides[name], workload, args.seed, seconds,
                                1)["result"]["metrics"]
                 for name in sides}
         report["workloads"][workload] = entry
-    out = args.out or Path(f"BENCH_{args.label}.json")
-    out.write_text(json.dumps(report, indent=1) + "\n")
+    Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         m = entry["metrics"]["verdict_s"]
         print(f"{workload}: verdict_s median {m['base']['median']:.3f} -> "

@@ -579,19 +579,15 @@ def _mul_packed(acc: dict, records1: list, records2: list,
                 policy: TruncationPolicy, factor: int):
     """acc[key] += factor * c1 * c2 (Koszul-signed) over the products in policy.
 
-    The q/p, t and t-check exponents of a product are those of its operands
-    added, and never negative, so an operand over the cover cap contributes
-    nothing and every other cap is an integer compare against the budget
-    the first operand leaves.  Two operands sharing an odd letter multiply
-    to zero.
+    Every record must already lie within the cover cap of policy.  The pq,
+    t and hbar caps are integer compares against the budget the first
+    operand leaves.  Two operands sharing an odd letter multiply to zero.
     """
-    max_cover = policy.max_cover
-    records2 = [r for r in records2 if r[_COVER] <= max_cover]
     get = acc.get
-    for k1, c1, pq1, t1, h1, o1, _, x1 in records1:
+    for k1, c1, pq1, t1, h1, o1, _, _ in records1:
         pq_left = policy.max_pq_order - pq1
         t_left = policy.max_t_order - t1
-        if x1 > max_cover or pq_left < 0 or t_left < 0:
+        if pq_left < 0 or t_left < 0:
             continue
         h_left = policy.max_hbar_order - h1
         c1 *= factor
@@ -632,9 +628,15 @@ def _mul_terms(table, terms1, terms2, policy, factor: Fraction) -> dict:
         return {}
     width = _field_width(terms1, terms2)
     d1, d2 = _lcm_denominator(terms1), _lcm_denominator(terms2)
+
+    def packed(terms, den):
+        # q/p exponents are never negative, so an operand term over the
+        # cover cap has no product inside it
+        return [r for r in _pack(table, _numerators(terms, den), width)
+                if r[_COVER] <= policy.max_cover]
+
     acc: dict = {}
-    _mul_packed(acc, _pack(table, _numerators(terms1, d1), width),
-                _pack(table, _numerators(terms2, d2), width), policy,
+    _mul_packed(acc, packed(terms1, d1), packed(terms2, d2), policy,
                 factor.numerator)
     return _unpack(acc, width, d1 * d2 * factor.denominator)
 

@@ -50,15 +50,19 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _int_value(value, path, minimum=None):
+    """value as a JSON integer, else a ValidationError at path."""
+    if type(value) is not int:  # bool is an int subclass and is refused too
+        raise ValidationError(f"expected an integer, got {value!r}", path)
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"must be at least {minimum}, got {value}", path)
+    return value
+
+
 def _int_field(obj, key, path, default=None, minimum=None):
     """obj[key] as a JSON integer; required unless a default is given."""
     value = _require(obj, key, path) if default is None else obj.get(key, default)
-    if type(value) is not int:  # bool is an int subclass and is refused too
-        raise ValidationError(f"expected an integer, got {value!r}", f"{path}.{key}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"must be at least {minimum}, got {value}",
-                              f"{path}.{key}")
-    return value
+    return _int_value(value, f"{path}.{key}", minimum)
 
 
 def _check_schema(obj, expected, path):
@@ -228,8 +232,11 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
                                       f"{epath}.insertions[{i}]")
         entries.append(CountEntry(
             tuple(_require(e, "src", epath)), tuple(_require(e, "dst", epath)),
-            tuple(Insertion(str(c), int(a), bool(flag)) for c, a, flag in insertions),
-            tuple(int(x) for x in e.get("degree", [])),
+            tuple(Insertion(str(c), _int_value(a, f"{epath}.insertions[{i}][1]"),
+                            bool(flag))
+                  for i, (c, a, flag) in enumerate(insertions)),
+            tuple(_int_value(x, f"{epath}.degree[{i}]")
+                  for i, x in enumerate(e.get("degree", []))),
             decode_rational(_require(e, "value", epath), epath)))
     fiber_model = fiber_table = None
     if obj.get("fiber_model") is not None:

@@ -214,8 +214,11 @@ def _drop(path):
     (_set(("level_bound",), "two"), "level_bound"),
     (_set(("orbits", 0, "multiplicity"), 0), "orbits[0].multiplicity"),
     (_set(("entries", 0, "insertions"), [["x", 1]]), "entries[0].insertions[0]"),
+    (_set(("entries", 0, "insertions"), [["x", "one", True]]),
+     "entries[0].insertions[0][1]"),
+    (_set(("entries", 0, "degree"), ["one"]), "entries[0].degree[0]"),
 ], ids=["missing-id", "text-degree", "text-level-bound", "zero-multiplicity",
-        "short-insertion"])
+        "short-insertion", "text-insertion-level", "text-entry-degree"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)

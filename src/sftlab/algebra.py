@@ -6,13 +6,18 @@ t and their constrained partners t-check, curve-class variables z, and the
 loop-counting variable hbar.  Coefficients are exact rationals.  All
 variables super-commute according to the parity of their integer degree;
 the only non-commutative structure is the star product of
-:func:`star_product`, where moving p past q of the same orbit produces
-kappa*hbar.
+:func:`star_product`, in which [p,q] = kappa*hbar for the q/p pair of each
+orbit.
 
 Monomials are stored in a canonical factor order (hbar, z, t, t-check, q,
 p; ties broken by declared indices).  Placing every q before every p makes
 canonical monomials normal-ordered for the star product by construction.
-Signs are the Koszul signs of sorting words of odd letters.
+Signs are the Koszul signs of sorting words of odd letters.  The star
+product of two normal-ordered series is then given by the Wick formula:
+the sum, over every way of contracting letters p of the left factor with
+letters q of the same orbit in the right factor, of kappa*hbar per
+contraction times the super-commutative product of what is left, which is
+a sum of products of derivatives (see :func:`_wick`).
 
 Products and Poisson brackets run through one packed-monomial kernel
 (Kronecker substitution, after Monagan & Pearce).  Inside it a term is a
@@ -30,7 +35,9 @@ adds exponents field by field.  The width w is chosen per call from the
 operands' largest absolute exponents a and b: w = (a+b).bit_length() + 1
 bits hold every exponent sum in [-(a+b), a+b], so no field can carry into
 the next.  Keys become tuple monomials, and numerators Fractions, only
-once per surviving output term.
+once per surviving output term.  Star products
+(:func:`_wick`) run through the same kernel, their width widened by the
+largest hbar shift.
 """
 
 from __future__ import annotations
@@ -125,6 +132,8 @@ class TruncationPolicy:
     max_hbar_order: int = 8
 
     def cap(self, other: "TruncationPolicy") -> "TruncationPolicy":
+        if other is self or other == self:
+            return self
         return TruncationPolicy(
             min(self.max_t_order, other.max_t_order),
             min(self.max_cover, other.max_cover),
@@ -287,52 +296,6 @@ def _allowed(table: VariableTable, mono, policy: TruncationPolicy) -> bool:
             hb += exp
     return (t_order <= policy.max_t_order and pq <= policy.max_pq_order
             and hb <= policy.max_hbar_order)
-
-
-def _mono_mul(table: VariableTable, m1, m2):
-    """Merge two canonical monomials; returns (sign, monomial) or None for zero.
-
-    Products of series go through the packed kernel (:func:`_mul_packed`);
-    this tuple merge serves the central blocks of :func:`star_product`.
-
-    The sign is the Koszul sign of interleaving the two sorted factor words:
-    each odd letter taken from m2 crosses the odd letters of m1 not yet
-    consumed.
-    """
-    if not m1:
-        return 1, m2
-    if not m2:
-        return 1, m1
-    parity = table.parity
-    out = []
-    sign = 1
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    odd_left = sum(1 for p, e in m1 if parity[p])  # odd letters of m1 not yet emitted
-    while i < n1 and j < n2:
-        p1, e1 = m1[i]
-        p2, e2 = m2[j]
-        if p1 < p2:
-            out.append((p1, e1))
-            if parity[p1]:
-                odd_left -= 1
-            i += 1
-        elif p1 > p2:
-            if parity[p2] and odd_left % 2:
-                sign = -sign
-            out.append((p2, e2))
-            j += 1
-        else:
-            if parity[p1]:
-                return None  # odd square
-            e = e1 + e2
-            if e:
-                out.append((p1, e))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return sign, tuple(out)
 
 
 def _mono_str(table: VariableTable, mono) -> str:
@@ -533,17 +496,18 @@ def _lcm_denominator(terms) -> int:
     return d
 
 
-def _field_width(terms1, terms2) -> int:
+def _field_width(terms1, terms2, shift: int = 0) -> int:
     """Bits per exponent field for products of terms1 by terms2.
 
     Every exponent of a product is a sum of one exponent of each operand,
     so its absolute value is at most a + b (the operands' largest absolute
     exponents), which fits a balanced field of (a + b).bit_length() + 1
-    bits: no sum of keys can carry out of a field.
+    bits: no sum of keys can carry out of a field.  ``shift`` bounds any
+    further exponent added to a field (the hbar of a star product).
     """
     a = max((abs(e) for mono in terms1 for _, e in mono), default=0)
     b = max((abs(e) for mono in terms2 for _, e in mono), default=0)
-    return (a + b).bit_length() + 1
+    return (a + b + shift).bit_length() + 1
 
 
 def _numerators(terms: dict, den: int) -> dict:
@@ -764,134 +728,139 @@ def _partials(table: VariableTable, terms: dict, odd: int,
     return dq, dp
 
 
-def _letters(table: VariableTable, mono):
-    """Expand q/p factors to unit letters; central block kept packed.
+# -- star product ----------------------------------------------------------------
 
-    Returns (central, word) where word is a list of positions with q/p
-    letters in canonical order and central is the packed remainder.
+
+def _star_width(table: VariableTable, terms1, terms2) -> int:
+    """Field width for f*g and g*f: room for the hbar shift.
+
+    A Wick term of multi-index alpha carries hbar^|alpha| on top of the
+    operands' exponents, and |alpha| is at most the pq-order of a term.
     """
-    central = []
-    word = []
-    for p, e in mono:
-        if table.kinds[p] in (QORBIT, PORBIT):
-            word.extend([p] * e)
-        else:
-            central.append((p, e))
-    return tuple(central), word
+    kinds = table.kinds
+    alpha = max((sum(e for pos, e in mono if kinds[pos] in (QORBIT, PORBIT))
+                 for mono in (*terms1, *terms2)), default=0)
+    return _field_width(terms1, terms2, alpha)
+
+
+def _wick(acc: dict, table: VariableTable, f_terms: dict, g_terms: dict,
+          policy: TruncationPolicy, width: int, factor: int):
+    """acc[key] += factor * (f*g) over policy, for int-coefficient terms.
+
+    f*g = sum_alpha hbar^|alpha| prod_o kappa_o^alpha_o
+          ((d/dp)^alpha / alpha!)^R f  ((d/dq)^alpha)^L g,
+    alpha running over multi-indices on the orbits (q/p pairs): the
+    p-derivatives act on f from the right, the q-derivatives on g from the
+    left, as in :func:`poisson_bracket`.  The multi-indices are visited
+    depth first with non-decreasing orbit index, so each is reached once
+    and both sides differentiate in the same order; the divided power
+    (d/dp)^n / n! takes one derivative and divides by n at each step, which
+    is exact.  Each node multiplies its two derivative parts with the f
+    side shifted by hbar^|alpha| in the packed key (``width`` must leave
+    room for the shift, see :func:`_star_width`).  A derivative monomial
+    over the cover cap has no product within it and is left out.
+    """
+    if not f_terms or not g_terms:
+        return
+    pairs = table.orbit_pairs
+    hbar = table.kinds.index(HBAR) if HBAR in table.kinds else None
+    max_cover = policy.max_cover
+
+    def visit(fd, gd, start, run, order, weight):
+        shift = order << width * hbar if order else 0
+        frec = [(k + shift, c, pq, t, hb + order, o, x, cover)
+                for k, c, pq, t, hb, o, x, cover in _pack(table, fd, width)
+                if cover <= max_cover]
+        grec = [r for r in _pack(table, gd, width) if r[_COVER] <= max_cover]
+        _mul_packed(acc, frec, grec, policy, factor * weight)
+        for i in range(start, len(pairs)):
+            qpos, ppos, kappa = pairs[i]
+            n = run + 1 if i == start else 1  # alpha_i after this step
+            fd2 = _orbit_derivative(table, fd, ppos, right=True, n=n)
+            gd2 = _orbit_derivative(table, gd, qpos) if fd2 else None
+            if gd2:
+                if hbar is None:
+                    raise DeclarationError(
+                        "star product needs an hbar variable in the table")
+                visit(fd2, gd2, i, n, order + 1, weight * kappa)
+
+    visit(f_terms, g_terms, 0, 0, 0, 1)
+
+
+def _orbit_derivative(table: VariableTable, terms: dict, pos: int,
+                      right: bool = False, n: int = 1) -> dict:
+    """Derivative by the variable at pos of int-coefficient terms, over n.
+
+    From the left the variable is commuted to the front of the monomial,
+    from the right to its end, collecting a sign per odd letter passed.
+    On terms already carrying (d/dp)^(n-1)/(n-1)! the right derivative over
+    n gives (d/dp)^n/n!: a coefficient c*C(e, n-1), e the original
+    exponent, times the current exponent e-n+1 is c*C(e, n)*n, so the
+    division is exact.
+    """
+    parity = table.parity
+    out = {}
+    for mono, c in terms.items():
+        for k, (p, e) in enumerate(mono):
+            if p == pos:
+                c = c * e // n
+                passed = mono[k + 1:] if right else mono[:k]
+                if parity[p] and sum(parity[r] for r, _ in passed) % 2:
+                    c = -c
+                rest = ((p, e - 1),) if e > 1 else ()
+                out[mono[:k] + rest + mono[k + 1:]] = c
+                break
+            if p > pos:
+                break
+    return out
 
 
 def star_product(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Associative normal-ordered product with [p,q] = kappa*hbar per orbit.
 
-    Computed by word rewriting: the concatenated q/p words are sorted back
-    to canonical (q-left) order; each adjacent transposition of p past q of
-    the same orbit branches into the Koszul swap plus a kappa*hbar
-    contraction.
+    Computed by the Wick formula (see :func:`_wick`): the sum over
+    multi-indices alpha of the contractions of alpha_o letters p_o of f
+    with as many letters q_o of g, each contraction giving kappa_o*hbar,
+    on the packed kernel.  Differentiation is injective on monomials and
+    the divided powers are integers, so the terms stay integer numerators
+    over one denominator per operand.  Raises DeclarationError when a
+    contraction is needed (f has a p and g a q of one orbit) and the table
+    has no hbar.
     """
     policy = f._join(g)
     table = f.table
-    hbar_pos = None
-    for i, v in enumerate(table.variables):
-        if v.kind == HBAR:
-            hbar_pos = i
-            break
-    kinds = table.kinds
-    parity = table.parity
-    out = table.zero(policy)
-    for m1, c1 in f.terms.items():
-        cen1, w1 = _letters(table, m1)
-        for m2, c2 in g.terms.items():
-            cen2, w2 = _letters(table, m2)
-            # central blocks commute with sign into one packed monomial
-            r = _mono_mul(table, cen1, cen2)
-            if r is None:
-                continue
-            csign, cen = r
-            # sign for moving cen2 left past w1 (odd crossings)
-            w1_odd = sum(1 for p in w1 if parity[p])
-            cen2_odd = sum(1 for p, e in cen2 if parity[p] and e % 2)
-            if (w1_odd * cen2_odd) % 2:
-                csign = -csign
-            # rewrite the q/p word w1+w2 into normal order
-            pending = [(Fraction(csign) * c1 * c2, 0, list(w1) + list(w2))]
-            while pending:
-                coeff, hb, word = pending.pop()
-                i = _first_inversion(table, word)
-                if i is None:
-                    acc = _finish_word(table, cen, word, hb, hbar_pos, policy)
-                    if acc is not None:
-                        sgn, mono = acc
-                        s = out.terms.get(mono, Fraction(0)) + sgn * coeff
-                        if s:
-                            out.terms[mono] = s
-                        else:
-                            out.terms.pop(mono, None)
-                    continue
-                a, b = word[i], word[i + 1]
-                swap_sign = -1 if (parity[a] and parity[b]) else 1
-                swapped = word[:i] + [b, a] + word[i + 2:]
-                pending.append((coeff * swap_sign, hb, swapped))
-                if (kinds[a] == PORBIT and kinds[b] == QORBIT
-                        and table.variables[a].indices == table.variables[b].indices):
-                    if hbar_pos is None:
-                        raise DeclarationError(
-                            "star product needs an hbar variable in the table")
-                    kappa = table.variables[a].multiplicity
-                    pending.append((coeff * kappa, hb + 1, word[:i] + word[i + 2:]))
-    return GradedSeries(table, dict(out.terms), policy)
-
-
-def _first_inversion(table, word):
-    for i in range(len(word) - 1):
-        if word[i] > word[i + 1]:
-            return i
-    return None
-
-
-def _finish_word(table, central, word, hb, hbar_pos, policy):
-    """Assemble central * hbar^hb * sorted word into a canonical monomial."""
-    factors = {}
-    for p in word:
-        factors[p] = factors.get(p, 0) + 1
-    for p, e in factors.items():
-        if table.parity[p] and e > 1:
-            return None
-    mono = list(central)
-    if hb:
-        mono.append((hbar_pos, hb))
-    mono.extend(sorted(factors.items()))
-    mono.sort()
-    merged = []
-    for p, e in mono:
-        if merged and merged[-1][0] == p:
-            merged[-1] = (p, merged[-1][1] + e)
-        else:
-            merged.append((p, e))
-    merged = tuple((p, e) for p, e in merged if e)
-    for p, e in merged:
-        if table.parity[p] and e != 1:
-            return None
-    if not _allowed(table, merged, policy):
-        return None
-    return 1, merged
+    width = _star_width(table, f.terms, g.terms)
+    fden, gden = _lcm_denominator(f.terms), _lcm_denominator(g.terms)
+    acc: dict = {}
+    _wick(acc, table, _numerators(f.terms, fden), _numerators(g.terms, gden),
+          policy, width, 1)
+    return GradedSeries(table, _unpack(acc, width, fden * gden), policy)
 
 
 def weyl_commutator(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    """f*g - (-1)^{|f||g|} g*f in the star product; divisible by hbar."""
+    """f*g - (-1)^{|f||g|} g*f in the star product; divisible by hbar.
+
+    Both products are formed in full, alpha = 0 included, into one
+    accumulator, so the cancellation of the hbar-free part is computed,
+    not assumed.  The sign is split over the parity parts of g:
+    [f,g] = f*g - g_even*f - g_odd*f', where f' is f with its odd terms
+    negated.
+    """
     policy = f._join(g)
     table = f.table
-    out = table.zero(policy)
-    fe, fo = f.parity_parts()
-    ge, go = g.parity_parts()
-    for fp, fpar in ((fe, 0), (fo, 1)):
-        if fp.is_zero():
-            continue
-        for gp, gpar in ((ge, 0), (go, 1)):
-            if gp.is_zero():
-                continue
-            sgn = -1 if (fpar and gpar) else 1
-            out = out + star_product(fp, gp) - sgn * star_product(gp, fp)
-    return out
+    width = _star_width(table, f.terms, g.terms)
+    fden, gden = _lcm_denominator(f.terms), _lcm_denominator(g.terms)
+    fn, gn = _numerators(f.terms, fden), _numerators(g.terms, gden)
+    g_even, g_odd, f_flip = {}, {}, {}
+    for mono, c in gn.items():
+        (g_odd if mono_parity(table, mono) else g_even)[mono] = c
+    for mono, c in fn.items():
+        f_flip[mono] = -c if mono_parity(table, mono) else c
+    acc: dict = {}
+    _wick(acc, table, fn, gn, policy, width, 1)
+    _wick(acc, table, g_even, fn, policy, width, -1)
+    _wick(acc, table, g_odd, f_flip, policy, width, -1)
+    return GradedSeries(table, _unpack(acc, width, fden * gden), policy)
 
 
 def truncate(f: GradedSeries, policy: TruncationPolicy) -> GradedSeries:

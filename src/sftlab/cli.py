@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 bad input (the error
 names the offending field), 3 internal error (an unexpected exception in
-sftlab itself; a traceback goes to stderr).  Reports are deterministic
-byte-for-byte unless --timings is given.
+sftlab itself; a traceback goes to stderr, or, for a verify check that
+raised, the check is reported with status ``error``).  Reports are
+deterministic byte-for-byte unless --timings is given.
 """
 
 from __future__ import annotations

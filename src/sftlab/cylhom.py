@@ -435,6 +435,7 @@ class DressedComplex:
         self.entries = tuple(entries if entries is not None
                              else data.counts.entries)
         self._potential = None
+        self._dd = None
 
     # series-level pieces -------------------------------------------------
 
@@ -474,9 +475,17 @@ class DressedComplex:
     # operators ----------------------------------------------------------------
 
     def dressed_differential(self) -> LinearOperator:
+        """sum over entries of value * q_dst * insertions * z^degree * d/dq_src.
+
+        The multipliers of the entries sharing a source generator are summed
+        into one series, so an application takes one derivative and one
+        product per source.  Built once per complex.
+        """
+        if self._dd is not None:
+            return self._dd
         vt = self.vt
         policy = self.policy
-        prepared = []
+        by_source = {}
         for e in self.entries:
             factors = {q_var_name(e.dst): 1}
             for ins in e.insertions:
@@ -486,17 +495,19 @@ class DressedComplex:
                 if d:
                     factors[z_name(i)] = d
             mult = vt.monomial(factors, e.value, policy)
-            prepared.append((mult, q_var_name(e.src)))
+            src = q_var_name(e.src)
+            by_source[src] = by_source[src] + mult if src in by_source else mult
 
         def apply(series):
             out = vt.zero(policy)
-            for mult, src in prepared:
+            for src, mult in by_source.items():
                 der = series.derivative(src)
                 if der:
                     out = out + mult * der
             return out
 
-        return LinearOperator(apply, degree=None, label="dressed-d")
+        self._dd = LinearOperator(apply, degree=None, label="dressed-d")
+        return self._dd
 
     def derivative_op(self, name: str) -> LinearOperator:
         return LinearOperator(lambda s: s.derivative(name), label=f"d/d{name}")

@@ -65,6 +65,19 @@ def _int_field(obj, key, path, default=None, minimum=None):
     return _int_value(value, f"{path}.{key}", minimum)
 
 
+def _correlator_key(model: TargetModel, item, path):
+    """The key of a primaries or table-values item: [class, level] pairs."""
+    pairs = []
+    for i, ins in enumerate(_require(item, "insertions", path)):
+        ipath = f"{path}.insertions[{i}]"
+        if not isinstance(ins, list) or len(ins) != 2:
+            raise ValidationError(f"expected [class, level], got {ins!r}", ipath)
+        pairs.append((ins[0], _int_value(ins[1], f"{ipath}[1]")))
+    degree = [_int_value(x, f"{path}.degree[{i}]")
+              for i, x in enumerate(item.get("degree", []))]
+    return model.key(pairs, degree)
+
+
 def _check_schema(obj, expected, path):
     schema = _require(obj, "schema", path)
     if schema != expected:
@@ -117,8 +130,9 @@ def model_to_dict(model: TargetModel) -> dict:
 
 def model_from_dict(obj: dict, path="model") -> TargetModel:
     _check_schema(obj, MODEL_SCHEMA, path)
-    classes = [(c["id"], int(c["degree"]))
-               for c in _require(obj, "classes", path)]
+    classes = [(_require(c, "id", f"{path}.classes[{k}]"),
+                _int_field(c, "degree", f"{path}.classes[{k}]"))
+               for k, c in enumerate(_require(obj, "classes", path))]
     eta = [[decode_rational(x, f"{path}.eta") for x in row]
            for row in _require(obj, "eta", path)]
     cup = obj.get("divisor_cup")
@@ -127,15 +141,16 @@ def model_from_dict(obj: dict, path="model") -> TargetModel:
                      for b, v in row.items()} for cid, row in cup.items()}
     model = TargetModel(
         obj.get("name", "model"), classes, _require(obj, "unit", path), eta,
-        h2_rank=obj.get("h2_rank", 0), chern=obj.get("chern", ()),
+        h2_rank=_int_field(obj, "h2_rank", path, 0, minimum=0),
+        chern=[_int_value(c, f"{path}.chern[{i}]")
+               for i, c in enumerate(obj.get("chern", []))],
         divisor=obj.get("divisor"), divisor_cup=cup,
         divisor_pairing=obj.get("divisor_pairing"),
         contact=obj.get("contact", False))
     for k, p in enumerate(obj.get("primaries", [])):
         ppath = f"{path}.primaries[{k}]"
-        key = model.key([(c, int(a)) for c, a in _require(p, "insertions", ppath)],
-                        p.get("degree", ()))
-        model.add_primary(key, decode_rational(_require(p, "value", ppath), ppath))
+        model.add_primary(_correlator_key(model, p, ppath),
+                          decode_rational(_require(p, "value", ppath), ppath))
     return model
 
 
@@ -166,9 +181,8 @@ def table_from_dict(obj, model: TargetModel, path="table") -> CorrelatorTable:
     table = CorrelatorTable(model)
     for k, item in enumerate(obj.get("values", [])):
         ipath = f"{path}.values[{k}]"
-        key = model.key([(c, int(a)) for c, a in _require(item, "insertions", ipath)],
-                        item.get("degree", ()))
-        table.set(key, decode_rational(_require(item, "value", ipath), ipath))
+        table.set(_correlator_key(model, item, ipath),
+                  decode_rational(_require(item, "value", ipath), ipath))
     return table
 
 
@@ -266,25 +280,40 @@ def load_profiles(path):
     obj = load_json(path)
     _check_schema(obj, PROFILES_SCHEMA, str(path))
     p = str(path)
-    half_dim = int(_require(obj, "half_dim", p))
+    half_dim = _int_field(obj, "half_dim", p)
     degrees = obj.get("q_degrees")
     grading = None
     if degrees is not None:
-        grading = GradingProfile({int(k): int(v) for k, v in degrees.items()},
-                                 half_dim)
+        q_degrees = {}
+        for k, v in degrees.items():
+            try:
+                cover = int(k)
+            except ValueError:
+                raise ValidationError(f"cover {k!r} is not an integer",
+                                      f"{p}.q_degrees.{k}") from None
+            q_degrees[cover] = _int_value(v, f"{p}.q_degrees.{k}")
+        grading = GradingProfile(q_degrees, half_dim)
     signs_obj = obj.get("signs") or {}
-    explicit = {tuple(tup): int(eps)
-                for tup, eps in signs_obj.get("explicit", [])}
-    for tup, eps in explicit.items():
+    explicit = {}
+    for i, item in enumerate(signs_obj.get("explicit", [])):
+        epath = f"{p}.signs.explicit[{i}]"
+        if (not isinstance(item, list) or len(item) != 2
+                or not isinstance(item[0], list)):
+            raise ValidationError(f"expected [[covers], sign], got {item!r}", epath)
+        tup, eps = item
+        eps = _int_value(eps, f"{epath}[1]")
         if eps not in (-1, 0, 1):
-            raise ValidationError(f"sign {eps} for {tup} not in -1..1",
-                                  f"{p}.signs.explicit")
-    signs = SignProfile(frozenset(int(b) for b in signs_obj.get("bad_covers", [])),
-                        None, explicit)
+            raise ValidationError(f"sign {eps} for {tup} not in -1..1", epath)
+        explicit[tuple(_int_value(n, f"{epath}[0][{j}]")
+                       for j, n in enumerate(tup))] = eps
+    signs = SignProfile(
+        frozenset(_int_value(b, f"{p}.signs.bad_covers[{i}]")
+                  for i, b in enumerate(signs_obj.get("bad_covers", []))),
+        None, explicit)
     return {
         "name": obj.get("name", "profiles"),
         "half_dim": half_dim,
-        "cover_bound": int(obj.get("cover_bound", 3)),
+        "cover_bound": _int_field(obj, "cover_bound", p, 3),
         "grading": grading,
         "signs": signs,
     }

@@ -1,4 +1,10 @@
-"""Structured verification reports with deterministic rendering."""
+"""Structured verification reports with deterministic rendering.
+
+A check passes, fails (the identity does not hold), is skipped, or ends
+in an error (it raised before reaching a verdict).  A report with an
+error exits 3, the cli's internal-error code, whatever its other checks
+say; one with a failure exits 1.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-PASS, FAIL, SKIP = "pass", "fail", "skipped"
+PASS, FAIL, SKIP, ERROR = "pass", "fail", "skipped", "error"
 
 
 @dataclass
@@ -33,11 +39,12 @@ class VerificationReport:
 
     @property
     def status(self) -> str:
-        return FAIL if any(c.status == FAIL for c in self.checks) else PASS
+        statuses = {c.status for c in self.checks}
+        return next((s for s in (ERROR, FAIL) if s in statuses), PASS)
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.status == FAIL else 0
+        return {ERROR: 3, FAIL: 1}.get(self.status, 0)
 
     def to_dict(self, timings=False) -> dict:
         return {
@@ -59,7 +66,7 @@ class VerificationReport:
     def render_text(self, timings=False) -> str:
         lines = [f"suite {self.suite}: {self.status}"]
         for c in self.checks:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[c.status]
+            mark = {PASS: "ok  ", FAIL: "FAIL", SKIP: "skip", ERROR: "ERR "}[c.status]
             extra = f"  [{c.runtime_ms} ms]" if timings and c.runtime_ms is not None else ""
             lines.append(f"  {mark}  {c.id}: {c.statement}{extra}")
             if c.residual:

@@ -21,7 +21,7 @@ from .algebra import (
 )
 from .models import point_model, two_point_model
 from .operators import point_count
-from .report import CheckRecord, FAIL, PASS, SKIP, VerificationReport
+from .report import CheckRecord, ERROR, FAIL, PASS, SKIP, VerificationReport
 
 
 def _timed(fn):
@@ -37,17 +37,21 @@ def _record(report, check_id, statement, ok, residual="", detail="", ms=None,
 
 
 def _run_checks(report, checks):
-    """checks: list of (id, statement, thunk -> (ok, residual, detail))."""
+    """checks: list of (id, statement, thunk -> (ok, residual, detail)).
+
+    A thunk that raises is recorded with status ``error``, not ``fail``:
+    the check reached no verdict, and the rest of the suite still runs.
+    """
     def run(item):
         cid, statement, thunk = item
         t0 = time.monotonic()
         try:
             ok, residual, detail = thunk()
-        except Exception as exc:  # noqa: BLE001 - a failing check must not kill the suite
-            ok, residual, detail = False, "", f"error: {exc}"
+            status = PASS if ok else FAIL
+        except Exception as exc:  # noqa: BLE001 - one crash must not kill the suite
+            status, residual, detail = ERROR, "", f"{type(exc).__name__}: {exc}"
         ms = int((time.monotonic() - t0) * 1000)
-        return CheckRecord(cid, statement, PASS if ok else FAIL, residual,
-                           detail, ms)
+        return CheckRecord(cid, statement, status, residual, detail, ms)
     for item in checks:
         report.add(run(item))
 

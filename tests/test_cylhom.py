@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from sftlab import io as sio
 from sftlab.cylhom import (
-    ChainComplexData, CountData, CountEntry, Insertion, Orbit, OrbitSet,
-    build_differential, build_floer_model, compare_equivariant_floer,
+    ChainComplexData, CountData, CountEntry, DressedComplex, Insertion, Orbit,
+    OrbitSet, build_differential, build_floer_model, compare_equivariant_floer,
     compute_homology, contact_vanishing, d_squared_residual,
     LinearChainMap, _exact_on_cycles, equivariant_trr_residuals,
-    extract_equivariant, extract_floer, noneq_trr_residuals, quantum_action,
+    extract_equivariant, extract_floer, noneq_trr_residuals, q_var_name,
+    quantum_action, t_name, tc_name, z_name,
 )
 from sftlab.errors import LabelMismatchError, ValidationError
 from sftlab.gw import CorrelatorTable, TargetModel
@@ -319,3 +321,45 @@ def test_generic_exactness_modes():
     assert any(not r.zero for r in reps)
     with pytest.raises(LabelMismatchError):
         noneq_trr_residuals(good, "(1,1)")
+
+
+# -- dressed differential ----------------------------------------------------------
+
+SHIPPED_COUNTS = ("floer_point_20", "floer_point_11", "floer_point_02",
+                  "floer_twopoint", "generic", "generic_fault")
+
+
+def _per_entry_differential(cx, series):
+    """Sum over count entries of value * q_dst * insertions * z^d * d/dq_src."""
+    vt = cx.vt
+    out = vt.zero(cx.policy)
+    for e in cx.entries:
+        factors = {q_var_name(e.dst): 1}
+        for ins in e.insertions:
+            name = (tc_name if ins.constrained else t_name)(ins.class_id, ins.level)
+            factors[name] = factors.get(name, 0) + 1
+        factors.update({z_name(i): d for i, d in enumerate(e.degree) if d})
+        der = series.derivative(q_var_name(e.src))
+        if der:
+            out = out + vt.monomial(factors, e.value, cx.policy) * der
+    return out
+
+
+@pytest.mark.parametrize("name", SHIPPED_COUNTS)
+def test_grouped_dressed_differential_matches_per_entry_sum(name):
+    data = sio.load_counts(sio.fixture_path(f"{name}.counts.json"))
+    complexes = [DressedComplex(data)]
+    if not data.orbits.equivariant:
+        complexes.append(DressedComplex(extract_equivariant(data, "hat").data))
+    for cx in complexes:
+        dd = cx.dressed_differential()
+        assert cx.dressed_differential() is dd
+        checked = 0
+        for _, arg in cx.arguments():
+            # the image is a sum of several terms: a second, denser argument
+            for series in (arg, _per_entry_differential(cx, arg)):
+                got, want = dd(series), _per_entry_differential(cx, series)
+                assert got.terms == want.terms
+                assert got.policy == want.policy
+                checked += not want.is_zero()
+        assert checked or not cx.entries

@@ -217,8 +217,27 @@ def _drop(path):
     (_set(("entries", 0, "insertions"), [["x", "one", True]]),
      "entries[0].insertions[0][1]"),
     (_set(("entries", 0, "degree"), ["one"]), "entries[0].degree[0]"),
+    (_drop(("model", "classes", 0, "id")), "model.classes[0].id"),
+    (_set(("model", "classes", 0, "degree"), "zero"), "model.classes[0].degree"),
+    (_set(("model", "primaries", 0, "insertions", 0), ["e"]),
+     "model.primaries[0].insertions[0]"),
+    (_set(("model", "primaries", 0, "insertions", 0), ["e", "zero"]),
+     "model.primaries[0].insertions[0][1]"),
+    (_set(("model", "primaries", 0, "degree"), ["one"]),
+     "model.primaries[0].degree[0]"),
+    (_set(("table", "values", 0, "insertions", 0), ["e", "zero"]),
+     "table.values[0].insertions[0][1]"),
+    (_set(("table", "values", 0, "insertions", 0), "e"),
+     "table.values[0].insertions[0]"),
+    (_drop(("table", "values", 0, "value")), "table.values[0].value"),
+    (_set(("model", "h2_rank"), "none"), "model.h2_rank"),
+    (_set(("model", "chern"), ["one"]), "model.chern[0]"),
 ], ids=["missing-id", "text-degree", "text-level-bound", "zero-multiplicity",
-        "short-insertion", "text-insertion-level", "text-entry-degree"])
+        "short-insertion", "text-insertion-level", "text-entry-degree",
+        "model-class-missing-id", "model-class-text-degree",
+        "primary-short-insertion", "primary-text-level", "primary-text-degree",
+        "table-text-level", "table-insertion-not-a-pair", "table-missing-value",
+        "model-text-h2-rank", "model-text-chern"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)
@@ -240,3 +259,82 @@ def test_cli_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert code == cli.EXIT_INTERNAL
     assert code not in (0, 1, 2)
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_set(("half_dim",), "five"), "half_dim"),
+    (_drop(("half_dim",)), "half_dim"),
+    (_set(("cover_bound",), "three"), "cover_bound"),
+    (_set(("q_degrees", "one"), 2), "q_degrees.one"),
+    (_set(("q_degrees", "1"), "two"), "q_degrees.1"),
+    (_set(("signs", "bad_covers"), ["one"]), "signs.bad_covers[0]"),
+    (_set(("signs", "explicit"), [[[1, -1], "one"]]), "signs.explicit[0][1]"),
+    (_set(("signs", "explicit"), [[["a"], 1]]), "signs.explicit[0][0][0]"),
+    (_set(("signs", "explicit"), [[1, 1]]), "signs.explicit[0]"),
+    (_set(("signs", "explicit"), [[[1, -1], 2]]), "signs.explicit[0]"),
+], ids=["text-half-dim", "missing-half-dim", "text-cover-bound",
+        "text-cover-key", "text-q-degree", "text-bad-cover", "text-sign",
+        "text-sign-cover", "sign-tuple-not-a-list", "sign-out-of-range"])
+def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
+                                                       field):
+    obj = sio.load_json(sio.fixture_path("geodesic.profiles.json"))
+    mutate(obj)
+    path = tmp_path / "bad.profiles.json"
+    path.write_text(json.dumps(obj))
+    assert main(["hierarchy", "--max-cover", "2", "--levels", "0",
+                 "--profiles", str(path)]) == 2
+    assert f"{path}.{field}:" in capsys.readouterr().err
+
+
+def test_raising_check_is_an_error_not_a_failure():
+    from sftlab.report import ERROR, FAIL, PASS, VerificationReport
+    from sftlab.suites import _run_checks
+
+    def crash():
+        raise ZeroDivisionError("bug")
+
+    report = VerificationReport("demo")
+    _run_checks(report, [("a.crash", "raises", crash),
+                         ("b.false", "does not hold", lambda: (False, "1", "")),
+                         ("c.true", "holds", lambda: (True, "0", ""))])
+    statuses = [c.status for c in report.finalize().checks]
+    assert statuses == [ERROR, FAIL, PASS]
+    assert report.checks[0].detail == "ZeroDivisionError: bug"
+    assert report.status == ERROR and report.exit_code == 3
+    text = report.render_text()
+    assert "  ERR   a.crash: raises" in text and "  FAIL  b.false" in text
+    assert text.startswith("suite demo: error")
+
+
+def test_cli_verify_exits_3_when_a_check_raises(monkeypatch, capsys):
+    import sftlab.cli as cli
+    from sftlab import divisors
+
+    def broken(*args):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(divisors, "solve_combination", broken)
+    code = main(["verify", "--suite", "divisor"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_INTERNAL
+    assert "suite divisor: error" in out
+    assert "  ERR   combinations.r2p2.two-points" in out
+    assert "FAIL" not in out
+
+
+# sha256 of `sftlab verify --suite all --max-cover 3` output, text and
+# machine format: any change to a report's bytes shows here.
+VERIFY_ALL_DIGESTS = {
+    "text": "5df06cee6d7775af525190111ad734ce357285c6825d76e510dcc71400a98d81",
+    "machine": "160e24116549740173809f61a25682f0dcb4d204244a4387d4e6842f8c865c6b",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_DIGESTS))
+def test_cli_verify_all_report_is_byte_identical(capsys, fmt):
+    import hashlib
+
+    code = main(["verify", "--suite", "all", "--max-cover", "3", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]

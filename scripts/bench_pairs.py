@@ -4,8 +4,9 @@ Runs ``perfbench/run.py`` in a base and a change checkout, one pair of
 runs per seed, alternating which side goes first so that a slow phase of
 the machine falls on both sides alike.  For every end-to-end metric of
 ``BENCHMARK.json`` it records each side's median and quartiles over the
-pairs and how many pairs the change wins.  With ``--trace`` each side
-also gets one traced run per workload for the per-layer metrics.
+pairs and how many pairs the change wins, and per side the sha256 and
+the non-blank line count of ``src/sftlab/*.py``.  With ``--trace`` each
+side also gets one traced run per workload for the per-layer metrics.
 
     python3 scripts/bench_pairs.py --base ../parent --change . \\
         --label packed_kernel --pairs 10 --trace
@@ -34,6 +35,12 @@ def src_digest(checkout: Path) -> str:
     for path in sorted((checkout / "src" / "sftlab").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(checkout: Path) -> int:
+    """Non-blank lines of the checkout's sftlab sources."""
+    return sum(1 for path in (checkout / "src" / "sftlab").glob("*.py")
+               for line in path.read_text().splitlines() if line.strip())
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
@@ -77,7 +84,8 @@ def main(argv=None) -> int:
 
     report = {"label": args.label, "pairs": args.pairs, "seconds": seconds,
               "seeds": [args.seed, args.seed + args.pairs - 1],
-              "sides": {name: {"src_sha256": src_digest(path)}
+              "sides": {name: {"src_sha256": src_digest(path),
+                               "src_lines": src_lines(path)}
                         for name, path in sides.items()},
               "workloads": {}}
     for workload in workloads:
@@ -110,6 +118,9 @@ def main(argv=None) -> int:
                 for name in sides}
         report["workloads"][workload] = entry
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
+    lines = {name: side["src_lines"] for name, side in report["sides"].items()}
+    print(f"src/sftlab non-blank lines: {lines['base']} -> {lines['change']} "
+          f"({lines['change'] - lines['base']:+d})")
     for workload, entry in report["workloads"].items():
         m = entry["metrics"]["verdict_s"]
         print(f"{workload}: verdict_s median {m['base']['median']:.3f} -> "

@@ -9,42 +9,47 @@ the only non-commutative structure is the star product of
 :func:`star_product`, in which [p,q] = kappa*hbar for the q/p pair of each
 orbit.
 
-Monomials are stored in a canonical factor order (hbar, z, t, t-check, q,
-p; ties broken by declared indices).  Placing every q before every p makes
-canonical monomials normal-ordered for the star product by construction.
-Signs are the Koszul signs of sorting words of odd letters.  The star
-product of two normal-ordered series is then given by the Wick formula:
-the sum, over every way of contracting letters p of the left factor with
-letters q of the same orbit in the right factor, of kappa*hbar per
-contraction times the super-commutative product of what is left, which is
-a sum of products of derivatives (see :func:`_wick`).
+Monomials are ordered canonically (hbar, z, t, t-check, q, p; ties broken
+by declared indices).  Placing every q before every p makes canonical
+monomials normal-ordered for the star product by construction.  Signs are
+the Koszul signs of sorting words of odd letters.  The star product of two
+normal-ordered series is then given by the Wick formula: the sum, over
+every way of contracting letters p of the left factor with letters q of
+the same orbit in the right factor, of kappa*hbar per contraction times
+the super-commutative product of what is left, which is a sum of products
+of derivatives (see :func:`_wick`).
 
-Products and Poisson brackets run through one packed-monomial kernel
-(Kronecker substitution, after Monagan & Pearce).  Inside it a term is a
-record: an int key holding the exponent of table position i in bits
-[w*i, w*(i+1)), an integer numerator over one common denominator per
-operand, the term's pq-order, t-order and hbar exponent, a bitmask of its
-odd letters and its largest q/p cover.  Multiplying monomials is adding
-keys; a cap check is an integer compare against what the first factor
-leaves of the budget; two factors sharing an odd letter give zero
-(``odd1 & odd2``); the Koszul sign is the parity of the number of pairs
-(a, b) with a an odd letter of the first factor, b one of the second and
-a > b.  The fields are balanced (signed two's-complement digits), so the
-negative exponents of Laurent hbar and z need no offset and adding keys
-adds exponents field by field.  The width w is chosen per call from the
-operands' largest absolute exponents a and b: w = (a+b).bit_length() + 1
-bits hold every exponent sum in [-(a+b), a+b], so no field can carry into
-the next.  Keys become tuple monomials, and numerators Fractions, only
-once per surviving output term.  Star products
-(:func:`_wick`) run through the same kernel, their width widened by the
-largest hbar shift.
+Storage (packed monomials as the native representation, after Monagan &
+Pearce, "POLY: a new polynomial data structure for Maple 17").  A series
+is a dict from an int key to an int numerator over one positive
+denominator, always reduced (the zero series has denominator 1).  The key
+holds the exponent of table position i in a balanced, signed field of w
+bits at bit w*i, so Laurent exponents need no offset, multiplying
+monomials is adding keys and a derivative by the variable at i subtracts
+1 << w*i.  A field holds |e| < 2^(w-1).  Each series carries its width and
+a bound on its largest |exponent|; built from monomials it gets the
+narrowest width holding twice its largest exponent, at least 5 bits.  An
+operation whose exponents could pass its operands' width (a product of
+products, a Laurent derivative, a star product's hbar shift) re-packs them
+wider first, so no field ever carries into the next; series of different
+widths meet at the wider one.
+
+Each table caches, per width and key, the record fields the kernel
+:func:`_mul_packed` reads: pq-order, t-order, hbar exponent, the mask of
+odd letters, the Koszul cross mask, the largest q/p cover and the support
+mask.  A cap check is an integer compare against the budget the first
+factor leaves; factors sharing an odd letter give zero (``odd1 & odd2``);
+the parity of a term is the popcount of its odd letters.  Tuple monomials
+((position, exponent), ...) and Fractions appear only in the table's
+constructors and in the decoded, read-only ``terms`` view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .errors import DeclarationError, TableMismatchError
@@ -141,6 +146,11 @@ class TruncationPolicy:
             min(self.max_hbar_order, other.max_hbar_order),
         )
 
+    def admits(self, info) -> bool:
+        """Whether a term with record fields ``info`` lies within the caps."""
+        return (info[0] <= self.max_pq_order and info[1] <= self.max_t_order
+                and info[2] <= self.max_hbar_order and info[5] <= self.max_cover)
+
 
 DEFAULT_POLICY = TruncationPolicy()
 
@@ -195,6 +205,10 @@ class VariableTable:
             for p in self.variables
             if p.kind == PORBIT and p.indices == q.indices
         )
+        self.qp_mask = sum(1 << i for i, kind in enumerate(self.kinds)
+                           if kind in (QORBIT, PORBIT))
+        self._layouts = {}  # key width -> _layout
+        self._covers = {}  # support mask -> largest q/p cover, see _lowered
 
     def position(self, name: str) -> int:
         try:
@@ -214,14 +228,13 @@ class VariableTable:
     # -- series constructors -------------------------------------------------
 
     def zero(self, policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
-        return GradedSeries(self, {}, policy)
+        return GradedSeries(self, policy, {}, 1, _width_for(0), 0)
 
     def one(self, policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
-        return GradedSeries(self, {(): Fraction(1)}, policy)
+        return self.series({(): 1}, policy)
 
     def unit(self, coeff, policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
-        c = Fraction(coeff)
-        return GradedSeries(self, {(): c} if c else {}, policy)
+        return self.series({(): coeff}, policy)
 
     def var(self, name: str, exponent: int = 1,
             policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
@@ -235,43 +248,31 @@ class VariableTable:
         return self.series({mono: coeff}, policy)
 
     def series(self, terms: dict, policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
-        out = {}
+        """Series of {tuple monomial: rational} terms, truncated to policy."""
+        kept = []
         for mono, coeff in terms.items():
-            c = Fraction(coeff)
-            if not c:
-                continue
-            self._check_mono(mono)
-            if _allowed(self, mono, policy):
-                out[mono] = out.get(mono, Fraction(0)) + c
-        return GradedSeries(self, {m: c for m, c in out.items() if c}, policy)
-
-    def _check_mono(self, mono):
-        last = -1
-        for pos, exp in mono:
-            if not (0 <= pos < len(self.variables)):
-                raise DeclarationError(f"variable position {pos} out of range")
-            if pos <= last:
-                raise DeclarationError("monomial factors out of canonical order")
-            last = pos
-            if exp == 0:
-                raise DeclarationError("zero exponent stored")
-            if exp < 0 and self.kinds[pos] not in _LAURENT_KINDS:
-                raise DeclarationError(
-                    f"negative exponent on non-Laurent variable {self.variables[pos].name}")
-            if self.parity[pos] and exp != 1:
-                raise DeclarationError(
-                    f"odd variable {self.variables[pos].name} with exponent {exp}")
+            c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+            if c:
+                info = _mono_info(self, mono, check=True)
+                if policy.admits(info):
+                    kept.append((mono, c, info))
+        top = max((abs(e) for mono, _, _ in kept for _, e in mono), default=0)
+        width = _width_for(top)
+        den = lcm(*(c.denominator for _, c, _ in kept))
+        cache = _layout(self, width)[2]
+        num = {}
+        for mono, c, info in kept:
+            key = sum(e << width * pos for pos, e in mono)
+            num[key] = c.numerator * (den // c.denominator)
+            cache[key] = info
+        return GradedSeries(self, policy, num, den, width, top)
 
 
-# -- monomial helpers ---------------------------------------------------------
+# -- tuple-monomial helpers (presentation) ---------------------------------------
 
 
 def mono_degree(table: VariableTable, mono) -> int:
     return sum(table.degrees[p] * e for p, e in mono)
-
-
-def mono_parity(table: VariableTable, mono) -> int:
-    return sum(table.degrees[p] * e for p, e in mono) % 2
 
 
 def mono_t_order(table: VariableTable, mono) -> int:
@@ -282,27 +283,98 @@ def mono_hbar_order(table: VariableTable, mono) -> int:
     return sum(e for p, e in mono if table.kinds[p] == HBAR)
 
 
-def _allowed(table: VariableTable, mono, policy: TruncationPolicy) -> bool:
-    t_order = pq = hb = 0
-    for pos, exp in mono:
-        kind = table.kinds[pos]
-        if kind in (TFORM, TCHECK):
-            t_order += exp
-        elif kind in (QORBIT, PORBIT):
-            pq += exp
-            if table.covers[pos] > policy.max_cover:
-                return False
+# -- packed keys and records --------------------------------------------------------
+#
+# A record is (key, numerator, pq-order, t-order, hbar exponent, odd mask,
+# cross mask, largest q/p cover, support).  The cross mask is the XOR, over
+# the odd letters b, of the mask of every bit above b, so popcount(odd1 &
+# cross2) has the parity of the number of pairs (a, b), a an odd letter of
+# the first factor above b an odd letter of the second: the Koszul sign.
+
+_COVER = 7  # index of the largest q/p cover in a record
+
+
+def _width_for(top: int) -> int:
+    """Bits per field holding 2*top (at least 5, so exponents up to 7 share one)."""
+    return max(5, top.bit_length() + 2)
+
+
+def _layout(table: VariableTable, width: int):
+    """(bias, odd fields, record cache) of table at a key width.  With the
+    bias (2^(w-1) per field) added, field i of a key is carry-free, and its
+    low bit (bit w*i, set in the odd-field mask at odd i) is an odd letter's."""
+    try:
+        return table._layouts[width]
+    except KeyError:
+        bias = sum(1 << width * (i + 1) - 1 for i in range(len(table)))
+        odd = sum(1 << width * i for i, o in enumerate(table.parity) if o)
+        return table._layouts.setdefault(width, (bias, odd, {}))
+
+
+def _decode(key: int, width: int) -> tuple:
+    """Tuple monomial of a key: its nonzero fields as (position, exponent)."""
+    mask, half = (1 << width) - 1, 1 << width - 1
+    mono = []
+    pos = 0
+    while key:
+        skip = ((key & -key).bit_length() - 1) // width  # zero fields
+        key >>= width * skip
+        pos += skip
+        e = key & mask
+        if e >= half:
+            e -= mask + 1
+        mono.append((pos, e))
+        key = (key - e) >> width
+        pos += 1
+    return tuple(mono)
+
+
+def _mono_info(table: VariableTable, mono, check: bool = False) -> tuple:
+    """Record fields of a tuple monomial, past key and numerator; with
+    ``check``, a monomial out of canonical form raises DeclarationError."""
+    kinds, parity, covers = table.kinds, table.parity, table.covers
+    pq = t_order = hb = odd = cross = cover = support = 0
+    for pos, e in mono:
+        if check:
+            if not (0 <= pos < len(kinds)) or support >> pos:
+                raise DeclarationError(f"position {pos} out of range or out of order")
+            if not e or (e < 0 and kinds[pos] not in _LAURENT_KINDS) or (
+                    parity[pos] and e != 1):
+                raise DeclarationError(
+                    f"exponent {e} not allowed on {table.variables[pos].name}")
+        support |= 1 << pos
+        kind = kinds[pos]
+        if kind == QORBIT or kind == PORBIT:
+            pq += e
+            cover = max(cover, covers[pos])
+        elif kind == TFORM or kind == TCHECK:
+            t_order += e
         elif kind == HBAR:
-            hb += exp
-    return (t_order <= policy.max_t_order and pq <= policy.max_pq_order
-            and hb <= policy.max_hbar_order)
+            hb += e
+        if parity[pos]:
+            odd |= 1 << pos
+            cross ^= -1 << pos + 1  # every bit above pos
+    return (pq, t_order, hb, odd, cross, cover, support)
 
 
-def _mono_str(table: VariableTable, mono) -> str:
-    if not mono:
-        return "1"
-    return "*".join(
-        table.variables[p].name + (f"^{e}" if e != 1 else "") for p, e in mono)
+def _lowered(table: VariableTable, record, pos: int, e: int, c: int,
+             width: int) -> tuple:
+    """Record of one power of the q/p letter at pos (exponent e) taken off
+    record's term, with numerator c."""
+    key, _, pq, t_order, hb, odd, cross, cover, support = record
+    if e == 1:
+        support ^= 1 << pos
+        if table.parity[pos]:
+            odd ^= 1 << pos
+            cross ^= -1 << pos + 1
+        if table.covers[pos] == cover:  # the largest cover may have gone
+            cover = table._covers.get(support)
+            if cover is None:
+                cover = table._covers[support] = max(
+                    (cv for i, cv in enumerate(table.covers) if support >> i & 1),
+                    default=0)
+    return (key - (1 << width * pos), c, pq - 1, t_order, hb, odd, cross, cover,
+            support)
 
 
 class GradedSeries:
@@ -310,31 +382,70 @@ class GradedSeries:
 
     Immutable; arithmetic returns new series.  Binary operations take the
     componentwise minimum of the operands' truncation policies and apply it
-    to the result.
+    to the result.  Stored packed (see the module docstring): ``num`` maps
+    keys of ``width`` bits per field to numerators over ``den``, reduced,
+    every |exponent| at most ``top`` < 2^(width-1).
     """
 
-    __slots__ = ("table", "terms", "policy")
+    __slots__ = ("table", "policy", "_num", "_den", "_width", "_top")
 
-    def __init__(self, table: VariableTable, terms: dict, policy: TruncationPolicy):
+    def __init__(self, table: VariableTable, policy: TruncationPolicy, num: dict,
+                 den: int, width: int, top: int):
         self.table = table
-        self.terms = terms
         self.policy = policy
+        self._num = num
+        self._den = den
+        self._width = width
+        self._top = top
+
+    def _at(self, width: int) -> dict:
+        """The terms re-packed at a width at least the series' own."""
+        if width == self._width:
+            return self._num
+        return {sum(e << width * pos for pos, e in _decode(key, self._width)): c
+                for key, c in self._num.items()}
+
+    def _records(self, width: int) -> list:
+        table = self.table
+        cache = _layout(table, width)[2]
+        out = []
+        for key, c in self._at(width).items():
+            info = cache.get(key)
+            if info is None:
+                info = cache[key] = _mono_info(table, _decode(key, width))
+            out.append((key, c) + info)
+        return out
+
+    def _like(self, num: dict, den: int = None, policy=None) -> "GradedSeries":
+        """A series of num (keys of self's width) over den, reduced."""
+        return _reduced(self.table, policy or self.policy, num,
+                        self._den if den is None else den, self._width, self._top)
 
     # -- basic protocol --------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only {tuple monomial: Fraction} view, decoded on access."""
+        return MappingProxyType({_decode(k, self._width): Fraction(c, self._den)
+                                 for k, c in self._num.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        return self.table is other.table and self.terms == other.terms
+        if (self.table is not other.table or self._den != other._den
+                or len(self._num) != len(other._num)):
+            return False
+        width = max(self._width, other._width)
+        return self._at(width) == other._at(width)
 
     def __hash__(self):
         return hash((id(self.table), frozenset(self.terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     def _join(self, other) -> TruncationPolicy:
         if not isinstance(other, GradedSeries):
@@ -345,29 +456,37 @@ class GradedSeries:
 
     # -- linear structure -------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "GradedSeries":
+        """self + sign * other, truncated to the joint policy."""
         policy = self._join(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+        a = self if self.policy == policy else self.truncate(policy)
+        b = other if other.policy == policy else other.truncate(policy)
+        width = max(a._width, b._width)
+        g = gcd(a._den, b._den)
+        m1, m2 = b._den // g, a._den // g * sign
+        num = {k: c * m1 for k, c in a._at(width).items()}
+        get = num.get
+        for k, c in b._at(width).items():
+            s = get(k, 0) + c * m2
             if s:
-                terms[m] = s
+                num[k] = s
             else:
-                terms.pop(m, None)
-        terms = {m: c for m, c in terms.items() if _allowed(self.table, m, policy)}
-        return GradedSeries(self.table, terms, policy)
+                del num[k]
+        return _reduced(self.table, policy, num, a._den * m1, width, max(a._top, b._top))
 
-    def __neg__(self):
-        return GradedSeries(self.table, {m: -c for m, c in self.terms.items()}, self.policy)
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def scale(self, coeff) -> "GradedSeries":
         c = Fraction(coeff)
-        if not c:
-            return GradedSeries(self.table, {}, self.policy)
-        return GradedSeries(self.table, {m: c * v for m, v in self.terms.items()}, self.policy)
+        return self._like({k: v * c.numerator for k, v in self._num.items()} if c else {},
+                          self._den * c.denominator)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -380,80 +499,66 @@ class GradedSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         policy = self._join(other)
-        out = _mul_terms(self.table, self.terms, other.terms, policy, Fraction(1))
-        return GradedSeries(self.table, out, policy)
+        top = self._top + other._top
+        width = _common_width(self, other, top)
+        acc = _mul_terms({}, self._records(width), other._records(width), policy, 1)
+        return _reduced(self.table, policy, acc, self._den * other._den, width, top)
 
-    # -- grading ------------------------------------------------------------
-
-    def degree(self) -> Optional[int]:
-        """Common total degree of all terms, or None if mixed or zero."""
-        degs = {mono_degree(self.table, m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+    # -- grading and calculus ---------------------------------------------------
 
     def parity_parts(self):
-        """(even part, odd part)."""
-        ev, od = {}, {}
-        for m, c in self.terms.items():
-            (od if mono_parity(self.table, m) else ev)[m] = c
-        return (GradedSeries(self.table, ev, self.policy),
-                GradedSeries(self.table, od, self.policy))
-
-    # -- calculus -------------------------------------------------------------
+        """(even part, odd part): split by the popcount of the odd letters."""
+        bias, odd_fields, _ = _layout(self.table, self._width)
+        even, odd = parts = ({}, {})
+        for k, c in self._num.items():
+            parts[((k + bias) & odd_fields).bit_count() & 1][k] = c
+        if not odd:
+            return self, self._like(odd)
+        if not even:
+            return self._like(even), self
+        return self._like(even), self._like(odd)
 
     def derivative(self, name: str) -> "GradedSeries":
-        """Left super-derivation by one variable.
-
-        The variable is commuted to the front of the monomial, collecting
-        (-1) per odd letter passed, then stripped.  For even variables the
-        exponent falls by one and multiplies the coefficient.
-        """
+        """Left super-derivation by one variable: the key drops by one in its
+        field, times the exponent, and a sign per odd letter before it.  A
+        Laurent exponent may fall past the width: the bound grows by one."""
         table = self.table
         pos = table.position(name)
-        odd_v = table.parity[pos]
+        top = self._top + (table.kinds[pos] in _LAURENT_KINDS)
+        width = self._width if top < 1 << self._width - 1 else _width_for(top)
+        bias, odd_fields, _ = _layout(table, width)
+        shift = width * pos
+        unit, mask, half = 1 << shift, (1 << width) - 1, 1 << width - 1
+        passed = odd_fields & unit - 1 if table.parity[pos] else 0
         out = {}
-        for mono, coeff in self.terms.items():
-            sign = 1
-            new = None
-            for k, (p, e) in enumerate(mono):
-                if p == pos:
-                    if odd_v:
-                        passed = sum(1 for q, _ in mono[:k] if table.parity[q])
-                        sign = -1 if passed % 2 else 1
-                    c = coeff * e * sign
-                    if e == 1:
-                        new = mono[:k] + mono[k + 1:]
-                    else:
-                        new = mono[:k] + ((p, e - 1),) + mono[k + 1:]
-                    break
-                if p > pos:
-                    break
-            if new is None:
-                continue
-            s = out.get(new, Fraction(0)) + c
-            if s:
-                out[new] = s
-            else:
-                out.pop(new, None)
-        return GradedSeries(table, out, self.policy)
+        for k, c in self._at(width).items():
+            u = k + bias
+            e = (u >> shift & mask) - half
+            if e:
+                out[k - unit] = -c if (u & passed).bit_count() & 1 else c * e
+        return _reduced(table, self.policy, out, self._den, width, top)
 
     def truncate(self, policy: TruncationPolicy) -> "GradedSeries":
-        terms = {m: c for m, c in self.terms.items() if _allowed(self.table, m, policy)}
-        return GradedSeries(self.table, terms, policy)
+        return self._like({r[0]: r[1] for r in self._records(self._width)
+                           if policy.admits(r[2:])}, policy=policy)
 
     def coefficient(self, factors: dict) -> Fraction:
-        mono = tuple(sorted((self.table.position(n), e) for n, e in factors.items() if e))
-        return self.terms.get(mono, Fraction(0))
+        mono = [(self.table.position(n), e) for n, e in factors.items() if e]
+        if any(abs(e) >> self._width - 1 for _, e in mono):
+            return Fraction(0)  # wider than any stored exponent
+        key = sum(e << self._width * pos for pos, e in mono)
+        return Fraction(self._num.get(key, 0), self._den)
 
     def map_terms(self, fn) -> "GradedSeries":
         """Scale each term by fn(mono) (a rational); drops zeros."""
-        out = {}
-        for m, c in self.terms.items():
-            s = c * fn(m)
+        scaled = {}
+        for k, c in self._num.items():
+            s = fn(_decode(k, self._width))
             if s:
-                out[m] = s
-        return GradedSeries(self.table, out, self.policy)
+                scaled[k] = (c * s.numerator, s.denominator)
+        den = lcm(*(d for _, d in scaled.values()))
+        return self._like({k: n * (den // d) for k, (n, d) in scaled.items()},
+                          self._den * den)
 
     # -- presentation ----------------------------------------------------------
 
@@ -463,80 +568,34 @@ class GradedSeries:
                       key=lambda kv: (mono_degree(self.table, kv[0]), kv[0]))
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
-        chunks = []
-        for m, c in self.sorted_terms():
-            cs = str(c)
-            chunks.append(f"{cs}*{_mono_str(self.table, m)}" if m else cs)
+        names = [v.name for v in self.table.variables]
+        chunks = [str(c) + "".join(f"*{names[p]}" + (f"^{e}" if e != 1 else "")
+                                   for p, e in m) for m, c in self.sorted_terms()]
         return " + ".join(chunks).replace("+ -", "- ")
 
     __repr__ = __str__
 
 
-# -- packed-monomial kernel ------------------------------------------------------
-#
-# A packed record is (key, numerator, pq-order, t-order, hbar exponent, odd
-# mask, cross mask, largest q/p cover); see the module docstring.  The cross
-# mask is the XOR, over the record's odd letters b, of the mask of every bit
-# above b.  Parity of a count is linear, so popcount(odd1 & cross2) has the
-# parity of the number of pairs (a, b), a an odd letter of the first factor
-# above b an odd letter of the second: the Koszul sign of the product.
-
-_COVER = 7  # index of the largest q/p cover in a packed record
-
-
-def _lcm_denominator(terms) -> int:
-    d = 1
-    for c in terms.values():
-        cd = c.denominator
-        if cd != 1:
-            g = gcd(d, cd)
-            d = d // g * cd
-    return d
+def _reduced(table, policy, num: dict, den: int, width: int, top: int) -> GradedSeries:
+    """Series of the nonzero terms of num over den, in lowest terms."""
+    num = {k: c for k, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())  # den itself when num is empty
+        if g != 1:
+            den //= g
+            num = {k: c // g for k, c in num.items()}
+    return GradedSeries(table, policy, num, den, width, top)
 
 
-def _field_width(terms1, terms2, shift: int = 0) -> int:
-    """Bits per exponent field for products of terms1 by terms2.
-
-    Every exponent of a product is a sum of one exponent of each operand,
-    so its absolute value is at most a + b (the operands' largest absolute
-    exponents), which fits a balanced field of (a + b).bit_length() + 1
-    bits: no sum of keys can carry out of a field.  ``shift`` bounds any
-    further exponent added to a field (the hbar of a star product).
-    """
-    a = max((abs(e) for mono in terms1 for _, e in mono), default=0)
-    b = max((abs(e) for mono in terms2 for _, e in mono), default=0)
-    return (a + b + shift).bit_length() + 1
+def _common_width(f: GradedSeries, g: GradedSeries, top: int) -> int:
+    """Key width for a result of f and g with exponents up to top."""
+    width = max(f._width, g._width)
+    return width if top < 1 << width - 1 else _width_for(top)
 
 
-def _numerators(terms: dict, den: int) -> dict:
-    """Coefficients times den, as ints; den is a multiple of every denominator."""
-    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-
-
-def _pack(table: VariableTable, terms: dict, width: int) -> list:
-    """Packed records of terms with integer coefficients."""
-    kinds, parity, covers = table.kinds, table.parity, table.covers
-    records = []
-    for mono, c in terms.items():
-        key = pq = t_order = hb = odd = cross = cover = 0
-        for pos, e in mono:
-            key += e << width * pos
-            kind = kinds[pos]
-            if kind == QORBIT or kind == PORBIT:
-                pq += e
-                if covers[pos] > cover:
-                    cover = covers[pos]
-            elif kind == TFORM or kind == TCHECK:
-                t_order += e
-            elif kind == HBAR:
-                hb += e
-            if parity[pos]:
-                odd |= 1 << pos
-                cross ^= -1 << pos + 1  # every bit above pos
-        records.append((key, c, pq, t_order, hb, odd, cross, cover))
-    return records
+# -- the kernel -----------------------------------------------------------------------
 
 
 def _mul_packed(acc: dict, records1: list, records2: list,
@@ -548,14 +607,14 @@ def _mul_packed(acc: dict, records1: list, records2: list,
     operand leaves.  Two operands sharing an odd letter multiply to zero.
     """
     get = acc.get
-    for k1, c1, pq1, t1, h1, o1, _, _ in records1:
+    for k1, c1, pq1, t1, h1, o1, _, _, _ in records1:
         pq_left = policy.max_pq_order - pq1
         t_left = policy.max_t_order - t1
         if pq_left < 0 or t_left < 0:
             continue
         h_left = policy.max_hbar_order - h1
         c1 *= factor
-        for k2, c2, pq2, t2, h2, o2, cross2, _ in records2:
+        for k2, c2, pq2, t2, h2, o2, cross2, _, _ in records2:
             if pq2 > pq_left or t2 > t_left or h2 > h_left or o1 & o2:
                 continue
             key = k1 + k2
@@ -565,59 +624,19 @@ def _mul_packed(acc: dict, records1: list, records2: list,
             acc[key] = get(key, 0) + c
 
 
-def _unpack(acc: dict, width: int, den: int) -> dict:
-    """Tuple monomials and coefficient/den of the nonzero accumulated terms."""
-    mask, half, base = (1 << width) - 1, 1 << width - 1, 1 << width
-    out = {}
-    for key, c in acc.items():
-        if not c:
-            continue
-        mono = []
-        pos = 0
-        while key:
-            e = key & mask
-            if e >= half:
-                e -= base
-            if e:
-                mono.append((pos, e))
-            key = (key - e) >> width
-            pos += 1
-        out[tuple(mono)] = Fraction(c, den)
-    return out
-
-
-def _mul_terms(table, terms1, terms2, policy, factor: Fraction) -> dict:
-    """factor * terms1 * terms2, truncated to policy, through the packed kernel."""
-    if not terms1 or not terms2 or not factor:
-        return {}
-    width = _field_width(terms1, terms2)
-    d1, d2 = _lcm_denominator(terms1), _lcm_denominator(terms2)
-
-    def packed(terms, den):
-        # q/p exponents are never negative, so an operand term over the
-        # cover cap has no product inside it
-        return [r for r in _pack(table, _numerators(terms, den), width)
-                if r[_COVER] <= policy.max_cover]
-
-    acc: dict = {}
-    _mul_packed(acc, packed(terms1, d1), packed(terms2, d2), policy,
-                factor.numerator)
-    return _unpack(acc, width, d1 * d2 * factor.denominator)
+def _mul_terms(acc: dict, records1: list, records2: list,
+               policy: TruncationPolicy, factor: int) -> dict:
+    """acc plus factor * records1 * records2 within policy; returns acc.
+    Records over the cover cap are dropped first: q/p exponents are never
+    negative, so none of their products lies within it."""
+    if factor:
+        cap = policy.max_cover
+        _mul_packed(acc, [r for r in records1 if r[_COVER] <= cap],
+                    [r for r in records2 if r[_COVER] <= cap], policy, factor)
+    return acc
 
 
 # -- brackets ------------------------------------------------------------------
-
-
-def right_derivative(f: GradedSeries, name: str) -> GradedSeries:
-    """Right super-derivation: the variable is commuted to the end.
-
-    Related to the left derivation by (-1)^{|v|(|f|+1)} on parity-homogeneous
-    f; they agree for even variables.
-    """
-    if not f.table.variable(name).odd:
-        return f.derivative(name)
-    even, odd = f.parity_parts()
-    return odd.derivative(name) - even.derivative(name)
 
 
 def poisson_bracket(f: GradedSeries, g: GradedSeries,
@@ -625,44 +644,33 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     """{f,g} = sum_orbits kappa*(df/dp dg/dq - (-1)^{|f||g|} dg/dp df/dq).
 
     The p-slots differentiate from the right and the q-slots from the left:
-    this is the convention matching the first-order term of the
-    normal-ordered star product, and the one under which graded
-    antisymmetry and the graded Jacobi identity hold exactly (both agree
-    with the naive reading whenever the orbit variables are even).
-    Non-homogeneous inputs are split into parity components, which is all
-    the sign depends on.
+    the convention of the first-order term of the normal-ordered star
+    product, under which graded antisymmetry and the graded Jacobi identity
+    hold exactly.  Inputs are split into parity parts, which is all the
+    sign depends on.
 
-    The result is truncated to ``f._join(g).cap(policy)`` (the operands'
-    joint policy when ``policy`` is None) and equals the full bracket
-    truncated to that policy, term for term.  Only the output window is
-    ever formed: a partial derivative monomial that breaks the cover,
-    pq-order or t-order cap is dropped before any product is taken.  Those
-    caps are monotone under multiplication (q, p, t and t-check exponents
-    are never negative, so a product has every factor of its operands,
-    at exponents at least as large), hence no product of a dropped monomial
-    lies in the window.  Only the paired variable of each term may lie
-    outside the window, because differentiation removes it.  The hbar cap
-    is applied to products only: hbar exponents may be negative, so a
-    factor above the cap can pair with one below zero and land inside.
+    The result is the full bracket truncated to ``f._join(g).cap(policy)``
+    (the joint policy when ``policy`` is None), term for term, and only
+    that window is formed: a derivative term over the cover, pq-order or
+    t-order cap is dropped before any product.  Those caps are monotone
+    under multiplication (q, p, t and t-check exponents are never
+    negative), and only the paired variable, which differentiation
+    removes, may lie outside the window.  The hbar cap is applied to the
+    products only: hbar is Laurent.
     """
     window = f._join(g) if policy is None else f._join(g).cap(policy)
     table = f.table
-    width = _field_width(f.terms, g.terms)
-    # differentiation multiplies by an integer, so one denominator per
-    # operand serves all its partials, taken on integer numerators
-    fden, gden = _lcm_denominator(f.terms), _lcm_denominator(g.terms)
+    top = f._top + g._top
+    width = _common_width(f, g, top)
 
-    def packed_partials(h, den):
-        out = []
-        for odd, part in enumerate(h.parity_parts()):
-            if part:
-                dq, dp = _partials(table, _numerators(part.terms, den), odd, window)
-                out.append((odd,
-                            {pos: _pack(table, t, width) for pos, t in dq.items()},
-                            {pos: _pack(table, t, width) for pos, t in dp.items()}))
-        return out
+    def parts(h):
+        split = ([], [])
+        for r in h._records(width):
+            split[r[5].bit_count() & 1].append(r)
+        return [(odd, *_partials(table, records, odd, window, width))
+                for odd, records in enumerate(split) if records]
 
-    fparts, gparts = packed_partials(f, fden), packed_partials(g, gden)
+    fparts, gparts = parts(f), parts(g)
     acc: dict = {}
     for fodd, fdq, fdp in fparts:
         for godd, gdq, gdp in gparts:
@@ -672,95 +680,71 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
                     _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
                 if ppos in gdp and qpos in fdq:
                     _mul_packed(acc, gdp[ppos], fdq[qpos], window, -sgn * kappa)
-    return GradedSeries(table, _unpack(acc, width, fden * gden), window)
+    return _reduced(table, window, acc, f._den * g._den, width, top)
 
 
-def _partials(table: VariableTable, terms: dict, odd: int,
-              policy: TruncationPolicy):
-    """All q- and p-derivatives of one parity part, in one pass over it.
+def _partials(table: VariableTable, records: list, odd: int,
+              policy: TruncationPolicy, width: int):
+    """All q- and p-derivatives of one parity part's records, in one pass.
 
-    Returns (dq, dp), each mapping a variable position to the terms of the
-    derivative: d/dq from the left, d/dp from the right.  Coefficients may
-    be Fractions or ints; they are only multiplied by ints.  On a part of
-    parity ``odd`` the right derivative is the left one times
-    (-1)^{|p|(|f|+1)}.  Derivative monomials that break the cover,
-    pq-order or t-order cap of ``policy`` are left out (see
-    :func:`poisson_bracket`); the hbar cap is not applied.
-    Differentiation by one variable is injective on monomials, so each
-    derivative monomial is reached from exactly one term.
+    Returns (dq, dp), each mapping a variable position to the records of
+    the derivative: d/dq from the left, d/dp from the right (on a part of
+    parity ``odd``, the left one times (-1)^{|p|(|f|+1)}).  Terms over the
+    cover, pq-order or t-order cap of ``policy`` are left out (see
+    :func:`poisson_bracket`).  Differentiation by one variable is injective
+    on keys, so each derivative key comes from exactly one record.
     """
     kinds, parity, covers = table.kinds, table.parity, table.covers
+    bias = _layout(table, width)[0]
+    mask, half = (1 << width) - 1, 1 << width - 1
     max_cover = policy.max_cover
+    wide = sum(1 << pos for pos, cv in enumerate(covers) if cv > max_cover)
     dq: dict = {}
     dp: dict = {}
-    for mono, coeff in terms.items():
-        t_order = pq = 0
-        wide = []  # indices of q/p factors with cover above the cap
-        for k, (pos, e) in enumerate(mono):
-            kind = kinds[pos]
-            if kind == QORBIT or kind == PORBIT:
-                pq += e
-                if covers[pos] > max_cover:
-                    wide.append(k)
-            elif kind == TFORM or kind == TCHECK:
-                t_order += e
-        if (t_order > policy.max_t_order or pq > policy.max_pq_order + 1
-                or len(wide) > 1):
+    for record in records:
+        key, c, pq, t_order, _, odd_mask, _, cover, support = record
+        if t_order > policy.max_t_order or pq > policy.max_pq_order + 1:
             continue
-        odd_before = 0
-        for k, (pos, e) in enumerate(mono):
-            kind = kinds[pos]
-            if ((kind == QORBIT or kind == PORBIT)
-                    and (not wide or (wide[0] == k and e == 1))):
-                if e == 1:
-                    new = mono[:k] + mono[k + 1:]
-                else:
-                    new = mono[:k] + ((pos, e - 1),) + mono[k + 1:]
-                c = coeff * e
-                if parity[pos] and (odd_before + (kind == PORBIT and not odd)) % 2:
-                    c = -c
-                out = dq if kind == QORBIT else dp
-                if pos not in out:
-                    out[pos] = {}
-                out[pos][new] = c
-            if parity[pos]:
-                odd_before += 1
+        letters = support & table.qp_mask
+        if cover > max_cover:  # only one factor over the cap, at exponent 1
+            letters &= wide
+            if letters & (letters - 1):
+                continue
+        u = key + bias
+        while letters:
+            low = letters & -letters
+            letters ^= low
+            pos = low.bit_length() - 1
+            e = (u >> width * pos & mask) - half
+            if cover > max_cover and e != 1:
+                continue
+            d = c * e
+            if parity[pos] and ((odd_mask & (low - 1)).bit_count()
+                                + (kinds[pos] == PORBIT and not odd)) & 1:
+                d = -d
+            out = dq if kinds[pos] == QORBIT else dp
+            out.setdefault(pos, []).append(_lowered(table, record, pos, e, d, width))
     return dq, dp
 
 
 # -- star product ----------------------------------------------------------------
 
 
-def _star_width(table: VariableTable, terms1, terms2) -> int:
-    """Field width for f*g and g*f: room for the hbar shift.
-
-    A Wick term of multi-index alpha carries hbar^|alpha| on top of the
-    operands' exponents, and |alpha| is at most the pq-order of a term.
-    """
-    kinds = table.kinds
-    alpha = max((sum(e for pos, e in mono if kinds[pos] in (QORBIT, PORBIT))
-                 for mono in (*terms1, *terms2)), default=0)
-    return _field_width(terms1, terms2, alpha)
-
-
-def _wick(acc: dict, table: VariableTable, f_terms: dict, g_terms: dict,
+def _wick(acc: dict, table: VariableTable, f_records: list, g_records: list,
           policy: TruncationPolicy, width: int, factor: int):
-    """acc[key] += factor * (f*g) over policy, for int-coefficient terms.
+    """acc[key] += factor * (f*g) over policy, for records of f and g.
 
     f*g = sum_alpha hbar^|alpha| prod_o kappa_o^alpha_o
           ((d/dp)^alpha / alpha!)^R f  ((d/dq)^alpha)^L g,
-    alpha running over multi-indices on the orbits (q/p pairs): the
-    p-derivatives act on f from the right, the q-derivatives on g from the
-    left, as in :func:`poisson_bracket`.  The multi-indices are visited
-    depth first with non-decreasing orbit index, so each is reached once
-    and both sides differentiate in the same order; the divided power
-    (d/dp)^n / n! takes one derivative and divides by n at each step, which
-    is exact.  Each node multiplies its two derivative parts with the f
-    side shifted by hbar^|alpha| in the packed key (``width`` must leave
-    room for the shift, see :func:`_star_width`).  A derivative monomial
-    over the cover cap has no product within it and is left out.
+    alpha running over multi-indices on the orbits (q/p pairs), the sides
+    differentiated as in :func:`poisson_bracket`.  The multi-indices are
+    visited depth first with non-decreasing orbit index, so each is reached
+    once; the divided power (d/dp)^n / n! takes one derivative and divides
+    by n at each step, which is exact.  Each node multiplies its two parts
+    with the f side shifted by hbar^|alpha| in the key (``width`` leaves
+    room, see :func:`_star_operands`); terms over the cover cap are left out.
     """
-    if not f_terms or not g_terms:
+    if not f_records or not g_records:
         return
     pairs = table.orbit_pairs
     hbar = table.kinds.index(HBAR) if HBAR in table.kinds else None
@@ -768,99 +752,96 @@ def _wick(acc: dict, table: VariableTable, f_terms: dict, g_terms: dict,
 
     def visit(fd, gd, start, run, order, weight):
         shift = order << width * hbar if order else 0
-        frec = [(k + shift, c, pq, t, hb + order, o, x, cover)
-                for k, c, pq, t, hb, o, x, cover in _pack(table, fd, width)
-                if cover <= max_cover]
-        grec = [r for r in _pack(table, gd, width) if r[_COVER] <= max_cover]
+        frec = [(k + shift, c, pq, t, hb + order, o, x, cover, s)
+                for k, c, pq, t, hb, o, x, cover, s in fd if cover <= max_cover]
+        grec = [r for r in gd if r[_COVER] <= max_cover]
         _mul_packed(acc, frec, grec, policy, factor * weight)
         for i in range(start, len(pairs)):
             qpos, ppos, kappa = pairs[i]
             n = run + 1 if i == start else 1  # alpha_i after this step
-            fd2 = _orbit_derivative(table, fd, ppos, right=True, n=n)
-            gd2 = _orbit_derivative(table, gd, qpos) if fd2 else None
+            fd2 = _orbit_derivative(table, fd, ppos, width, right=True, n=n)
+            gd2 = _orbit_derivative(table, gd, qpos, width) if fd2 else None
             if gd2:
                 if hbar is None:
                     raise DeclarationError(
                         "star product needs an hbar variable in the table")
                 visit(fd2, gd2, i, n, order + 1, weight * kappa)
 
-    visit(f_terms, g_terms, 0, 0, 0, 1)
+    visit(f_records, g_records, 0, 0, 0, 1)
 
 
-def _orbit_derivative(table: VariableTable, terms: dict, pos: int,
-                      right: bool = False, n: int = 1) -> dict:
-    """Derivative by the variable at pos of int-coefficient terms, over n.
+def _orbit_derivative(table: VariableTable, records: list, pos: int, width: int,
+                      right: bool = False, n: int = 1) -> list:
+    """Derivative by the variable at pos of a record list, over n.
 
-    From the left the variable is commuted to the front of the monomial,
-    from the right to its end, collecting a sign per odd letter passed.
-    On terms already carrying (d/dp)^(n-1)/(n-1)! the right derivative over
-    n gives (d/dp)^n/n!: a coefficient c*C(e, n-1), e the original
-    exponent, times the current exponent e-n+1 is c*C(e, n)*n, so the
-    division is exact.
+    The variable is commuted to the front (or, ``right``, the end) of the
+    monomial, a sign per odd letter passed.  On terms carrying
+    (d/dp)^(n-1)/(n-1)! this gives (d/dp)^n/n!: c*C(e, n-1) times the
+    current exponent e-n+1 is c*C(e, n)*n, so the division is exact.
     """
-    parity = table.parity
-    out = {}
-    for mono, c in terms.items():
-        for k, (p, e) in enumerate(mono):
-            if p == pos:
-                c = c * e // n
-                passed = mono[k + 1:] if right else mono[:k]
-                if parity[p] and sum(parity[r] for r, _ in passed) % 2:
-                    c = -c
-                rest = ((p, e - 1),) if e > 1 else ()
-                out[mono[:k] + rest + mono[k + 1:]] = c
-                break
-            if p > pos:
-                break
+    low = 1 << pos
+    bias = _layout(table, width)[0]
+    shift, mask, half = width * pos, (1 << width) - 1, 1 << width - 1
+    out = []
+    for record in records:
+        if record[8] & low:
+            e = ((record[0] + bias) >> shift & mask) - half
+            c = record[1] * e // n
+            passed = record[5] >> pos + 1 if right else record[5] & low - 1
+            if table.parity[pos] and passed.bit_count() & 1:
+                c = -c
+            out.append(_lowered(table, record, pos, e, c, width))
     return out
+
+
+def _star_operands(f: GradedSeries, g: GradedSeries):
+    """(records of f, records of g, width, exponent bound) for f*g and g*f:
+    a Wick term carries hbar^|alpha| on top, |alpha| at most the pq-order
+    of a term of either operand."""
+    top = f._top + g._top
+    width = _common_width(f, g, top)
+    frec, grec = f._records(width), g._records(width)
+    alpha = min(max((r[2] for r in frec), default=0),
+                max((r[2] for r in grec), default=0))
+    if alpha and top + alpha >= 1 << width - 1:
+        width = _width_for(top + alpha)
+        frec, grec = f._records(width), g._records(width)
+    return frec, grec, width, top + alpha
 
 
 def star_product(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Associative normal-ordered product with [p,q] = kappa*hbar per orbit.
 
-    Computed by the Wick formula (see :func:`_wick`): the sum over
-    multi-indices alpha of the contractions of alpha_o letters p_o of f
-    with as many letters q_o of g, each contraction giving kappa_o*hbar,
-    on the packed kernel.  Differentiation is injective on monomials and
-    the divided powers are integers, so the terms stay integer numerators
-    over one denominator per operand.  Raises DeclarationError when a
-    contraction is needed (f has a p and g a q of one orbit) and the table
-    has no hbar.
+    The Wick formula (see :func:`_wick`) on the packed kernel: the divided
+    powers are integers, so the terms stay numerators over the operands'
+    denominators.  Raises DeclarationError when a contraction is needed (f
+    has a p and g a q of one orbit) and the table has no hbar.
     """
     policy = f._join(g)
-    table = f.table
-    width = _star_width(table, f.terms, g.terms)
-    fden, gden = _lcm_denominator(f.terms), _lcm_denominator(g.terms)
+    frec, grec, width, top = _star_operands(f, g)
     acc: dict = {}
-    _wick(acc, table, _numerators(f.terms, fden), _numerators(g.terms, gden),
-          policy, width, 1)
-    return GradedSeries(table, _unpack(acc, width, fden * gden), policy)
+    _wick(acc, f.table, frec, grec, policy, width, 1)
+    return _reduced(f.table, policy, acc, f._den * g._den, width, top)
 
 
 def weyl_commutator(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """f*g - (-1)^{|f||g|} g*f in the star product; divisible by hbar.
 
     Both products are formed in full, alpha = 0 included, into one
-    accumulator, so the cancellation of the hbar-free part is computed,
-    not assumed.  The sign is split over the parity parts of g:
-    [f,g] = f*g - g_even*f - g_odd*f', where f' is f with its odd terms
-    negated.
+    accumulator, so the cancellation of the hbar-free part is computed, not
+    assumed: [f,g] = f*g - g_even*f - g_odd*f', f' = f with odd terms negated.
     """
     policy = f._join(g)
     table = f.table
-    width = _star_width(table, f.terms, g.terms)
-    fden, gden = _lcm_denominator(f.terms), _lcm_denominator(g.terms)
-    fn, gn = _numerators(f.terms, fden), _numerators(g.terms, gden)
-    g_even, g_odd, f_flip = {}, {}, {}
-    for mono, c in gn.items():
-        (g_odd if mono_parity(table, mono) else g_even)[mono] = c
-    for mono, c in fn.items():
-        f_flip[mono] = -c if mono_parity(table, mono) else c
+    frec, grec, width, top = _star_operands(f, g)
+    g_even = [r for r in grec if not r[5].bit_count() & 1]
+    g_odd = [r for r in grec if r[5].bit_count() & 1]
+    f_flip = [(r[0], -r[1]) + r[2:] if r[5].bit_count() & 1 else r for r in frec]
     acc: dict = {}
-    _wick(acc, table, fn, gn, policy, width, 1)
-    _wick(acc, table, g_even, fn, policy, width, -1)
+    _wick(acc, table, frec, grec, policy, width, 1)
+    _wick(acc, table, g_even, frec, policy, width, -1)
     _wick(acc, table, g_odd, f_flip, policy, width, -1)
-    return GradedSeries(table, _unpack(acc, width, fden * gden), policy)
+    return _reduced(table, policy, acc, f._den * g._den, width, top)
 
 
 def truncate(f: GradedSeries, policy: TruncationPolicy) -> GradedSeries:

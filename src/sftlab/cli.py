@@ -15,7 +15,7 @@ import traceback
 from pathlib import Path
 
 from . import cylhom, divisors, gw, hierarchy, io as sio
-from .errors import SftlabError, ValidationError
+from .errors import MissingPrimaryError, SftlabError, ValidationError, under_path
 from .models import BUILTIN_MODELS
 from .report import VerificationReport, merge_reports
 from .suites import SUITES
@@ -104,7 +104,12 @@ def cmd_reconstruct(args) -> int:
     model = _load_model_arg(args.model)
     bounds = gw.Bounds(max_points=args.max_points, max_level=args.levels,
                        max_degree=args.max_degree)
-    table = gw.reconstruct(model, bounds)
+    try:
+        table = gw.reconstruct(model, bounds)
+    except MissingPrimaryError as exc:  # a model file lacks a primary
+        if args.model in BUILTIN_MODELS:
+            raise
+        raise ValidationError(str(exc), f"{args.model}.primaries") from None
     _emit(args, sio.dumps_canonical(sio.table_to_dict(table)))
     return 0
 
@@ -114,17 +119,18 @@ def cmd_hierarchy(args) -> int:
         else list(range(args.levels + 1))
     if args.profiles:
         prof = sio.load_profiles(args.profiles)
-        lattice = hierarchy.OrbitLattice(
-            args.max_cover, half_dim=prof["half_dim"],
-            q_degree=(prof["grading"].q_degree if prof["grading"] else None))
-        table = lattice.table()
-        hams = {
-            j: hierarchy.geodesic_hamiltonian(
-                lattice, j, prof["grading"], prof["signs"], table=table)
-            for j in levels
-        } if prof["grading"] else {
-            j: hierarchy.circle_hamiltonian(lattice, j, table=table)
-            for j in levels}
+        with under_path(args.profiles):  # a cover it does not declare
+            lattice = hierarchy.OrbitLattice(
+                args.max_cover, half_dim=prof["half_dim"],
+                q_degree=(prof["grading"].q_degree if prof["grading"] else None))
+            table = lattice.table()
+            hams = {
+                j: hierarchy.geodesic_hamiltonian(
+                    lattice, j, prof["grading"], prof["signs"], table=table)
+                for j in levels
+            } if prof["grading"] else {
+                j: hierarchy.circle_hamiltonian(lattice, j, table=table)
+                for j in levels}
     else:
         lattice = hierarchy.OrbitLattice(args.max_cover)
         table = lattice.table()

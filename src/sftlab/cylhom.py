@@ -29,7 +29,7 @@ from .algebra import (
     GradedSeries, TruncationPolicy, Variable, VariableTable,
     curve_class_variable, descendant_variable,
 )
-from .errors import LabelMismatchError, ValidationError
+from .errors import LabelMismatchError, ValidationError, under_path
 from .gw import (
     Bounds, CorrelatorTable, TargetModel, assemble_potential, descendant_table,
     t_name, tc_name, z_name,
@@ -169,11 +169,13 @@ class ChainComplexData:
             if len(constrained) > 1:
                 raise ValidationError("more than one constrained insertion",
                                       f"{path}.insertions")
-            for i in e.insertions:
-                self.model.class_index(i.class_id)
+            for k, i in enumerate(e.insertions):
+                ipath = f"{path}.insertions[{k}]"
+                with under_path(ipath, item=True):
+                    self.model.class_index(i.class_id)
                 if i.level < 0 or i.level > self.level_bound:
                     raise ValidationError(f"level {i.level} outside 0..{self.level_bound}",
-                                          f"{path}.insertions")
+                                          ipath)
             self._check_degree_rule(e, path)
 
     def _check_degree_rule(self, e: CountEntry, path: str):
@@ -455,7 +457,7 @@ class DressedComplex:
             factors = {src.variables[p].name: e for p, e in mono}
             key = tuple(sorted((self.vt.position(n), e) for n, e in factors.items()))
             terms[key] = c
-        return GradedSeries(self.vt, terms, self.policy)
+        return self.vt.series(terms, self.policy)
 
     def second_derivative_series(self, alpha: str, i: int):
         """d^2 f / dt^{alpha,i} dt^{mu,0} eta^{mu nu}, indexed by nu."""

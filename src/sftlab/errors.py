@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SftlabError(Exception):
     """Base class for all package errors."""
@@ -20,8 +22,20 @@ class ValidationError(SftlabError):
     """
 
     def __init__(self, message, path=""):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
+
+
+@contextmanager
+def under_path(path, item=False):
+    """Re-raise a ValidationError of a model or data check under the file
+    field ``path``, which prefixes the check's own path (replaces it, ``item``)."""
+    try:
+        yield
+    except ValidationError as exc:
+        inner = f"{path}.{exc.path}" if exc.path and not item else path
+        raise ValidationError(exc.message, inner) from None
 
 
 class MissingPrimaryError(SftlabError):

@@ -89,7 +89,7 @@ class GradingProfile:
         try:
             return self.degrees[n]
         except KeyError:
-            raise ValidationError(f"no degree declared for cover {n}", "grading")
+            raise ValidationError(f"no degree declared for cover {n}", f"q_degrees.{n}")
 
 
 @dataclass(frozen=True)

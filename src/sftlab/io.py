@@ -15,7 +15,7 @@ from pathlib import Path
 from .cylhom import (
     ChainComplexData, CountData, CountEntry, Insertion, Orbit, OrbitSet,
 )
-from .errors import ValidationError
+from .errors import ValidationError, under_path
 from .gw import CorrelatorTable, TargetModel
 from .hierarchy import GradingProfile, SignProfile
 
@@ -72,10 +72,13 @@ def _correlator_key(model: TargetModel, item, path):
         ipath = f"{path}.insertions[{i}]"
         if not isinstance(ins, list) or len(ins) != 2:
             raise ValidationError(f"expected [class, level], got {ins!r}", ipath)
+        with under_path(ipath, item=True):
+            model.class_index(str(ins[0]))
         pairs.append((ins[0], _int_value(ins[1], f"{ipath}[1]")))
     degree = [_int_value(x, f"{path}.degree[{i}]")
               for i, x in enumerate(item.get("degree", []))]
-    return model.key(pairs, degree)
+    with under_path(path):
+        return model.key(pairs, degree)
 
 
 def _check_schema(obj, expected, path):
@@ -139,18 +142,22 @@ def model_from_dict(obj: dict, path="model") -> TargetModel:
     if cup is not None:
         cup = {cid: {b: decode_rational(v, f"{path}.divisor_cup")
                      for b, v in row.items()} for cid, row in cup.items()}
-    model = TargetModel(
-        obj.get("name", "model"), classes, _require(obj, "unit", path), eta,
-        h2_rank=_int_field(obj, "h2_rank", path, 0, minimum=0),
-        chern=[_int_value(c, f"{path}.chern[{i}]")
-               for i, c in enumerate(obj.get("chern", []))],
-        divisor=obj.get("divisor"), divisor_cup=cup,
-        divisor_pairing=obj.get("divisor_pairing"),
-        contact=obj.get("contact", False))
+    unit = _require(obj, "unit", path)
+    h2_rank = _int_field(obj, "h2_rank", path, 0, minimum=0)
+    chern = [_int_value(c, f"{path}.chern[{i}]")
+             for i, c in enumerate(obj.get("chern", []))]
+    with under_path(path):
+        model = TargetModel(
+            obj.get("name", "model"), classes, unit, eta, h2_rank=h2_rank,
+            chern=chern, divisor=obj.get("divisor"), divisor_cup=cup,
+            divisor_pairing=obj.get("divisor_pairing"),
+            contact=obj.get("contact", False))
     for k, p in enumerate(obj.get("primaries", [])):
         ppath = f"{path}.primaries[{k}]"
-        model.add_primary(_correlator_key(model, p, ppath),
-                          decode_rational(_require(p, "value", ppath), ppath))
+        key = _correlator_key(model, p, ppath)
+        value = decode_rational(_require(p, "value", ppath), ppath)
+        with under_path(ppath, item=True):
+            model.add_primary(key, value)
     return model
 
 
@@ -181,8 +188,10 @@ def table_from_dict(obj, model: TargetModel, path="table") -> CorrelatorTable:
     table = CorrelatorTable(model)
     for k, item in enumerate(obj.get("values", [])):
         ipath = f"{path}.values[{k}]"
-        table.set(_correlator_key(model, item, ipath),
-                  decode_rational(_require(item, "value", ipath), ipath))
+        key = _correlator_key(model, item, ipath)
+        value = decode_rational(_require(item, "value", ipath), ipath)
+        with under_path(ipath, item=True):
+            table.set(key, value)
     return table
 
 
@@ -233,7 +242,7 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
         orbits.append(Orbit(_require(o, "id", opath), _int_field(o, "degree", opath),
                             _int_field(o, "multiplicity", opath, 1, minimum=1),
                             bool(o.get("good", True))))
-    orbits = OrbitSet(orbits, bool(_require(obj, "equivariant", path)))
+    equivariant = bool(_require(obj, "equivariant", path))
     model = model_from_dict(_require(obj, "model", path), f"{path}.model")
     table = table_from_dict(_require(obj, "table", path), model, f"{path}.table")
     entries = []
@@ -255,14 +264,17 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
     fiber_model = fiber_table = None
     if obj.get("fiber_model") is not None:
         fiber_model = model_from_dict(obj["fiber_model"], f"{path}.fiber_model")
-        fiber_table = table_from_dict(obj["fiber_table"], fiber_model,
+        fiber_table = table_from_dict(_require(obj, "fiber_table", path), fiber_model,
                                       f"{path}.fiber_table")
-    return ChainComplexData(
-        orbits, CountData(entries, obj.get("section_choice", "generic")),
-        model, table, _int_field(obj, "level_bound", path, 2, minimum=0),
-        _int_field(obj, "t_order", path, 2, minimum=0),
-        obj.get("contact", False), fiber_model, fiber_table,
-        obj.get("wedge_map"), name=obj.get("name", "counts"))
+    level_bound = _int_field(obj, "level_bound", path, 2, minimum=0)
+    t_order = _int_field(obj, "t_order", path, 2, minimum=0)
+    with under_path(path):
+        return ChainComplexData(
+            OrbitSet(orbits, equivariant),
+            CountData(entries, obj.get("section_choice", "generic")),
+            model, table, level_bound, t_order, obj.get("contact", False),
+            fiber_model, fiber_table, obj.get("wedge_map"),
+            name=obj.get("name", "counts"))
 
 
 def load_counts(path) -> ChainComplexData:

@@ -62,10 +62,6 @@ class LinearOperator:
         return self.scale(coeff)
 
 
-def identity_operator() -> LinearOperator:
-    return LinearOperator(lambda s: s, 0, "id")
-
-
 def _require_degrees(a: LinearOperator, b: LinearOperator):
     if a.degree is None or b.degree is None:
         raise SftlabError("graded (anti)commutator needs declared operator degrees")
@@ -141,9 +137,6 @@ class DifferentialOperator:
             out = out + cur.scale(t.coefficient)
         return out
 
-    def as_linear_operator(self, label="") -> LinearOperator:
-        return LinearOperator(self, self.degree(), label)
-
 
 # -- the named operators -------------------------------------------------------
 
@@ -157,13 +150,6 @@ def point_count(series: GradedSeries) -> GradedSeries:
         return sum(e for p, e in mono if kinds[p] in (TFORM, TCHECK))
 
     return series.map_terms(weight)
-
-
-def point_count_differential(table: VariableTable) -> DifferentialOperator:
-    """N as the explicit sum of t d/dt terms (used to cross-check point_count)."""
-    terms = [(1, {v.name: 1}, (v.name,))
-             for v in table.variables if v.kind in (TFORM, TCHECK)]
-    return DifferentialOperator(table, terms)
 
 
 def release_constrained_operator(table: VariableTable) -> DifferentialOperator:
@@ -209,12 +195,3 @@ def euler_scale(series: GradedSeries) -> GradedSeries:
 
     return series.map_terms(weight)
 
-
-def euler_differential(table: VariableTable) -> DifferentialOperator:
-    terms = []
-    for v in table.variables:
-        if v.kind == HBAR:
-            terms.append((-2, {v.name: 1}, (v.name,)))
-        elif v.kind in (TFORM, QORBIT, PORBIT):
-            terms.append((-1, {v.name: 1}, (v.name,)))
-    return DifferentialOperator(table, terms)

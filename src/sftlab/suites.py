@@ -16,8 +16,8 @@ from itertools import combinations_with_replacement
 
 from . import cylhom, divisors, gw, gw_oracle, hierarchy
 from .algebra import (
-    GradedSeries, TruncationPolicy, VariableTable, orbit_variable_pair,
-    planck_variable, poisson_bracket, weyl_commutator,
+    GradedSeries, TruncationPolicy, VariableTable, mono_hbar_order,
+    orbit_variable_pair, planck_variable, poisson_bracket, weyl_commutator,
 )
 from .models import point_model, two_point_model
 from .operators import point_count
@@ -28,6 +28,13 @@ def _timed(fn):
     t0 = time.monotonic()
     out = fn()
     return out, int((time.monotonic() - t0) * 1000)
+
+
+def _lap(spent, key, t):
+    """Add the time since t to spent[key]; returns the time now."""
+    now = time.monotonic()
+    spent[key] += now - t
+    return now
 
 
 def _record(report, check_id, statement, ok, residual="", detail="", ms=None,
@@ -90,8 +97,8 @@ def _random_series(rng: random.Random, table: VariableTable, policy,
 
 
 def _parity_split(f):
-    even, odd = f.parity_parts()
-    return [p for p in (even, odd) if not p.is_zero()]
+    """(part, is odd) for the nonzero parity parts of f."""
+    return [(p, odd) for odd, p in enumerate(f.parity_parts()) if p]
 
 
 def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
@@ -99,10 +106,10 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
     report = VerificationReport("algebra")
     rng = random.Random(seed)
     policy = TruncationPolicy(max_pq_order=24, max_hbar_order=8)
-    t0 = time.monotonic()
     failures = {k: None for k in
                 ("super-commutativity", "leibniz", "antisymmetry", "jacobi",
                  "hbar-divisibility", "hbar-linear-term")}
+    spent = dict.fromkeys(failures, 0.0)  # seconds per identity
     count = 0
     while count < samples:
         table = _random_table(rng)
@@ -110,53 +117,58 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
         g = _random_series(rng, table, policy)
         h = _random_series(rng, table, policy)
         count += 1
+        t = time.monotonic()
         # super-commutativity on homogeneous-parity parts
-        for fp in _parity_split(f):
-            for gp in _parity_split(g):
-                sgn = -1 if (fp.degree() is None or gp.degree() is None) else 1
-                s = -1 if (_odd(fp) and _odd(gp)) else 1
+        for fp, fodd in _parity_split(f):
+            for gp, godd in _parity_split(g):
+                s = -1 if (fodd and godd) else 1
                 r = fp * gp - (gp * fp).scale(s)
                 if not r.is_zero() and failures["super-commutativity"] is None:
                     failures["super-commutativity"] = str(r)
+        t = _lap(spent, "super-commutativity", t)
         # graded Leibniz for one derivative variable
         v = rng.choice(table.names())
-        for fp in _parity_split(f):
-            s = -1 if (table.variable(v).odd and _odd(fp)) else 1
+        for fp, fodd in _parity_split(f):
+            s = -1 if (table.variable(v).odd and fodd) else 1
             r = (fp * g).derivative(v) - fp.derivative(v) * g \
                 - (fp * g.derivative(v)).scale(s)
             if not r.is_zero() and failures["leibniz"] is None:
                 failures["leibniz"] = str(r)
+        t = _lap(spent, "leibniz", t)
         # bracket antisymmetry and Jacobi on parity components
-        for fp in _parity_split(f):
-            for gp in _parity_split(g):
-                s = -1 if (_odd(fp) and _odd(gp)) else 1
+        for fp, fodd in _parity_split(f):
+            for gp, godd in _parity_split(g):
+                s = -1 if (fodd and godd) else 1
                 r = poisson_bracket(fp, gp) + poisson_bracket(gp, fp).scale(s)
                 if not r.is_zero() and failures["antisymmetry"] is None:
                     failures["antisymmetry"] = str(r)
-        for fp in _parity_split(f):
-            for gp in _parity_split(g):
-                for hp in _parity_split(h):
-                    s = -1 if (_odd(fp) and _odd(gp)) else 1
+        t = _lap(spent, "antisymmetry", t)
+        for fp, fodd in _parity_split(f):
+            for gp, godd in _parity_split(g):
+                for hp, _ in _parity_split(h):
+                    s = -1 if (fodd and godd) else 1
                     r = poisson_bracket(fp, poisson_bracket(gp, hp)) \
                         - poisson_bracket(poisson_bracket(fp, gp), hp) \
                         - poisson_bracket(gp, poisson_bracket(fp, hp)).scale(s)
                     if not r.is_zero() and failures["jacobi"] is None:
                         failures["jacobi"] = str(r)
+        t = _lap(spent, "jacobi", t)
         # Weyl commutator: hbar divisibility; first order = bracket
         fe = _random_series(rng, table, policy, hbar_free=True)
         ge = _random_series(rng, table, policy, hbar_free=True)
         w = weyl_commutator(fe, ge)
-        if any(_hbar_exp(table, m) < 1 for m in w.terms):
+        if any(mono_hbar_order(table, m) < 1 for m in w.terms):
             if failures["hbar-divisibility"] is None:
                 failures["hbar-divisibility"] = str(w)
+        t = _lap(spent, "hbar-divisibility", t)
         fe_even = fe.parity_parts()[0]
         ge_even = ge.parity_parts()[0]
         w = weyl_commutator(fe_even, ge_even)
         lin = _hbar_coefficient(table, w, 1)
-        pb = poisson_bracket(fe_even, ge_even)
-        if lin != pb.terms and failures["hbar-linear-term"] is None:
-            failures["hbar-linear-term"] = f"{lin} != {pb.terms}"
-    ms = int((time.monotonic() - t0) * 1000)
+        pb = dict(poisson_bracket(fe_even, ge_even).terms)
+        if lin != pb and failures["hbar-linear-term"] is None:
+            failures["hbar-linear-term"] = f"{lin} != {pb}"
+        _lap(spent, "hbar-linear-term", t)
     statements = {
         "super-commutativity": "f*g = (-1)^{|f||g|} g*f",
         "leibniz": "d(f*g) = df*g + (-1)^{|v||f|} f*dg",
@@ -167,7 +179,8 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
     }
     for key, witness in failures.items():
         _record(report, f"random.{key}", f"{statements[key]} ({samples} samples)",
-                witness is None, residual=witness or "0", ms=ms)
+                witness is None, residual=witness or "0",
+                ms=int(spent[key] * 1000))
     # pinned Weyl relations per multiplicity
     for kappa in (1, 2, 3):
         q, p = orbit_variable_pair("g", kappa, cz=0, half_dim=1,
@@ -188,20 +201,6 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
             "identical inputs give byte-identical canonical output",
             len(set(outs)) == 1)
     return report.finalize()
-
-
-def _odd(series) -> bool:
-    d = series.degree()
-    if d is None:
-        for m in series.terms:
-            from .algebra import mono_parity
-            return bool(mono_parity(series.table, m))
-    return bool(d % 2)
-
-
-def _hbar_exp(table, mono):
-    from .algebra import mono_hbar_order
-    return mono_hbar_order(table, mono)
 
 
 def _hbar_coefficient(table, series, power):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sftlab.algebra import (
-    TruncationPolicy, Variable, VariableTable, _partials,
+    TruncationPolicy, Variable, VariableTable, _decode, _mono_info, _partials,
     curve_class_variable, descendant_variable, orbit_variable_pair,
-    planck_variable, poisson_bracket, right_derivative, star_product,
-    truncate, weyl_commutator,
+    planck_variable, poisson_bracket, star_product, truncate, weyl_commutator,
 )
 from sftlab.errors import DeclarationError, TableMismatchError
+
+from tuple_series import TupleSeries
 
 
 def make_table(cz_list=(0,), half_dim=1, multiplicities=None):
@@ -124,8 +125,10 @@ def test_right_derivative_relation():
     q = table.var("q[o0,1]")
     p = table.var("p[o0,1]")
     qp = q * p  # even
-    assert right_derivative(qp, "p[o0,1]") == -qp.derivative("p[o0,1]")
-    assert right_derivative(q, "q[o0,1]") == q.derivative("q[o0,1]")
+    assert (TupleSeries.of(qp).right_derivative("p[o0,1]").terms
+            == (-qp.derivative("p[o0,1]")).terms)
+    assert (TupleSeries.of(q).right_derivative("q[o0,1]").terms
+            == q.derivative("q[o0,1]").terms)
 
 
 # -- brackets -----------------------------------------------------------------
@@ -197,15 +200,9 @@ def parity_parts(f):
     return [p for p in f.parity_parts() if not p.is_zero()]
 
 
-def is_odd(f):
-    return bool(f.degree() is not None and f.degree() % 2) or \
-        (f.degree() is None and False)
-
-
 def _odd_part(series):
-    from sftlab.algebra import mono_parity
     for m in series.terms:
-        return bool(mono_parity(series.table, m))
+        return bool(sum(series.table.parity[p] for p, _ in m) % 2)
     return False
 
 
@@ -348,12 +345,22 @@ def test_fused_partials_match_single_derivatives(ts):
     table, f, _ = ts
     loose = TruncationPolicy(max_t_order=99, max_cover=99, max_pq_order=99)
     for odd, part in enumerate(f.parity_parts()):
-        dq, dp = _partials(table, part.terms, odd, loose)
+        width = part._width
+        dq, dp = _partials(table, part._records(width), odd, loose, width)
+
+        def terms(records):
+            # every derived record carries the fields of its own key
+            for r in records:
+                assert r[2:] == _mono_info(table, _decode(r[0], width))
+            return {_decode(r[0], width): Fraction(r[1], part._den)
+                    for r in records}
+
         for pos, v in enumerate(table.variables):
             if v.kind == "q":
-                assert dq.get(pos, {}) == part.derivative(v.name).terms
+                assert terms(dq.get(pos, [])) == part.derivative(v.name).terms
             elif v.kind == "p":
-                assert dp.get(pos, {}) == right_derivative(part, v.name).terms
+                assert (terms(dp.get(pos, []))
+                        == TupleSeries.of(part).right_derivative(v.name).terms)
             else:
                 assert pos not in dq and pos not in dp
 

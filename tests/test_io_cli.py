@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftlab import io as sio
 from sftlab.cli import main
@@ -232,12 +237,16 @@ def _drop(path):
     (_drop(("table", "values", 0, "value")), "table.values[0].value"),
     (_set(("model", "h2_rank"), "none"), "model.h2_rank"),
     (_set(("model", "chern"), ["one"]), "model.chern[0]"),
+    (_set(("model", "primaries", 0, "insertions", 0), ["x", 0]),
+     "model.primaries[0].insertions[0]"),
+    (_set(("model", "eta"), [["1", "0"]]), "model.eta"),
 ], ids=["missing-id", "text-degree", "text-level-bound", "zero-multiplicity",
         "short-insertion", "text-insertion-level", "text-entry-degree",
         "model-class-missing-id", "model-class-text-degree",
         "primary-short-insertion", "primary-text-level", "primary-text-degree",
         "table-text-level", "table-insertion-not-a-pair", "table-missing-value",
-        "model-text-h2-rank", "model-text-chern"])
+        "model-text-h2-rank", "model-text-chern", "primary-unknown-class",
+        "model-eta-shape"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)
@@ -284,6 +293,22 @@ def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
     assert main(["hierarchy", "--max-cover", "2", "--levels", "0",
                  "--profiles", str(path)]) == 2
     assert f"{path}.{field}:" in capsys.readouterr().err
+
+
+def test_algebra_identities_record_their_own_time(monkeypatch):
+    from types import SimpleNamespace
+
+    from sftlab import suites
+    # the n-th reading of the clock is n^2 seconds: consecutive spans last
+    # 1, 3, 5, ... s, so each record shows whose span it was given
+    readings = iter(n * n for n in range(100))
+    monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+    report = suites.algebra_suite(samples=1, seed=3)
+    ms = {c.id: c.runtime_ms for c in report.checks if c.id.startswith("random.")}
+    assert ms == {"random.super-commutativity": 1000, "random.leibniz": 3000,
+                  "random.antisymmetry": 5000, "random.jacobi": 7000,
+                  "random.hbar-divisibility": 9000,
+                  "random.hbar-linear-term": 11000}
 
 
 def test_raising_check_is_an_error_not_a_failure():
@@ -338,3 +363,74 @@ def test_cli_verify_all_report_is_byte_identical(capsys, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]
+
+
+# -- fuzzed fixtures -----------------------------------------------------------
+
+
+def _fixture_command(name, path):
+    if name.endswith(".counts.json"):
+        return ["homology", "--counts", path]
+    if name.endswith(".model.json"):
+        return ["reconstruct", "--model", path, "--max-points", "4", "--levels", "1"]
+    return ["hierarchy", "--max-cover", "2", "--levels", "0", "--profiles", path]
+
+
+FUZZED_FIXTURES = sorted(
+    p.name for p in sio.fixture_path("generic.counts.json").parent.iterdir()
+    if p.name.endswith((".counts.json", ".model.json", ".profiles.json")))
+
+
+def _nodes(obj, path=()):
+    """(path, value) of every node of a JSON tree, the root included."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def fixture_mutations(draw):
+    """A shipped fixture with one field dropped, one integer replaced by a
+    string, float or list, or one class id replaced by an unknown one."""
+    name = draw(st.sampled_from(FUZZED_FIXTURES))
+    obj = sio.load_json(sio.fixture_path(name))
+    nodes = list(_nodes(obj))
+    class_ids = {c.get("id") for path, v in nodes if path and path[-1] == "classes"
+                 for c in v}
+    kind = draw(st.sampled_from(("drop", "swap", "class")))
+    if kind == "drop":
+        paths = [p for p, _ in nodes if p and isinstance(p[-1], str)]
+    elif kind == "swap":
+        paths = [p for p, v in nodes if type(v) is int]
+    else:
+        paths = [p for p, v in nodes if isinstance(v, str) and v in class_ids]
+    if not paths:
+        return name, obj
+    *parents, last = draw(st.sampled_from(paths))
+    parent = obj
+    for key in parents:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[last]
+    elif kind == "swap":
+        parent[last] = draw(st.sampled_from(("one", 1.5, [1])))
+    else:
+        parent[last] = "no-such-class"
+    return name, obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(fixture_mutations())
+def test_fuzzed_fixtures_exit_2_with_a_field_path_never_3(case):
+    name, obj = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / name)
+        Path(path).write_text(json.dumps(obj))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(_fixture_command(name, path))
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert f"{path}." in err.getvalue()

@@ -1,14 +1,36 @@
 import pytest
 
 from sftlab.algebra import (
-    VariableTable, descendant_variable, orbit_variable_pair, planck_variable,
+    HBAR, PORBIT, QORBIT, TCHECK, TFORM, VariableTable, descendant_variable,
+    orbit_variable_pair, planck_variable,
 )
 from sftlab.errors import SftlabError
 from sftlab.operators import (
-    DifferentialOperator, LinearOperator, euler_differential, euler_scale,
-    graded_anticommutator, graded_commutator, identity_operator, point_count,
-    point_count_differential, release_constrained, release_constrained_operator,
+    DifferentialOperator, LinearOperator, euler_scale, graded_anticommutator,
+    graded_commutator, point_count, release_constrained,
+    release_constrained_operator,
 )
+
+
+# -- explicit derivative sums: oracles for the implicit operators --------------
+
+
+def identity_operator() -> LinearOperator:
+    return LinearOperator(lambda s: s, 0, "id")
+
+
+def point_count_differential(table: VariableTable) -> DifferentialOperator:
+    """N as the explicit sum of t d/dt terms."""
+    return DifferentialOperator(table, [(1, {v.name: 1}, (v.name,))
+                                        for v in table.variables
+                                        if v.kind in (TFORM, TCHECK)])
+
+
+def euler_differential(table: VariableTable) -> DifferentialOperator:
+    """-2 hbar d/dhbar - sum over t, q and p of x d/dx."""
+    return DifferentialOperator(table, [
+        (-2 if v.kind == HBAR else -1, {v.name: 1}, (v.name,))
+        for v in table.variables if v.kind in (HBAR, TFORM, QORBIT, PORBIT)])
 
 
 def make_table(levels=2, with_check=True, odd_class=False):
@@ -104,7 +126,8 @@ def test_commutator_identities():
     # even A: [A, A] = 0
     assert graded_commutator(n, n)(f).is_zero()
     # sign flip: [A,B]+ + [A,B]- = 2 A.B
-    rel = release_constrained_operator(t).as_linear_operator("Nc")
+    explicit = release_constrained_operator(t)
+    rel = LinearOperator(explicit, explicit.degree(), "Nc")
     assert rel.degree == 1  # odd, check-shifted degrees
     g = t.monomial({"tc[a,0]": 1, "t[a,1]": 1})
     lhs = graded_anticommutator(n, rel)(g) + graded_commutator(n, rel)(g)

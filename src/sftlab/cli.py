@@ -61,7 +61,7 @@ def _suite_report(args, name) -> VerificationReport:
             return _single_counts_report(sio.load_counts(args.counts))
         return SUITES[name]()
     if name == "divisor":
-        ledger = sio.load_json(args.ledger) if args.ledger else None
+        ledger = sio.load_ledger(args.ledger) if args.ledger else None
         return SUITES[name](ledger=ledger)
     raise SftlabError(f"unknown suite {name!r}")
 

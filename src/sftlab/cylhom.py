@@ -32,10 +32,13 @@ from .algebra import (
 from .errors import LabelMismatchError, ValidationError, under_path
 from .gw import (
     Bounds, CorrelatorTable, TargetModel, assemble_potential, descendant_table,
-    t_name, tc_name, z_name,
+    quantum_product, reconstruct, second_derivative_series, t_name, tc_name,
+    z_name,
 )
 from .linalg import _zp_add, _zp_mul
-from .operators import LinearOperator
+from .operators import (
+    LinearOperator, graded_anticommutator, release_constrained_operator,
+)
 
 SECTION_CHOICES = ("(2,0)", "(1,1)", "(0,2)", "generic")
 
@@ -155,8 +158,9 @@ class ChainComplexData:
         gens = self.orbits
         for n, e in enumerate(self.counts.entries):
             path = f"entries[{n}]"
-            gens.index(e.src)
-            gens.index(e.dst)
+            for end in ("src", "dst"):
+                with under_path(f"{path}.{end}", item=True):
+                    gens.index(getattr(e, end))
             if len(e.degree) != self.model.h2_rank:
                 raise ValidationError("curve class length mismatch", f"{path}.degree")
             if any(x < 0 for x in e.degree):
@@ -210,16 +214,11 @@ class ChainComplexData:
 
 
 class LinearChainMap:
-    """Sparse matrix over z-polynomials with a declared map degree."""
+    """Sparse matrix over z-polynomials."""
 
-    def __init__(self, orbits: OrbitSet, entries=None, degree: Optional[int] = None):
+    def __init__(self, orbits: OrbitSet):
         self.orbits = orbits
         self.entries = {}  # (dst_idx, src_idx) -> zpoly
-        for k, poly in (entries or {}).items():
-            poly = {d: Fraction(v) for d, v in poly.items() if v}
-            if poly:
-                self.entries[k] = poly
-        self.degree = degree
 
     def add_term(self, dst: int, src: int, degree_vec: tuple, value: Fraction):
         poly = self.entries.setdefault((dst, src), {})
@@ -235,7 +234,7 @@ class LinearChainMap:
         return not self.entries
 
     def compose(self, other: "LinearChainMap") -> "LinearChainMap":
-        out = LinearChainMap(self.orbits, degree=_add_deg(self.degree, other.degree))
+        out = LinearChainMap(self.orbits)
         for (mid2, src), p2 in other.entries.items():
             for (dst, mid), p1 in self.entries.items():
                 if mid != mid2:
@@ -246,15 +245,12 @@ class LinearChainMap:
         return out
 
     def __sub__(self, other):
-        out = LinearChainMap(self.orbits, degree=self.degree)
+        out = LinearChainMap(self.orbits)
         out.entries = {k: dict(p) for k, p in self.entries.items()}
         for k, p in other.entries.items():
             for d, v in p.items():
                 out.add_term(k[0], k[1], d, -v)
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, LinearChainMap) and self.entries == other.entries
 
     def block(self, dst_flavor: str, src_flavor: str) -> dict:
         """Entries restricted to generator flavors, reindexed by orbit id."""
@@ -264,16 +260,6 @@ class LinearChainMap:
             if gens[dst].flavor == dst_flavor and gens[src].flavor == src_flavor:
                 out[(gens[dst].orbit, gens[src].orbit)] = poly
         return out
-
-    def items_sorted(self):
-        gens = self.orbits.generators
-        return sorted(
-            ((str(gens[d]), str(gens[s]), tuple(sorted(p.items())))
-             for (d, s), p in self.entries.items()))
-
-
-def _add_deg(a, b):
-    return None if a is None or b is None else a + b
 
 
 @dataclass
@@ -286,7 +272,7 @@ def build_differential(data: ChainComplexData) -> DifferentialMaps:
     """Plain differential from insertion-free entries; one decorated map per
     single-insertion signature."""
     orbits = data.orbits
-    plain = LinearChainMap(orbits, degree=-1)
+    plain = LinearChainMap(orbits)
     decorated = {}
     for e in data.counts.entries:
         src = orbits.index(e.src)
@@ -296,13 +282,9 @@ def build_differential(data: ChainComplexData) -> DifferentialMaps:
         elif len(e.insertions) == 1:
             ins = e.insertions[0]
             sig = (ins.class_id, ins.level, ins.constrained)
-            m = decorated.get(sig)
-            if m is None:
-                w = 2 * (1 - ins.level) - data.model.degree_of(ins.class_id)
-                if ins.constrained:
-                    w -= 1
-                m = decorated[sig] = LinearChainMap(orbits, degree=-1 + w)
-            m.add_term(dst, src, e.degree, e.value)
+            if sig not in decorated:
+                decorated[sig] = LinearChainMap(orbits)
+            decorated[sig].add_term(dst, src, e.degree, e.value)
     return DifferentialMaps(plain, decorated)
 
 
@@ -459,21 +441,6 @@ class DressedComplex:
             terms[key] = c
         return self.vt.series(terms, self.policy)
 
-    def second_derivative_series(self, alpha: str, i: int):
-        """d^2 f / dt^{alpha,i} dt^{mu,0} eta^{mu nu}, indexed by nu."""
-        f = self.potential()
-        base = f.derivative(t_name(alpha, i))
-        out = []
-        for nu in range(len(self.model.classes)):
-            acc = self.vt.zero(self.policy)
-            for mu in range(len(self.model.classes)):
-                w = self.model.eta_inv[mu][nu]
-                if w:
-                    acc = acc + base.derivative(
-                        t_name(self.model.classes[mu].id, 0)).scale(w)
-            out.append(acc)
-        return out
-
     # operators ----------------------------------------------------------------
 
     def dressed_differential(self) -> LinearOperator:
@@ -508,41 +475,26 @@ class DressedComplex:
                     out = out + mult * der
             return out
 
-        self._dd = LinearOperator(apply, degree=None, label="dressed-d")
+        self._dd = LinearOperator(apply, 1)
         return self._dd
 
-    def derivative_op(self, name: str) -> LinearOperator:
-        return LinearOperator(lambda s: s.derivative(name), label=f"d/d{name}")
-
     def decorated(self, alpha: str, i: int, constrained: bool) -> LinearOperator:
+        """d/dt^{alpha,i} (d/dtc^{alpha,i} if constrained) after the dressed
+        differential; the stripped variable lowers the degree by its own."""
         nm = (tc_name if constrained else t_name)(alpha, i)
         dd = self.dressed_differential()
-        return self.derivative_op(nm).compose(dd)
+        return LinearOperator(lambda s: dd(s).derivative(nm),
+                              dd.degree - self.vt.variable(nm).degree)
 
     def point_count_op(self) -> LinearOperator:
+        """N on plain t factors only (``operators.point_count`` also counts
+        t-check factors)."""
         def count_plain(series):
             vt = series.table
             return series.map_terms(
                 lambda m: sum(e for p, e in m if vt.kinds[p] == "t"))
 
-        return LinearOperator(count_plain, 0, "N")
-
-    def release_op(self) -> LinearOperator:
-        """Sum of t^{a,j} d/d tc^{a,j} over the declared classes and levels."""
-        vt = self.vt
-        pairs = [(t_name(c.id, a), tc_name(c.id, a))
-                 for c in self.model.classes
-                 for a in range(self.data.level_bound + 1)]
-
-        def apply(series):
-            out = vt.zero(series.policy)
-            for tn, cn in pairs:
-                der = series.derivative(cn)
-                if der:
-                    out = out + vt.var(tn, 1, series.policy) * der
-            return out
-
-        return LinearOperator(apply, 1, "Ncheck")
+        return LinearOperator(count_plain, 0)
 
     # spanning-set evaluation ------------------------------------------------
 
@@ -596,22 +548,20 @@ class ResidualReport:
 
 def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
                            equivariant: bool = False):
-    """LHS - RHS of one recursion identity as a single operator.
+    """LHS - RHS of one recursion identity as a single map on series.
 
     Non-equivariant form decorates with constrained insertions; the
     equivariant form decorates with free insertions and carries the extra
     anticommutator (with the constrained previous-level map) in its (1,1)
     and (0,2) corrections.
     """
-    from .operators import graded_anticommutator
-
     model = cx.model
-    dd = LinearOperator(cx.dressed_differential(), degree=1, label="d")
+    dd = cx.dressed_differential()
     lhs_con = not equivariant
     lhs_map = cx.decorated(alpha, i, lhs_con)
-    two = cx.second_derivative_series(alpha, i - 1)
+    two = second_derivative_series(cx.potential(), model, alpha, i - 1)
     n_op = cx.point_count_op()
-    release = cx.release_op()
+    release = release_constrained_operator(cx.vt)
 
     def rhs_f_term(post):
         level0 = [cx.decorated(cls.id, 0, lhs_con) for cls in model.classes]
@@ -623,13 +573,7 @@ def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
                     continue
                 out = out + two[nu] * post(level0[nu](series))
             return out
-        return LinearOperator(apply, label="f-term")
-
-    def prev_map(constrained):
-        op = cx.decorated(alpha, i - 1, constrained)
-        return LinearOperator(op, degree=_decorated_parity(model, alpha, i - 1,
-                                                           constrained),
-                              label=f"d({alpha},{i-1})")
+        return apply
 
     def corrections(ncheck_dress, n_dress):
         """Anticommutators of previous-level maps with dressed differentials.
@@ -639,54 +583,44 @@ def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
         previous level against the plain-counted one.
         """
         if not equivariant:
-            return [graded_anticommutator(prev_map(True), ncheck_dress)]
-        return [graded_anticommutator(prev_map(False), ncheck_dress),
-                graded_anticommutator(prev_map(True), n_dress)]
+            return [graded_anticommutator(cx.decorated(alpha, i - 1, True),
+                                          ncheck_dress)]
+        return [graded_anticommutator(cx.decorated(alpha, i - 1, False),
+                                      ncheck_dress),
+                graded_anticommutator(cx.decorated(alpha, i - 1, True), n_dress)]
 
     if variant == "(2,0)":
         rhs = rhs_f_term(lambda s: s)
-        return LinearOperator(lambda s: lhs_map(s) - rhs(s),
-                              label=f"trr(2,0)[{alpha},{i}]")
+        return lambda s: lhs_map(s) - rhs(s)
     if variant == "(1,1)":
         rhs = rhs_f_term(n_op)
-        ncheck_d = LinearOperator(release.compose(dd), degree=0, label="Nc.d")
-        n_d = LinearOperator(lambda s: n_op(dd(s)), degree=1, label="N.d")
-        corrs = corrections(ncheck_d, n_d)
+        corrs = corrections(LinearOperator(lambda s: release(dd(s)), 0),
+                            LinearOperator(lambda s: n_op(dd(s)), 1))
 
         def apply11(s):
             out = n_op(lhs_map(s)) - rhs(s)
             for corr in corrs:
                 out = out - corr(s).scale(Fraction(1, 2))
             return out
-        return LinearOperator(apply11, label=f"trr(1,1)[{alpha},{i}]")
+        return apply11
     if variant == "(0,2)":
         def nn1(s):
             return n_op(n_op(s)) - n_op(s)
         rhs = rhs_f_term(nn1)
-        nm1_d = LinearOperator(lambda s: n_op(dd(s)) - dd(s), degree=1,
-                               label="(N-1)d")
-        nc_nm1_d = LinearOperator(release.compose(nm1_d), degree=0,
-                                  label="Nc(N-1)d")
-        n_nm1_d = LinearOperator(lambda s: n_op(nm1_d(s)), degree=1,
-                                 label="N(N-1)d")
-        corrs = corrections(nc_nm1_d, n_nm1_d)
+
+        def nm1_d(s):
+            d = dd(s)
+            return n_op(d) - d
+        corrs = corrections(LinearOperator(lambda s: release(nm1_d(s)), 0),
+                            LinearOperator(lambda s: n_op(nm1_d(s)), 1))
 
         def apply02(s):
             out = nn1(lhs_map(s)) - rhs(s)
             for corr in corrs:
                 out = out - corr(s)
             return out
-        return LinearOperator(apply02, label=f"trr(0,2)[{alpha},{i}]")
+        return apply02
     raise ValidationError(f"unknown recursion variant {variant!r}", "variant")
-
-
-def _decorated_parity(model, alpha, i, constrained):
-    # parity of d/dt(check) composed with the dressed differential: every
-    # valid entry term is odd, the stripped variable contributes its degree
-    w = 2 * (1 - i) - model.degree_of(alpha)
-    if constrained:
-        w -= 1
-    return (w + 1) % 2
 
 
 def noneq_trr_residuals(data: ChainComplexData, variant: str,
@@ -743,30 +677,31 @@ def _f_term_matrix(data: ChainComplexData, maps: DifferentialMaps,
     """Sum_mu,nu d2f/dt^{alpha,i-1}dt^{mu,0}|_{t=0} eta^{mu nu} decorated(nu)
     as a matrix (t = 0 coefficient: the 2-point slot of the potential)."""
     model = data.model
-    out = LinearChainMap(data.orbits)
+    n = len(model.classes)
+    coeffs = [{} for _ in range(n)]
+    # t=0 coefficient of d2f/dt dt is a 2-point correlator: zero by the
+    # stability convention except through explicitly stored table entries
     for mu, cm in enumerate(model.classes):
-        coeff = {}
-        # t=0 coefficient of d2f/dt dt is a 2-point correlator: zero by the
-        # stability convention except through explicitly stored table entries
+        pair = sorted(((alpha, i - 1), (cm.id, 0)))
         for key, v in data.table.values.items():
-            if (len(key.insertions) == 2
-                    and sorted(key.insertions) == sorted(
-                        ((alpha, i - 1), (cm.id, 0)))):
-                coeff[key.degree] = v
-        if not coeff:
+            if len(key.insertions) == 2 and sorted(key.insertions) == pair:
+                for nu in range(n):
+                    w = model.eta_inv[mu][nu]
+                    if w:
+                        coeffs[nu] = _zp_add(coeffs[nu], {key.degree: w * v})
+    return _contract(data.orbits, coeffs,
+                     [maps.decorated.get((c.id, 0, True)) for c in model.classes])
+
+
+def _contract(orbits: OrbitSet, coeffs, maps) -> LinearChainMap:
+    """Sum over nu of coeffs[nu](z) * maps[nu]; a None map counts as zero."""
+    out = LinearChainMap(orbits)
+    for poly, m in zip(coeffs, maps):
+        if not poly or m is None:
             continue
-        for nu, cn in enumerate(model.classes):
-            w = model.eta_inv[mu][nu]
-            if not w:
-                continue
-            dec = maps.decorated.get((cn.id, 0, True))
-            if dec is None:
-                continue
-            for (dst, src), poly in dec.entries.items():
-                for dp, dv in poly.items():
-                    for dc, cv in coeff.items():
-                        d = tuple(a + b for a, b in zip(dp, dc))
-                        out.add_term(dst, src, d, w * cv * dv)
+        for (dst, src), entry in m.entries.items():
+            for d, v in _zp_mul(entry, poly).items():
+                out.add_term(dst, src, d, v)
     return out
 
 
@@ -1065,73 +1000,47 @@ class QuantumActionReport:
         return self.descends and self.unit_ok and self.composition_ok
 
 
-def quantum_action(data: ChainComplexData,
-                   model: Optional[TargetModel] = None) -> QuantumActionReport:
+def quantum_action(data: ChainComplexData) -> QuantumActionReport:
     """Action of the cohomology classes by constrained level-0 maps at t = 0.
 
     Checks, on homology: the maps commute with the differential up to
     boundaries, the unit class acts as the identity, and composition agrees
-    with the three-point structure constants contracted with the inverse
-    pairing.
+    with the quantum-product structure constants (three-point values
+    contracted with the inverse pairing).
     """
-    model = model or data.model
+    model = data.model
     maps = build_differential(data)
     plain = maps.plain
-    gens = data.orbits.generators
-    n = len(gens)
-    width = data.model.h2_rank
     failures = []
-    actions = {}
-    for cls in model.classes:
-        actions[cls.id] = maps.decorated.get((cls.id, 0, True),
-                                             LinearChainMap(data.orbits))
+    actions = [maps.decorated.get((cls.id, 0, True), LinearChainMap(data.orbits))
+               for cls in model.classes]
     descends = True
-    for cid, act in actions.items():
+    for cls, act in zip(model.classes, actions):
         comm = plain.compose(act) - act.compose(plain)
         ok, _ = _exact_on_cycles(data, plain, comm)
         if not ok:
             descends = False
-            failures.append(f"action of {cid} does not descend")
-    unit_act = actions[model.unit]
+            failures.append(f"action of {cls.id} does not descend")
     ident = LinearChainMap(data.orbits)
-    for i in range(n):
-        ident.add_term(i, i, (0,) * width, Fraction(1))
-    ok, _ = _exact_on_cycles(data, plain, unit_act - ident)
-    unit_ok = ok
-    if not ok:
+    for i in range(len(data.orbits.generators)):
+        ident.add_term(i, i, (0,) * model.h2_rank, Fraction(1))
+    unit_ok, _ = _exact_on_cycles(
+        data, plain, actions[model.class_index(model.unit)] - ident)
+    if not unit_ok:
         failures.append("unit class does not act as the identity on homology")
     composition_ok = True
-    classes = model.classes
-    for a in classes:
-        for b in classes:
-            lhs = actions[a.id].compose(actions[b.id])
-            rhs = LinearChainMap(data.orbits)
-            for mu in range(len(classes)):
-                key3 = {}
-                for key, v in data.table.values.items():
-                    if len(key.insertions) != 3:
-                        continue
-                    if all(lv == 0 for _, lv in key.insertions) and sorted(
-                            key.insertions) == sorted(
-                                ((a.id, 0), (b.id, 0), (classes[mu].id, 0))):
-                        key3[key.degree] = v
-                if not key3:
-                    continue
-                for nu in range(len(classes)):
-                    w = model.eta_inv[mu][nu]
-                    if not w:
-                        continue
-                    act = actions[classes[nu].id]
-                    for (dst, src), poly in act.entries.items():
-                        for dp, dv in poly.items():
-                            for dc, cv in key3.items():
-                                d = tuple(x + y for x, y in zip(dp, dc))
-                                rhs.add_term(dst, src, d, w * cv * dv)
-            residual = lhs - rhs
-            ok, _ = _exact_on_cycles(data, plain, residual)
+    qp = quantum_product(model, data.table)
+    n = len(model.classes)
+    for a in range(n):
+        for b in range(n):
+            lhs = actions[a].compose(actions[b])
+            rhs = _contract(data.orbits, [qp.constant(a, b, nu) for nu in range(n)],
+                            actions)
+            ok, _ = _exact_on_cycles(data, plain, lhs - rhs)
             if not ok:
                 composition_ok = False
-                failures.append(f"composition rule fails for ({a.id}, {b.id})")
+                failures.append(f"composition rule fails for "
+                                f"({model.classes[a].id}, {model.classes[b].id})")
     return QuantumActionReport(descends, unit_ok, composition_ok, failures)
 
 
@@ -1187,8 +1096,6 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
     mirror them as free decorations.  Wedged constrained maps are zero, the
     plain differential is zero, everything is block-diagonal.
     """
-    from .gw import quantum_product, reconstruct
-
     bounds = Bounds(max_points=t_order + 4, max_level=level_bound,
                     max_degree=max_degree)
     fiber_table = reconstruct(fiber, bounds)
@@ -1203,9 +1110,8 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
                                 2 * (period - 1) - b.degree, period, True))
     orbit_set = OrbitSet(orbits, equivariant=False)
 
-    # quantum multiplication matrices: class alpha sends basis b to b'
-    def q_matrix(alpha: str):
-        ai = fiber.class_index(alpha)
+    # quantum multiplication matrices: class ai sends basis b to b'
+    def q_matrix(ai: int):
         out = {}
         for b in range(nf):
             for b2 in range(nf):
@@ -1214,14 +1120,9 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
                     out[(b, b2)] = poly
         return out
 
-    # coefficient series [d2 f / dt^{alpha,i-1} dt^{mu,0}] per t-monomial
     fiber_vt = descendant_table(fiber, level_bound)
     policy = TruncationPolicy(max_t_order=t_order + 2)
     fiber_potential = assemble_potential(fiber_table, policy, var_table=fiber_vt)
-
-    def f_series(alpha: str, i: int, mu: str):
-        return fiber_potential.derivative(t_name(alpha, i - 1)).derivative(
-            t_name(mu, 0))
 
     entries = []
 
@@ -1231,11 +1132,10 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
             (f"{fiber.classes[dst_b].id}p{period}", flavor),
             tuple(insertions), dvec, Fraction(value)))
 
-    zero_d = (0,) * fiber.h2_rank
-    for alpha in fiber.classes:
+    for ai, alpha in enumerate(fiber.classes):
         # level 0: plain quantum action, constrained on alpha and free on
         # the wedged partner
-        for (b, b2), poly in q_matrix(alpha.id).items():
+        for (b, b2), poly in q_matrix(ai).items():
             for dvec, v in poly.items():
                 for period in range(1, periods + 1):
                     for flavor in ("hat", "check"):
@@ -1243,32 +1143,28 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
                              [Insertion(alpha.id, 0, True)], dvec, v)
                         emit(b, b2, period, flavor,
                              [Insertion(wedged_id(alpha.id), 0, False)], dvec, v)
-        # level >= 1 dressings from the recursion seed
+        # level >= 1 dressings from the recursion seed: the series
+        # d2f/dt^{alpha,i-1}dt^{mu,0} eta^{mu nu} per t-monomial, times the
+        # quantum multiplication by nu
         for i in range(1, level_bound + 1):
+            two = second_derivative_series(fiber_potential, fiber, alpha.id, i - 1)
             acc = {}  # (b, b2, U-monomial, dvec) -> value
-            for mu in range(nf):
-                series = f_series(alpha.id, i, fiber.classes[mu].id)
-                if series.is_zero():
-                    continue
-                for nu in range(nf):
-                    w = fiber.eta_inv[mu][nu]
-                    if not w:
-                        continue
-                    for (b, b2), poly in q_matrix(fiber.classes[nu].id).items():
-                        for mono, c in series.terms.items():
-                            u_factors = []
-                            zshift = [0] * fiber.h2_rank
-                            for p, e in mono:
-                                var = fiber_vt.variables[p]
-                                if var.kind == "z":
-                                    zshift[var.indices[0]] += e
-                                else:
-                                    u_factors.extend(
-                                        [(var.indices[0], var.indices[1])] * e)
-                            for dvec, v in poly.items():
-                                d = tuple(a + b_ for a, b_ in zip(dvec, zshift))
-                                k = (b, b2, tuple(sorted(u_factors)), d)
-                                acc[k] = acc.get(k, Fraction(0)) + w * c * v
+            for nu, series in enumerate(two):
+                for (b, b2), poly in q_matrix(nu).items():
+                    for mono, c in series.terms.items():
+                        u_factors = []
+                        zshift = [0] * fiber.h2_rank
+                        for p, e in mono:
+                            var = fiber_vt.variables[p]
+                            if var.kind == "z":
+                                zshift[var.indices[0]] += e
+                            else:
+                                u_factors.extend(
+                                    [(var.indices[0], var.indices[1])] * e)
+                        for dvec, v in poly.items():
+                            d = tuple(a + b_ for a, b_ in zip(dvec, zshift))
+                            k = (b, b2, tuple(sorted(u_factors)), d)
+                            acc[k] = acc.get(k, Fraction(0)) + c * v
             for (b, b2, u_factors, dvec), v in acc.items():
                 if not v or len(u_factors) + 1 > t_order + 1:
                     continue

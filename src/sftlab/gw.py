@@ -468,7 +468,7 @@ def correlator_from_potential(potential: GradedSeries, model: TargetModel,
     return cur.coefficient(factors)
 
 
-def _second_derivative_series(potential, model, alpha, i):
+def second_derivative_series(potential, model, alpha, i):
     """d^2 f / dt^{alpha,i} dt^{mu,0} eta^{mu nu} indexed by nu."""
     out = []
     n = len(model.classes)
@@ -500,7 +500,7 @@ def trr_residual(table: CorrelatorTable, alpha_i, beta_j, gamma_k,
         table, policy, max_level=max_level)
     lhs = (f.derivative(t_name(gamma, k)).derivative(t_name(beta, j))
            .derivative(t_name(alpha, i)))
-    two = _second_derivative_series(f, model, alpha, i - 1)
+    two = second_derivative_series(f, model, alpha, i - 1)
     rhs = f.table.zero(policy)
     for nu, cls in enumerate(model.classes):
         if two[nu].is_zero():
@@ -526,7 +526,7 @@ def averaged_trr_residual(table: CorrelatorTable, alpha: str, i: int,
         return point_count(point_count(s)) - point_count(s)
 
     lhs = n_n_minus_one(f.derivative(t_name(alpha, i)))
-    two = _second_derivative_series(f, model, alpha, i - 1)
+    two = second_derivative_series(f, model, alpha, i - 1)
     rhs = f.table.zero(policy)
     for nu, cls in enumerate(model.classes):
         if two[nu].is_zero():

@@ -331,6 +331,91 @@ def load_profiles(path):
     }
 
 
+# -- perturbation ledgers ---------------------------------------------------------------
+
+
+def _marked_pair(value, path):
+    """Two distinct marked points of the five-point moduli space, as a list."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValidationError(f"expected two marked points, got {value!r}", path)
+    pair = [_int_value(x, f"{path}[{i}]", minimum=1) for i, x in enumerate(value)]
+    if pair[0] == pair[1] or max(pair) > 5:
+        raise ValidationError(f"expected two distinct points of 1..5, got {pair}",
+                              path)
+    return pair
+
+
+def _typed(obj, key, path, kind):
+    """obj[key], required to be a JSON list or object (``kind``)."""
+    value = _require(obj, key, path)
+    if not isinstance(value, kind):
+        raise ValidationError(f"expected a JSON {'list' if kind is list else 'object'}"
+                              f", got {value!r}", f"{path}.{key}")
+    return value
+
+
+def _labelled_rationals(obj, key, path):
+    """obj[key] as a list of [label, rational] items."""
+    out = []
+    for i, item in enumerate(_typed(obj, key, path, list)):
+        ipath = f"{path}.{key}[{i}]"
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValidationError(f"expected [label, rational], got {item!r}", ipath)
+        out.append([item[0], decode_rational(item[1], f"{ipath}[1]")])
+    return out
+
+
+def ledger_from_dict(obj, path="ledger") -> dict:
+    """The ``divisors.ledger_check`` / ``restriction_check`` input, validated:
+    point pairs as int lists and weights as Fractions."""
+    _check_schema(obj, LEDGER_SCHEMA, path)
+    selfs = []
+    for k, item in enumerate(_typed(obj, "self_intersections", path, list)):
+        ipath = f"{path}.self_intersections[{k}]"
+        at = _labelled_rationals(item, "at", ipath)
+        for j, pt in enumerate(at):
+            pt[0] = _marked_pair(pt[0], f"{ipath}.at[{j}][0]")
+        selfs.append({
+            "divisor": _marked_pair(_require(item, "divisor", ipath),
+                                    f"{ipath}.divisor"),
+            "weight": decode_rational(_require(item, "weight", ipath),
+                                      f"{ipath}.weight"),
+            "at": at})
+    if not selfs:  # the suite's fault check flips the first entry
+        raise ValidationError("needs at least one entry",
+                              f"{path}.self_intersections")
+    cross = []
+    for k, item in enumerate(_typed(obj, "cross_intersections", path, list)):
+        ipath = f"{path}.cross_intersections[{k}]"
+        cross.append({
+            "a": _marked_pair(_require(item, "a", ipath), f"{ipath}.a"),
+            "a_weight": decode_rational(_require(item, "a_weight", ipath),
+                                        f"{ipath}.a_weight"),
+            "b": _marked_pair(_require(item, "b", ipath), f"{ipath}.b"),
+            "at": _labelled_rationals(item, "at", ipath)})
+    restrictions = {}
+    table = _typed(obj, "restrictions", path, dict)
+    for label in table:
+        rpath = f"{path}.restrictions.{label}"
+        parts = label.split(",")
+        if not all(x.isdigit() for x in parts):
+            raise ValidationError(f"label {label!r} is not 'j,k'", rpath)
+        _marked_pair([int(x) for x in parts], rpath)
+        restrictions[label] = [
+            {"at": _marked_pair(_require(pt, "at", f"{rpath}[{i}]"),
+                                f"{rpath}[{i}].at"),
+             "contributions": _labelled_rationals(pt, "contributions",
+                                                  f"{rpath}[{i}]")}
+            for i, pt in enumerate(_typed(table, label, f"{path}.restrictions",
+                                          list))]
+    return {"self_intersections": selfs, "cross_intersections": cross,
+            "restrictions": restrictions}
+
+
+def load_ledger(path) -> dict:
+    return ledger_from_dict(load_json(path), str(path))
+
+
 # -- series ---------------------------------------------------------------------------
 
 

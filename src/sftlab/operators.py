@@ -1,10 +1,10 @@
 """Formal differential operators on graded series.
 
 Provides the generic term representation (rational coefficient, multiplier
-monomial, ordered derivative list), a thin linear-operator wrapper with
-graded (anti)commutators, and the three named operators of the engine: the
-marked-point counter N, the constrained-point release operator N-check
-(sends one t-check factor to the matching t), and the Euler scaling
+monomial, ordered derivative list), linear maps with a declared degree and
+their graded (anti)commutators, and the three named operators of the
+engine: the marked-point counter N, the constrained-point release operator
+N-check (sends one t-check factor to the matching t), and the Euler scaling
 operator -2 hbar d/dhbar - sum p d/dp - sum q d/dq - sum t d/dt.
 """
 
@@ -18,48 +18,16 @@ from .algebra import GradedSeries, VariableTable, TFORM, TCHECK, QORBIT, PORBIT,
 from .errors import DeclarationError, SftlabError
 
 
+@dataclass(frozen=True)
 class LinearOperator:
-    """A linear map on series with a declared integer degree.
+    """A linear map on series with its declared integer degree; graded
+    (anti)commutators require the degree."""
 
-    Composition, sums and scalar multiples keep degrees when they are
-    declared; graded (anti)commutators require them.
-    """
-
-    def __init__(self, fn: Callable[[GradedSeries], GradedSeries],
-                 degree: Optional[int] = None, label: str = ""):
-        self._fn = fn
-        self.degree = degree
-        self.label = label
+    fn: Callable[[GradedSeries], GradedSeries]
+    degree: Optional[int] = None
 
     def __call__(self, series: GradedSeries) -> GradedSeries:
-        return self._fn(series)
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        deg = None
-        if self.degree is not None and other.degree is not None:
-            deg = self.degree + other.degree
-        return LinearOperator(lambda s: self(other(s)), deg,
-                              f"{self.label}.{other.label}")
-
-    __matmul__ = compose
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        deg = self.degree if self.degree == other.degree else None
-        return LinearOperator(lambda s: self(s) + other(s), deg,
-                              f"({self.label}+{other.label})")
-
-    def __sub__(self, other):
-        deg = self.degree if self.degree == other.degree else None
-        return LinearOperator(lambda s: self(s) - other(s), deg,
-                              f"({self.label}-{other.label})")
-
-    def scale(self, coeff) -> "LinearOperator":
-        c = Fraction(coeff)
-        return LinearOperator(lambda s: self(s).scale(c), self.degree,
-                              f"{coeff}*{self.label}")
-
-    def __rmul__(self, coeff):
-        return self.scale(coeff)
+        return self.fn(series)
 
 
 def _require_degrees(a: LinearOperator, b: LinearOperator):
@@ -71,16 +39,14 @@ def graded_commutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     """[a,b]_- = a.b - (-1)^{|a||b|} b.a"""
     _require_degrees(a, b)
     sgn = -1 if (a.degree % 2 and b.degree % 2) else 1
-    return LinearOperator(lambda s: a(b(s)) - sgn * b(a(s)),
-                          a.degree + b.degree, f"[{a.label},{b.label}]-")
+    return LinearOperator(lambda s: a(b(s)) - sgn * b(a(s)), a.degree + b.degree)
 
 
 def graded_anticommutator(a: LinearOperator, b: LinearOperator) -> LinearOperator:
     """[a,b]_+ = a.b + (-1)^{|a||b|} b.a"""
     _require_degrees(a, b)
     sgn = -1 if (a.degree % 2 and b.degree % 2) else 1
-    return LinearOperator(lambda s: a(b(s)) + sgn * b(a(s)),
-                          a.degree + b.degree, f"[{a.label},{b.label}]+")
+    return LinearOperator(lambda s: a(b(s)) + sgn * b(a(s)), a.degree + b.degree)
 
 
 @dataclass(frozen=True)

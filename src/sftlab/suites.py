@@ -20,7 +20,6 @@ from .algebra import (
     orbit_variable_pair, planck_variable, poisson_bracket, weyl_commutator,
 )
 from .models import point_model, two_point_model
-from .operators import point_count
 from .report import CheckRecord, ERROR, FAIL, PASS, SKIP, VerificationReport
 
 
@@ -551,13 +550,10 @@ def build_cylhom_fixtures() -> dict:
 
 
 def default_cylhom_fixtures() -> dict:
-    """Shipped fixture files when present, code-built data otherwise."""
+    """The shipped fixture files, loaded."""
     from . import io as sio
-    try:
-        return {key: sio.load_counts(sio.fixture_path(fname))
-                for key, fname in CYLHOM_FIXTURE_FILES.items()}
-    except Exception:
-        return build_cylhom_fixtures()
+    return {key: sio.load_counts(sio.fixture_path(fname))
+            for key, fname in CYLHOM_FIXTURE_FILES.items()}
 
 
 def _trivial_02_fixture():
@@ -642,10 +638,7 @@ def divisor_suite(ledger=None) -> VerificationReport:
     # perturbation ledger
     if ledger is None:
         from . import io as sio
-        try:
-            ledger = sio.load_json(sio.fixture_path("m05_ledger.json"))
-        except Exception:
-            ledger = builtin_m05_ledger()
+        ledger = sio.load_ledger(sio.fixture_path("m05_ledger.json"))
     violations = divisors.ledger_check(ledger)
     _record(report, "ledger.consistency",
             "perturbation ledger: assigned indices sum to weight times "

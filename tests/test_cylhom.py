@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -310,6 +311,21 @@ def test_quantum_action_fault_detected(floer_toy):
     bad = floer_toy.perturbed(idx, Fraction(3))
     qa = quantum_action(bad)
     assert not qa.passed
+
+
+@pytest.mark.parametrize("name", ["floer_point_20", "floer_twopoint"])
+def test_doubled_three_point_value_breaks_only_composition(name):
+    # the structure constants come from the table: the counts, and with them
+    # descent and the unit axiom, are untouched
+    data = sio.load_counts(sio.fixture_path(f"{name}.counts.json"))
+    keys = [(k, v) for k, v in data.table.items_sorted()
+            if len(k.insertions) == 3 and all(a == 0 for _, a in k.insertions)]
+    assert len(keys) == {"floer_point_20": 1, "floer_twopoint": 3}[name]
+    for key, v in keys:
+        bad = copy.copy(data)
+        bad.table = data.table.perturbed(key, 2 * v)
+        qa = quantum_action(bad)
+        assert qa.descends and qa.unit_ok and not qa.composition_ok, key
 
 
 def test_generic_exactness_modes():

@@ -13,7 +13,9 @@ from sftlab.cli import main
 from sftlab.errors import ValidationError
 from sftlab.gw import Bounds, reconstruct
 from sftlab.models import point_model, projective_line_model
-from sftlab.suites import build_cylhom_fixtures
+from sftlab.suites import (
+    CYLHOM_FIXTURE_FILES, build_cylhom_fixtures, builtin_m05_ledger,
+)
 
 
 def test_rational_round_trip():
@@ -99,6 +101,18 @@ def test_shipped_fixtures_load():
     assert prof["grading"].q_degree(2) == 2
     ledger = sio.load_json(sio.fixture_path("m05_ledger.json"))
     assert ledger["schema"] == sio.LEDGER_SCHEMA
+
+
+def test_shipped_counts_fixtures_are_the_built_ones_byte_for_byte():
+    built = build_cylhom_fixtures()
+    for key, fname in CYLHOM_FIXTURE_FILES.items():
+        shipped = sio.fixture_path(fname).read_text()
+        assert shipped == sio.dumps_canonical(sio.counts_to_dict(built[key])), fname
+
+
+def test_shipped_ledger_is_the_builtin_one():
+    shipped = sio.load_json(sio.fixture_path("m05_ledger.json"))
+    assert shipped == {"schema": sio.LEDGER_SCHEMA, **builtin_m05_ledger()}
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -240,19 +254,61 @@ def _drop(path):
     (_set(("model", "primaries", 0, "insertions", 0), ["x", 0]),
      "model.primaries[0].insertions[0]"),
     (_set(("model", "eta"), [["1", "0"]]), "model.eta"),
+    (_set(("entries", 0, "src"), ["nope", "hat"]), "entries[0].src"),
+    (_set(("entries", 0, "dst"), ["b", "nope"]), "entries[0].dst"),
 ], ids=["missing-id", "text-degree", "text-level-bound", "zero-multiplicity",
         "short-insertion", "text-insertion-level", "text-entry-degree",
         "model-class-missing-id", "model-class-text-degree",
         "primary-short-insertion", "primary-text-level", "primary-text-degree",
         "table-text-level", "table-insertion-not-a-pair", "table-missing-value",
         "model-text-h2-rank", "model-text-chern", "primary-unknown-class",
-        "model-eta-shape"])
+        "model-eta-shape", "unknown-src", "unknown-dst"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)
     path = tmp_path / "bad.counts.json"
     path.write_text(json.dumps(obj))
     assert main(["homology", "--counts", str(path)]) == 2
+    assert f"{path}.{field}:" in capsys.readouterr().err
+
+
+def test_cylhom_suite_reports_a_corrupted_shipped_fixture(tmp_path, monkeypatch,
+                                                          capsys):
+    # a corrupted package fixture is an input error, never silently replaced
+    shipped = sio.fixture_path("generic.counts.json").parent
+    for p in shipped.iterdir():
+        (tmp_path / p.name).write_text(p.read_text())
+    bad = tmp_path / "floer_point_20.counts.json"
+    obj = json.loads(bad.read_text())
+    obj["entries"][0]["value"] = "1/0"
+    bad.write_text(json.dumps(obj))
+    monkeypatch.setattr(sio, "fixture_path", lambda name: tmp_path / name)
+    assert main(["verify", "--suite", "cylhom"]) == 2
+    assert f"{bad}.entries[0]: bad rational '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_drop(("restrictions",)), "restrictions"),
+    (_drop(("self_intersections", 0, "at")), "self_intersections[0].at"),
+    (_set(("self_intersections", 0, "weight"), "x/y"),
+     "self_intersections[0].weight"),
+    (_set(("self_intersections", 0, "divisor"), [1, "five"]),
+     "self_intersections[0].divisor[1]"),
+    (_set(("self_intersections",), []), "self_intersections"),
+    (_set(("cross_intersections", 0, "at", 0), ["near"]),
+     "cross_intersections[0].at[0]"),
+    (_set(("restrictions", "3,4", 0, "contributions", 0, 1), 0.5),
+     "restrictions.3,4[0].contributions[0][1]"),
+    (_set(("restrictions", "three,4"), []), "restrictions.three,4"),
+], ids=["missing-restrictions", "missing-self-at", "text-weight",
+        "text-divisor-point", "no-self-intersection", "short-cross-at",
+        "float-contribution", "text-restriction-label"])
+def test_cli_malformed_ledger_exit_2_with_field_path(tmp_path, capsys, mutate, field):
+    obj = sio.load_json(sio.fixture_path("m05_ledger.json"))
+    mutate(obj)
+    path = tmp_path / "bad_ledger.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "--suite", "divisor", "--ledger", str(path)]) == 2
     assert f"{path}.{field}:" in capsys.readouterr().err
 
 
@@ -371,6 +427,8 @@ def test_cli_verify_all_report_is_byte_identical(capsys, fmt):
 def _fixture_command(name, path):
     if name.endswith(".counts.json"):
         return ["homology", "--counts", path]
+    if name.endswith("_ledger.json"):
+        return ["verify", "--suite", "divisor", "--ledger", path]
     if name.endswith(".model.json"):
         return ["reconstruct", "--model", path, "--max-points", "4", "--levels", "1"]
     return ["hierarchy", "--max-cover", "2", "--levels", "0", "--profiles", path]
@@ -378,7 +436,8 @@ def _fixture_command(name, path):
 
 FUZZED_FIXTURES = sorted(
     p.name for p in sio.fixture_path("generic.counts.json").parent.iterdir()
-    if p.name.endswith((".counts.json", ".model.json", ".profiles.json")))
+    if p.name.endswith((".counts.json", ".model.json", ".profiles.json",
+                        "_ledger.json")))
 
 
 def _nodes(obj, path=()):

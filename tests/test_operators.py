@@ -16,7 +16,7 @@ from sftlab.operators import (
 
 
 def identity_operator() -> LinearOperator:
-    return LinearOperator(lambda s: s, 0, "id")
+    return LinearOperator(lambda s: s, 0)
 
 
 def point_count_differential(table: VariableTable) -> DifferentialOperator:
@@ -119,7 +119,7 @@ def test_commutators_require_degrees():
 def test_commutator_identities():
     t = make_table()
     ident = identity_operator()
-    n = LinearOperator(point_count, 0, "N")
+    n = LinearOperator(point_count, 0)
     # [id, B] = 0
     f = t.monomial({"t[a,0]": 1, "t[b,1]": 2})
     assert graded_commutator(ident, n)(f).is_zero()
@@ -127,7 +127,7 @@ def test_commutator_identities():
     assert graded_commutator(n, n)(f).is_zero()
     # sign flip: [A,B]+ + [A,B]- = 2 A.B
     explicit = release_constrained_operator(t)
-    rel = LinearOperator(explicit, explicit.degree(), "Nc")
+    rel = LinearOperator(explicit, explicit.degree())
     assert rel.degree == 1  # odd, check-shifted degrees
     g = t.monomial({"tc[a,0]": 1, "t[a,1]": 1})
     lhs = graded_anticommutator(n, rel)(g) + graded_commutator(n, rel)(g)

@@ -86,15 +86,14 @@ class Variable:
         return (_KIND_RANK[self.kind], self.indices, self.name)
 
 
-def orbit_variable_pair(orbit, cover=1, cz=0, half_dim=1, multiplicity=None,
-                        name_q=None, name_p=None):
+def orbit_variable_pair(orbit, cover=1, cz=0, half_dim=1, multiplicity=None):
     """q/p pair for a closed orbit: |q| = m-3+CZ, |p| = m-3-CZ (m = half_dim)."""
     kappa = cover if multiplicity is None else multiplicity
-    nq = name_q or f"q[{orbit},{cover}]"
-    np_ = name_p or f"p[{orbit},{cover}]"
     return (
-        Variable(nq, QORBIT, (str(orbit), cover), half_dim - 3 + cz, kappa),
-        Variable(np_, PORBIT, (str(orbit), cover), half_dim - 3 - cz, kappa),
+        Variable(f"q[{orbit},{cover}]", QORBIT, (str(orbit), cover),
+                 half_dim - 3 + cz, kappa),
+        Variable(f"p[{orbit},{cover}]", PORBIT, (str(orbit), cover),
+                 half_dim - 3 - cz, kappa),
     )
 
 
@@ -232,9 +231,6 @@ class VariableTable:
 
     def one(self, policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
         return self.series({(): 1}, policy)
-
-    def unit(self, coeff, policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
-        return self.series({(): coeff}, policy)
 
     def var(self, name: str, exponent: int = 1,
             policy: TruncationPolicy = DEFAULT_POLICY) -> "GradedSeries":
@@ -842,7 +838,3 @@ def weyl_commutator(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     _wick(acc, table, g_even, frec, policy, width, -1)
     _wick(acc, table, g_odd, f_flip, policy, width, -1)
     return _reduced(table, policy, acc, f._den * g._den, width, top)
-
-
-def truncate(f: GradedSeries, policy: TruncationPolicy) -> GradedSeries:
-    return f.truncate(policy)

@@ -21,14 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional
 
 from . import linalg
-from .algebra import (
-    GradedSeries, TruncationPolicy, Variable, VariableTable,
-    curve_class_variable, descendant_variable,
-)
+from .algebra import GradedSeries, TruncationPolicy, Variable, VariableTable
 from .errors import LabelMismatchError, ValidationError, under_path
 from .gw import (
     Bounds, CorrelatorTable, TargetModel, assemble_potential, descendant_table,
@@ -124,37 +121,32 @@ class CountData:
         self.entries = tuple(entries)
 
 
+@dataclass(eq=False)
 class ChainComplexData:
     """Orbit generators, counts, and the associated target model.
 
     ``table`` holds the correlator values whose potential enters the
     recursion identities; ``fiber_model``/``fiber_table``/``wedge_map`` are
     set by the Floer-case generator and drive the block comparisons.
+    Copies go through ``dataclasses.replace``, which validates again.
     """
 
-    def __init__(self, orbits: OrbitSet, counts: CountData, model: TargetModel,
-                 table: CorrelatorTable, level_bound: int = 2, t_order: int = 2,
-                 contact: bool = False, fiber_model: Optional[TargetModel] = None,
-                 fiber_table: Optional[CorrelatorTable] = None,
-                 wedge_map: Optional[dict] = None, name: str = "chain-data",
-                 internal: bool = False):
-        self.orbits = orbits
-        self.counts = counts
-        self.model = model
-        self.table = table
-        self.level_bound = int(level_bound)
-        self.t_order = int(t_order)
-        self.contact = bool(contact)
-        self.fiber_model = fiber_model
-        self.fiber_table = fiber_table
-        self.wedge_map = dict(wedge_map) if wedge_map else None
-        self.name = name
-        # internal data (block extractions, Floer restrictions) may carry
-        # constrained insertions on a single-flavor generator set
-        self.internal = bool(internal)
-        self._validate()
+    orbits: OrbitSet
+    counts: CountData
+    model: TargetModel
+    table: CorrelatorTable
+    level_bound: int = 2
+    t_order: int = 2
+    contact: bool = False
+    fiber_model: Optional[TargetModel] = None
+    fiber_table: Optional[CorrelatorTable] = None
+    wedge_map: Optional[dict] = None
+    name: str = "chain-data"
+    # internal data (block extractions, Floer restrictions) may carry
+    # constrained insertions on a single-flavor generator set
+    internal: bool = False
 
-    def _validate(self):
+    def __post_init__(self):
         gens = self.orbits
         for n, e in enumerate(self.counts.entries):
             path = f"entries[{n}]"
@@ -181,6 +173,13 @@ class ChainComplexData:
                     raise ValidationError(f"level {i.level} outside 0..{self.level_bound}",
                                           ipath)
             self._check_degree_rule(e, path)
+        # the potentials live on t-variables of levels 0..level_bound
+        for name in ("table", "fiber_table"):
+            table = getattr(self, name)
+            for key in (table.values if table is not None else ()):
+                if any(a > self.level_bound for _, a in key.insertions):
+                    raise ValidationError(
+                        f"value at {key} has a level above {self.level_bound}", name)
 
     def _check_degree_rule(self, e: CountEntry, path: str):
         gens = self.orbits
@@ -203,11 +202,8 @@ class ChainComplexData:
         entries = list(self.counts.entries)
         entries[entry_index] = replace(entries[entry_index],
                                        value=Fraction(new_value))
-        return ChainComplexData(
-            self.orbits, CountData(entries, self.counts.section_choice),
-            self.model, self.table, self.level_bound, self.t_order, self.contact,
-            self.fiber_model, self.fiber_table, self.wedge_map,
-            name=self.name + "+fault")
+        return replace(self, counts=CountData(entries, self.counts.section_choice),
+                       name=self.name + "+fault")
 
 
 # -- z-polynomial sparse matrices -------------------------------------------------
@@ -378,23 +374,17 @@ def compute_homology(data: ChainComplexData) -> HomologyResult:
 # -- dressed operators -------------------------------------------------------------
 
 
-def chain_variable_table(data: ChainComplexData,
-                         model: Optional[TargetModel] = None) -> VariableTable:
-    """One q variable per generator plus t / t-check / z variables."""
-    model = model or data.model
+def chain_variable_table(data: ChainComplexData) -> VariableTable:
+    """One q variable per generator plus the t / t-check / z variables of
+    the model's descendant table."""
     vs = []
     for g in data.orbits.generators:
         flavor_rank = {"": 0, "hat": 0, "check": 1}[g.flavor]
         vs.append(Variable(f"q[{g.orbit}|{g.flavor}]", "q",
                            (g.orbit, flavor_rank), g.degree,
                            data.orbits.orbit(g.orbit).multiplicity))
-    for c in model.classes:
-        for a in range(data.level_bound + 1):
-            vs.append(descendant_variable(c.id, a, c.degree, False))
-            vs.append(descendant_variable(c.id, a, c.degree, True))
-    for i in range(model.h2_rank):
-        vs.append(curve_class_variable(i, model.chern[i]))
-    return VariableTable(vs)
+    descendants = descendant_table(data.model, data.level_bound, with_checked=True)
+    return VariableTable(vs + list(descendants.variables))
 
 
 def q_var_name(gen_key) -> str:
@@ -405,19 +395,13 @@ def q_var_name(gen_key) -> str:
 class DressedComplex:
     """Operator realization of count data on a graded-series chain space."""
 
-    def __init__(self, data: ChainComplexData, entries=None,
-                 model: Optional[TargetModel] = None,
-                 table: Optional[CorrelatorTable] = None):
+    def __init__(self, data: ChainComplexData):
         self.data = data
-        self.model = model or data.model
-        self.corr = table if table is not None else data.table
-        self.vt = chain_variable_table(data, self.model)
+        self.vt = chain_variable_table(data)
         # the potential must stay complete two derivative orders beyond the
         # window where residuals are asserted
         self.policy = TruncationPolicy(max_t_order=data.t_order + 2,
                                        max_pq_order=2)
-        self.entries = tuple(entries if entries is not None
-                             else data.counts.entries)
         self._potential = None
         self._dd = None
 
@@ -425,21 +409,9 @@ class DressedComplex:
 
     def potential(self) -> GradedSeries:
         if self._potential is None:
-            self._potential = assemble_potential(
-                self.corr, self.policy, var_table=descendant_table(
-                    self.model, self.data.level_bound),)
-            # re-embed into the chain variable table
-            self._potential = self._embed(self._potential)
+            self._potential = assemble_potential(self.data.table, self.policy,
+                                                 var_table=self.vt)
         return self._potential
-
-    def _embed(self, series: GradedSeries) -> GradedSeries:
-        terms = {}
-        src = series.table
-        for mono, c in series.terms.items():
-            factors = {src.variables[p].name: e for p, e in mono}
-            key = tuple(sorted((self.vt.position(n), e) for n, e in factors.items()))
-            terms[key] = c
-        return self.vt.series(terms, self.policy)
 
     # operators ----------------------------------------------------------------
 
@@ -455,7 +427,7 @@ class DressedComplex:
         vt = self.vt
         policy = self.policy
         by_source = {}
-        for e in self.entries:
+        for e in self.data.counts.entries:
             factors = {q_var_name(e.dst): 1}
             for ins in e.insertions:
                 nm = (tc_name if ins.constrained else t_name)(ins.class_id, ins.level)
@@ -498,12 +470,16 @@ class DressedComplex:
 
     # spanning-set evaluation ------------------------------------------------
 
-    def arguments(self, max_arg_order: Optional[int] = None):
-        """Generators dressed with plain-t monomials up to a given order."""
+    def arguments(self, max_arg_order: Optional[int] = None, arg_classes=None):
+        """Generators dressed with plain-t monomials up to a given order, in
+        the t-variables of the classes in ``arg_classes`` (default: all)."""
         vt = self.vt
         cap = self.data.t_order if max_arg_order is None else max_arg_order
-        tvars = [t_name(c.id, a) for c in self.model.classes
+        tvars = [t_name(c.id, a) for c in self.data.model.classes
                  for a in range(self.data.level_bound + 1)]
+        if arg_classes is not None:
+            tvars = [nm for nm in tvars
+                     if vt.variable(nm).indices[0] in arg_classes]
         monomials = [()]
         for k in range(1, cap + 1):
             monomials.extend(combinations_with_replacement(tvars, k))
@@ -520,13 +496,13 @@ class DressedComplex:
                 if ok:
                     yield (g, mono), self.vt.monomial(factors, 1, self.policy)
 
-    def operator_residual(self, op: LinearOperator, max_arg_order=None):
+    def operator_residual(self, op: LinearOperator, max_arg_order=None,
+                          arg_classes=None):
         """Evaluate an operator over the spanning set; collect nonzero hits."""
+        window = TruncationPolicy(max_t_order=self.data.t_order, max_pq_order=2)
         witnesses = []
-        for label, arg in self.arguments(max_arg_order):
-            out = op(arg)
-            out = out.truncate(TruncationPolicy(max_t_order=self.data.t_order,
-                                                max_pq_order=2))
+        for label, arg in self.arguments(max_arg_order, arg_classes):
+            out = op(arg).truncate(window)
             if not out.is_zero():
                 witnesses.append((label, out))
         return witnesses
@@ -547,7 +523,7 @@ class ResidualReport:
 
 
 def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
-                           equivariant: bool = False):
+                           equivariant: bool):
     """LHS - RHS of one recursion identity as a single map on series.
 
     Non-equivariant form decorates with constrained insertions; the
@@ -555,7 +531,7 @@ def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
     anticommutator (with the constrained previous-level map) in its (1,1)
     and (0,2) corrections.
     """
-    model = cx.model
+    model = cx.data.model
     dd = cx.dressed_differential()
     lhs_con = not equivariant
     lhs_map = cx.decorated(alpha, i, lhs_con)
@@ -623,6 +599,20 @@ def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
     raise ValidationError(f"unknown recursion variant {variant!r}", "variant")
 
 
+def _residual_reports(cx: DressedComplex, variant: str, equivariant: bool,
+                      classes, max_arg_order: Optional[int],
+                      arg_classes=None):
+    """One report per class and level 1..L of one recursion identity,
+    evaluated on arguments dressed in the t-variables of ``arg_classes``."""
+    reports = []
+    for cls in classes:
+        for i in range(1, cx.data.level_bound + 1):
+            op = _trr_residual_operator(cx, variant, cls, i, equivariant)
+            w = cx.operator_residual(op, max_arg_order, arg_classes)
+            reports.append(ResidualReport(f"{variant} alpha={cls} i={i}", not w, w))
+    return reports
+
+
 def noneq_trr_residuals(data: ChainComplexData, variant: str,
                         max_arg_order: Optional[int] = None):
     """Residual reports of one recursion identity on non-equivariant data.
@@ -643,27 +633,21 @@ def noneq_trr_residuals(data: ChainComplexData, variant: str,
         raise LabelMismatchError(
             f"data is labeled {label!r}; checking the {variant} identity "
             f"against it is rejected")
-    cx = DressedComplex(data)
-    reports = []
-    for cls in data.model.classes:
-        for i in range(1, data.level_bound + 1):
-            op = _trr_residual_operator(cx, variant, cls.id, i)
-            w = cx.operator_residual(op, max_arg_order)
-            reports.append(ResidualReport(f"{variant} alpha={cls.id} i={i}",
-                                          not w, w))
-    return reports
+    return _residual_reports(DressedComplex(data), variant, False,
+                             [c.id for c in data.model.classes], max_arg_order)
 
 
 def generic_exactness_report(data: ChainComplexData):
     """(2,0) residual at t = 0 must map cycles into the image of the
     differential (exactness on homology) for generic section choices."""
     maps = build_differential(data)
+    potential = DressedComplex(data).potential()
     reports = []
     for cls in data.model.classes:
         for i in range(1, data.level_bound + 1):
             lhs = maps.decorated.get((cls.id, i, True),
                                      LinearChainMap(data.orbits))
-            rhs = _f_term_matrix(data, maps, cls.id, i)
+            rhs = _f_term_matrix(data, maps, potential, cls.id, i)
             residual = lhs - rhs
             ok, witness = _exact_on_cycles(data, maps.plain, residual)
             reports.append(ResidualReport(
@@ -673,22 +657,23 @@ def generic_exactness_report(data: ChainComplexData):
 
 
 def _f_term_matrix(data: ChainComplexData, maps: DifferentialMaps,
-                   alpha: str, i: int) -> LinearChainMap:
+                   potential: GradedSeries, alpha: str, i: int) -> LinearChainMap:
     """Sum_mu,nu d2f/dt^{alpha,i-1}dt^{mu,0}|_{t=0} eta^{mu nu} decorated(nu)
-    as a matrix (t = 0 coefficient: the 2-point slot of the potential)."""
+    as a matrix.  At t = 0 only the z-only terms survive; they come from
+    stored two-point values, which are zero by the stability convention
+    unless a table sets them explicitly."""
     model = data.model
-    n = len(model.classes)
-    coeffs = [{} for _ in range(n)]
-    # t=0 coefficient of d2f/dt dt is a 2-point correlator: zero by the
-    # stability convention except through explicitly stored table entries
-    for mu, cm in enumerate(model.classes):
-        pair = sorted(((alpha, i - 1), (cm.id, 0)))
-        for key, v in data.table.values.items():
-            if len(key.insertions) == 2 and sorted(key.insertions) == pair:
-                for nu in range(n):
-                    w = model.eta_inv[mu][nu]
-                    if w:
-                        coeffs[nu] = _zp_add(coeffs[nu], {key.degree: w * v})
+    vt = potential.table
+    coeffs = []
+    for series in second_derivative_series(potential, model, alpha, i - 1):
+        poly = {}
+        for mono, c in series.terms.items():
+            if all(vt.kinds[p] == "z" for p, _ in mono):
+                d = [0] * model.h2_rank
+                for p, e in mono:
+                    d[vt.variables[p].indices[0]] += e
+                poly[tuple(d)] = c
+        coeffs.append(poly)
     return _contract(data.orbits, coeffs,
                      [maps.decorated.get((c.id, 0, True)) for c in model.classes])
 
@@ -805,11 +790,9 @@ def extract_equivariant(data: ChainComplexData,
                              for i in e.insertions)
             entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
                                       released, e.degree, e.value))
-    eq = ChainComplexData(
-        orbit_set, CountData(entries, data.counts.section_choice), data.model,
-        data.table, data.level_bound, data.t_order, data.contact,
-        data.fiber_model, data.fiber_table, data.wedge_map,
-        name=data.name + f"/{source_flavor}-block", internal=True)
+    eq = replace(data, orbits=orbit_set,
+                 counts=CountData(entries, data.counts.section_choice),
+                 name=data.name + f"/{source_flavor}-block", internal=True)
     return BlockExtraction(eq, blocks_equal, not any(offdiag_plain.values()),
                            consistent)
 
@@ -849,39 +832,33 @@ def extract_floer(data: ChainComplexData) -> ChainComplexData:
             continue
         entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
                                   e.insertions, e.degree, e.value))
-    return ChainComplexData(
-        orbit_set, CountData(entries, data.counts.section_choice),
-        data.fiber_model, data.fiber_table, data.level_bound, data.t_order,
-        data.contact, name=data.name + "/floer", internal=True)
+    return replace(data, orbits=orbit_set,
+                   counts=CountData(entries, data.counts.section_choice),
+                   model=data.fiber_model, table=data.fiber_table,
+                   fiber_model=None, fiber_table=None, wedge_map=None,
+                   name=data.name + "/floer", internal=True)
 
 
 def equivariant_trr_residuals(data: ChainComplexData, variant: str,
                               source_flavor: str = "hat",
                               max_arg_order: Optional[int] = None,
-                              classes: Optional[list] = None):
+                              classes: Optional[list] = None,
+                              arg_classes=None):
     """Residuals of the equivariant recursion identities on extracted blocks."""
     ext = extract_equivariant(data, source_flavor)
-    cx = DressedComplex(ext.data)
-    reports = []
-    for cls in (classes or [c.id for c in data.model.classes]):
-        for i in range(1, data.level_bound + 1):
-            op = _trr_residual_operator(cx, variant, cls, i, equivariant=True)
-            w = cx.operator_residual(op, max_arg_order)
-            reports.append(ResidualReport(
-                f"eq {variant} alpha={cls} i={i} [{source_flavor}]", not w, w))
-    return reports
+    reports = _residual_reports(
+        DressedComplex(ext.data), variant, True,
+        classes or [c.id for c in data.model.classes], max_arg_order, arg_classes)
+    return [replace(r, name=f"eq {r.name} [{source_flavor}]") for r in reports]
 
 
-def _witness_signature(witnesses, rename=None):
+def _witness_signature(witnesses):
     """Canonical (generator-orbit, argument, output-terms) set for comparison."""
     out = []
     for (g, mono), series in witnesses:
-        mono = tuple(rename.get(nm, nm) for nm in mono) if rename else mono
         terms = []
         for m, c in series.sorted_terms():
             names = tuple((series.table.variables[p].name, e) for p, e in m)
-            if rename:
-                names = tuple((rename.get(nm, nm), e) for nm, e in names)
             terms.append((names, c))
         out.append((g.orbit, mono, tuple(terms)))
     return sorted(out)
@@ -907,47 +884,25 @@ def compare_equivariant_floer(data: ChainComplexData, variant: str,
     if not data.wedge_map:
         raise ValidationError("no wedge map attached", "wedge_map")
     details = []
-    hat = {}
-    check = {}
-    for flavor, store in (("hat", hat), ("check", check)):
-        ext = extract_equivariant(data, flavor)
-        cx = DressedComplex(ext.data)
-        fiber_classes = [c.id for c in data.fiber_model.classes]
-        for fc in fiber_classes:
-            wc = data.wedge_map[fc]
-            for i in range(1, data.level_bound + 1):
-                op = _trr_residual_operator(cx, variant, wc, i, equivariant=True)
-                w = _eval_on_fiber_args(cx, op, data, max_arg_order)
-                store[(fc, i)] = _witness_signature(w)
-    hat_check_equal = hat == check
+    fiber = [c.id for c in data.fiber_model.classes]
+    wedged = [data.wedge_map[fc] for fc in fiber]
+    sigs = {}
+    for flavor in ("hat", "check"):
+        reports = equivariant_trr_residuals(data, variant, flavor, max_arg_order,
+                                            classes=wedged, arg_classes=set(fiber))
+        sigs[flavor] = [_witness_signature(r.witnesses) for r in reports]
+    hat_check_equal = sigs["hat"] == sigs["check"]
     if not hat_check_equal:
         details.append("hat and check extractions disagree")
-    fl = extract_floer(data)
-    fcx = DressedComplex(fl)
+    floer = _residual_reports(DressedComplex(extract_floer(data)), variant, False,
+                              fiber, max_arg_order)
     floer_match = True
-    for fc in [c.id for c in data.fiber_model.classes]:
-        for i in range(1, data.level_bound + 1):
-            op = _trr_residual_operator(fcx, variant, fc, i, equivariant=False)
-            w = fcx.operator_residual(op, max_arg_order)
-            if _witness_signature(w) != hat[(fc, i)]:
-                floer_match = False
-                details.append(f"mismatch at class {fc}, level {i}")
+    levels = range(1, data.level_bound + 1)
+    for (fc, i), hat_sig, r in zip(product(fiber, levels), sigs["hat"], floer):
+        if _witness_signature(r.witnesses) != hat_sig:
+            floer_match = False
+            details.append(f"mismatch at class {fc}, level {i}")
     return BlockComparison(variant, hat_check_equal, floer_match, details)
-
-
-def _eval_on_fiber_args(cx: DressedComplex, op, data, max_arg_order):
-    """Residual evaluation restricted to fiber-class t-monomial dressings."""
-    fiber_ids = {c.id for c in data.fiber_model.classes}
-    witnesses = []
-    for (g, mono), arg in cx.arguments(max_arg_order):
-        if any(nm.split("[", 1)[1].rsplit(",", 1)[0] not in fiber_ids
-               for nm in mono):
-            continue
-        out = op(arg).truncate(TruncationPolicy(max_t_order=data.t_order,
-                                                max_pq_order=2))
-        if not out.is_zero():
-            witnesses.append(((g, mono), out))
-    return witnesses
 
 
 # -- contact vanishing and the quantum action ----------------------------------------

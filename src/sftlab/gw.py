@@ -373,10 +373,9 @@ def enumerate_keys(model: TargetModel, bounds: Bounds):
                 yield model.key(combo, d)
 
 
-def reconstruct(model: TargetModel, bounds: Bounds,
-                trr_choice=None) -> CorrelatorTable:
+def reconstruct(model: TargetModel, bounds: Bounds) -> CorrelatorTable:
     """Every correlator within bounds, computed from the model's primaries."""
-    rec = Reconstructor(model, bounds, trr_choice)
+    rec = Reconstructor(model, bounds)
     table = CorrelatorTable(model, bounds=bounds)
     for key in enumerate_keys(model, bounds):
         v = rec.value(key)
@@ -401,8 +400,7 @@ def z_name(pos):
 
 
 def descendant_table(model: TargetModel, max_level: int,
-                     with_checked: bool = False,
-                     check_degree_offset: int = -1) -> VariableTable:
+                     with_checked: bool = False) -> VariableTable:
     """Variable table with t (and optionally t-check) per class and level,
     plus the declared curve-class variables."""
     vs = []
@@ -410,8 +408,7 @@ def descendant_table(model: TargetModel, max_level: int,
         for a in range(max_level + 1):
             vs.append(descendant_variable(c.id, a, c.degree, False))
             if with_checked:
-                vs.append(descendant_variable(c.id, a, c.degree, True,
-                                              check_degree_offset))
+                vs.append(descendant_variable(c.id, a, c.degree, True))
     for i in range(model.h2_rank):
         vs.append(curve_class_variable(i, model.chern[i]))
     return VariableTable(vs)
@@ -483,56 +480,53 @@ def second_derivative_series(potential, model, alpha, i):
     return out
 
 
+def _recursion_residual(f: GradedSeries, model: TargetModel, alpha: str, i: int,
+                        side, policy: TruncationPolicy) -> GradedSeries:
+    """side(t^{alpha,i}) - sum_nu two[nu] * side(t^{nu,0}), with two the
+    eta-contracted d2f/dt^{alpha,i-1}dt^{mu,0}; side maps a t-variable name
+    to a series."""
+    two = second_derivative_series(f, model, alpha, i - 1)
+    rhs = f.table.zero(policy)
+    for nu, cls in enumerate(model.classes):
+        if two[nu].is_zero():
+            continue
+        rhs = rhs + two[nu] * side(t_name(cls.id, 0))
+    return side(t_name(alpha, i)) - rhs
+
+
 def trr_residual(table: CorrelatorTable, alpha_i, beta_j, gamma_k,
                  policy: TruncationPolicy,
-                 potential: Optional[GradedSeries] = None,
-                 max_level: Optional[int] = None) -> GradedSeries:
+                 potential: Optional[GradedSeries] = None) -> GradedSeries:
     """LHS - RHS of the three-point descendant recursion, as a series.
 
     alpha_i = (class id, level i >= 1); beta_j, gamma_k likewise (any level).
     """
-    model = table.model
     (alpha, i), (beta, j), (gamma, k) = alpha_i, beta_j, gamma_k
     if i < 1:
         raise ValidationError("recursion needs level >= 1 on the split insertion",
                               "alpha_i")
-    f = potential if potential is not None else assemble_potential(
-        table, policy, max_level=max_level)
-    lhs = (f.derivative(t_name(gamma, k)).derivative(t_name(beta, j))
-           .derivative(t_name(alpha, i)))
-    two = second_derivative_series(f, model, alpha, i - 1)
-    rhs = f.table.zero(policy)
-    for nu, cls in enumerate(model.classes):
-        if two[nu].is_zero():
-            continue
-        three = (f.derivative(t_name(gamma, k)).derivative(t_name(beta, j))
-                 .derivative(t_name(cls.id, 0)))
-        rhs = rhs + two[nu] * three
-    return lhs - rhs
+    f = potential if potential is not None else assemble_potential(table, policy)
+
+    def three_point(name):
+        return (f.derivative(t_name(gamma, k)).derivative(t_name(beta, j))
+                .derivative(name))
+
+    return _recursion_residual(f, table.model, alpha, i, three_point, policy)
 
 
 def averaged_trr_residual(table: CorrelatorTable, alpha: str, i: int,
                           policy: TruncationPolicy,
-                          potential: Optional[GradedSeries] = None,
-                          max_level: Optional[int] = None) -> GradedSeries:
+                          potential: Optional[GradedSeries] = None) -> GradedSeries:
     """N(N-1) df/dt^{alpha,i} - d2f/dt^{alpha,i-1}dt^mu eta N(N-1) df/dt^nu."""
-    model = table.model
     if i < 1:
         raise ValidationError("averaged recursion needs level >= 1", "i")
-    f = potential if potential is not None else assemble_potential(
-        table, policy, max_level=max_level)
+    f = potential if potential is not None else assemble_potential(table, policy)
 
-    def n_n_minus_one(s):
+    def n_n_minus_one(name):
+        s = f.derivative(name)
         return point_count(point_count(s)) - point_count(s)
 
-    lhs = n_n_minus_one(f.derivative(t_name(alpha, i)))
-    two = second_derivative_series(f, model, alpha, i - 1)
-    rhs = f.table.zero(policy)
-    for nu, cls in enumerate(model.classes):
-        if two[nu].is_zero():
-            continue
-        rhs = rhs + two[nu] * n_n_minus_one(f.derivative(t_name(cls.id, 0)))
-    return lhs - rhs
+    return _recursion_residual(f, table.model, alpha, i, n_n_minus_one, policy)
 
 
 @dataclass

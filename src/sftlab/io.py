@@ -24,7 +24,6 @@ COUNTS_SCHEMA = "sftlab-counts/1"
 PROFILES_SCHEMA = "sftlab-profiles/1"
 TABLE_SCHEMA = "sftlab-table/1"
 LEDGER_SCHEMA = "sftlab-ledger/1"
-REPORT_SCHEMA = "sftlab-report/1"
 
 
 def encode_rational(x) -> str:
@@ -45,9 +44,31 @@ def decode_rational(x, path="value") -> Fraction:
 
 
 def _require(obj, key, path):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected a JSON object, got {obj!r}", path)
     if key not in obj:
         raise ValidationError(f"missing field {key!r}", f"{path}.{key}")
     return obj[key]
+
+
+def _typed(obj, key, path, kind, default=None):
+    """obj[key], required to be a JSON list or object (``kind``); required
+    unless a default is given."""
+    value = _require(obj, key, path) if default is None else obj.get(key, default)
+    if not isinstance(value, kind):
+        raise ValidationError(f"expected a JSON {'list' if kind is list else 'object'}"
+                              f", got {value!r}", f"{path}.{key}")
+    return value
+
+
+def _objects(obj, key, path, required=True):
+    """(item path, item) of the JSON list obj[key], each item an object."""
+    items = _typed(obj, key, path, list, None if required else [])
+    for k, item in enumerate(items):
+        ipath = f"{path}.{key}[{k}]"
+        if not isinstance(item, dict):
+            raise ValidationError(f"expected a JSON object, got {item!r}", ipath)
+        yield ipath, item
 
 
 def _int_value(value, path, minimum=None):
@@ -68,7 +89,7 @@ def _int_field(obj, key, path, default=None, minimum=None):
 def _correlator_key(model: TargetModel, item, path):
     """The key of a primaries or table-values item: [class, level] pairs."""
     pairs = []
-    for i, ins in enumerate(_require(item, "insertions", path)):
+    for i, ins in enumerate(_typed(item, "insertions", path, list)):
         ipath = f"{path}.insertions[{i}]"
         if not isinstance(ins, list) or len(ins) != 2:
             raise ValidationError(f"expected [class, level], got {ins!r}", ipath)
@@ -76,7 +97,7 @@ def _correlator_key(model: TargetModel, item, path):
             model.class_index(str(ins[0]))
         pairs.append((ins[0], _int_value(ins[1], f"{ipath}[1]")))
     degree = [_int_value(x, f"{path}.degree[{i}]")
-              for i, x in enumerate(item.get("degree", []))]
+              for i, x in enumerate(_typed(item, "degree", path, list, []))]
     with under_path(path):
         return model.key(pairs, degree)
 
@@ -133,9 +154,8 @@ def model_to_dict(model: TargetModel) -> dict:
 
 def model_from_dict(obj: dict, path="model") -> TargetModel:
     _check_schema(obj, MODEL_SCHEMA, path)
-    classes = [(_require(c, "id", f"{path}.classes[{k}]"),
-                _int_field(c, "degree", f"{path}.classes[{k}]"))
-               for k, c in enumerate(_require(obj, "classes", path))]
+    classes = [(_require(c, "id", cpath), _int_field(c, "degree", cpath))
+               for cpath, c in _objects(obj, "classes", path)]
     eta = [[decode_rational(x, f"{path}.eta") for x in row]
            for row in _require(obj, "eta", path)]
     cup = obj.get("divisor_cup")
@@ -145,17 +165,16 @@ def model_from_dict(obj: dict, path="model") -> TargetModel:
     unit = _require(obj, "unit", path)
     h2_rank = _int_field(obj, "h2_rank", path, 0, minimum=0)
     chern = [_int_value(c, f"{path}.chern[{i}]")
-             for i, c in enumerate(obj.get("chern", []))]
+             for i, c in enumerate(_typed(obj, "chern", path, list, []))]
     with under_path(path):
         model = TargetModel(
             obj.get("name", "model"), classes, unit, eta, h2_rank=h2_rank,
             chern=chern, divisor=obj.get("divisor"), divisor_cup=cup,
             divisor_pairing=obj.get("divisor_pairing"),
             contact=obj.get("contact", False))
-    for k, p in enumerate(obj.get("primaries", [])):
-        ppath = f"{path}.primaries[{k}]"
+    for ppath, p in _objects(obj, "primaries", path, required=False):
         key = _correlator_key(model, p, ppath)
-        value = decode_rational(_require(p, "value", ppath), ppath)
+        value = decode_rational(_require(p, "value", ppath), f"{ppath}.value")
         with under_path(ppath, item=True):
             model.add_primary(key, value)
     return model
@@ -186,10 +205,9 @@ def table_to_dict(table: CorrelatorTable) -> dict:
 def table_from_dict(obj, model: TargetModel, path="table") -> CorrelatorTable:
     _check_schema(obj, TABLE_SCHEMA, path)
     table = CorrelatorTable(model)
-    for k, item in enumerate(obj.get("values", [])):
-        ipath = f"{path}.values[{k}]"
+    for ipath, item in _objects(obj, "values", path, required=False):
         key = _correlator_key(model, item, ipath)
-        value = decode_rational(_require(item, "value", ipath), ipath)
+        value = decode_rational(_require(item, "value", ipath), f"{ipath}.value")
         with under_path(ipath, item=True):
             table.set(key, value)
     return table
@@ -234,11 +252,19 @@ def counts_to_dict(data: ChainComplexData) -> dict:
     return out
 
 
+def _generator_key(entry, end, path):
+    """entry[end] as an (orbit id, flavor) generator key."""
+    value = _typed(entry, end, path, list)
+    if len(value) != 2 or not all(isinstance(x, str) for x in value):
+        raise ValidationError(f"expected [orbit, flavor], got {value!r}",
+                              f"{path}.{end}")
+    return tuple(value)
+
+
 def counts_from_dict(obj, path="counts") -> ChainComplexData:
     _check_schema(obj, COUNTS_SCHEMA, path)
     orbits = []
-    for k, o in enumerate(_require(obj, "orbits", path)):
-        opath = f"{path}.orbits[{k}]"
+    for opath, o in _objects(obj, "orbits", path):
         orbits.append(Orbit(_require(o, "id", opath), _int_field(o, "degree", opath),
                             _int_field(o, "multiplicity", opath, 1, minimum=1),
                             bool(o.get("good", True))))
@@ -246,21 +272,20 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
     model = model_from_dict(_require(obj, "model", path), f"{path}.model")
     table = table_from_dict(_require(obj, "table", path), model, f"{path}.table")
     entries = []
-    for k, e in enumerate(obj.get("entries", [])):
-        epath = f"{path}.entries[{k}]"
-        insertions = e.get("insertions", [])
+    for epath, e in _objects(obj, "entries", path, required=False):
+        insertions = _typed(e, "insertions", epath, list, [])
         for i, ins in enumerate(insertions):
             if not isinstance(ins, list) or len(ins) != 3:
                 raise ValidationError(f"expected [class, level, constrained], got {ins!r}",
                                       f"{epath}.insertions[{i}]")
         entries.append(CountEntry(
-            tuple(_require(e, "src", epath)), tuple(_require(e, "dst", epath)),
+            _generator_key(e, "src", epath), _generator_key(e, "dst", epath),
             tuple(Insertion(str(c), _int_value(a, f"{epath}.insertions[{i}][1]"),
                             bool(flag))
                   for i, (c, a, flag) in enumerate(insertions)),
             tuple(_int_value(x, f"{epath}.degree[{i}]")
-                  for i, x in enumerate(e.get("degree", []))),
-            decode_rational(_require(e, "value", epath), epath)))
+                  for i, x in enumerate(_typed(e, "degree", epath, list, []))),
+            decode_rational(_require(e, "value", epath), f"{epath}.value")))
     fiber_model = fiber_table = None
     if obj.get("fiber_model") is not None:
         fiber_model = model_from_dict(obj["fiber_model"], f"{path}.fiber_model")
@@ -272,7 +297,7 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
         return ChainComplexData(
             OrbitSet(orbits, equivariant),
             CountData(entries, obj.get("section_choice", "generic")),
-            model, table, level_bound, t_order, obj.get("contact", False),
+            model, table, level_bound, t_order, bool(obj.get("contact", False)),
             fiber_model, fiber_table, obj.get("wedge_map"),
             name=obj.get("name", "counts"))
 
@@ -343,15 +368,6 @@ def _marked_pair(value, path):
         raise ValidationError(f"expected two distinct points of 1..5, got {pair}",
                               path)
     return pair
-
-
-def _typed(obj, key, path, kind):
-    """obj[key], required to be a JSON list or object (``kind``)."""
-    value = _require(obj, key, path)
-    if not isinstance(value, kind):
-        raise ValidationError(f"expected a JSON {'list' if kind is list else 'object'}"
-                              f", got {value!r}", f"{path}.{key}")
-    return value
 
 
 def _labelled_rationals(obj, key, path):

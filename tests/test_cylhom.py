@@ -8,13 +8,15 @@ from sftlab.cylhom import (
     ChainComplexData, CountData, CountEntry, DressedComplex, Insertion, Orbit,
     OrbitSet, build_differential, build_floer_model, compare_equivariant_floer,
     compute_homology, contact_vanishing, d_squared_residual,
-    LinearChainMap, _exact_on_cycles, equivariant_trr_residuals,
-    extract_equivariant, extract_floer, noneq_trr_residuals, q_var_name,
-    quantum_action, t_name, tc_name, z_name,
+    LinearChainMap, _contract, _exact_on_cycles, _f_term_matrix,
+    equivariant_trr_residuals, extract_equivariant, extract_floer,
+    noneq_trr_residuals, q_var_name, quantum_action, t_name, tc_name, z_name,
 )
 from sftlab.errors import LabelMismatchError, ValidationError
-from sftlab.gw import CorrelatorTable, TargetModel
-from sftlab.linalg import kernel, rank
+from sftlab.gw import (
+    CorrelatorTable, TargetModel, assemble_potential, descendant_table,
+)
+from sftlab.linalg import _zp_add, kernel, rank
 from sftlab.models import point_model, projective_line_model, two_point_model
 from sftlab.suites import _generic_fixture, _trivial_02_fixture
 
@@ -349,7 +351,7 @@ def _per_entry_differential(cx, series):
     """Sum over count entries of value * q_dst * insertions * z^d * d/dq_src."""
     vt = cx.vt
     out = vt.zero(cx.policy)
-    for e in cx.entries:
+    for e in cx.data.counts.entries:
         factors = {q_var_name(e.dst): 1}
         for ins in e.insertions:
             name = (tc_name if ins.constrained else t_name)(ins.class_id, ins.level)
@@ -378,4 +380,126 @@ def test_grouped_dressed_differential_matches_per_entry_sum(name):
                 assert got.terms == want.terms
                 assert got.policy == want.policy
                 checked += not want.is_zero()
-        assert checked or not cx.entries
+        assert checked or not cx.data.counts.entries
+
+
+# -- one potential, one eta-contraction ---------------------------------------------
+
+
+def _reembedded_potential(cx):
+    """The potential assembled over gw's descendant table, then carried term
+    by term into the chain variable table by variable name."""
+    data = cx.data
+    f = assemble_potential(data.table, cx.policy, var_table=descendant_table(
+        data.model, data.level_bound))
+    terms = {}
+    for mono, c in f.terms.items():
+        names = ((f.table.variables[p].name, e) for p, e in mono)
+        terms[tuple(sorted((cx.vt.position(n), e) for n, e in names))] = c
+    return cx.vt.series(terms, cx.policy)
+
+
+@pytest.mark.parametrize("name", SHIPPED_COUNTS)
+def test_potential_equals_the_reembedded_descendant_potential(name):
+    data = sio.load_counts(sio.fixture_path(f"{name}.counts.json"))
+    cx = DressedComplex(data)
+    got, want = cx.potential(), _reembedded_potential(cx)
+    assert got.terms == want.terms and got.policy == want.policy
+    assert not want.is_zero()
+
+
+P1_TWO_POINT = {(("1", 0), ("1", 0)): ((0,), Fraction(1, 2)),
+                (("pt", 0), ("pt", 0)): ((1,), Fraction(3)),
+                (("1", 0), ("pt", 1)): ((1,), Fraction(-2))}
+
+
+def _p1_generic(f_term_scale=1):
+    """Generic data over P1 whose level-1 and level-2 constrained maps are the
+    contractions of stored two-point values with the level-0 maps, times
+    ``f_term_scale``; the plain differential is zero."""
+    m = projective_line_model()
+    table = CorrelatorTable(m)
+    table.set(m.key([("1", 0), ("1", 0), ("pt", 0)]), Fraction(1))
+    for ins, (degree, v) in P1_TWO_POINT.items():
+        table.set(m.key(ins, degree), v)
+    orbits = OrbitSet([Orbit("a", 2), Orbit("b", 0)], equivariant=False)
+    con = lambda cid, level: (Insertion(cid, level, True),)
+    entries = []
+    for o in ("a", "b"):
+        for fl in ("hat", "check"):
+            entries.append(CountEntry((o, fl), (o, fl), con("1", 0), (0,),
+                                      Fraction(1)))
+            # <pt pt>_1 eta^{pt 1}: z times the unit action
+            entries.append(CountEntry((o, fl), (o, fl), con("pt", 1), (1,),
+                                      3 * f_term_scale))
+    for fl in ("hat", "check"):
+        entries.append(CountEntry(("a", fl), ("b", fl), con("pt", 0), (0,),
+                                  Fraction(1)))
+        # <1 1>_0 eta^{1 pt} and <tau_1(pt) 1>_1 eta^{1 pt}: the pt action
+        entries.append(CountEntry(("a", fl), ("b", fl), con("1", 1), (0,),
+                                  Fraction(1, 2) * f_term_scale))
+        entries.append(CountEntry(("a", fl), ("b", fl), con("pt", 2), (1,),
+                                  -2 * f_term_scale))
+    return ChainComplexData(orbits, CountData(entries, "generic"), m, table,
+                            level_bound=2, t_order=1)
+
+
+def _f_term_by_two_point_scan(data, maps, alpha, i):
+    """sum_mu,nu <alpha_{i-1} mu_0>_d z^d eta^{mu nu} decorated(nu), read
+    off the stored two-point keys."""
+    model = data.model
+    coeffs = [{} for _ in model.classes]
+    for mu, cm in enumerate(model.classes):
+        pair = sorted(((alpha, i - 1), (cm.id, 0)))
+        for key, v in data.table.values.items():
+            if len(key.insertions) == 2 and sorted(key.insertions) == pair:
+                for nu in range(len(model.classes)):
+                    w = model.eta_inv[mu][nu]
+                    if w:
+                        coeffs[nu] = _zp_add(coeffs[nu], {key.degree: w * v})
+    return _contract(data.orbits, coeffs,
+                     [maps.decorated.get((c.id, 0, True)) for c in model.classes])
+
+
+def test_f_term_matrix_equals_the_two_point_scan():
+    data = _p1_generic()
+    maps = build_differential(data)
+    potential = DressedComplex(data).potential()
+    nonzero = 0
+    for alpha in ("1", "pt"):
+        for i in (1, 2):
+            got = _f_term_matrix(data, maps, potential, alpha, i)
+            want = _f_term_by_two_point_scan(data, maps, alpha, i)
+            assert got.entries == want.entries, (alpha, i)
+            nonzero += not want.is_zero()
+    assert nonzero == 3
+
+
+def test_two_point_values_enter_the_generic_exactness_check():
+    assert all(r.zero for r in noneq_trr_residuals(_p1_generic(), "(2,0)"))
+    bad = [r.name for r in noneq_trr_residuals(_p1_generic(2), "(2,0)")
+           if not r.zero]
+    assert bad == ["(2,0) on homology alpha=1 i=1", "(2,0) on homology alpha=pt i=1",
+                   "(2,0) on homology alpha=pt i=2"]
+
+
+# -- faults in the block comparison -------------------------------------------------
+
+
+def test_tripled_hat_action_breaks_only_the_floer_match():
+    data = sio.load_counts(sio.fixture_path("floer_point_20.counts.json"))
+    bad = data.perturbed(0, 3 * data.counts.entries[0].value)
+    cmp = compare_equivariant_floer(bad, "(2,0)", max_arg_order=1)
+    assert cmp.hat_check_equal and not cmp.floer_match
+    assert cmp.details == ["mismatch at class e, level 1",
+                           "mismatch at class e, level 2"]
+
+
+@pytest.mark.parametrize("variant", ["(2,0)", "(1,1)", "(0,2)"])
+def test_tripled_check_block_entry_breaks_only_hat_check_equality(variant):
+    data = sio.load_counts(sio.fixture_path("floer_point_20.counts.json"))
+    assert data.counts.entries[3].src == ("ep1", "check")
+    bad = data.perturbed(3, 3 * data.counts.entries[3].value)
+    cmp = compare_equivariant_floer(bad, variant, max_arg_order=1)
+    assert not cmp.hat_check_equal and cmp.floer_match
+    assert cmp.details == ["hat and check extractions disagree"]

@@ -198,6 +198,50 @@ def test_cli_counts_verification(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", [["--max-degree", "2"], ["--model", "point"]])
+def test_cli_verify_rejects_options_it_does_not_read(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "divisor", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_counts_check_error_is_not_a_failed_check(monkeypatch, capsys):
+    # a package error inside the recursion check exits 2 like any other
+    # command, instead of being recorded as a failing trr.label check
+    import sftlab.cli as cli
+    from sftlab.errors import SftlabError
+
+    def broken(data, variant, max_arg_order=None):
+        raise SftlabError("broken recursion check")
+
+    monkeypatch.setattr(cli.cylhom, "noneq_trr_residuals", broken)
+    code = main(["verify", "--suite", "cylhom", "--counts",
+                 str(sio.fixture_path("floer_point_20.counts.json"))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: broken recursion check" in captured.err
+    assert "trr.label" not in captured.out
+
+
+def test_cylhom_label_guard_does_not_pass_on_a_crash(monkeypatch):
+    # only a label mismatch counts as the guard holding; any other exception
+    # in the guarded call propagates
+    from sftlab import cylhom
+    from sftlab.suites import cylhom_suite
+
+    original = cylhom.noneq_trr_residuals
+
+    def crash_on_mismatch(data, variant, max_arg_order=None):
+        if (data.counts.section_choice, variant) == ("(2,0)", "(1,1)"):
+            raise ZeroDivisionError("bug")
+        return original(data, variant, max_arg_order)
+
+    monkeypatch.setattr(cylhom, "noneq_trr_residuals", crash_on_mismatch)
+    with pytest.raises(ZeroDivisionError):
+        cylhom_suite()
+
+
 def test_cli_input_error_exit_code(capsys):
     assert main(["homology", "--counts", "/does/not/exist.json"]) == 2
     assert "error" in capsys.readouterr().err
@@ -256,13 +300,28 @@ def _drop(path):
     (_set(("model", "eta"), [["1", "0"]]), "model.eta"),
     (_set(("entries", 0, "src"), ["nope", "hat"]), "entries[0].src"),
     (_set(("entries", 0, "dst"), ["b", "nope"]), "entries[0].dst"),
+    (_set(("entries", 0, "src"), 5), "entries[0].src"),
+    (_set(("entries", 0, "dst"), [["a"], "hat"]), "entries[0].dst"),
+    (_set(("orbits", 0), 5), "orbits[0]"),
+    (_set(("entries", 0), 5), "entries[0]"),
+    (_set(("entries", 0, "insertions"), 5), "entries[0].insertions"),
+    (_set(("table", "values", 0), 5), "table.values[0]"),
+    (_set(("model",), 5), "model"),
+    (_set(("entries", 0, "value"), "1/0"), "entries[0].value"),
+    (_set(("table", "values", 0, "value"), "x/y"), "table.values[0].value"),
+    (_set(("model", "primaries", 0, "value"), "1/0"), "model.primaries[0].value"),
+    (lambda obj: obj["table"]["values"].append(
+        {"insertions": [["e", 0]] * 4 + [["e", 2]], "value": "1"}), "table"),
 ], ids=["missing-id", "text-degree", "text-level-bound", "zero-multiplicity",
         "short-insertion", "text-insertion-level", "text-entry-degree",
         "model-class-missing-id", "model-class-text-degree",
         "primary-short-insertion", "primary-text-level", "primary-text-degree",
         "table-text-level", "table-insertion-not-a-pair", "table-missing-value",
         "model-text-h2-rank", "model-text-chern", "primary-unknown-class",
-        "model-eta-shape", "unknown-src", "unknown-dst"])
+        "model-eta-shape", "unknown-src", "unknown-dst", "int-src",
+        "unhashable-dst", "int-orbit", "int-entry", "int-insertions",
+        "int-table-value-item", "int-model", "bad-entry-rational",
+        "bad-table-rational", "bad-primary-rational", "table-level-above-bound"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)
@@ -284,7 +343,7 @@ def test_cylhom_suite_reports_a_corrupted_shipped_fixture(tmp_path, monkeypatch,
     bad.write_text(json.dumps(obj))
     monkeypatch.setattr(sio, "fixture_path", lambda name: tmp_path / name)
     assert main(["verify", "--suite", "cylhom"]) == 2
-    assert f"{bad}.entries[0]: bad rational '1/0'" in capsys.readouterr().err
+    assert f"{bad}.entries[0].value: bad rational '1/0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mutate, field", [

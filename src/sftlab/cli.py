@@ -1,10 +1,11 @@
 """Command-line interface: verification suites, reconstruction, exports.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 bad input (the error
-names the offending field), 3 internal error (an unexpected exception in
-sftlab itself; a traceback goes to stderr, or, for a verify check that
-raised, the check is reported with status ``error``).  Reports are
-deterministic byte-for-byte unless --timings is given.
+names the offending field, also when a verify check raised it), 3 internal
+error (an unexpected exception in sftlab itself; a traceback goes to
+stderr, or, for a verify check that raised, the check is reported with
+status ``error``).  Reports are deterministic byte-for-byte unless
+--timings is given, which adds each check's own runtime.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import cylhom, divisors, gw, hierarchy, io as sio
 from .errors import MissingPrimaryError, SftlabError, ValidationError, under_path
 from .models import BUILTIN_MODELS
 from .report import VerificationReport, merge_reports
-from .suites import SUITES
+from .suites import SUITES, counts_suite
 
 
 EXIT_INTERNAL = 3
@@ -58,43 +59,12 @@ def _suite_report(args, name) -> VerificationReport:
                             window=args.trunc_t)
     if name == "cylhom":
         if args.counts:
-            return _single_counts_report(sio.load_counts(args.counts))
+            return counts_suite(sio.load_counts(args.counts))
         return SUITES[name]()
     if name == "divisor":
         ledger = sio.load_ledger(args.ledger) if args.ledger else None
         return SUITES[name](ledger=ledger)
     raise SftlabError(f"unknown suite {name!r}")
-
-
-def _single_counts_report(data) -> VerificationReport:
-    """Checks applicable to one loaded count-data file."""
-    from .report import CheckRecord, FAIL, PASS
-    rep = VerificationReport(f"cylhom:{data.name}")
-    r, off = cylhom.d_squared_residual(data)
-    rep.add(CheckRecord("differential.squared", "d . d = 0",
-                        PASS if r.is_zero() else FAIL,
-                        "0" if r.is_zero() else str(off)))
-    if not data.orbits.equivariant:
-        plain = cylhom.build_differential(data).plain
-        offd = plain.block("check", "hat")
-        rep.add(CheckRecord("differential.off-diagonal",
-                            "hat-to-check plain block is zero",
-                            PASS if not offd else FAIL))
-        label = data.counts.section_choice
-        variant = "(2,0)" if label == "generic" else label
-        reports = cylhom.noneq_trr_residuals(data, variant, max_arg_order=1)
-        ok = all(x.zero for x in reports)
-        rep.add(CheckRecord(f"trr.{variant}",
-                            f"recursion {variant} residuals (as labeled)",
-                            PASS if ok else FAIL,
-                            "; ".join(x.summary() for x in reports
-                                      if not x.zero) or "0"))
-    if r.is_zero():
-        h = cylhom.compute_homology(data)
-        rep.add(CheckRecord("homology.betti",
-                            f"betti numbers {dict(sorted(h.betti.items()))}",
-                            PASS))
-    return rep.finalize()
 
 
 def cmd_reconstruct(args) -> int:

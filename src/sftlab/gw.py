@@ -23,7 +23,7 @@ from .algebra import (
     descendant_variable,
 )
 from .errors import MissingPrimaryError, ValidationError
-from .linalg import inverse
+from .linalg import _zp_add, _zp_mul, _zp_scale, inverse
 from .operators import point_count
 
 
@@ -678,21 +678,13 @@ class QuantumProduct:
                     for s in range(n):
                         acc = {}
                         for nu in range(n):
-                            _convolve_into(acc, self.constant(a, b, nu),
-                                           self.constant(nu, c, s), 1)
-                            _convolve_into(acc, self.constant(a, c, nu),
-                                           self.constant(nu, b, s), -1)
-                        acc = {d: v for d, v in acc.items() if v}
+                            acc = _zp_add(acc, _zp_mul(self.constant(a, b, nu),
+                                                       self.constant(nu, c, s)))
+                            acc = _zp_add(acc, _zp_scale(_zp_mul(
+                                self.constant(a, c, nu), self.constant(nu, b, s)), -1))
                         if acc:
                             bad[(a, b, c, s)] = acc
         return bad
-
-
-def _convolve_into(acc, poly1, poly2, sign):
-    for d1, v1 in poly1.items():
-        for d2, v2 in poly2.items():
-            d = tuple(x + y for x, y in zip(d1, d2)) if d1 else d2
-            acc[d] = acc.get(d, Fraction(0)) + sign * v1 * v2
 
 
 def quantum_product(model: TargetModel, table: CorrelatorTable,
@@ -720,13 +712,8 @@ def quantum_product(model: TargetModel, table: CorrelatorTable,
                     continue
                 for nu in range(n):
                     w = model.eta_inv[mu][nu]
-                    if not w:
-                        continue
-                    target = structure.setdefault((a, b, nu), {})
-                    for d, v in poly.items():
-                        target[d] = target.get(d, Fraction(0)) + w * v
-    for k in list(structure):
-        structure[k] = {d: v for d, v in structure[k].items() if v}
-        if not structure[k]:
-            del structure[k]
+                    if w:
+                        k = (a, b, nu)
+                        structure[k] = _zp_add(structure.get(k, {}), _zp_scale(poly, w))
+    structure = {k: v for k, v in structure.items() if v}
     return QuantumProduct(model, structure)

@@ -156,12 +156,21 @@ def model_from_dict(obj: dict, path="model") -> TargetModel:
     _check_schema(obj, MODEL_SCHEMA, path)
     classes = [(_require(c, "id", cpath), _int_field(c, "degree", cpath))
                for cpath, c in _objects(obj, "classes", path)]
-    eta = [[decode_rational(x, f"{path}.eta") for x in row]
-           for row in _require(obj, "eta", path)]
+    eta = []
+    for i, row in enumerate(_typed(obj, "eta", path, list)):
+        if not isinstance(row, list):
+            raise ValidationError(f"expected a JSON list, got {row!r}",
+                                  f"{path}.eta[{i}]")
+        eta.append([decode_rational(x, f"{path}.eta") for x in row])
     cup = obj.get("divisor_cup")
     if cup is not None:
         cup = {cid: {b: decode_rational(v, f"{path}.divisor_cup")
-                     for b, v in row.items()} for cid, row in cup.items()}
+                     for b, v in _typed(cup, cid, f"{path}.divisor_cup", dict).items()}
+               for cid in _typed(obj, "divisor_cup", path, dict)}
+    pairing = obj.get("divisor_pairing")
+    if pairing is not None:
+        pairing = [_int_value(x, f"{path}.divisor_pairing[{i}]")
+                   for i, x in enumerate(_typed(obj, "divisor_pairing", path, list))]
     unit = _require(obj, "unit", path)
     h2_rank = _int_field(obj, "h2_rank", path, 0, minimum=0)
     chern = [_int_value(c, f"{path}.chern[{i}]")
@@ -170,7 +179,7 @@ def model_from_dict(obj: dict, path="model") -> TargetModel:
         model = TargetModel(
             obj.get("name", "model"), classes, unit, eta, h2_rank=h2_rank,
             chern=chern, divisor=obj.get("divisor"), divisor_cup=cup,
-            divisor_pairing=obj.get("divisor_pairing"),
+            divisor_pairing=pairing,
             contact=obj.get("contact", False))
     for ppath, p in _objects(obj, "primaries", path, required=False):
         key = _correlator_key(model, p, ppath)

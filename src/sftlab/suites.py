@@ -1,9 +1,15 @@
 """Verification suites: every identity the engine asserts, as check records.
 
-Each suite function returns a VerificationReport whose checks carry the
-mathematical statement being verified and a residual summary.  Checks are
-pure and run one after another; records are sorted by id for deterministic
-output.
+A check is declared as ``(id, statement, thunk)``.  The thunk returns
+``(ok, residual, detail)``, ``ok`` None for a check that does not apply,
+plus the statement when that names a value the check computed.
+``_run_checks`` is the one place a check becomes a record: it times each
+thunk, records a crash as ``error`` (an SftlabError, bad input,
+propagates) and sorts the records by id.  Work that several checks share
+is a ``functools.cache`` closure run inside the first check that needs
+it, so its time and any crash in it land on that check.  The one
+exception are the algebra suite's ``random.*`` records, built from one
+streamed sample pass that clocks each identity.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 
 from . import cylhom, divisors, gw, gw_oracle, hierarchy
@@ -20,15 +27,9 @@ from .algebra import (
     GradedSeries, TruncationPolicy, VariableTable, mono_hbar_order,
     orbit_variable_pair, planck_variable, poisson_bracket, weyl_commutator,
 )
-from .errors import LabelMismatchError
+from .errors import LabelMismatchError, SftlabError
 from .models import point_model, two_point_model
 from .report import CheckRecord, ERROR, FAIL, PASS, SKIP, VerificationReport
-
-
-def _timed(fn):
-    t0 = time.monotonic()
-    out = fn()
-    return out, int((time.monotonic() - t0) * 1000)
 
 
 def _lap(spent, key, t):
@@ -38,30 +39,41 @@ def _lap(spent, key, t):
     return now
 
 
-def _record(report, check_id, statement, ok, residual="", detail="", ms=None,
-            skip=False):
-    status = SKIP if skip else (PASS if ok else FAIL)
-    report.add(CheckRecord(check_id, statement, status, residual, detail, ms))
-
-
 def _run_checks(report, checks):
-    """checks: list of (id, statement, thunk -> (ok, residual, detail)).
+    """Run each (id, statement, thunk) of ``checks`` into a record of
+    ``report``, with the thunk's own runtime; returns the finalized report.
 
     A thunk that raises is recorded with status ``error``, not ``fail``:
     the check reached no verdict, and the rest of the suite still runs.
+    An SftlabError is bad input, not a crash: it propagates, so the cli
+    exits 2 as for any other input error.
     """
-    def run(item):
-        cid, statement, thunk = item
+    for cid, statement, thunk in checks:
         t0 = time.monotonic()
         try:
-            ok, residual, detail = thunk()
-            status = PASS if ok else FAIL
+            ok, residual, detail, *named = thunk()
+            status = SKIP if ok is None else PASS if ok else FAIL
+            statement = named[0] if named else statement
+        except SftlabError:
+            raise
         except Exception as exc:  # noqa: BLE001 - one crash must not kill the suite
             status, residual, detail = ERROR, "", f"{type(exc).__name__}: {exc}"
         ms = int((time.monotonic() - t0) * 1000)
-        return CheckRecord(cid, statement, status, residual, detail, ms)
-    for item in checks:
-        report.add(run(item))
+        report.add(CheckRecord(cid, statement, status, residual, detail, ms))
+    return report.finalize()
+
+
+def _series_verdict(r, shown=None):
+    """Verdict of a residual that must vanish; a nonzero one is reported as
+    ``shown`` (default: the residual itself)."""
+    ok = r.is_zero()
+    return ok, "0" if ok else str(r if shown is None else shown), ""
+
+
+def _reports_verdict(reports):
+    """Verdict of cylhom ResidualReports: every one must be zero."""
+    bad = "; ".join(x.summary() for x in reports if not x.zero)
+    return not bad, bad or "0", ""
 
 
 # -- randomized series for the algebra suite ------------------------------------------
@@ -179,29 +191,33 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
         "hbar-linear-term": "hbar-linear part of [f,g] = {f,g} (even, hbar-free)",
     }
     for key, witness in failures.items():
-        _record(report, f"random.{key}", f"{statements[key]} ({samples} samples)",
-                witness is None, residual=witness or "0",
-                ms=int(spent[key] * 1000))
-    # pinned Weyl relations per multiplicity
-    for kappa in (1, 2, 3):
+        report.add(CheckRecord(
+            f"random.{key}", f"{statements[key]} ({samples} samples)",
+            PASS if witness is None else FAIL, witness or "0", "",
+            int(spent[key] * 1000)))
+
+    def weyl_relation(kappa):
         q, p = orbit_variable_pair("g", kappa, cz=0, half_dim=1,
                                    multiplicity=kappa)
         tb = VariableTable([q, p, planck_variable(1)])
-        w = weyl_commutator(tb.var(p.name), tb.var(q.name))
-        want = tb.monomial({"hbar": 1}, kappa)
-        _record(report, f"weyl.kappa{kappa}",
-                f"[p,q] = {kappa}*hbar at multiplicity {kappa}", w == want,
-                residual=str(w - want))
-    # determinism: canonical term order is reproducible under threading
-    table = _random_table(random.Random(7))
-    f = _random_series(random.Random(8), table, policy)
-    g = _random_series(random.Random(9), table, policy)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        outs = list(pool.map(lambda _: str(poisson_bracket(f, g)), range(8)))
-    _record(report, "determinism.bracket",
-            "identical inputs give byte-identical canonical output",
-            len(set(outs)) == 1)
-    return report.finalize()
+        return _series_verdict(weyl_commutator(tb.var(p.name), tb.var(q.name))
+                               - tb.monomial({"hbar": 1}, kappa))
+
+    def determinism():
+        """Canonical term order is reproducible under threading."""
+        table = _random_table(random.Random(7))
+        f = _random_series(random.Random(8), table, policy)
+        g = _random_series(random.Random(9), table, policy)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outs = list(pool.map(lambda _: str(poisson_bracket(f, g)), range(8)))
+        return len(set(outs)) == 1, "", ""
+
+    checks = [(f"weyl.kappa{kappa}", f"[p,q] = {kappa}*hbar at multiplicity {kappa}",
+               lambda kappa=kappa: weyl_relation(kappa)) for kappa in (1, 2, 3)]
+    checks.append(("determinism.bracket",
+                   "identical inputs give byte-identical canonical output",
+                   determinism))
+    return _run_checks(report, checks)
 
 
 def _hbar_coefficient(table, series, power):
@@ -219,168 +235,193 @@ def _hbar_coefficient(table, series, power):
 
 
 def hierarchy_suite(cover_bound=6, max_level=3) -> VerificationReport:
-    report = VerificationReport("hierarchy")
     levels = list(range(max_level + 1))
-    (residuals, hams), ms = _timed(
-        lambda: hierarchy.commutator_residuals(levels, cover_bound))
-    for i in levels:
-        for j in levels:
-            if j < i:
-                continue
-            r = residuals[i][j]
-            _record(report, f"commute.g{i}g{j}",
-                    f"{{g_{i}, g_{j}}} = 0 on the cover-{cover_bound} window",
-                    r.is_zero(), residual="0" if r.is_zero() else str(r), ms=ms)
+    brackets = cache(lambda: hierarchy.commutator_residuals(levels, cover_bound)[0])
+    checks = [(f"commute.g{i}g{j}",
+               f"{{g_{i}, g_{j}}} = 0 on the cover-{cover_bound} window",
+               lambda i=i, j=j: _series_verdict(brackets()[i][j]))
+              for i in levels for j in levels[i:]]
+
     # pinned small values
-    lat2 = hierarchy.OrbitLattice(2)
-    tb = lat2.table()
-    g0 = hierarchy.circle_hamiltonian(lat2, 0, table=tb)
-    want = tb.monomial({"q[o,1]": 2, "p[o,2]": 1}, Fraction(1, 2)) + \
-        tb.monomial({"q[o,2]": 1, "p[o,1]": 2}, Fraction(1, 2))
-    _record(report, "values.g0", "g_0 at cover 2 = q1^2 p2/2 + q2 p1^2/2",
-            g0 == want, residual=str(g0 - want))
-    lat1 = hierarchy.OrbitLattice(1)
-    tb1 = lat1.table()
-    g1 = hierarchy.circle_hamiltonian(lat1, 1, table=tb1)
-    want1 = tb1.monomial({"q[o,1]": 2, "p[o,1]": 2}, Fraction(1, 4))
-    _record(report, "values.g1", "g_1 at cover 1 = q1^2 p1^2 / 4", g1 == want1)
-    _record(report, "values.g0_empty", "g_0 at cover 1 = 0 (no zero-sum triple)",
-            hierarchy.circle_hamiltonian(hierarchy.OrbitLattice(1), 0).is_zero())
-    # winding homogeneity
-    lat = hierarchy.OrbitLattice(3)
-    tbl = lat.table()
-    ok = True
-    for j in levels:
-        h = hierarchy.circle_hamiltonian(lat, j, table=tbl)
-        for mono in h.terms:
-            w = sum((v.indices[1] if v.kind == "q" else -v.indices[1]) * e
-                    for (p, e), v in ((pe, tbl.variables[pe[0]]) for pe in mono))
-            if w != 0:
-                ok = False
-    _record(report, "winding.zero", "every monomial has zero total winding", ok)
+    def g0_value():
+        lat2 = hierarchy.OrbitLattice(2)
+        tb = lat2.table()
+        return _series_verdict(
+            hierarchy.circle_hamiltonian(lat2, 0, table=tb)
+            - tb.monomial({"q[o,1]": 2, "p[o,2]": 1}, Fraction(1, 2))
+            - tb.monomial({"q[o,2]": 1, "p[o,1]": 2}, Fraction(1, 2)))
+
+    def g1_value():
+        lat1 = hierarchy.OrbitLattice(1)
+        tb1 = lat1.table()
+        g1 = hierarchy.circle_hamiltonian(lat1, 1, table=tb1)
+        return g1 == tb1.monomial({"q[o,1]": 2, "p[o,1]": 2}, Fraction(1, 4)), "", ""
+
+    def winding():
+        lat = hierarchy.OrbitLattice(3)
+        tbl = lat.table()
+
+        def total(mono):
+            return sum((v.indices[1] if v.kind == "q" else -v.indices[1]) * e
+                       for v, e in ((tbl.variables[p], e) for p, e in mono))
+        hams = (hierarchy.circle_hamiltonian(lat, j, table=tbl) for j in levels)
+        return all(total(m) == 0 for h in hams for m in h.terms), "", ""
+
     # geodesic builder: maximal grading reduces to the circle sum
     grading = hierarchy.GradingProfile({n: 2 for n in range(1, 4)}, half_dim=5)
-    signs = hierarchy.SignProfile()
     lat5 = hierarchy.OrbitLattice(3, half_dim=5)
-    ok = True
-    for j in (0, 1):
-        geo = hierarchy.geodesic_hamiltonian(lat5, j, grading, signs)
-        circ = hierarchy.circle_hamiltonian(
-            hierarchy.OrbitLattice(3, half_dim=5,
-                                   q_degree=grading.q_degree), j)
-        if {m: c for m, c in geo.terms.items()} != circ.terms:
-            ok = False
-    _record(report, "geodesic.maximal",
-            "maximal grading and +1 signs reduce to the circle sum", ok)
-    # bad covers kill monomials
-    bad = hierarchy.SignProfile(bad_covers=frozenset({2}))
-    geo = hierarchy.geodesic_hamiltonian(lat5, 0, grading, bad)
-    touched = any(v.indices[1] == 2
-                  for mono in geo.terms for p, _ in mono
-                  for v in [lat5.table().variables[p]])
-    _record(report, "geodesic.bad-orbit",
-            "monomials touching a bad cover vanish", not touched)
-    return report.finalize()
+
+    def geodesic_maximal():
+        circle = hierarchy.OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
+        same = all(hierarchy.geodesic_hamiltonian(lat5, j, grading,
+                                                  hierarchy.SignProfile()).terms
+                   == hierarchy.circle_hamiltonian(circle, j).terms for j in (0, 1))
+        return same, "", ""
+
+    def geodesic_bad_orbit():
+        """Bad covers kill monomials."""
+        bad = hierarchy.SignProfile(bad_covers=frozenset({2}))
+        geo = hierarchy.geodesic_hamiltonian(lat5, 0, grading, bad)
+        touched = any(v.indices[1] == 2
+                      for mono in geo.terms for p, _ in mono
+                      for v in [lat5.table().variables[p]])
+        return not touched, "", ""
+
+    checks += [
+        ("values.g0", "g_0 at cover 2 = q1^2 p2/2 + q2 p1^2/2", g0_value),
+        ("values.g1", "g_1 at cover 1 = q1^2 p1^2 / 4", g1_value),
+        ("values.g0_empty", "g_0 at cover 1 = 0 (no zero-sum triple)",
+         lambda: (hierarchy.circle_hamiltonian(hierarchy.OrbitLattice(1), 0)
+                  .is_zero(), "", "")),
+        ("winding.zero", "every monomial has zero total winding", winding),
+        ("geodesic.maximal",
+         "maximal grading and +1 signs reduce to the circle sum", geodesic_maximal),
+        ("geodesic.bad-orbit", "monomials touching a bad cover vanish",
+         geodesic_bad_orbit),
+    ]
+    return _run_checks(VerificationReport("hierarchy"), checks)
 
 
 # -- gw ------------------------------------------------------------------------------
 
 
 def gw_suite(max_points=8, max_level=4, window=5) -> VerificationReport:
-    report = VerificationReport("gw")
-    model = point_model()
-    bounds = gw.Bounds(max_points=max_points, max_level=max_level)
-    (table, ms) = _timed(lambda: gw.reconstruct(model, bounds))
-    # oracle comparison over everything in bounds
-    bad = []
-    for n in range(3, max_points + 1):
-        for levels in combinations_with_replacement(range(max_level + 1), n):
-            key = model.key([("e", a) for a in levels])
-            want = gw_oracle.point_correlator(tuple(levels))
-            closed = gw_oracle.point_correlator_closed_form(tuple(levels))
-            if want != closed or table.get(key) != want:
-                bad.append((levels, table.get(key), want, closed))
-    _record(report, "point.oracle",
-            f"reconstruction matches the forgetful-recursion oracle and the "
-            f"multinomial closed form (n <= {max_points})",
-            not bad, residual=str(bad[:3]) if bad else "0", ms=ms)
-    # choice independence of the recursion
-    ok = _choice_independence(model, min(max_points, 7), min(max_level, 3))
-    _record(report, "point.choice-independence",
-            "all admissible reference-pair choices give the same values (n <= 7)",
-            ok)
-    # two-point toy oracle
-    toy = two_point_model()
-    tbounds = gw.Bounds(max_points=min(max_points, 7), max_level=3)
-    ttable = gw.reconstruct(toy, tbounds)
-    bad2 = []
-    for key in gw.enumerate_keys(toy, tbounds):
-        if ttable.get(key) != gw_oracle.two_point_correlator(key.insertions):
-            bad2.append(key)
-    _record(report, "toy.oracle",
-            "toy-model reconstruction matches the two-branch oracle",
-            not bad2, residual=str(bad2[:3]) if bad2 else "0")
-    # TRR residuals, exact within the reliable window
-    checks = []
-    for name, mdl, tbl, bnd in (("point", model, table, bounds),
-                                ("toy", toy, ttable, tbounds)):
-        policy = TruncationPolicy(max_t_order=bnd.max_points)
-        f = gw.assemble_potential(tbl, policy, max_level=bnd.max_level)
+    model, toy = point_model(), two_point_model()
+    cases = {"point": (model, gw.Bounds(max_points=max_points, max_level=max_level)),
+             "toy": (toy, gw.Bounds(max_points=min(max_points, 7), max_level=3))}
+
+    def policy(name):
+        return TruncationPolicy(max_t_order=cases[name][1].max_points)
+
+    @cache
+    def table(name):
+        return gw.reconstruct(*cases[name])
+
+    @cache
+    def potential(name):
+        return gw.assemble_potential(table(name), policy(name),
+                                     max_level=cases[name][1].max_level)
+
+    @cache
+    def equations(name):
+        return gw.string_dilaton_divisor_residuals(
+            table(name), policy(name), potential=potential(name),
+            max_level=cases[name][1].max_level)
+
+    product = cache(lambda: gw.quantum_product(toy, table("toy")))
+
+    def point_oracle():
+        """Oracle comparison over everything in bounds."""
+        ptable, bad = table("point"), []
+        for n in range(3, max_points + 1):
+            for levels in combinations_with_replacement(range(max_level + 1), n):
+                key = model.key([("e", a) for a in levels])
+                want = gw_oracle.point_correlator(tuple(levels))
+                closed = gw_oracle.point_correlator_closed_form(tuple(levels))
+                if want != closed or ptable.get(key) != want:
+                    bad.append((levels, ptable.get(key), want, closed))
+        return not bad, str(bad[:3]) if bad else "0", ""
+
+    def toy_oracle():
+        ttable = table("toy")
+        bad = [key for key in gw.enumerate_keys(toy, cases["toy"][1])
+               if ttable.get(key) != gw_oracle.two_point_correlator(key.insertions)]
+        return not bad, str(bad[:3]) if bad else "0", ""
+
+    checks = [
+        ("point.oracle",
+         f"reconstruction matches the forgetful-recursion oracle and the "
+         f"multinomial closed form (n <= {max_points})", point_oracle),
+        ("point.choice-independence",
+         "all admissible reference-pair choices give the same values (n <= 7)",
+         lambda: (_choice_independence(model, min(max_points, 7),
+                                       min(max_level, 3)), "", "")),
+        ("toy.oracle", "toy-model reconstruction matches the two-branch oracle",
+         toy_oracle),
+    ]
+
+    def equation_checks(name, mdl, bnd):
+        """TRR residuals, exact within the reliable window."""
         win_t = min(window, bnd.max_points - 3)
-        cls = mdl.classes[-1].id
-        r = gw.trr_residual(tbl, (cls, 1), (mdl.classes[0].id, 0),
-                            (mdl.classes[0].id, 0), policy, potential=f)
-        r = gw.restrict_series_max_t_order(r, win_t)
-        _record(report, f"trr.{name}",
-                f"three-point recursion residual 0 up to t-order {win_t}",
-                r.is_zero(), residual=str(r) if not r.is_zero() else "0")
-        ra = gw.averaged_trr_residual(tbl, cls, 1, policy, potential=f)
-        ra = gw.restrict_series_max_t_order(ra, win_t)
-        _record(report, f"trr.averaged.{name}",
-                f"averaged recursion residual 0 up to t-order {win_t}",
-                ra.is_zero(), residual=str(ra) if not ra.is_zero() else "0")
-        eq = gw.string_dilaton_divisor_residuals(tbl, policy, potential=f,
-                                                 max_level=bnd.max_level)
         win = bnd.max_points - 1
-        s = gw.restrict_series_max_t_order(eq.string, win)
-        _record(report, f"string.{name}",
-                f"string equation residual 0 up to t-order {win}", s.is_zero(),
-                residual=str(s) if not s.is_zero() else "0")
-        d = gw.restrict_series_max_t_order(eq.dilaton, win)
-        _record(report, f"dilaton.{name}",
-                f"dilaton equation residual 0 up to t-order {win}", d.is_zero(),
-                residual=str(d) if not d.is_zero() else "0")
-        if not eq.divisor_applicable:
-            report.add(CheckRecord(f"divisor.{name}",
-                                   "divisor equation (no degree-2 class)",
-                                   SKIP, detail="not applicable"))
-    # fault injection must be detected
-    fault_key = model.key([("e", 1)] + [("e", 0)] * 3)
-    bad_table = table.perturbed(fault_key, Fraction(2))
-    policy = TruncationPolicy(max_t_order=bounds.max_points)
-    fbad = gw.assemble_potential(bad_table, policy, max_level=bounds.max_level)
-    r = gw.restrict_series_max_t_order(
-        gw.trr_residual(bad_table, ("e", 1), ("e", 0), ("e", 0), policy,
-                        potential=fbad), 5)
-    ra = gw.restrict_series_max_t_order(
-        gw.averaged_trr_residual(bad_table, "e", 1, policy, potential=fbad), 5)
-    _record(report, "trr.fault-detection",
-            "perturbed table produces nonzero recursion residuals",
-            (not r.is_zero()) and (not ra.is_zero()))
-    # quantum product axioms
-    qp = gw.quantum_product(toy, ttable)
-    _record(report, "quantum.unit", "unit class is the quantum-product unit",
-            not qp.unit_axiom_violations())
-    _record(report, "quantum.wdvv", "quantum product is associative (toy model)",
-            not qp.associativity_residuals())
-    # assembly round trip
-    f = gw.assemble_potential(table, TruncationPolicy(max_t_order=max_points),
-                              max_level=max_level)
-    ok = all(gw.correlator_from_potential(f, model, key) == v
-             for key, v in table.values.items())
-    _record(report, "potential.round-trip",
-            "t-derivatives of the potential at 0 return the table values", ok)
-    return report.finalize()
+        cls, first = mdl.classes[-1].id, mdl.classes[0].id
+
+        def trr():
+            return gw.trr_residual(table(name), (cls, 1), (first, 0), (first, 0),
+                                   policy(name), potential=potential(name))
+
+        def averaged():
+            return gw.averaged_trr_residual(table(name), cls, 1, policy(name),
+                                            potential=potential(name))
+
+        def verdict(residual, order):
+            return lambda: _series_verdict(
+                gw.restrict_series_max_t_order(residual(), order))
+        return [
+            (f"trr.{name}",
+             f"three-point recursion residual 0 up to t-order {win_t}",
+             verdict(trr, win_t)),
+            (f"trr.averaged.{name}",
+             f"averaged recursion residual 0 up to t-order {win_t}",
+             verdict(averaged, win_t)),
+            (f"string.{name}", f"string equation residual 0 up to t-order {win}",
+             verdict(lambda: equations(name).string, win)),
+            (f"dilaton.{name}", f"dilaton equation residual 0 up to t-order {win}",
+             verdict(lambda: equations(name).dilaton, win)),
+            # neither model has a degree-2 class
+            (f"divisor.{name}", "divisor equation (no degree-2 class)",
+             lambda: (None, "", "not applicable")),
+        ]
+
+    for name, (mdl, bnd) in cases.items():
+        checks += equation_checks(name, mdl, bnd)
+
+    def fault_detection():
+        """Fault injection must be detected."""
+        bad_table = table("point").perturbed(
+            model.key([("e", 1)] + [("e", 0)] * 3), Fraction(2))
+        pol = policy("point")
+        fbad = gw.assemble_potential(bad_table, pol, max_level=max_level)
+        r = gw.restrict_series_max_t_order(
+            gw.trr_residual(bad_table, ("e", 1), ("e", 0), ("e", 0), pol,
+                            potential=fbad), 5)
+        ra = gw.restrict_series_max_t_order(
+            gw.averaged_trr_residual(bad_table, "e", 1, pol, potential=fbad), 5)
+        return not r.is_zero() and not ra.is_zero(), "", ""
+
+    checks += [
+        ("trr.fault-detection",
+         "perturbed table produces nonzero recursion residuals", fault_detection),
+        ("quantum.unit", "unit class is the quantum-product unit",
+         lambda: (not product().unit_axiom_violations(), "", "")),
+        ("quantum.wdvv", "quantum product is associative (toy model)",
+         lambda: (not product().associativity_residuals(), "", "")),
+        ("potential.round-trip",
+         "t-derivatives of the potential at 0 return the table values",
+         lambda: (all(gw.correlator_from_potential(potential("point"), model, key)
+                      == v for key, v in table("point").values.items()), "", "")),
+    ]
+    return _run_checks(VerificationReport("gw"), checks)
 
 
 def _choice_independence(model, max_points, max_level) -> bool:
@@ -415,111 +456,125 @@ def _choice_independence(model, max_points, max_level) -> bool:
 
 def cylhom_suite(datasets=None) -> VerificationReport:
     """Floer-model fixtures: differentials, recursion, action, homology."""
-    report = VerificationReport("cylhom")
     if datasets is None:
         datasets = default_cylhom_fixtures()
     data20 = datasets["(2,0)"]
-    t0 = time.monotonic()
-    r, off = cylhom.d_squared_residual(data20)
-    _record(report, "differential.squared", "d . d = 0", r.is_zero(),
-            residual="0" if r.is_zero() else str(off))
-    plain = cylhom.build_differential(data20).plain
-    offdiag = plain.block("check", "hat")
-    _record(report, "differential.off-diagonal",
-            "hat-to-check block of the plain differential is zero",
-            not offdiag)
-    reps = cylhom.noneq_trr_residuals(data20, "(2,0)", max_arg_order=1)
-    _record(report, "trr.noneq.(2,0)",
-            "constrained recursion (2,0) holds at chain level",
-            all(x.zero for x in reps),
-            residual="; ".join(x.summary() for x in reps if not x.zero) or "0")
-    data11 = datasets["(1,1)"]
-    reps = cylhom.noneq_trr_residuals(data11, "(1,1)", max_arg_order=1)
-    _record(report, "trr.noneq.(1,1)",
-            "constrained recursion (1,1) holds at chain level (order-1 data)",
-            all(x.zero for x in reps),
-            residual="; ".join(x.summary() for x in reps if not x.zero) or "0")
-    data02 = datasets["(0,2)"]
-    reps = cylhom.noneq_trr_residuals(data02, "(0,2)", max_arg_order=1)
-    _record(report, "trr.noneq.(0,2)",
-            "constrained recursion (0,2) holds at chain level (trivial data)",
-            all(x.zero for x in reps),
-            residual="; ".join(x.summary() for x in reps if not x.zero) or "0")
-    # label mismatch is rejected
-    try:
-        cylhom.noneq_trr_residuals(data20, "(1,1)")
-        mismatch_ok = False
-    except LabelMismatchError:
-        mismatch_ok = True
-    _record(report, "trr.label-guard",
-            "checking an identity against data for another section choice "
-            "is rejected", mismatch_ok)
-    # fault detection
-    fault = data20.perturbed(0, Fraction(5))
-    reps = cylhom.noneq_trr_residuals(fault, "(2,0)", max_arg_order=1)
-    _record(report, "trr.fault-detection",
-            "perturbed counts give a nonzero (2,0) residual",
-            any(not x.zero for x in reps))
-    # block comparisons
-    for variant in ("(2,0)", "(1,1)", "(0,2)"):
+    noneq = cylhom.noneq_trr_residuals
+
+    def label_guard():
+        """Checking data against another section choice's identity raises."""
+        try:
+            noneq(data20, "(1,1)")
+        except LabelMismatchError:
+            return True, "", ""
+        return False, "", ""
+
+    def eq_vs_floer(variant):
         cmp = cylhom.compare_equivariant_floer(data20, variant, max_arg_order=1)
-        _record(report, f"blocks.eq-vs-floer.{variant}",
-                f"equivariant {variant} residuals equal the fixed-period "
-                f"restriction block by block",
-                cmp.hat_check_equal and cmp.floer_match,
-                detail="; ".join(cmp.details))
-    ext = cylhom.extract_equivariant(data20, "hat")
-    _record(report, "blocks.structure",
-            "hat and check diagonal blocks agree; free diagonal matches the "
-            "constrained off-diagonal",
-            ext.plain_blocks_equal and ext.identification_consistent
-            and ext.offdiag_plain_zero)
-    # contact vanishing
-    cv = cylhom.contact_vanishing(data20)
-    _record(report, "contact.vanishing",
-            "level >= 1 decorated maps vanish on homology (contact model, "
-            "level 0 exempt)", cv.applicable and cv.passed,
-            detail=str(cv.checked))
-    noncontact = datasets.get("noncontact")
-    if noncontact is not None:
-        cv2 = cylhom.contact_vanishing(noncontact)
-        report.add(CheckRecord("contact.not-applicable",
-                               "vanishing check skipped for non-contact model",
-                               PASS if not cv2.applicable else FAIL,
-                               detail=cv2.reason))
-    # quantum action
-    qa = cylhom.quantum_action(data20)
-    _record(report, "action.axioms",
-            "action maps descend, the unit acts as the identity, and "
-            "composition matches the three-point structure constants "
-            "up to boundaries", qa.passed, detail="; ".join(qa.failures))
-    # homology
-    h = cylhom.compute_homology(data20)
-    periods = {o.multiplicity for o in data20.orbits.orbits}
-    expected_total = 2 * len(data20.orbits.orbits)
-    _record(report, "homology.betti",
-            "zero differential: every hat and check generator survives",
-            h.total() == expected_total,
-            detail=f"betti {dict(sorted(h.betti.items()))}")
+        return cmp.hat_check_equal and cmp.floer_match, "", "; ".join(cmp.details)
+
+    def structure():
+        ext = cylhom.extract_equivariant(data20, "hat")
+        return (ext.plain_blocks_equal and ext.identification_consistent
+                and ext.offdiag_plain_zero), "", ""
+
+    def contact():
+        cv = cylhom.contact_vanishing(data20)
+        return cv.applicable and cv.passed, "", str(cv.checked)
+
+    def action():
+        qa = cylhom.quantum_action(data20)
+        return qa.passed, "", "; ".join(qa.failures)
+
+    def homology():
+        h = cylhom.compute_homology(data20)
+        return (h.total() == 2 * len(data20.orbits.orbits), "",
+                f"betti {dict(sorted(h.betti.items()))}")
+
+    checks = [
+        ("differential.squared", "d . d = 0",
+         lambda: _series_verdict(*cylhom.d_squared_residual(data20))),
+        ("differential.off-diagonal",
+         "hat-to-check block of the plain differential is zero",
+         lambda: (not cylhom.build_differential(data20).plain.block("check", "hat"),
+                  "", "")),
+        *[(f"trr.noneq.{variant}",
+           f"constrained recursion {variant} holds at chain level{note}",
+           lambda variant=variant: _reports_verdict(
+               noneq(datasets[variant], variant, max_arg_order=1)))
+          for variant, note in (("(2,0)", ""), ("(1,1)", " (order-1 data)"),
+                                ("(0,2)", " (trivial data)"))],
+        ("trr.label-guard",
+         "checking an identity against data for another section choice "
+         "is rejected", label_guard),
+        ("trr.fault-detection", "perturbed counts give a nonzero (2,0) residual",
+         lambda: (any(not x.zero for x in noneq(data20.perturbed(0, Fraction(5)),
+                                                "(2,0)", max_arg_order=1)),
+                  "", "")),
+        *[(f"blocks.eq-vs-floer.{variant}",
+           f"equivariant {variant} residuals equal the fixed-period "
+           f"restriction block by block", lambda variant=variant: eq_vs_floer(variant))
+          for variant in ("(2,0)", "(1,1)", "(0,2)")],
+        ("blocks.structure",
+         "hat and check diagonal blocks agree; free diagonal matches the "
+         "constrained off-diagonal", structure),
+        ("contact.vanishing",
+         "level >= 1 decorated maps vanish on homology (contact model, "
+         "level 0 exempt)", contact),
+        ("action.axioms",
+         "action maps descend, the unit acts as the identity, and "
+         "composition matches the three-point structure constants "
+         "up to boundaries", action),
+        ("homology.betti",
+         "zero differential: every hat and check generator survives", homology),
+    ]
+    if "noncontact" in datasets:
+        def not_applicable():
+            cv = cylhom.contact_vanishing(datasets["noncontact"])
+            return not cv.applicable, "", cv.reason
+        checks.append(("contact.not-applicable",
+                       "vanishing check skipped for non-contact model",
+                       not_applicable))
     # generic-labeled data: exactness on homology instead of chain identity
-    generic = datasets.get("generic")
-    if generic is not None:
-        reps = cylhom.noneq_trr_residuals(generic, "(2,0)")
-        _record(report, "trr.generic-exactness",
-                "(2,0) residual maps cycles into boundaries for generic "
-                "section data", all(x.zero for x in reps),
-                residual="; ".join(x.summary() for x in reps if not x.zero) or "0")
-        fault2 = datasets.get("generic-fault")
-        if fault2 is not None:
-            reps = cylhom.noneq_trr_residuals(fault2, "(2,0)")
-            _record(report, "trr.generic-fault",
-                    "non-exact residual on generic data is detected",
-                    any(not x.zero for x in reps))
-    ms = int((time.monotonic() - t0) * 1000)
-    for c in report.checks:
-        if c.runtime_ms is None:
-            c.runtime_ms = ms
-    return report.finalize()
+    if "generic" in datasets:
+        checks.append(("trr.generic-exactness",
+                       "(2,0) residual maps cycles into boundaries for generic "
+                       "section data",
+                       lambda: _reports_verdict(noneq(datasets["generic"], "(2,0)"))))
+    if "generic-fault" in datasets:
+        checks.append(("trr.generic-fault",
+                       "non-exact residual on generic data is detected",
+                       lambda: (any(not x.zero for x in
+                                    noneq(datasets["generic-fault"], "(2,0)")),
+                                "", "")))
+    return _run_checks(VerificationReport("cylhom"), checks)
+
+
+def counts_suite(data) -> VerificationReport:
+    """Checks applicable to one loaded count-data file (``verify --counts``)."""
+    d_squared = cache(lambda: cylhom.d_squared_residual(data))
+
+    def homology():
+        if not d_squared()[0].is_zero():
+            return None, "", "needs d . d = 0"
+        betti = cylhom.compute_homology(data).betti
+        return True, "", "", f"betti numbers {dict(sorted(betti.items()))}"
+
+    checks = [("differential.squared", "d . d = 0",
+               lambda: _series_verdict(*d_squared()))]
+    if not data.orbits.equivariant:
+        label = data.counts.section_choice
+        variant = "(2,0)" if label == "generic" else label
+        checks += [
+            ("differential.off-diagonal", "hat-to-check plain block is zero",
+             lambda: (not cylhom.build_differential(data).plain.block("check", "hat"),
+                      "", "")),
+            (f"trr.{variant}", f"recursion {variant} residuals (as labeled)",
+             lambda: _reports_verdict(cylhom.noneq_trr_residuals(
+                 data, variant, max_arg_order=1))),
+        ]
+    checks.append(("homology.betti", "betti numbers", homology))
+    return _run_checks(VerificationReport(f"cylhom:{data.name}"), checks)
 
 
 CYLHOM_FIXTURE_FILES = {
@@ -605,82 +660,94 @@ def _generic_fixture(exact=True):
 
 
 def divisor_suite(ledger=None) -> VerificationReport:
-    report = VerificationReport("divisor")
-    e4 = divisors.averaged_psi(4, 1)
-    ok4 = sorted(e4.coefficients.values()) == [Fraction(1, 3)] * 3
-    _record(report, "psi.four-points",
-            "averaged psi locus on 4 points has coefficients 1/3", ok4,
-            residual=str(e4))
-    e5 = divisors.averaged_psi(5, 1)
-    ok5 = all(
-        c == (Fraction(1, 2) if 1 in divisors.as_pair_divisor(s, 5)
-              else Fraction(1, 6))
-        for s, c in e5.coefficients.items()) and len(e5.coefficients) == 10
-    _record(report, "psi.five-points",
-            "averaged psi locus on 5 points: 1/2 on pairs through the "
-            "descendant point, 1/6 elsewhere", ok5)
-    _record(report, "psi.three-points", "no admissible splitting on 3 points",
-            not divisors.averaged_psi(3, 1).coefficients)
-    # pairing table and the psi-square cross-check
-    table_ok = (divisors.m05_pair_index(frozenset({1, 2}), frozenset({3, 4})) == 1
-                and divisors.m05_pair_index(frozenset({1, 2}),
-                                            frozenset({1, 2})) == -1
-                and divisors.m05_pair_index(frozenset({1, 2}),
-                                            frozenset({1, 5})) == 0)
-    _record(report, "pairing.table",
-            "pair divisors: disjoint +1, one common index 0, equal -1", table_ok)
-    square = divisors.m05_intersection(e5, e5)
-    oracle = gw_oracle.point_correlator((2, 0, 0, 0, 0))
-    _record(report, "pairing.psi-square",
-            "self-pairing of the averaged locus equals the descendant "
-            "integral on 5 points", square == oracle,
-            residual=f"{square} vs oracle {oracle}")
-    # perturbation ledger
     if ledger is None:
         from . import io as sio
         ledger = sio.load_ledger(sio.fixture_path("m05_ledger.json"))
-    violations = divisors.ledger_check(ledger)
-    _record(report, "ledger.consistency",
-            "perturbation ledger: assigned indices sum to weight times "
-            "pairing", not violations,
-            residual="; ".join(map(str, violations)) or "0")
-    bad = {"self_intersections":
-           [dict(ledger["self_intersections"][0])], "cross_intersections": []}
-    bad["self_intersections"][0] = dict(bad["self_intersections"][0])
-    bad["self_intersections"][0]["at"] = [
-        [loc, str(-Fraction(idx))] for loc, idx in
-        ledger["self_intersections"][0]["at"]]
-    _record(report, "ledger.fault-detection",
-            "a flipped sign in the ledger is reported",
-            bool(divisors.ledger_check(bad)))
-    problems = divisors.restriction_check(ledger["restrictions"])
-    _record(report, "ledger.restriction",
-            "five-point locus restricted to each pair divisor reproduces the "
-            "four-point coefficients", not problems,
-            residual="; ".join(problems) or "0")
-    # zero loci and the exact combinations (parallelizable)
-    combos = []
-    for (r, p) in ((2, 2), (3, 3), (4, 4)):
-        pos = p // 2
-        neg = p - pos
-        exprs = [divisors.map_zero_locus(r, pos, neg, v) for v in "ABC"]
-        for target in ("two-punctures", "puncture-point", "two-points"):
-            def thunk(exprs=exprs, target=target, r=r, p=p):
-                finding = divisors.solve_combination(exprs, target, r, p)
-                ok = finding.degenerate or (finding.feasible
-                                            and finding.lhs_consistent)
-                return ok, "", finding.describe()
-            combos.append((f"combinations.r{r}p{p}.{target}",
-                           f"exact weights for the {target} rule at r={r}, P={p}",
-                           thunk))
-    _run_checks(report, combos)
-    # variant A kills light splittings
-    _, exprA = divisors.map_zero_locus(3, 1, 1, "A")
-    light_ok = all(s.p2 >= 2 for s in exprA.coefficients)
-    _record(report, "locus.variant-a-support",
-            "two-puncture locus carries no splitting with fewer than two "
-            "punctures on the far side", light_ok)
-    return report.finalize()
+    psi5 = cache(lambda: divisors.averaged_psi(5, 1))
+
+    def four_points():
+        e4 = divisors.averaged_psi(4, 1)
+        return sorted(e4.coefficients.values()) == [Fraction(1, 3)] * 3, str(e4), ""
+
+    def five_points():
+        coefficients = psi5().coefficients
+        return all(
+            c == (Fraction(1, 2) if 1 in divisors.as_pair_divisor(s, 5)
+                  else Fraction(1, 6))
+            for s, c in coefficients.items()) and len(coefficients) == 10, "", ""
+
+    def pairing_table():
+        """Pairing table and the psi-square cross-check."""
+        pair = divisors.m05_pair_index
+        return (pair(frozenset({1, 2}), frozenset({3, 4})) == 1
+                and pair(frozenset({1, 2}), frozenset({1, 2})) == -1
+                and pair(frozenset({1, 2}), frozenset({1, 5})) == 0), "", ""
+
+    def psi_square():
+        square = divisors.m05_intersection(psi5(), psi5())
+        oracle = gw_oracle.point_correlator((2, 0, 0, 0, 0))
+        return square == oracle, f"{square} vs oracle {oracle}", ""
+
+    def consistency():
+        violations = divisors.ledger_check(ledger)
+        return not violations, "; ".join(map(str, violations)) or "0", ""
+
+    def ledger_fault():
+        bad = {"self_intersections":
+               [dict(ledger["self_intersections"][0])], "cross_intersections": []}
+        bad["self_intersections"][0]["at"] = [
+            [loc, str(-Fraction(idx))] for loc, idx in
+            ledger["self_intersections"][0]["at"]]
+        return bool(divisors.ledger_check(bad)), "", ""
+
+    def restriction():
+        problems = divisors.restriction_check(ledger["restrictions"])
+        return not problems, "; ".join(problems) or "0", ""
+
+    def variant_a_support():
+        """Variant A kills light splittings."""
+        _, expr = divisors.map_zero_locus(3, 1, 1, "A")
+        return all(s.p2 >= 2 for s in expr.coefficients), "", ""
+
+    @cache
+    def zero_loci(r, p):
+        return [divisors.map_zero_locus(r, p // 2, p - p // 2, v) for v in "ABC"]
+
+    def combination(r, p, target):
+        finding = divisors.solve_combination(zero_loci(r, p), target, r, p)
+        ok = finding.degenerate or (finding.feasible and finding.lhs_consistent)
+        return ok, "", finding.describe()
+
+    checks = [
+        ("psi.four-points", "averaged psi locus on 4 points has coefficients 1/3",
+         four_points),
+        ("psi.five-points", "averaged psi locus on 5 points: 1/2 on pairs through "
+         "the descendant point, 1/6 elsewhere", five_points),
+        ("psi.three-points", "no admissible splitting on 3 points",
+         lambda: (not divisors.averaged_psi(3, 1).coefficients, "", "")),
+        ("pairing.table",
+         "pair divisors: disjoint +1, one common index 0, equal -1", pairing_table),
+        ("pairing.psi-square",
+         "self-pairing of the averaged locus equals the descendant "
+         "integral on 5 points", psi_square),
+        ("ledger.consistency",
+         "perturbation ledger: assigned indices sum to weight times "
+         "pairing", consistency),
+        ("ledger.fault-detection", "a flipped sign in the ledger is reported",
+         ledger_fault),
+        ("ledger.restriction",
+         "five-point locus restricted to each pair divisor reproduces the "
+         "four-point coefficients", restriction),
+    ]
+    checks += [(f"combinations.r{r}p{p}.{target}",
+                f"exact weights for the {target} rule at r={r}, P={p}",
+                lambda r=r, p=p, target=target: combination(r, p, target))
+               for r, p in ((2, 2), (3, 3), (4, 4))
+               for target in ("two-punctures", "puncture-point", "two-points")]
+    checks.append(("locus.variant-a-support",
+                   "two-puncture locus carries no splitting with fewer than two "
+                   "punctures on the far side", variant_a_support))
+    return _run_checks(VerificationReport("divisor"), checks)
 
 
 def builtin_m05_ledger() -> dict:

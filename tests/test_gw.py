@@ -6,9 +6,9 @@ import pytest
 from sftlab.algebra import TruncationPolicy
 from sftlab.errors import MissingPrimaryError, ValidationError
 from sftlab.gw import (
-    Bounds, CorrelatorTable, Reconstructor, TargetModel, assemble_potential,
-    averaged_trr_residual, correlator_from_potential, enumerate_keys,
-    quantum_product, reconstruct, restrict_series_max_t_order,
+    Bounds, CorrelatorTable, QuantumProduct, Reconstructor, TargetModel,
+    assemble_potential, averaged_trr_residual, correlator_from_potential,
+    enumerate_keys, quantum_product, reconstruct, restrict_series_max_t_order,
     string_dilaton_divisor_residuals, trr_residual,
 )
 from sftlab.gw_oracle import (
@@ -234,6 +234,15 @@ def test_p1_quantum_product(p1_table):
     # pt * pt = z * 1
     assert qp.constant(1, 1, 0) == {(1,): Fraction(1)}
     assert qp.constant(1, 1, 1) == {}
+
+
+def test_p1_wdvv_detects_a_perturbed_constant(p1_table):
+    m = projective_line_model()
+    structure = dict(quantum_product(m, p1_table).structure)
+    structure[(1, 0, 1)] = {(0,): Fraction(2)}  # pt * 1 = 2 pt, 1 * pt = pt
+    assert QuantumProduct(m, structure).associativity_residuals() == {
+        (0, 0, 1, 1): {(0,): -1}, (0, 1, 0, 1): {(0,): 1},
+        (1, 0, 1, 0): {(1,): 1}, (1, 1, 0, 0): {(1,): -1}}
 
 
 def test_p1_trr_internal_consistency(p1_table):

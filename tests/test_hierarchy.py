@@ -271,3 +271,20 @@ def test_kernel_never_sees_covers_above_the_window(cover, levels):
     finally:
         algebra._mul_packed = original
     assert seen and max(seen) <= cover
+
+
+def test_suite_computes_the_brackets_once(monkeypatch):
+    from sftlab import hierarchy
+    from sftlab.suites import hierarchy_suite
+
+    calls = []
+
+    def counted(levels, cover_bound):
+        calls.append(cover_bound)
+        return commutator_residuals(levels, cover_bound)
+
+    monkeypatch.setattr(hierarchy, "commutator_residuals", counted)
+    report = hierarchy_suite(cover_bound=3, max_level=2)
+    assert calls == [3]
+    assert sum(c.id.startswith("commute.") for c in report.checks) == 6
+    assert {c.status for c in report.checks} == {"pass"}

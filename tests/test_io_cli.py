@@ -226,11 +226,13 @@ def test_cli_counts_check_error_is_not_a_failed_check(monkeypatch, capsys):
 
 def test_cylhom_label_guard_does_not_pass_on_a_crash(monkeypatch):
     # only a label mismatch counts as the guard holding; any other exception
-    # in the guarded call propagates
+    # in the guarded call is an error record, and the other checks still run
     from sftlab import cylhom
+    from sftlab.report import ERROR, PASS
     from sftlab.suites import cylhom_suite
 
     original = cylhom.noneq_trr_residuals
+    ids = {c.id for c in cylhom_suite().checks}
 
     def crash_on_mismatch(data, variant, max_arg_order=None):
         if (data.counts.section_choice, variant) == ("(2,0)", "(1,1)"):
@@ -238,8 +240,37 @@ def test_cylhom_label_guard_does_not_pass_on_a_crash(monkeypatch):
         return original(data, variant, max_arg_order)
 
     monkeypatch.setattr(cylhom, "noneq_trr_residuals", crash_on_mismatch)
-    with pytest.raises(ZeroDivisionError):
-        cylhom_suite()
+    status = {c.id: c.status for c in cylhom_suite().checks}
+    assert status.pop("trr.label-guard") == ERROR
+    assert set(status) == ids - {"trr.label-guard"}
+    assert set(status.values()) == {PASS}
+
+
+def test_cli_cylhom_crash_is_one_error_record(monkeypatch, capsys):
+    import sftlab.cli as cli
+    from sftlab import cylhom
+
+    def broken(data):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(cylhom, "quantum_action", broken)
+    code = main(["verify", "--suite", "cylhom"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_INTERNAL
+    assert "  ERR   action.axioms: " in out
+    assert out.count("\n  ok    ") == 16 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "all", "--max-cover", "3", "--samples", "20", "--max-points", "6",
+     "--levels", "2"],
+    ["--suite", "cylhom", "--counts",
+     str(sio.fixture_path("floer_point_20.counts.json"))],
+], ids=["all", "counts"])
+def test_cli_timings_give_every_record_its_runtime(argv, capsys):
+    assert main(["verify", *argv, "--timings", "--format", "machine"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks and all(isinstance(c.get("runtime_ms"), int) for c in checks)
 
 
 def test_cli_input_error_exit_code(capsys):
@@ -298,6 +329,11 @@ def _drop(path):
     (_set(("model", "primaries", 0, "insertions", 0), ["x", 0]),
      "model.primaries[0].insertions[0]"),
     (_set(("model", "eta"), [["1", "0"]]), "model.eta"),
+    (_set(("model", "eta"), 5), "model.eta"),
+    (_set(("model", "eta"), [5]), "model.eta[0]"),
+    (_set(("model", "divisor_cup"), 5), "model.divisor_cup"),
+    (_set(("model", "divisor_cup"), {"e": 5}), "model.divisor_cup.e"),
+    (_set(("model", "divisor_pairing"), 5), "model.divisor_pairing"),
     (_set(("entries", 0, "src"), ["nope", "hat"]), "entries[0].src"),
     (_set(("entries", 0, "dst"), ["b", "nope"]), "entries[0].dst"),
     (_set(("entries", 0, "src"), 5), "entries[0].src"),
@@ -318,7 +354,8 @@ def _drop(path):
         "primary-short-insertion", "primary-text-level", "primary-text-degree",
         "table-text-level", "table-insertion-not-a-pair", "table-missing-value",
         "model-text-h2-rank", "model-text-chern", "primary-unknown-class",
-        "model-eta-shape", "unknown-src", "unknown-dst", "int-src",
+        "model-eta-shape", "int-eta", "int-eta-row", "int-divisor-cup",
+        "int-divisor-cup-row", "int-divisor-pairing", "unknown-src", "unknown-dst", "int-src",
         "unhashable-dst", "int-orbit", "int-entry", "int-insertions",
         "int-table-value-item", "int-model", "bad-entry-rational",
         "bad-table-rational", "bad-primary-rational", "table-level-above-bound"])
@@ -478,6 +515,64 @@ def test_cli_verify_all_report_is_byte_identical(capsys, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]
+
+
+# sha256 of `sftlab verify --suite cylhom --counts F` output for each shipped
+# counts file F, text and machine format.
+VERIFY_COUNTS_DIGESTS = {
+    ("floer_point_02", "text"):
+        "74b488e7ae3491352b5a720ee633a81376a8a8e242ff1c83a4125988712091ed",
+    ("floer_point_02", "machine"):
+        "24e22a492f5befd910792c89c1ff25d5f681c168b983d1291f8f05217c43627b",
+    ("floer_point_11", "text"):
+        "6d817a4e66c8ea3197350f4595e6475f65b4bcfd1cc39dcd125a534658de2bfb",
+    ("floer_point_11", "machine"):
+        "b67d7f94f5121223a054037757b1b23e54664064bfe02f3f6191c8a2a5d0c821",
+    ("floer_point_20", "text"):
+        "5b892e405a57301be585c3e970ba1aa14dc5ed2c38d8e004752f1fdff82339b7",
+    ("floer_point_20", "machine"):
+        "3c23f664593d4bcada97ccb12645387e1872e3f59cb86d523a6a402112db44d4",
+    ("floer_twopoint", "text"):
+        "28e6a01838f6b42ce2bdc26ae943792420ee4f53512ccfcee0bf5e97d33b00e7",
+    ("floer_twopoint", "machine"):
+        "fd78424b2580f25cb6e5fd89b5f873f0805973d56a9596fe2b8aa709f2782c48",
+    ("generic", "text"):
+        "1828ed62e4108b91f6cdf31681d85cef7f9dd4a765cc19e92bf4b7215f577b8b",
+    ("generic", "machine"):
+        "a42302a85eb39684bcc6e34956b3f1d32faef30cac241aab76f0c831aa21b6b8",
+    ("generic_fault", "text"):
+        "c249d6a381aac24bcc887031d3d2cb1148890a9164f3f5cc876563ce3ba80803",
+    ("generic_fault", "machine"):
+        "1ee75fb0b12ee9435fb30f510abb5643842b187eb6ce15ffcca6178e41a545b5",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(VERIFY_COUNTS_DIGESTS))
+def test_cli_verify_counts_report_is_byte_identical(capsys, name, fmt):
+    import hashlib
+
+    code = main(["verify", "--suite", "cylhom", "--format", fmt, "--counts",
+                 str(sio.fixture_path(f"{name}.counts.json"))])
+    out = capsys.readouterr().out
+    assert code == (1 if name == "generic_fault" else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        VERIFY_COUNTS_DIGESTS[name, fmt]
+
+
+def test_counts_suite_skips_homology_when_d_squared_is_not_zero():
+    from dataclasses import replace
+
+    from sftlab import cylhom
+    from sftlab.report import FAIL, SKIP
+    from sftlab.suites import counts_suite
+
+    data = build_cylhom_fixtures()["generic"]
+    extra = cylhom.CountEntry(("b", "hat"), ("c", "hat"), (), (), Fraction(1))
+    bad = replace(data, counts=cylhom.CountData([*data.counts.entries, extra],
+                                                "generic"))
+    status = {c.id: c.status for c in counts_suite(bad).checks}
+    assert status["differential.squared"] == FAIL
+    assert status["homology.betti"] == SKIP
 
 
 # -- fuzzed fixtures -----------------------------------------------------------

@@ -39,9 +39,17 @@ Each table caches, per width and key, the record fields the kernel
 odd letters, the Koszul cross mask, the largest q/p cover and the support
 mask.  A cap check is an integer compare against the budget the first
 factor leaves; factors sharing an odd letter give zero (``odd1 & odd2``);
-the parity of a term is the popcount of its odd letters.  Tuple monomials
-((position, exponent), ...) and Fractions appear only in the table's
-constructors and in the decoded, read-only ``terms`` view.
+the parity of a term is the popcount of its odd letters.  A row of the
+first factor with no odd letter, whose budget the second factor's largest
+pq-order, t-order and hbar exponent all fit, skips every check.  Tuple
+monomials ((position, exponent), ...) and Fractions appear only in the
+table's constructors and in the decoded, read-only ``terms`` view.
+
+A series caches its bracket operand: the records of each parity part and
+their q/p partials, cut to the bracket's window (see
+:func:`poisson_bracket`), keyed by (width, window).  The key is all they
+depend on, so a series bracketed with many others under one window is
+differentiated once; the value of a series never changes.
 """
 
 from __future__ import annotations
@@ -376,14 +384,16 @@ def _lowered(table: VariableTable, record, pos: int, e: int, c: int,
 class GradedSeries:
     """Finite sum of canonical monomials with nonzero rational coefficients.
 
-    Immutable; arithmetic returns new series.  Binary operations take the
+    Immutable in value; arithmetic returns new series, and the one slot
+    written later, ``_operand``, caches the bracket operand (see
+    :meth:`_bracket_operand`).  Binary operations take the
     componentwise minimum of the operands' truncation policies and apply it
     to the result.  Stored packed (see the module docstring): ``num`` maps
     keys of ``width`` bits per field to numerators over ``den``, reduced,
     every |exponent| at most ``top`` < 2^(width-1).
     """
 
-    __slots__ = ("table", "policy", "_num", "_den", "_width", "_top")
+    __slots__ = ("table", "policy", "_num", "_den", "_width", "_top", "_operand")
 
     def __init__(self, table: VariableTable, policy: TruncationPolicy, num: dict,
                  den: int, width: int, top: int):
@@ -393,6 +403,7 @@ class GradedSeries:
         self._den = den
         self._width = width
         self._top = top
+        self._operand = None  # (width, window, parts), see _bracket_operand
 
     def _at(self, width: int) -> dict:
         """The terms re-packed at a width at least the series' own."""
@@ -411,6 +422,22 @@ class GradedSeries:
                 info = cache[key] = _mono_info(table, _decode(key, width))
             out.append((key, c) + info)
         return out
+
+    def _bracket_operand(self, width: int, window: TruncationPolicy) -> list:
+        """[(odd, dq, dp)] per nonzero parity part: the :func:`_partials` of
+        the part's records at width, cut to window.  Cached for the last
+        (width, window) asked; the lists are never mutated, and two threads
+        filling the slot at once store equal values."""
+        cached = self._operand
+        if cached is not None and cached[0] == width and cached[1] == window:
+            return cached[2]
+        split = ([], [])
+        for r in self._records(width):
+            split[r[5].bit_count() & 1].append(r)
+        parts = [(odd, *_partials(self.table, records, odd, window, width))
+                 for odd, records in enumerate(split) if records]
+        self._operand = (width, window, parts)
+        return parts
 
     def _like(self, num: dict, den: int = None, policy=None) -> "GradedSeries":
         """A series of num (keys of self's width) over den, reduced."""
@@ -601,8 +628,16 @@ def _mul_packed(acc: dict, records1: list, records2: list,
     Every record must already lie within the cover cap of policy.  The pq,
     t and hbar caps are integer compares against the budget the first
     operand leaves.  Two operands sharing an odd letter multiply to zero.
+    The largest pq-order, t-order and hbar exponent of records2 are taken
+    once: a row of records1 with no odd letter, whose budget all three
+    fit, forms each of its products with no cap, zero or sign check (none
+    can fail, and every sign is +1).  Every other row checks each pair.
     """
+    if not records2:
+        return
     get = acc.get
+    keys2, nums2, pq2s, t2s, h2s, *_ = zip(*records2)
+    pq_top, t_top, h_top = max(pq2s), max(t2s), max(h2s)
     for k1, c1, pq1, t1, h1, o1, _, _, _ in records1:
         pq_left = policy.max_pq_order - pq1
         t_left = policy.max_t_order - t1
@@ -610,6 +645,11 @@ def _mul_packed(acc: dict, records1: list, records2: list,
             continue
         h_left = policy.max_hbar_order - h1
         c1 *= factor
+        if not o1 and pq_top <= pq_left and t_top <= t_left and h_top <= h_left:
+            for k2, c2 in zip(keys2, nums2):
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+            continue
         for k2, c2, pq2, t2, h2, o2, cross2, _, _ in records2:
             if pq2 > pq_left or t2 > t_left or h2 > h_left or o1 & o2:
                 continue
@@ -653,22 +693,21 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     negative), and only the paired variable, which differentiation
     removes, may lie outside the window.  The hbar cap is applied to the
     products only: hbar is Laurent.
+
+    Each operand's parity split and partials are cached on the series,
+    keyed by the key width and the window (see
+    :meth:`GradedSeries._bracket_operand`); another key recomputes them
+    and replaces the cache.  The cached lists are never mutated, so two
+    threads that fill the slot at once each store an equal value, and the
+    one kept does not matter.
     """
     window = f._join(g) if policy is None else f._join(g).cap(policy)
     table = f.table
     top = f._top + g._top
     width = _common_width(f, g, top)
-
-    def parts(h):
-        split = ([], [])
-        for r in h._records(width):
-            split[r[5].bit_count() & 1].append(r)
-        return [(odd, *_partials(table, records, odd, window, width))
-                for odd, records in enumerate(split) if records]
-
-    fparts, gparts = parts(f), parts(g)
+    gparts = g._bracket_operand(width, window)
     acc: dict = {}
-    for fodd, fdq, fdp in fparts:
+    for fodd, fdq, fdp in f._bracket_operand(width, window):
         for godd, gdq, gdp in gparts:
             sgn = -1 if (fodd and godd) else 1
             for qpos, ppos, kappa in table.orbit_pairs:

@@ -144,27 +144,21 @@ def circle_hamiltonian(lattice: OrbitLattice, level: int,
         policy = TruncationPolicy(max_cover=lattice.window,
                                   max_pq_order=level + 3)
     order = level + 3
-    terms = {}
     fact = factorial(order)
+    pos = {n: table.position(lattice.u_name(n))
+           for n in range(-lattice.window, lattice.window + 1) if n}
+    counts = {}  # monomial -> number of ordered tuples, over order!
     for ms in _zero_sum_multisets(order, lattice.cover_bound, lattice.window):
-        perms = _ordered_count(ms)
-        factors = {}
+        mult = {}
         for n in ms:
-            name = lattice.u_name(n)
-            factors[name] = factors.get(name, 0) + 1
-        mono = tuple(sorted((table.position(nm), e) for nm, e in factors.items()))
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(perms, fact)
-    return table.series(terms, policy)
-
-
-def _ordered_count(ms: tuple) -> int:
-    counts = {}
-    for n in ms:
-        counts[n] = counts.get(n, 0) + 1
-    total = factorial(len(ms))
-    for c in counts.values():
-        total //= factorial(c)
-    return total
+            mult[n] = mult.get(n, 0) + 1
+        perms = fact
+        for e in mult.values():
+            perms //= factorial(e)
+        mono = tuple(sorted((pos[n], e) for n, e in mult.items()))
+        counts[mono] = counts.get(mono, 0) + perms
+    return table.series({mono: Fraction(c, fact) for mono, c in counts.items()},
+                        policy)
 
 
 def geodesic_hamiltonian(lattice: OrbitLattice, level: int,

@@ -130,10 +130,11 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
         g = _random_series(rng, table, policy)
         h = _random_series(rng, table, policy)
         count += 1
+        fparts, gparts, hparts = _parity_split(f), _parity_split(g), _parity_split(h)
         t = time.monotonic()
         # super-commutativity on homogeneous-parity parts
-        for fp, fodd in _parity_split(f):
-            for gp, godd in _parity_split(g):
+        for fp, fodd in fparts:
+            for gp, godd in gparts:
                 s = -1 if (fodd and godd) else 1
                 r = fp * gp - (gp * fp).scale(s)
                 if not r.is_zero() and failures["super-commutativity"] is None:
@@ -141,28 +142,35 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
         t = _lap(spent, "super-commutativity", t)
         # graded Leibniz for one derivative variable
         v = rng.choice(table.names())
-        for fp, fodd in _parity_split(f):
+        for fp, fodd in fparts:
             s = -1 if (table.variable(v).odd and fodd) else 1
             r = (fp * g).derivative(v) - fp.derivative(v) * g \
                 - (fp * g.derivative(v)).scale(s)
             if not r.is_zero() and failures["leibniz"] is None:
                 failures["leibniz"] = str(r)
         t = _lap(spent, "leibniz", t)
-        # bracket antisymmetry and Jacobi on parity components
-        for fp, fodd in _parity_split(f):
-            for gp, godd in _parity_split(g):
+        # bracket antisymmetry and Jacobi on parity components; each bracket
+        # of two parts is taken once
+        fg = {}
+        for fp, fodd in fparts:
+            for gp, godd in gparts:
                 s = -1 if (fodd and godd) else 1
-                r = poisson_bracket(fp, gp) + poisson_bracket(gp, fp).scale(s)
+                fg[fodd, godd] = poisson_bracket(fp, gp)
+                r = fg[fodd, godd] + poisson_bracket(gp, fp).scale(s)
                 if not r.is_zero() and failures["antisymmetry"] is None:
                     failures["antisymmetry"] = str(r)
         t = _lap(spent, "antisymmetry", t)
-        for fp, fodd in _parity_split(f):
-            for gp, godd in _parity_split(g):
-                for hp, _ in _parity_split(h):
+        gh = {(godd, hodd): poisson_bracket(gp, hp)
+              for gp, godd in gparts for hp, hodd in hparts}
+        fh = {(fodd, hodd): poisson_bracket(fp, hp)
+              for fp, fodd in fparts for hp, hodd in hparts}
+        for fp, fodd in fparts:
+            for gp, godd in gparts:
+                for hp, hodd in hparts:
                     s = -1 if (fodd and godd) else 1
-                    r = poisson_bracket(fp, poisson_bracket(gp, hp)) \
-                        - poisson_bracket(poisson_bracket(fp, gp), hp) \
-                        - poisson_bracket(gp, poisson_bracket(fp, hp)).scale(s)
+                    r = poisson_bracket(fp, gh[godd, hodd]) \
+                        - poisson_bracket(fg[fodd, godd], hp) \
+                        - poisson_bracket(gp, fh[fodd, hodd]).scale(s)
                     if not r.is_zero() and failures["jacobi"] is None:
                         failures["jacobi"] = str(r)
         t = _lap(spent, "jacobi", t)
@@ -206,10 +214,15 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
     def determinism():
         """Canonical term order is reproducible under threading."""
         table = _random_table(random.Random(7))
-        f = _random_series(random.Random(8), table, policy)
-        g = _random_series(random.Random(9), table, policy)
+
+        def bracket(_):
+            # fresh operands per worker, so each forms its own partials
+            f = _random_series(random.Random(8), table, policy)
+            g = _random_series(random.Random(9), table, policy)
+            return str(poisson_bracket(f, g))
+
         with ThreadPoolExecutor(max_workers=4) as pool:
-            outs = list(pool.map(lambda _: str(poisson_bracket(f, g)), range(8)))
+            outs = list(pool.map(bracket, range(8)))
         return len(set(outs)) == 1, "", ""
 
     checks = [(f"weyl.kappa{kappa}", f"[p,q] = {kappa}*hbar at multiplicity {kappa}",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -369,3 +370,27 @@ def test_deterministic_term_order():
     table = make_table(cz_list=(0, 1), half_dim=2)
     f = table.var("q[o0,1]") + table.var("p[o1,1]") * table.var("q[o1,1]")
     assert str(f) == str(table.series(dict(f.terms), f.policy))
+
+
+def test_determinism_check_brackets_fresh_operands_per_worker(monkeypatch):
+    """Each of the eight threaded brackets forms its own partials: no worker
+    reads another's cached operand."""
+    from sftlab import algebra, suites
+
+    calls = []
+    original = algebra._partials
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_partials", counted)
+    report = suites.algebra_suite(samples=0)  # only the fixed checks run
+    record = next(c for c in report.checks if c.id == "determinism.bracket")
+    assert record.status == "pass"
+    # the operands the check draws, and the parity parts of each
+    policy = TruncationPolicy(max_pq_order=24, max_hbar_order=8)
+    table = suites._random_table(random.Random(7))
+    parts = sum(bool(part) for seed in (8, 9) for part in
+                suites._random_series(random.Random(seed), table, policy).parity_parts())
+    assert len(calls) == 8 * parts

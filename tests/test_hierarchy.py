@@ -1,14 +1,59 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
 from sftlab import algebra
 from sftlab.algebra import TruncationPolicy, poisson_bracket
 from sftlab.hierarchy import (
-    GradingProfile, OrbitLattice, SignProfile, circle_hamiltonian,
-    commutator_residuals, geodesic_hamiltonian,
+    GradingProfile, OrbitLattice, SignProfile, _zero_sum_multisets,
+    circle_hamiltonian, commutator_residuals, geodesic_hamiltonian,
 )
+
+
+def circle_hamiltonian_reference(lattice, level, table, policy):
+    """The circle Hamiltonian built term by term: one Fraction per multiset,
+    variables looked up by name per factor."""
+    order = level + 3
+    terms = {}
+    fact = factorial(order)
+    for ms in _zero_sum_multisets(order, lattice.cover_bound, lattice.window):
+        counts = {}
+        for n in ms:
+            counts[n] = counts.get(n, 0) + 1
+        perms = factorial(len(ms))
+        for c in counts.values():
+            perms //= factorial(c)
+        factors = {}
+        for n in ms:
+            name = lattice.u_name(n)
+            factors[name] = factors.get(name, 0) + 1
+        mono = tuple(sorted((table.position(nm), e) for nm, e in factors.items()))
+        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(perms, fact)
+    return table.series(terms, policy)
+
+
+def test_circle_builder_matches_reference():
+    """On the extended lattice and policy of commutator_residuals at levels
+    0..3, and on the bare lattice with the default policy."""
+    for cover in range(2, 6):
+        window = cover * 5
+        extended = OrbitLattice(cover, window)
+        table = extended.table()
+        policy = TruncationPolicy(max_cover=window, max_pq_order=12)
+        bare = OrbitLattice(cover)
+        bare_table = bare.table()
+        for level in range(4):
+            built = circle_hamiltonian(extended, level, table=table, policy=policy)
+            assert built == circle_hamiltonian_reference(extended, level, table, policy)
+            assert built.policy == policy
+            plain = circle_hamiltonian(bare, level, table=bare_table)
+            assert plain == circle_hamiltonian_reference(
+                bare, level, bare_table, TruncationPolicy(max_cover=cover,
+                                                          max_pq_order=level + 3))
+            if cover == 5:
+                assert len(built.terms) == (30, 125, 434, 1285)[level]
 
 
 def test_pinned_circle_values():

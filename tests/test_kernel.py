@@ -10,17 +10,21 @@ denominator is left unreduced.  Exponents reach past the 5-, 6-, 7- and
 re-pack to a wider key runs.
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sftlab import algebra
 from sftlab.algebra import (
     QORBIT, PORBIT, TruncationPolicy, VariableTable, curve_class_variable,
     descendant_variable, orbit_variable_pair, planck_variable, poisson_bracket,
     star_product, weyl_commutator,
 )
 from sftlab.errors import DeclarationError
+from sftlab.hierarchy import OrbitLattice, circle_hamiltonian, commutator_residuals
 
 import tuple_series as oracle
 from tuple_series import TupleSeries
@@ -31,6 +35,12 @@ LOOSE = TruncationPolicy(max_t_order=5000, max_cover=99, max_pq_order=5000,
 # exponents on both sides of the field edges (a field of w bits holds
 # |e| < 2^(w-1); a series gets room for twice its largest exponent)
 EDGE_EXPONENTS = (1, 2, 3, 7, 8, 15, 16, 31, 32, 600)
+
+
+def named(table, terms, policy):
+    """Series of [({name: exponent}, coefficient)] terms."""
+    return table.series({tuple(sorted((table.position(n), e) for n, e in m.items())): c
+                         for m, c in terms}, policy)
 
 
 def agrees(got, want):
@@ -131,6 +141,110 @@ def test_linear_operations_and_derivatives_match_reference(case, policy, c):
         agrees(fg.derivative(name), FG.derivative(name))
     assert (fg - fg).is_zero()
     assert fg == table.series(dict(fg.terms), fg.policy)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_case(), policies)
+def test_cached_operand_follows_width_and_window(case, policy):
+    """One series bracketed in turn under LOOSE, a tight policy and against
+    a partner wide enough to widen the key: a cached operand of another
+    (width, window) read by mistake gives a wrong bracket."""
+    table, f, g = case
+    wide = g * table.var("hbar", 600, LOOSE)
+    F, G, WIDE = TupleSeries.of(f), TupleSeries.of(g), TupleSeries.of(wide)
+    # each step changes the window, the width or both
+    for partner, PARTNER, window in ((g, G, policy), (g, G, LOOSE),
+                                     (g, G, policy), (wide, WIDE, policy),
+                                     (wide, WIDE, LOOSE), (g, G, LOOSE)):
+        agrees(poisson_bracket(f, partner, window),
+               oracle.poisson_bracket(F, PARTNER, window))
+        agrees(poisson_bracket(partner, f, window),
+               oracle.poisson_bracket(PARTNER, F, window))
+
+
+def test_threads_racing_for_a_fresh_operand_agree():
+    """Four threads take the first bracket of fresh series at once; whichever
+    fills the cached operand, every result is the oracle's."""
+    q0, p0 = orbit_variable_pair("e", 1)  # even pair
+    q1, p1 = orbit_variable_pair("a", 1, cz=1, multiplicity=2)  # odd pair
+    table = VariableTable([planck_variable(1), q0, p0, q1, p1])
+    policy = TruncationPolicy(max_pq_order=6)
+    e, pe, a, pa = q0.name, p0.name, q1.name, p1.name
+    terms_f = [({e: 2, pe: 1}, Fraction(1, 2)), ({e: 1, a: 1, pa: 1}, 3),
+               ({"hbar": 1, pe: 2, pa: 1}, -1)]
+    terms_g = [({e: 1, pe: 2}, 2), ({"hbar": -1, e: 1, a: 1}, Fraction(1, 3)),
+               ({pe: 1, pa: 1}, 5)]
+    lattice = OrbitLattice(3)
+    for round_ in range(10):
+        if round_ % 2:
+            ham_table = lattice.table()
+            f, g = (circle_hamiltonian(lattice, level, table=ham_table)
+                    for level in (1, 2))
+        else:
+            f, g = named(table, terms_f, policy), named(table, terms_g, policy)
+        want = oracle.poisson_bracket(TupleSeries.of(f), TupleSeries.of(g))
+        start = threading.Barrier(4, timeout=60)
+        outs = [None] * 4
+
+        def work(i):
+            start.wait()
+            outs[i] = poisson_bracket(f, g)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the fill
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in outs:
+            agrees(out, want)
+
+
+@pytest.mark.parametrize("field", ("pq", "t", "hbar"))
+@pytest.mark.parametrize("over", (0, 1))
+def test_product_rows_at_the_budget_edge(field, over):
+    """Even and odd rows whose budget the second factor's largest pq-order,
+    t-order or hbar exponent meets exactly (over = 0) or passes by one: the
+    check-free row must form exactly the products the checked one does."""
+    q0, p0 = orbit_variable_pair("e", 1)  # even pair
+    q1, p1 = orbit_variable_pair("a", 1, cz=1)  # odd pair
+    t = descendant_variable("a", 0, 0)
+    table = VariableTable([planck_variable(1), q0, p0, q1, p1, t])
+    policy = TruncationPolicy(max_t_order=3, max_cover=5, max_pq_order=4,
+                              max_hbar_order=2)
+    e, pe, a, pa = q0.name, p0.name, q1.name, p1.name
+    # every row of f leaves the budget pq 3, t 2, hbar 1
+    f = named(table, [({"hbar": 1, e: 1, t.name: 1}, 2),
+                      ({"hbar": 1, a: 1, t.name: 1}, Fraction(1, 3)),
+                      ({"hbar": 1, pa: 1, t.name: 1}, -1),
+                      ({"hbar": 2, t.name: 1}, 7)], policy)
+    edge = {"pq": {pe: 3 + over}, "t": {t.name: 2 + over},
+            "hbar": {"hbar": 1 + over}}[field]
+    g = named(table, [(edge, 5), ({pe: 1}, -2), ({a: 1}, 3), ({pa: 1}, 1),
+                      ({"hbar": -2, pa: 1}, Fraction(1, 2))], LOOSE)
+    F, G = TupleSeries.of(f), TupleSeries.of(g)
+    agrees(f * g, F * G)
+    agrees(g * f, G * F)
+    agrees(poisson_bracket(f, g), oracle.poisson_bracket(F, G))
+
+
+def test_each_hamiltonian_forms_its_partials_once(monkeypatch):
+    calls = []
+    original = algebra._partials
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(algebra, "_partials", counted)
+    residuals, _ = commutator_residuals([0, 1, 2, 3], 5)
+    assert len(calls) == 4
+    assert all(r.is_zero() for row in residuals for r in row)
 
 
 def test_field_edge_repacks_wider():

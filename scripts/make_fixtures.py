@@ -13,7 +13,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sftlab import io as sio  # noqa: E402
 from sftlab.models import point_model, projective_line_model, two_point_model  # noqa: E402
-from sftlab.suites import build_cylhom_fixtures, builtin_m05_ledger  # noqa: E402
+from sftlab.suites import (  # noqa: E402
+    CYLHOM_FIXTURE_FILES, build_cylhom_fixtures, builtin_m05_ledger,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sftlab" / "fixtures"
 
@@ -25,15 +27,7 @@ def main():
     sio.save_model(projective_line_model(), FIXTURES / "p1.model.json")
 
     datasets = build_cylhom_fixtures()
-    names = {
-        "(2,0)": "floer_point_20.counts.json",
-        "(1,1)": "floer_point_11.counts.json",
-        "(0,2)": "floer_point_02.counts.json",
-        "noncontact": "floer_twopoint.counts.json",
-        "generic": "generic.counts.json",
-        "generic-fault": "generic_fault.counts.json",
-    }
-    for key, fname in names.items():
+    for key, fname in CYLHOM_FIXTURE_FILES.items():
         sio.save_counts(datasets[key], FIXTURES / fname)
 
     ledger = {"schema": sio.LEDGER_SCHEMA, **builtin_m05_ledger()}

@@ -105,18 +105,17 @@ def orbit_variable_pair(orbit, cover=1, cz=0, half_dim=1, multiplicity=None):
     )
 
 
-def descendant_variable(class_id, level, class_degree, checked=False,
-                        check_degree_offset=-1):
+def descendant_variable(class_id, level, class_degree, checked=False):
     """t (or t-check) variable of degree 2(1-level) - class degree.
 
-    Constrained variables sit one degree lower by default, which is the
-    convention making the swap operator odd and dressed differentials
-    degree-homogeneous.  The offset is configurable.
+    Constrained variables sit one degree lower, which is the convention
+    making the swap operator odd and dressed differentials
+    degree-homogeneous.
     """
     deg = 2 * (1 - level) - class_degree
     if checked:
         return Variable(f"tc[{class_id},{level}]", TCHECK, (str(class_id), level),
-                        deg + check_degree_offset)
+                        deg - 1)
     return Variable(f"t[{class_id},{level}]", TFORM, (str(class_id), level), deg)
 
 
@@ -277,10 +276,6 @@ class VariableTable:
 
 def mono_degree(table: VariableTable, mono) -> int:
     return sum(table.degrees[p] * e for p, e in mono)
-
-
-def mono_t_order(table: VariableTable, mono) -> int:
-    return sum(e for p, e in mono if table.kinds[p] in (TFORM, TCHECK))
 
 
 def mono_hbar_order(table: VariableTable, mono) -> int:
@@ -603,7 +598,8 @@ class GradedSeries:
 
 def _reduced(table, policy, num: dict, den: int, width: int, top: int) -> GradedSeries:
     """Series of the nonzero terms of num over den, in lowest terms."""
-    num = {k: c for k, c in num.items() if c}
+    if not all(num.values()):
+        num = {k: c for k, c in num.items() if c}
     if den != 1:
         g = gcd(den, *num.values())  # den itself when num is empty
         if g != 1:

@@ -82,8 +82,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    levels = [int(x) for x in args.levels.split(",")] if isinstance(args.levels, str) \
-        else list(range(args.levels + 1))
+    levels = [int(x) for x in args.levels.split(",")]
     if args.profiles:
         prof = sio.load_profiles(args.profiles)
         with under_path(args.profiles):  # a cover it does not declare

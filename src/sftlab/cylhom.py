@@ -526,77 +526,60 @@ def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
                            equivariant: bool):
     """LHS - RHS of one recursion identity as a single map on series.
 
-    Non-equivariant form decorates with constrained insertions; the
-    equivariant form decorates with free insertions and carries the extra
-    anticommutator (with the constrained previous-level map) in its (1,1)
-    and (0,2) corrections.
+    The identities differ in k, the number of constrained reference points:
+    (2,0) -> 0, (1,1) -> 1, (0,2) -> 2.  With N the point count,
+    P_k = N(N-1)...(N-k+1) and Q_k = (N-1)...(N-k+1) (k-1 factors), the
+    residual on s is
+
+        P_k(L s) - sum_nu two[nu] P_k(L_nu s)
+                 - (k/2) sum_corr {dec_{i-1}, dress Q_k dd}(s)
+
+    where L decorates by (alpha, i), L_nu by (nu, 0), two[nu] is the
+    eta-contracted d2f/dt^{alpha,i-1}dt^{mu,0} and dd is the dressed
+    differential; k = 0 has no correction.  The non-equivariant form
+    decorates with constrained insertions and has one correction, the
+    constrained dec_{i-1} against the release-dressed dd; the equivariant
+    form decorates with free insertions and pairs the free dec_{i-1} with
+    the release-dressed dd and the constrained one with the N-dressed dd.
     """
+    if variant not in SECTION_CHOICES[:3]:
+        raise ValidationError(f"unknown recursion variant {variant!r}", "variant")
+    k = SECTION_CHOICES.index(variant)
     model = cx.data.model
     dd = cx.dressed_differential()
     lhs_con = not equivariant
     lhs_map = cx.decorated(alpha, i, lhs_con)
+    level0 = [cx.decorated(cls.id, 0, lhs_con) for cls in model.classes]
     two = second_derivative_series(cx.potential(), model, alpha, i - 1)
     n_op = cx.point_count_op()
-    release = release_constrained_operator(cx.vt)
 
-    def rhs_f_term(post):
-        level0 = [cx.decorated(cls.id, 0, lhs_con) for cls in model.classes]
+    def falling(s, first):
+        """(N-first)(N-first-1)...(N-k+1) s"""
+        for j in range(first, k):
+            s = n_op(s) - s.scale(j) if j else n_op(s)
+        return s
 
-        def apply(series):
-            out = cx.vt.zero(series.policy)
-            for nu in range(len(model.classes)):
-                if two[nu].is_zero():
-                    continue
-                out = out + two[nu] * post(level0[nu](series))
-            return out
-        return apply
+    corrs = []
+    if k:
+        release = release_constrained_operator(cx.vt)
+        released = LinearOperator(lambda s: release(falling(dd(s), 1)), 0)
+        counted = LinearOperator(lambda s: n_op(falling(dd(s), 1)), 1)
+        previous = cx.decorated(alpha, i - 1, True)
+        corrs = [graded_anticommutator(previous, released)]
+        if equivariant:
+            corrs = [graded_anticommutator(cx.decorated(alpha, i - 1, False),
+                                           released),
+                     graded_anticommutator(previous, counted)]
 
-    def corrections(ncheck_dress, n_dress):
-        """Anticommutators of previous-level maps with dressed differentials.
-
-        Non-equivariant data pairs the constrained previous level with the
-        release-dressed differential; equivariant data adds the constrained
-        previous level against the plain-counted one.
-        """
-        if not equivariant:
-            return [graded_anticommutator(cx.decorated(alpha, i - 1, True),
-                                          ncheck_dress)]
-        return [graded_anticommutator(cx.decorated(alpha, i - 1, False),
-                                      ncheck_dress),
-                graded_anticommutator(cx.decorated(alpha, i - 1, True), n_dress)]
-
-    if variant == "(2,0)":
-        rhs = rhs_f_term(lambda s: s)
-        return lambda s: lhs_map(s) - rhs(s)
-    if variant == "(1,1)":
-        rhs = rhs_f_term(n_op)
-        corrs = corrections(LinearOperator(lambda s: release(dd(s)), 0),
-                            LinearOperator(lambda s: n_op(dd(s)), 1))
-
-        def apply11(s):
-            out = n_op(lhs_map(s)) - rhs(s)
-            for corr in corrs:
-                out = out - corr(s).scale(Fraction(1, 2))
-            return out
-        return apply11
-    if variant == "(0,2)":
-        def nn1(s):
-            return n_op(n_op(s)) - n_op(s)
-        rhs = rhs_f_term(nn1)
-
-        def nm1_d(s):
-            d = dd(s)
-            return n_op(d) - d
-        corrs = corrections(LinearOperator(lambda s: release(nm1_d(s)), 0),
-                            LinearOperator(lambda s: n_op(nm1_d(s)), 1))
-
-        def apply02(s):
-            out = nn1(lhs_map(s)) - rhs(s)
-            for corr in corrs:
-                out = out - corr(s)
-            return out
-        return apply02
-    raise ValidationError(f"unknown recursion variant {variant!r}", "variant")
+    def apply(s):
+        out = falling(lhs_map(s), 0)
+        for nu, series in enumerate(two):
+            if not series.is_zero():
+                out = out - series * falling(level0[nu](s), 0)
+        for corr in corrs:
+            out = out - corr(s).scale(Fraction(k, 2))
+        return out
+    return apply
 
 
 def _residual_reports(cx: DressedComplex, variant: str, equivariant: bool,
@@ -741,19 +724,10 @@ def extract_equivariant(data: ChainComplexData,
     entries = []
     free_diag = {}
     con_offdiag = {}
-    plain_blocks = {"hat": {}, "check": {}}
-    offdiag_plain = {}
     for e in data.counts.entries:
-        sflav, dflav = e.src[1], e.dst[1]
-        key = ((e.src[0],), (e.dst[0],))
         if not e.insertions:
-            if sflav == dflav:
-                plain_blocks[sflav].setdefault(
-                    (e.src[0], e.dst[0], e.degree), Fraction(0))
-                plain_blocks[sflav][(e.src[0], e.dst[0], e.degree)] += e.value
-            elif sflav == "hat" and dflav == "check":
-                offdiag_plain[(e.src[0], e.dst[0], e.degree)] = e.value
             continue
+        sflav, dflav = e.src[1], e.dst[1]
         constrained = any(i.constrained for i in e.insertions)
         if sflav == dflav == source_flavor:
             if constrained:
@@ -764,11 +738,10 @@ def extract_equivariant(data: ChainComplexData,
         elif sflav == "hat" and dflav == "check" and constrained:
             con_offdiag.setdefault(_sig(e), []).append(e)
     # plain part from the chosen diagonal block
-    for (src, dst, deg), v in plain_blocks[source_flavor].items():
-        if v:
+    plain = build_differential(data).plain
+    for (dst, src), poly in plain.block(source_flavor, source_flavor).items():
+        for deg, v in poly.items():
             entries.append(CountEntry((src, ""), (dst, ""), (), deg, v))
-    blocks_equal = _normalize_block(plain_blocks["hat"]) == \
-        _normalize_block(plain_blocks["check"])
     # free decorations: diagonal free entries, or the constrained
     # hat-to-check block with its insertion released
     consistent = True
@@ -793,8 +766,9 @@ def extract_equivariant(data: ChainComplexData,
     eq = replace(data, orbits=orbit_set,
                  counts=CountData(entries, data.counts.section_choice),
                  name=data.name + f"/{source_flavor}-block", internal=True)
-    return BlockExtraction(eq, blocks_equal, not any(offdiag_plain.values()),
-                           consistent)
+    return BlockExtraction(
+        eq, plain.block("hat", "hat") == plain.block("check", "check"),
+        not plain.block("check", "hat"), consistent)
 
 
 def _sig(e: CountEntry):
@@ -808,10 +782,6 @@ def _entry_matrix(entries):
         k = (e.src[0], e.dst[0], e.degree)
         out[k] = out.get(k, Fraction(0)) + e.value
     return {k: v for k, v in out.items() if v}
-
-
-def _normalize_block(block):
-    return {k: v for k, v in block.items() if v}
 
 
 def extract_floer(data: ChainComplexData) -> ChainComplexData:

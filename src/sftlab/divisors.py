@@ -277,17 +277,7 @@ def solve_combination(expressions, target: str, r: int, p: int):
     rows = [[e.coefficients.get(s, Fraction(0)) for _, e in expressions]
             for s in splittings]
     rhs = [rule(s) for s in splittings]
-    if all(not v for v in rhs):
-        weights = solve(rows, rhs)
-        lhs_ok = False
-        if weights is not None:
-            lhs = sum((Fraction(w) * Fraction(f)
-                       for w, (f, _) in zip(weights, expressions)), Fraction(0))
-            lhs_ok = lhs == lhs_rule(r, p)
-        return CombinationFinding(target, weights is not None,
-                                  weights or (), lhs_consistent=lhs_ok,
-                                  degenerate=True)
-    sol = solve(rows, rhs)
+    sol = solve(rows, rhs)  # a homogeneous system always has x = 0
     if sol is None:
         # find a small certificate: solve on a maximal consistent prefix,
         # then report the first violated splitting against a pinned one
@@ -302,7 +292,8 @@ def solve_combination(expressions, target: str, r: int, p: int):
     lhs = sum((Fraction(w) * Fraction(f) for w, (f, _) in zip(sol, expressions)),
               Fraction(0))
     return CombinationFinding(target, True, sol,
-                              lhs_consistent=(lhs == lhs_rule(r, p)))
+                              lhs_consistent=(lhs == lhs_rule(r, p)),
+                              degenerate=not any(rhs))
 
 
 # -- perturbation ledgers --------------------------------------------------------

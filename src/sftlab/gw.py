@@ -7,12 +7,14 @@ primaries from the model, and a divisor-class reduction fallback.
 Correlators with fewer than three insertions are zero by convention in
 every recursion formula; the potential therefore carries no 2-point terms
 and the recursion is exactly the coefficient expansion of the series-level
-identities checked by the verifiers below.
+identities checked by the verifiers below.  Of those, string and divisor
+are one equation in an inserted class w: string is w = unit, divisor is w
+= the model's degree-2 class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
@@ -534,24 +536,24 @@ class EquationResiduals:
     string: GradedSeries
     dilaton: GradedSeries
     divisor: Optional[GradedSeries]  # None when the model has no divisor class
-    divisor_applicable: bool
 
 
 def string_dilaton_divisor_residuals(table: CorrelatorTable,
                                      policy: TruncationPolicy,
                                      potential: Optional[GradedSeries] = None,
-                                     max_level: Optional[int] = None,
-                                     quad_factor: Fraction = Fraction(1, 2),
-                                     euler_sign: int = -1) -> EquationResiduals:
-    """Residual series of the unit-insertion equations on a potential.
+                                     max_level: Optional[int] = None
+                                     ) -> EquationResiduals:
+    """Residual series of the unit- and divisor-insertion equations.
 
-    string:  df/dt^{0,0} - quad_factor*eta(t,t) - sum t^{a,k+1} df/dt^{a,k}
-    dilaton: df/dt^{0,1} - euler_sign * E(f), where E scales a monomial of
-             t-order r by -(r - 2) (the Euler operator on the genus-0 part);
-             euler_sign=-1 is the convention under which the reconstructed
-             potentials satisfy the equation exactly.
-    divisor: df/dt^{w,0} - (w.d)-weighted f - quad_factor * eta(w cup t, t)
-             - sum t^{a,k+1} c_{w a}^b df/dt^{b,k}
+    String and divisor are one equation for a class w, with c_{wa}^b the
+    coefficients of w cup a and (w.d) the pairing of w with the curve class:
+
+        df/dt^{w,0} - (w.d) f - 1/2 eta(w cup t, t)
+                    - sum t^{a,k+1} c_{wa}^b df/dt^{b,k}
+
+    string is w = unit (c the identity, weight 0), divisor is w = the
+    model's divisor class.  dilaton: df/dt^{unit,1} - N(f) + 2f, with N the
+    point count (on the genus-0 part, t-order r scales by r - 2).
     """
     model = table.model
     f = potential if potential is not None else assemble_potential(
@@ -560,73 +562,45 @@ def string_dilaton_divisor_residuals(table: CorrelatorTable,
     if max_level is None:
         max_level = max((v.indices[1] for v in vt.variables if v.kind == "t"),
                         default=0)
+    classes = model.classes
 
-    def shifted_sum(derivative_weights):
-        """sum_{a,k} t^{a,k+1} * sum_b w[a][b] * df/dt^{b,k}"""
-        acc = vt.zero(policy)
-        for a, cls in enumerate(model.classes):
+    def z_degree(mono):
+        d = [0] * model.h2_rank
+        for p, e in mono:
+            if vt.kinds[p] == "z":
+                d[vt.variables[p].indices[0]] += e
+        return d
+
+    def equation(w, cup, weighted):
+        """The equation at class w; cup(a) gives c_{wa}^b as {b: coeff}."""
+        rhs = vt.zero(policy)
+        if weighted:
+            rhs = rhs + f.map_terms(
+                lambda m: model.pairing_with_divisor(z_degree(m)))
+        for cm in classes:
+            row = cup(cm.id)
+            c = [Fraction(row.get(cb.id, 0)) for cb in classes]
+            t_mu = vt.var(t_name(cm.id, 0), 1, policy)
+            for nu, cn in enumerate(classes):
+                pair = sum(v * model.eta[b][nu] for b, v in enumerate(c))
+                if pair:
+                    rhs = rhs + (t_mu * vt.var(t_name(cn.id, 0), 1, policy)
+                                 ).scale(pair / 2)
             for k in range(max_level):
-                lead = vt.var(t_name(cls.id, k + 1), 1, policy)
-                for b, cls2 in enumerate(model.classes):
-                    w = derivative_weights[a][b]
-                    if w:
-                        acc = acc + (lead * f.derivative(t_name(cls2.id, k))).scale(w)
-        return acc
+                lead = vt.var(t_name(cm.id, k + 1), 1, policy)
+                for cb, v in zip(classes, c):
+                    if v:
+                        rhs = rhs + (lead * f.derivative(t_name(cb.id, k))
+                                     ).scale(v)
+        return f.derivative(t_name(w, 0)) - rhs
 
-    nclasses = len(model.classes)
-    identity_w = [[Fraction(1 if a == b else 0) for b in range(nclasses)]
-                  for a in range(nclasses)]
-
-    # string
-    quad = vt.zero(policy)
-    for mu, cm in enumerate(model.classes):
-        for nu, cn in enumerate(model.classes):
-            if model.eta[mu][nu]:
-                quad = quad + (vt.var(t_name(cm.id, 0), 1, policy)
-                               * vt.var(t_name(cn.id, 0), 1, policy)
-                               ).scale(model.eta[mu][nu])
-    string = (f.derivative(t_name(model.unit, 0)) - quad.scale(quad_factor)
-              - shifted_sum(identity_w))
-
-    # dilaton
-    def euler(s):
-        from .algebra import mono_t_order
-        return s.map_terms(lambda m: -(mono_t_order(vt, m) - 2))
-
-    dilaton = f.derivative(t_name(model.unit, 1)) - euler(f).scale(euler_sign)
-
-    # divisor
+    string = equation(model.unit, lambda a: {a: 1}, False)
+    dilaton = (f.derivative(t_name(model.unit, 1)) - point_count(f)
+               + f.scale(2))
     divisor = None
-    applicable = model.divisor is not None and model.divisor_cup is not None
-    if applicable:
-        w = model.divisor
-        zweights = f.map_terms(lambda m: _z_pairing(vt, model, m))
-        quad_d = vt.zero(policy)
-        for mu, cm in enumerate(model.classes):
-            cup = model.cup_with_divisor(cm.id)
-            for nu, cn in enumerate(model.classes):
-                coeff = sum((Fraction(cup.get(cb.id, 0)) * model.eta[b][nu]
-                             for b, cb in enumerate(model.classes)), Fraction(0))
-                if coeff:
-                    quad_d = quad_d + (vt.var(t_name(cm.id, 0), 1, policy)
-                                       * vt.var(t_name(cn.id, 0), 1, policy)
-                                       ).scale(coeff)
-        cup_w = [[Fraction(model.cup_with_divisor(ca.id).get(cb.id, 0))
-                  for b, cb in enumerate(model.classes)]
-                 for a, ca in enumerate(model.classes)]
-        divisor = (f.derivative(t_name(w, 0)) - zweights
-                   - quad_d.scale(quad_factor) - shifted_sum(cup_w))
-    return EquationResiduals(string, dilaton, divisor, applicable)
-
-
-def _z_pairing(vt, model, mono):
-    pair = model.divisor_pairing or (1,) * model.h2_rank
-    total = 0
-    for p, e in mono:
-        v = vt.variables[p]
-        if v.kind == "z":
-            total += pair[v.indices[0]] * e
-    return Fraction(total)
+    if model.divisor is not None and model.divisor_cup is not None:
+        divisor = equation(model.divisor, model.cup_with_divisor, True)
+    return EquationResiduals(string, dilaton, divisor)
 
 
 def restrict_series_max_t_order(series: GradedSeries, max_order: int) -> GradedSeries:
@@ -637,9 +611,9 @@ def restrict_series_max_t_order(series: GradedSeries, max_order: int) -> GradedS
     every correlator the identity touches lies inside the table); this trims
     the unreliable tail before asserting exact zero.
     """
-    from .algebra import mono_t_order
-    return series.map_terms(
-        lambda m: 1 if mono_t_order(series.table, m) <= max_order else 0)
+    policy = series.policy
+    return series.truncate(
+        replace(policy, max_t_order=min(policy.max_t_order, max_order)))
 
 
 # -- quantum product ---------------------------------------------------------------

@@ -38,8 +38,6 @@ def test_descendant_degree():
     assert t.degree == 2 * (1 - 3) - 0 == -4
     tc = descendant_variable("a", 3, 0, checked=True)
     assert tc.degree == t.degree - 1
-    tc0 = descendant_variable("a", 3, 0, checked=True, check_degree_offset=0)
-    assert tc0.degree == t.degree
 
 
 def test_curve_class_degree():

@@ -1,22 +1,27 @@
 import copy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from sftlab import io as sio
+from sftlab import cylhom, io as sio
 from sftlab.cylhom import (
     ChainComplexData, CountData, CountEntry, DressedComplex, Insertion, Orbit,
     OrbitSet, build_differential, build_floer_model, compare_equivariant_floer,
     compute_homology, contact_vanishing, d_squared_residual,
     LinearChainMap, _contract, _exact_on_cycles, _f_term_matrix,
     equivariant_trr_residuals, extract_equivariant, extract_floer,
-    noneq_trr_residuals, q_var_name, quantum_action, t_name, tc_name, z_name,
+    _witness_signature, noneq_trr_residuals, q_var_name, quantum_action,
+    second_derivative_series, t_name, tc_name, z_name,
 )
 from sftlab.errors import LabelMismatchError, ValidationError
 from sftlab.gw import (
     CorrelatorTable, TargetModel, assemble_potential, descendant_table,
 )
 from sftlab.linalg import _zp_add, kernel, rank
+from sftlab.operators import (
+    LinearOperator, graded_anticommutator, release_constrained_operator,
+)
 from sftlab.models import point_model, projective_line_model, two_point_model
 from sftlab.suites import _generic_fixture, _trivial_02_fixture
 
@@ -503,3 +508,141 @@ def test_tripled_check_block_entry_breaks_only_hat_check_equality(variant):
     cmp = compare_equivariant_floer(bad, variant, max_arg_order=1)
     assert not cmp.hat_check_equal and cmp.floer_match
     assert cmp.details == ["hat and check extractions disagree"]
+
+
+def test_block_extraction_sums_the_hat_to_check_plain_entries():
+    """Two plain hat-to-check counts that cancel leave the connecting map
+    zero; reading them entry by entry (the last one wins) would not."""
+    data = _generic_fixture()
+    cancel = [CountEntry(("a", "hat"), ("c", "check"), (), (), Fraction(v))
+              for v in (1, -1)]
+    data = replace(data, counts=CountData(data.counts.entries + tuple(cancel),
+                                          data.counts.section_choice))
+    assert build_differential(data).plain.block("check", "hat") == {}
+    ext = extract_equivariant(data, "hat")
+    assert ext.offdiag_plain_zero and ext.plain_blocks_equal
+    one_sided = replace(data, counts=CountData(
+        data.counts.entries[:-1], data.counts.section_choice))
+    assert not extract_equivariant(one_sided, "hat").offdiag_plain_zero
+
+
+# -- one recursion residual in the number of constrained points -------------------
+
+
+def _three_branch_operator(cx, variant, alpha, i, equivariant):
+    """The recursion identities written out one branch each: (2,0), (1,1)
+    with half corrections through N, (0,2) through N(N-1) and N-1."""
+    model = cx.data.model
+    dd = cx.dressed_differential()
+    lhs_con = not equivariant
+    lhs_map = cx.decorated(alpha, i, lhs_con)
+    two = second_derivative_series(cx.potential(), model, alpha, i - 1)
+    n_op = cx.point_count_op()
+    release = release_constrained_operator(cx.vt)
+
+    def rhs_f_term(post):
+        level0 = [cx.decorated(cls.id, 0, lhs_con) for cls in model.classes]
+
+        def apply(series):
+            out = cx.vt.zero(series.policy)
+            for nu in range(len(model.classes)):
+                if two[nu].is_zero():
+                    continue
+                out = out + two[nu] * post(level0[nu](series))
+            return out
+        return apply
+
+    def corrections(ncheck_dress, n_dress):
+        if not equivariant:
+            return [graded_anticommutator(cx.decorated(alpha, i - 1, True),
+                                          ncheck_dress)]
+        return [graded_anticommutator(cx.decorated(alpha, i - 1, False),
+                                      ncheck_dress),
+                graded_anticommutator(cx.decorated(alpha, i - 1, True), n_dress)]
+
+    if variant == "(2,0)":
+        rhs = rhs_f_term(lambda s: s)
+        return lambda s: lhs_map(s) - rhs(s)
+    if variant == "(1,1)":
+        rhs = rhs_f_term(n_op)
+        corrs = corrections(LinearOperator(lambda s: release(dd(s)), 0),
+                            LinearOperator(lambda s: n_op(dd(s)), 1))
+
+        def apply11(s):
+            out = n_op(lhs_map(s)) - rhs(s)
+            for corr in corrs:
+                out = out - corr(s).scale(Fraction(1, 2))
+            return out
+        return apply11
+    if variant == "(0,2)":
+        def nn1(s):
+            return n_op(n_op(s)) - n_op(s)
+        rhs = rhs_f_term(nn1)
+
+        def nm1_d(s):
+            d = dd(s)
+            return n_op(d) - d
+        corrs = corrections(LinearOperator(lambda s: release(nm1_d(s)), 0),
+                            LinearOperator(lambda s: n_op(nm1_d(s)), 1))
+
+        def apply02(s):
+            out = nn1(lhs_map(s)) - rhs(s)
+            for corr in corrs:
+                out = out - corr(s)
+            return out
+        return apply02
+    raise ValidationError(f"unknown recursion variant {variant!r}", "variant")
+
+
+VARIANTS = ("(2,0)", "(1,1)", "(0,2)")
+
+
+@pytest.fixture(scope="module")
+def perturbed_by_label():
+    """One Floer data set per section label, every third count raised by
+    one: point fiber for (2,0) and (1,1), two-point fiber for (0,2)."""
+    built = {
+        "(2,0)": build_floer_model(point_model(), periods=2, level_bound=2,
+                                   t_order=2),
+        "(1,1)": build_floer_model(point_model(), periods=1, level_bound=2,
+                                   t_order=1, section_choice="(1,1)"),
+        "(0,2)": build_floer_model(two_point_model(), periods=1, level_bound=1,
+                                   t_order=1, section_choice="(0,2)"),
+    }
+    out = {}
+    for label, data in built.items():
+        entries = [replace(e, value=e.value + 1) if n % 3 == 0 else e
+                   for n, e in enumerate(data.counts.entries)]
+        out[label] = replace(data, counts=CountData(entries, label))
+    return out
+
+
+def _all_residual_reports(data, variant):
+    """Non-equivariant, hat-block and check-block reports of one identity."""
+    relabeled = replace(data, counts=CountData(data.counts.entries, variant))
+    return {"noneq": noneq_trr_residuals(relabeled, variant, max_arg_order=1),
+            **{flavor: equivariant_trr_residuals(relabeled, variant, flavor,
+                                                 max_arg_order=1)
+               for flavor in ("hat", "check")}}
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_residual_in_k_matches_the_three_branches(label, variant,
+                                                      perturbed_by_label,
+                                                      monkeypatch):
+    data = perturbed_by_label[label]
+    got = _all_residual_reports(data, variant)
+    monkeypatch.setattr(cylhom, "_trr_residual_operator", _three_branch_operator)
+    want = _all_residual_reports(data, variant)
+    for mode, reports in want.items():
+        assert any(not r.zero for r in reports), mode
+        assert [(r.name, r.zero, _witness_signature(r.witnesses))
+                for r in got[mode]] == [
+            (r.name, r.zero, _witness_signature(r.witnesses)) for r in reports]
+
+
+def test_unknown_recursion_variant_rejected(floer_point):
+    cx = DressedComplex(floer_point)
+    with pytest.raises(ValidationError, match="unknown recursion variant"):
+        cylhom._trr_residual_operator(cx, "generic", "e", 1, False)

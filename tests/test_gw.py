@@ -9,7 +9,7 @@ from sftlab.gw import (
     Bounds, CorrelatorTable, QuantumProduct, Reconstructor, TargetModel,
     assemble_potential, averaged_trr_residual, correlator_from_potential,
     enumerate_keys, quantum_product, reconstruct, restrict_series_max_t_order,
-    string_dilaton_divisor_residuals, trr_residual,
+    string_dilaton_divisor_residuals, t_name, trr_residual,
 )
 from sftlab.gw_oracle import (
     point_correlator, point_correlator_closed_form, two_point_correlator,
@@ -199,14 +199,114 @@ def test_string_dilaton(point_table):
                                           max_level=5)
     assert restrict_series_max_t_order(eq.string, 7).is_zero()
     assert restrict_series_max_t_order(eq.dilaton, 7).is_zero()
-    assert not eq.divisor_applicable
-    # the alternative sign and quadratic normalizations fail inside the window
-    alt = string_dilaton_divisor_residuals(point_table, policy, potential=f,
-                                           max_level=5, euler_sign=+1)
-    assert not restrict_series_max_t_order(alt.dilaton, 5).is_zero()
-    alt = string_dilaton_divisor_residuals(point_table, policy, potential=f,
-                                           max_level=5, quad_factor=Fraction(1))
-    assert not restrict_series_max_t_order(alt.string, 5).is_zero()
+    assert eq.divisor is None
+
+
+def test_string_dilaton_detect_a_perturbed_value(point_table):
+    m = point_model()
+    bad = point_table.perturbed(m.key([("e", 1)] + [("e", 0)] * 3), 2)
+    policy, f = _residual_setup(bad, 5)
+    eq = string_dilaton_divisor_residuals(bad, policy, potential=f, max_level=5)
+    assert not restrict_series_max_t_order(eq.string, 7).is_zero()
+    assert not restrict_series_max_t_order(eq.dilaton, 7).is_zero()
+
+
+def _equations_oracle(table, policy, f, max_level):
+    """The three equations written out one by one (string and divisor as
+    separate formulas, dilaton through the Euler scaling -(r - 2) of
+    t-order r): (string, dilaton, divisor or None)."""
+    model = table.model
+    vt = f.table
+
+    def shifted_sum(derivative_weights):
+        """sum_{a,k} t^{a,k+1} * sum_b w[a][b] * df/dt^{b,k}"""
+        acc = vt.zero(policy)
+        for a, cls in enumerate(model.classes):
+            for k in range(max_level):
+                lead = vt.var(t_name(cls.id, k + 1), 1, policy)
+                for b, cls2 in enumerate(model.classes):
+                    w = derivative_weights[a][b]
+                    if w:
+                        acc = acc + (lead * f.derivative(t_name(cls2.id, k))).scale(w)
+        return acc
+
+    nclasses = len(model.classes)
+    identity_w = [[Fraction(1 if a == b else 0) for b in range(nclasses)]
+                  for a in range(nclasses)]
+
+    # string
+    quad = vt.zero(policy)
+    for mu, cm in enumerate(model.classes):
+        for nu, cn in enumerate(model.classes):
+            if model.eta[mu][nu]:
+                quad = quad + (vt.var(t_name(cm.id, 0), 1, policy)
+                               * vt.var(t_name(cn.id, 0), 1, policy)
+                               ).scale(model.eta[mu][nu])
+    string = (f.derivative(t_name(model.unit, 0)) - quad.scale(Fraction(1, 2))
+              - shifted_sum(identity_w))
+
+    # dilaton
+    def euler(s):
+        return s.map_terms(lambda m: -(sum(
+            e for p, e in m if vt.kinds[p] in ("t", "tcheck")) - 2))
+
+    dilaton = f.derivative(t_name(model.unit, 1)) - euler(f).scale(-1)
+
+    # divisor
+    divisor = None
+    if model.divisor is not None and model.divisor_cup is not None:
+        w = model.divisor
+        pair = model.divisor_pairing or (1,) * model.h2_rank
+        zweights = f.map_terms(lambda m: Fraction(sum(
+            pair[vt.variables[p].indices[0]] * e for p, e in m
+            if vt.kinds[p] == "z")))
+        quad_d = vt.zero(policy)
+        for mu, cm in enumerate(model.classes):
+            cup = model.cup_with_divisor(cm.id)
+            for nu, cn in enumerate(model.classes):
+                coeff = sum((Fraction(cup.get(cb.id, 0)) * model.eta[b][nu]
+                             for b, cb in enumerate(model.classes)), Fraction(0))
+                if coeff:
+                    quad_d = quad_d + (vt.var(t_name(cm.id, 0), 1, policy)
+                                       * vt.var(t_name(cn.id, 0), 1, policy)
+                                       ).scale(coeff)
+        cup_w = [[Fraction(model.cup_with_divisor(ca.id).get(cb.id, 0))
+                  for b, cb in enumerate(model.classes)]
+                 for a, ca in enumerate(model.classes)]
+        divisor = (f.derivative(t_name(w, 0)) - zweights
+                   - quad_d.scale(Fraction(1, 2)) - shifted_sum(cup_w))
+    return string, dilaton, divisor
+
+
+def _perturbed_every(table, step):
+    """Every step-th stored value (in sorted order) raised by one."""
+    for n, (key, v) in enumerate(table.items_sorted()):
+        if n % step == 0:
+            table = table.perturbed(key, v + 1)
+    return table
+
+
+@pytest.mark.parametrize("name", ["point", "two-point", "p1"])
+def test_equations_match_the_written_out_oracle(name, point_table, toy_table,
+                                                p1_table):
+    """One equation in w gives the string and divisor residuals of the
+    separate formulas, on perturbed tables where they are nonzero."""
+    table, max_level = {"point": (point_table, 5), "two-point": (toy_table, 3),
+                        "p1": (p1_table, 2)}[name]
+    bad = _perturbed_every(table, 3)
+    policy = TruncationPolicy(max_t_order=table.bounds.max_points)
+    f = assemble_potential(bad, policy, max_level=max_level)
+    eq = string_dilaton_divisor_residuals(bad, policy, potential=f,
+                                          max_level=max_level)
+    want = _equations_oracle(bad, policy, f, max_level)
+    got = (eq.string, eq.dilaton, eq.divisor)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert not w.is_zero()
+        assert g == w and g.policy == w.policy
+    assert (eq.divisor is None) == (name != "p1")
 
 
 # -- curve-class model --------------------------------------------------------------
@@ -260,7 +360,7 @@ def test_p1_divisor_equation_boundary(p1_table):
     f = assemble_potential(p1_table, policy, max_level=2)
     eq = string_dilaton_divisor_residuals(p1_table, policy, potential=f,
                                           max_level=2)
-    assert eq.divisor_applicable
+    assert eq.divisor is not None
     low = restrict_series_max_t_order(eq.divisor, 2)
     vt = eq.divisor.table
     assert low == vt.monomial({"t[pt,0]": 2, "z0": 1}, Fraction(1, 2))

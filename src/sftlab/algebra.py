@@ -105,6 +105,18 @@ def orbit_variable_pair(orbit, cover=1, cz=0, half_dim=1, multiplicity=None):
     )
 
 
+def t_name(cid, level):
+    return f"t[{cid},{level}]"
+
+
+def tc_name(cid, level):
+    return f"tc[{cid},{level}]"
+
+
+def z_name(pos):
+    return f"z{pos}"
+
+
 def descendant_variable(class_id, level, class_degree, checked=False):
     """t (or t-check) variable of degree 2(1-level) - class degree.
 
@@ -114,14 +126,14 @@ def descendant_variable(class_id, level, class_degree, checked=False):
     """
     deg = 2 * (1 - level) - class_degree
     if checked:
-        return Variable(f"tc[{class_id},{level}]", TCHECK, (str(class_id), level),
+        return Variable(tc_name(class_id, level), TCHECK, (str(class_id), level),
                         deg - 1)
-    return Variable(f"t[{class_id},{level}]", TFORM, (str(class_id), level), deg)
+    return Variable(t_name(class_id, level), TFORM, (str(class_id), level), deg)
 
 
 def curve_class_variable(position, chern):
     """z variable of degree -2*c1 for one curve-class basis element."""
-    return Variable(f"z{position}", ZCLASS, (position,), -2 * chern)
+    return Variable(z_name(position), ZCLASS, (position,), -2 * chern)
 
 
 def planck_variable(half_dim):

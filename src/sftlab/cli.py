@@ -83,11 +83,14 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_hierarchy(args) -> int:
     levels = [int(x) for x in args.levels.split(",")]
-    if args.profiles:
-        prof = sio.load_profiles(args.profiles)
+    prof = sio.load_profiles(args.profiles) if args.profiles else None
+    cover = args.max_cover
+    if cover is None:
+        cover = prof["cover_bound"] if prof else 3
+    if prof:
         with under_path(args.profiles):  # a cover it does not declare
             lattice = hierarchy.OrbitLattice(
-                args.max_cover, half_dim=prof["half_dim"],
+                cover, half_dim=prof["half_dim"],
                 q_degree=(prof["grading"].q_degree if prof["grading"] else None))
             table = lattice.table()
             hams = {
@@ -98,13 +101,13 @@ def cmd_hierarchy(args) -> int:
                 j: hierarchy.circle_hamiltonian(lattice, j, table=table)
                 for j in levels}
     else:
-        lattice = hierarchy.OrbitLattice(args.max_cover)
+        lattice = hierarchy.OrbitLattice(cover)
         table = lattice.table()
         hams = {j: hierarchy.circle_hamiltonian(lattice, j, table=table)
                 for j in levels}
     out = {
         "schema": "sftlab-hamiltonians/1",
-        "cover_bound": args.max_cover,
+        "cover_bound": cover,
         "hamiltonians": {str(j): sio.series_to_dict(h) for j, h in hams.items()},
     }
     _emit(args, sio.dumps_canonical(out))
@@ -192,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_reconstruct)
 
     h = sub.add_parser("hierarchy", help="emit descendant Hamiltonians")
-    h.add_argument("--max-cover", type=int, default=3)
+    h.add_argument("--max-cover", type=int,
+                   help="cover bound (default: the profile's cover_bound, else 3)")
     h.add_argument("--levels", default="0,1,2,3")
     h.add_argument("--profiles", help="grading/sign profile file")
     common(h)

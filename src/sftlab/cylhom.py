@@ -25,12 +25,14 @@ from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional
 
 from . import linalg
-from .algebra import GradedSeries, TruncationPolicy, Variable, VariableTable
+from .algebra import (
+    GradedSeries, TruncationPolicy, Variable, VariableTable, t_name, tc_name,
+    z_name,
+)
 from .errors import LabelMismatchError, ValidationError, under_path
 from .gw import (
     Bounds, CorrelatorTable, TargetModel, assemble_potential, descendant_table,
-    quantum_product, reconstruct, second_derivative_series, t_name, tc_name,
-    z_name,
+    quantum_product, reconstruct, second_derivative_series,
 )
 from .linalg import _zp_add, _zp_mul
 from .operators import (
@@ -380,7 +382,7 @@ def chain_variable_table(data: ChainComplexData) -> VariableTable:
     vs = []
     for g in data.orbits.generators:
         flavor_rank = {"": 0, "hat": 0, "check": 1}[g.flavor]
-        vs.append(Variable(f"q[{g.orbit}|{g.flavor}]", "q",
+        vs.append(Variable(q_var_name(g.key), "q",
                            (g.orbit, flavor_rank), g.degree,
                            data.orbits.orbit(g.orbit).multiplicity))
     descendants = descendant_table(data.model, data.level_bound, with_checked=True)
@@ -704,17 +706,16 @@ class BlockExtraction:
     data: ChainComplexData        # single-flavor data realizing the extraction
     plain_blocks_equal: bool      # hat-hat against check-check
     offdiag_plain_zero: bool      # connecting map hat -> check of the plain part
-    identification_consistent: bool  # free diagonal against constrained offdiagonal
 
 
 def extract_equivariant(data: ChainComplexData,
                         source_flavor: str = "hat") -> BlockExtraction:
     """Single-complex data from the hat/check block structure.
 
-    The plain differential and the constrained decorations restrict from
-    the diagonal blocks; the free decorations come from the diagonal free
-    entries, identified with the constrained hat-to-check block when both
-    exist.
+    Decorated entries of the chosen diagonal block are kept as they are
+    (free and constrained decorations alike); constrained hat-to-check
+    entries become free decorations, their insertion released.  The plain
+    differential restricts from the chosen diagonal block.
     """
     if data.orbits.equivariant:
         raise ValidationError("data is already equivariant", "orbits")
@@ -722,66 +723,28 @@ def extract_equivariant(data: ChainComplexData,
         raise ValidationError("source flavor must be hat or check", "flavor")
     orbit_set = OrbitSet(data.orbits.orbits, equivariant=True)
     entries = []
-    free_diag = {}
-    con_offdiag = {}
     for e in data.counts.entries:
-        if not e.insertions:
+        flavors = (e.src[1], e.dst[1])
+        if flavors == (source_flavor, source_flavor) and e.insertions:
+            ins = e.insertions
+        elif flavors == ("hat", "check") and any(i.constrained
+                                                 for i in e.insertions):
+            ins = tuple(Insertion(i.class_id, i.level, False)
+                        for i in e.insertions)
+        else:
             continue
-        sflav, dflav = e.src[1], e.dst[1]
-        constrained = any(i.constrained for i in e.insertions)
-        if sflav == dflav == source_flavor:
-            if constrained:
-                entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
-                                          e.insertions, e.degree, e.value))
-            else:
-                free_diag.setdefault(_sig(e), []).append(e)
-        elif sflav == "hat" and dflav == "check" and constrained:
-            con_offdiag.setdefault(_sig(e), []).append(e)
-    # plain part from the chosen diagonal block
+        entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""), ins,
+                                  e.degree, e.value))
     plain = build_differential(data).plain
     for (dst, src), poly in plain.block(source_flavor, source_flavor).items():
         for deg, v in poly.items():
             entries.append(CountEntry((src, ""), (dst, ""), (), deg, v))
-    # free decorations: diagonal free entries, or the constrained
-    # hat-to-check block with its insertion released
-    consistent = True
-    seen = set()
-    for sig, es in free_diag.items():
-        seen.add(sig)
-        for e in es:
-            entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
-                                      e.insertions, e.degree, e.value))
-        other = con_offdiag.get(sig)
-        if other is not None:
-            if _entry_matrix(es) != _entry_matrix(other):
-                consistent = False
-    for sig, es in con_offdiag.items():
-        if sig in seen:
-            continue
-        for e in es:
-            released = tuple(Insertion(i.class_id, i.level, False)
-                             for i in e.insertions)
-            entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
-                                      released, e.degree, e.value))
     eq = replace(data, orbits=orbit_set,
                  counts=CountData(entries, data.counts.section_choice),
                  name=data.name + f"/{source_flavor}-block", internal=True)
     return BlockExtraction(
         eq, plain.block("hat", "hat") == plain.block("check", "check"),
-        not plain.block("check", "hat"), consistent)
-
-
-def _sig(e: CountEntry):
-    return tuple(sorted((i.class_id, i.level, i.constrained)
-                        for i in e.insertions))
-
-
-def _entry_matrix(entries):
-    out = {}
-    for e in entries:
-        k = (e.src[0], e.dst[0], e.degree)
-        out[k] = out.get(k, Fraction(0)) + e.value
-    return {k: v for k, v in out.items() if v}
+        not plain.block("check", "hat"))
 
 
 def extract_floer(data: ChainComplexData) -> ChainComplexData:

@@ -7,13 +7,16 @@ primaries from the model, and a divisor-class reduction fallback.
 Correlators with fewer than three insertions are zero by convention in
 every recursion formula; the potential therefore carries no 2-point terms
 and the recursion is exactly the coefficient expansion of the series-level
-identities checked by the verifiers below.  Of those, string and divisor
-are one equation in an inserted class w: string is w = unit, divisor is w
-= the model's degree-2 class.
+identities checked by the verifiers below.  String and divisor are one
+forgetful rule ``TargetModel.forgetting(w)`` of an inserted class w (the
+unit, or the model's degree-2 class), read by the reconstruction and the
+equations alike.  Each verifier takes the potential f it checks and the
+model; the policy and the level range are f's.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -22,7 +25,7 @@ from typing import Iterable, Optional
 
 from .algebra import (
     GradedSeries, TruncationPolicy, VariableTable, curve_class_variable,
-    descendant_variable,
+    descendant_variable, t_name, z_name,
 )
 from .errors import MissingPrimaryError, ValidationError
 from .linalg import _zp_add, _zp_mul, _zp_scale, inverse
@@ -156,6 +159,24 @@ class TargetModel:
             c * d for c, d in zip(self.chern, key.degree))
         return lhs == rhs
 
+    @property
+    def has_divisor(self) -> bool:
+        """A divisor class with cup-product data (``{}`` counts as none)."""
+        return self.divisor is not None and bool(self.divisor_cup)
+
+    def forgetting(self, w: str):
+        """(cup, weight) of an inserted tau_0(w): cup(a) gives c_{wa}^b as
+        {b: coefficient}, weight(d) the pairing (w.d) with a curve class.
+
+        The unit has the identity cup and weight 0 (string); the divisor
+        class has ``cup_with_divisor`` and ``pairing_with_divisor``.
+        """
+        if w == self.unit:
+            return (lambda a: {a: Fraction(1)}), (lambda d: Fraction(0))
+        if w != self.divisor or not self.has_divisor:
+            raise ValidationError(f"no forgetful rule for class {w!r}", "divisor")
+        return self.cup_with_divisor, self.pairing_with_divisor
+
     def pairing_with_divisor(self, degree: tuple) -> Fraction:
         pair = self.divisor_pairing or (1,) * self.h2_rank
         return Fraction(sum(p * d for p, d in zip(pair, degree)))
@@ -222,17 +243,17 @@ class CorrelatorTable:
 # -- reconstruction --------------------------------------------------------------
 
 
-def _submultisets(counts):
-    """All sub-multisets of a counted multiset with binomial multiplicities."""
-    items = sorted(counts.items())
-    ranges = [range(c + 1) for _, c in items]
-    for picks in product(*ranges):
-        mult = 1
-        sub = []
+def _submultisets(items):
+    """(part, rest, multiplicity) for every sub-multiset of a list of
+    items; the multiplicity is the product of binomials."""
+    items = sorted(Counter(items).items())
+    for picks in product(*(range(c + 1) for _, c in items)):
+        mult, part, rest = 1, [], []
         for (item, c), k in zip(items, picks):
             mult *= comb(c, k)
-            sub.extend([item] * k)
-        yield tuple(sub), mult
+            part.extend([item] * k)
+            rest.extend([item] * (c - k))
+        yield part, rest, mult
 
 
 def _degree_splits(d: tuple):
@@ -251,8 +272,8 @@ class Reconstructor:
         self.memo = {}
         # trr_choice(key, target_index) -> (beta_idx, gamma_idx): positions of
         # the two reference insertions among the remaining ones.  The default
-        # takes the two (class, level)-smallest; any admissible choice gives
-        # the same values (asserted by tests).
+        # (0, 1) takes the two (class, level)-smallest; any admissible choice
+        # gives the same values (asserted by tests).
         self.trr_choice = trr_choice
 
     def value(self, key: CorrelatorKey) -> Fraction:
@@ -271,27 +292,33 @@ class Reconstructor:
             return Fraction(0)
         unit = model.unit
         if n >= 4 and (unit, 0) in ins:
-            return self._string(key)
+            return self._forget(key, unit)
         if n >= 4 and (unit, 1) in ins:
             return self._dilaton(key)
         if any(a >= 1 for _, a in ins):
             return self._trr(key)
         if key in model.primaries:
             return model.primaries[key]
-        if (n >= 4 and model.divisor is not None
-                and (model.divisor, 0) in ins and model.divisor_cup):
-            return self._divisor(key)
+        if n >= 4 and model.has_divisor and (model.divisor, 0) in ins:
+            return self._forget(key, model.divisor)
         raise MissingPrimaryError(key)
 
-    def _string(self, key: CorrelatorKey) -> Fraction:
-        """Remove one unit tau_0; lower each remaining level by one."""
+    def _forget(self, key: CorrelatorKey, w: str) -> Fraction:
+        """Remove one tau_0(w): (w.d) times the rest, plus c_{wc}^b times the
+        rest with each descendant tau_a(c) lowered to tau_{a-1}(b)."""
+        model = self.model
+        cup, weight = model.forgetting(w)
         ins = list(key.insertions)
-        ins.remove((self.model.unit, 0))
-        total = Fraction(0)
+        ins.remove((w, 0))
+        pairing = weight(key.degree)
+        total = (pairing * self.value(model.key(ins, key.degree)) if pairing
+                 else Fraction(0))
         for i, (c, a) in enumerate(ins):
             if a >= 1:
-                rest = ins[:i] + [(c, a - 1)] + ins[i + 1:]
-                total += self.value(self.model.key(rest, key.degree))
+                for b, coeff in cup(c).items():
+                    if coeff:
+                        rest = ins[:i] + [(b, a - 1)] + ins[i + 1:]
+                        total += coeff * self.value(model.key(rest, key.degree))
         return total
 
     def _dilaton(self, key: CorrelatorKey) -> Fraction:
@@ -306,25 +333,18 @@ class Reconstructor:
         ins = list(key.insertions)
         target = max(range(len(ins)), key=lambda i: (ins[i][1], ins[i][0]))
         alpha, a = ins.pop(target)
-        if self.trr_choice is None:
-            order = sorted(range(len(ins)),
-                           key=lambda i: (model.class_index(ins[i][0]), ins[i][1]))
-            bi, gi = order[0], order[1]
-        else:
-            bi, gi = self.trr_choice(key, target)
+        # the insertions are in canonical (class, level) order, so the default
+        # pair (0, 1) is the two smallest remaining ones
+        bi, gi = (0, 1) if self.trr_choice is None else self.trr_choice(key, target)
         beta, gamma = ins[bi], ins[gi]
         rest = [ins[i] for i in range(len(ins)) if i not in (bi, gi)]
-        counts = {}
-        for item in rest:
-            counts[item] = counts.get(item, 0) + 1
         total = Fraction(0)
         eta_inv = model.eta_inv
         classes = model.classes
-        for x1, mult in _submultisets(counts):
-            x2 = _multiset_minus(rest, x1)
+        for x1, x2, mult in _submultisets(rest):
             for d1, d2 in _degree_splits(key.degree):
-                left_base = list(x1) + [(alpha, a - 1)]
-                right_base = list(x2) + [beta, gamma]
+                left_base = x1 + [(alpha, a - 1)]
+                right_base = x2 + [beta, gamma]
                 for mu in range(len(classes)):
                     for nu in range(len(classes)):
                         w = eta_inv[mu][nu]
@@ -341,34 +361,18 @@ class Reconstructor:
                         total += mult * w * lv * rv
         return total
 
-    def _divisor(self, key: CorrelatorKey) -> Fraction:
-        """Remove one divisor insertion: degree pairing plus cup corrections."""
-        model = self.model
-        ins = list(key.insertions)
-        ins.remove((model.divisor, 0))
-        total = model.pairing_with_divisor(key.degree) * self.value(
-            model.key(ins, key.degree))
-        for i, (c, a) in enumerate(ins):
-            if a >= 1:
-                for b, coeff in model.cup_with_divisor(c).items():
-                    if coeff:
-                        rest = ins[:i] + [(b, a - 1)] + ins[i + 1:]
-                        total += coeff * self.value(model.key(rest, key.degree))
-        return total
 
-
-def _multiset_minus(whole, part):
-    out = list(whole)
-    for item in part:
-        out.remove(item)
-    return tuple(out)
+def _curve_classes(model: TargetModel, max_degree: int):
+    """Exponent vectors of total degree <= max_degree; () without H2."""
+    if model.h2_rank == 0:
+        return [()]
+    return [d for d in product(range(max_degree + 1), repeat=model.h2_rank)
+            if sum(d) <= max_degree]
 
 
 def enumerate_keys(model: TargetModel, bounds: Bounds):
     pairs = [(c.id, a) for c in model.classes for a in range(bounds.max_level + 1)]
-    degs = [()] if model.h2_rank == 0 else [
-        d for d in product(range(bounds.max_degree + 1), repeat=model.h2_rank)
-        if sum(d) <= bounds.max_degree]
+    degs = _curve_classes(model, bounds.max_degree)
     for n in range(3, bounds.max_points + 1):
         for combo in combinations_with_replacement(pairs, n):
             for d in degs:
@@ -387,18 +391,6 @@ def reconstruct(model: TargetModel, bounds: Bounds) -> CorrelatorTable:
 
 
 # -- potential assembly and series-level verifiers --------------------------------
-
-
-def t_name(cid, level):
-    return f"t[{cid},{level}]"
-
-
-def tc_name(cid, level):
-    return f"tc[{cid},{level}]"
-
-
-def z_name(pos):
-    return f"z{pos}"
 
 
 def descendant_table(model: TargetModel, max_level: int,
@@ -457,7 +449,7 @@ def assemble_potential(table: CorrelatorTable, policy: TruncationPolicy,
     return var_table.series(total, policy)
 
 
-def correlator_from_potential(potential: GradedSeries, model: TargetModel,
+def correlator_from_potential(potential: GradedSeries,
                               key: CorrelatorKey) -> Fraction:
     """Round-trip check helper: iterated t-derivatives at t = 0."""
     cur = potential
@@ -483,12 +475,12 @@ def second_derivative_series(potential, model, alpha, i):
 
 
 def _recursion_residual(f: GradedSeries, model: TargetModel, alpha: str, i: int,
-                        side, policy: TruncationPolicy) -> GradedSeries:
+                        side) -> GradedSeries:
     """side(t^{alpha,i}) - sum_nu two[nu] * side(t^{nu,0}), with two the
     eta-contracted d2f/dt^{alpha,i-1}dt^{mu,0}; side maps a t-variable name
     to a series."""
     two = second_derivative_series(f, model, alpha, i - 1)
-    rhs = f.table.zero(policy)
+    rhs = f.table.zero(f.policy)
     for nu, cls in enumerate(model.classes):
         if two[nu].is_zero():
             continue
@@ -496,10 +488,10 @@ def _recursion_residual(f: GradedSeries, model: TargetModel, alpha: str, i: int,
     return side(t_name(alpha, i)) - rhs
 
 
-def trr_residual(table: CorrelatorTable, alpha_i, beta_j, gamma_k,
-                 policy: TruncationPolicy,
-                 potential: Optional[GradedSeries] = None) -> GradedSeries:
-    """LHS - RHS of the three-point descendant recursion, as a series.
+def trr_residual(f: GradedSeries, model: TargetModel, alpha_i, beta_j,
+                 gamma_k) -> GradedSeries:
+    """LHS - RHS of the three-point descendant recursion on the potential f
+    of a table of ``model``, as a series at f's policy.
 
     alpha_i = (class id, level i >= 1); beta_j, gamma_k likewise (any level).
     """
@@ -507,28 +499,26 @@ def trr_residual(table: CorrelatorTable, alpha_i, beta_j, gamma_k,
     if i < 1:
         raise ValidationError("recursion needs level >= 1 on the split insertion",
                               "alpha_i")
-    f = potential if potential is not None else assemble_potential(table, policy)
 
     def three_point(name):
         return (f.derivative(t_name(gamma, k)).derivative(t_name(beta, j))
                 .derivative(name))
 
-    return _recursion_residual(f, table.model, alpha, i, three_point, policy)
+    return _recursion_residual(f, model, alpha, i, three_point)
 
 
-def averaged_trr_residual(table: CorrelatorTable, alpha: str, i: int,
-                          policy: TruncationPolicy,
-                          potential: Optional[GradedSeries] = None) -> GradedSeries:
-    """N(N-1) df/dt^{alpha,i} - d2f/dt^{alpha,i-1}dt^mu eta N(N-1) df/dt^nu."""
+def averaged_trr_residual(f: GradedSeries, model: TargetModel, alpha: str,
+                          i: int) -> GradedSeries:
+    """N(N-1) df/dt^{alpha,i} - d2f/dt^{alpha,i-1}dt^mu eta N(N-1) df/dt^nu
+    on the potential f, at f's policy."""
     if i < 1:
         raise ValidationError("averaged recursion needs level >= 1", "i")
-    f = potential if potential is not None else assemble_potential(table, policy)
 
     def n_n_minus_one(name):
         s = f.derivative(name)
         return point_count(point_count(s)) - point_count(s)
 
-    return _recursion_residual(f, table.model, alpha, i, n_n_minus_one, policy)
+    return _recursion_residual(f, model, alpha, i, n_n_minus_one)
 
 
 @dataclass
@@ -538,30 +528,27 @@ class EquationResiduals:
     divisor: Optional[GradedSeries]  # None when the model has no divisor class
 
 
-def string_dilaton_divisor_residuals(table: CorrelatorTable,
-                                     policy: TruncationPolicy,
-                                     potential: Optional[GradedSeries] = None,
-                                     max_level: Optional[int] = None
-                                     ) -> EquationResiduals:
-    """Residual series of the unit- and divisor-insertion equations.
+def string_dilaton_divisor_residuals(f: GradedSeries,
+                                     model: TargetModel) -> EquationResiduals:
+    """Residual series of the unit- and divisor-insertion equations on the
+    potential f of a table of ``model``, at f's policy; the levels k run
+    over the t-variables of f's table.
 
-    String and divisor are one equation for a class w, with c_{wa}^b the
-    coefficients of w cup a and (w.d) the pairing of w with the curve class:
+    String and divisor are one equation for a class w, with
+    (cup, weight) = ``model.forgetting(w)``: c_{wa}^b the coefficients of
+    w cup a and (w.d) the pairing of w with the curve class:
 
         df/dt^{w,0} - (w.d) f - 1/2 eta(w cup t, t)
                     - sum t^{a,k+1} c_{wa}^b df/dt^{b,k}
 
     string is w = unit (c the identity, weight 0), divisor is w = the
-    model's divisor class.  dilaton: df/dt^{unit,1} - N(f) + 2f, with N the
-    point count (on the genus-0 part, t-order r scales by r - 2).
+    model's divisor class (None without ``model.has_divisor``).  dilaton:
+    df/dt^{unit,1} - N(f) + 2f, with N the point count (on the genus-0
+    part, t-order r scales by r - 2).
     """
-    model = table.model
-    f = potential if potential is not None else assemble_potential(
-        table, policy, max_level=max_level)
-    vt = f.table
-    if max_level is None:
-        max_level = max((v.indices[1] for v in vt.variables if v.kind == "t"),
-                        default=0)
+    vt, policy = f.table, f.policy
+    max_level = max((v.indices[1] for v in vt.variables if v.kind == "t"),
+                    default=0)
     classes = model.classes
 
     def z_degree(mono):
@@ -571,12 +558,10 @@ def string_dilaton_divisor_residuals(table: CorrelatorTable,
                 d[vt.variables[p].indices[0]] += e
         return d
 
-    def equation(w, cup, weighted):
-        """The equation at class w; cup(a) gives c_{wa}^b as {b: coeff}."""
-        rhs = vt.zero(policy)
-        if weighted:
-            rhs = rhs + f.map_terms(
-                lambda m: model.pairing_with_divisor(z_degree(m)))
+    def equation(w):
+        """The equation at class w, from its forgetful rule."""
+        cup, weight = model.forgetting(w)
+        rhs = f.map_terms(lambda m: weight(z_degree(m)))
         for cm in classes:
             row = cup(cm.id)
             c = [Fraction(row.get(cb.id, 0)) for cb in classes]
@@ -594,12 +579,10 @@ def string_dilaton_divisor_residuals(table: CorrelatorTable,
                                      ).scale(v)
         return f.derivative(t_name(w, 0)) - rhs
 
-    string = equation(model.unit, lambda a: {a: 1}, False)
+    string = equation(model.unit)
     dilaton = (f.derivative(t_name(model.unit, 1)) - point_count(f)
                + f.scale(2))
-    divisor = None
-    if model.divisor is not None and model.divisor_cup is not None:
-        divisor = equation(model.divisor, model.cup_with_divisor, True)
+    divisor = equation(model.divisor) if model.has_divisor else None
     return EquationResiduals(string, dilaton, divisor)
 
 
@@ -666,9 +649,7 @@ def quantum_product(model: TargetModel, table: CorrelatorTable,
     """c_{ab}^nu = sum_d <a b mu>_d z^d eta^{mu nu} from primary 3-point values."""
     if max_degree is None:
         max_degree = max((sum(k.degree) for k in table.values), default=0)
-    degs = [()] if model.h2_rank == 0 else [
-        d for d in product(range(max_degree + 1), repeat=model.h2_rank)
-        if sum(d) <= max_degree]
+    degs = _curve_classes(model, max_degree)
     structure = {}
     n = len(model.classes)
     for a in range(n):

@@ -198,8 +198,7 @@ def geodesic_hamiltonian(lattice: OrbitLattice, level: int,
 
 
 def commutator_residuals(levels, cover_bound: int,
-                         builder: Optional[Callable[..., GradedSeries]] = None,
-                         **builder_kwargs):
+                         builder: Optional[Callable[..., GradedSeries]] = None):
     """Pairwise Poisson brackets, exact on the cover window.
 
     Returns (residuals, hamiltonians): residuals[i][j] is the cover-K
@@ -221,8 +220,7 @@ def commutator_residuals(levels, cover_bound: int,
     work_policy = TruncationPolicy(max_cover=window,
                                    max_pq_order=2 * (max(levels) + 3))
     build = builder or circle_hamiltonian
-    hams = [build(lattice, j, table=table, policy=work_policy, **builder_kwargs)
-            for j in levels]
+    hams = [build(lattice, j, table=table, policy=work_policy) for j in levels]
     out_policy = TruncationPolicy(max_cover=cover_bound,
                                   max_pq_order=2 * (max(levels) + 3))
     residuals = [[None] * len(levels) for _ in levels]

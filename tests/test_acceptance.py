@@ -92,18 +92,16 @@ def test_criterion_5_trr_identities():
         cls = model.classes[-1].id
         unit = model.unit
         for i in (1, 2):
-            r = gw.trr_residual(table, (cls, i), (unit, 0), (cls, 0), policy,
-                                potential=f)
+            r = gw.trr_residual(f, model, (cls, i), (unit, 0), (cls, 0))
             if not gw.restrict_series_max_t_order(r, 5).is_zero():
                 ok = False
-            ra = gw.averaged_trr_residual(table, cls, i, policy, potential=f)
+            ra = gw.averaged_trr_residual(f, model, cls, i)
             if not gw.restrict_series_max_t_order(ra, 5).is_zero():
                 ok = False
         bad_key = model.key([(cls, 1)] + [(unit, 0)] * 3)
         bad = table.perturbed(bad_key, table.get(bad_key) + 1)
         fb = gw.assemble_potential(bad, policy, max_level=max_level)
-        rb = gw.trr_residual(bad, (cls, 1), (unit, 0), (unit, 0), policy,
-                             potential=fb)
+        rb = gw.trr_residual(fb, model, (cls, 1), (unit, 0), (unit, 0))
         if gw.restrict_series_max_t_order(rb, 5).is_zero():
             ok = False
     _verdict("criterion 5: recursion identities exact to t-order 5, faults "

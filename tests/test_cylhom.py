@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from sftlab import cylhom, io as sio
 from sftlab.cylhom import (
-    ChainComplexData, CountData, CountEntry, DressedComplex, Insertion, Orbit,
+    BlockExtraction, ChainComplexData, CountData, CountEntry, DressedComplex,
+    Insertion, Orbit,
     OrbitSet, build_differential, build_floer_model, compare_equivariant_floer,
     compute_homology, contact_vanishing, d_squared_residual,
     LinearChainMap, _contract, _exact_on_cycles, _f_term_matrix,
@@ -266,7 +268,6 @@ def test_block_extraction(floer_point):
     ext = extract_equivariant(floer_point, "hat")
     assert ext.plain_blocks_equal
     assert ext.offdiag_plain_zero
-    assert ext.identification_consistent
     # the hat-to-check block of the plain differential is zero
     plain = build_differential(floer_point).plain
     assert not plain.block("check", "hat")
@@ -646,3 +647,158 @@ def test_unknown_recursion_variant_rejected(floer_point):
     cx = DressedComplex(floer_point)
     with pytest.raises(ValidationError, match="unknown recursion variant"):
         cylhom._trr_residual_operator(cx, "generic", "e", 1, False)
+
+
+# -- block extraction against the grouped extraction -------------------------------
+
+
+def _grouped_extraction(data, source_flavor="hat"):
+    """The extraction that grouped free diagonal entries and constrained
+    hat-to-check entries by insertion signature and compared groups of
+    equal signature: (single-flavor data, plain_blocks_equal,
+    offdiag_plain_zero, identification_consistent)."""
+    if data.orbits.equivariant:
+        raise ValidationError("data is already equivariant", "orbits")
+    orbit_set = OrbitSet(data.orbits.orbits, equivariant=True)
+    entries = []
+    free_diag = {}
+    con_offdiag = {}
+
+    def sig(e):
+        return tuple(sorted((i.class_id, i.level, i.constrained)
+                            for i in e.insertions))
+
+    def entry_matrix(es):
+        out = {}
+        for e in es:
+            k = (e.src[0], e.dst[0], e.degree)
+            out[k] = out.get(k, Fraction(0)) + e.value
+        return {k: v for k, v in out.items() if v}
+
+    for e in data.counts.entries:
+        if not e.insertions:
+            continue
+        sflav, dflav = e.src[1], e.dst[1]
+        constrained = any(i.constrained for i in e.insertions)
+        if sflav == dflav == source_flavor:
+            if constrained:
+                entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
+                                          e.insertions, e.degree, e.value))
+            else:
+                free_diag.setdefault(sig(e), []).append(e)
+        elif sflav == "hat" and dflav == "check" and constrained:
+            con_offdiag.setdefault(sig(e), []).append(e)
+    plain = build_differential(data).plain
+    for (dst, src), poly in plain.block(source_flavor, source_flavor).items():
+        for deg, v in poly.items():
+            entries.append(CountEntry((src, ""), (dst, ""), (), deg, v))
+    consistent = True
+    seen = set()
+    for key, es in free_diag.items():
+        seen.add(key)
+        for e in es:
+            entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
+                                      e.insertions, e.degree, e.value))
+        other = con_offdiag.get(key)
+        if other is not None:
+            if entry_matrix(es) != entry_matrix(other):
+                consistent = False
+    for key, es in con_offdiag.items():
+        if key in seen:
+            continue
+        for e in es:
+            released = tuple(Insertion(i.class_id, i.level, False)
+                             for i in e.insertions)
+            entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
+                                      released, e.degree, e.value))
+    eq = replace(data, orbits=orbit_set,
+                 counts=CountData(entries, data.counts.section_choice),
+                 name=data.name + f"/{source_flavor}-block", internal=True)
+    return (eq, plain.block("hat", "hat") == plain.block("check", "check"),
+            not plain.block("check", "hat"), consistent)
+
+
+def _with_hat_to_check_entries(data):
+    """Floer point data plus two constrained hat-to-check entries (valid
+    non-equivariant counts), so the extraction releases insertions."""
+    extra = (CountEntry(("ep1", "hat"), ("ep1", "check"),
+                        (Insertion("e", 0, True), Insertion("e~dt", 0, False)),
+                        (), Fraction(2)),
+             CountEntry(("ep2", "hat"), ("ep1", "check"),
+                        (Insertion("e~dt", 0, True),), (), Fraction(-1)))
+    return replace(data, counts=CountData(data.counts.entries + extra,
+                                          data.counts.section_choice),
+                   name=data.name + "+hat-to-check")
+
+
+def _extraction_cases():
+    cases = {}
+    for name in SHIPPED_COUNTS:
+        data = sio.load_counts(sio.fixture_path(f"{name}.counts.json"))
+        cases[name] = data
+        if data.counts.entries:
+            entries = [replace(e, value=e.value + 1) if n % 3 == 0 else e
+                       for n, e in enumerate(data.counts.entries)]
+            cases[name + "+every-third"] = replace(
+                data, counts=CountData(entries, data.counts.section_choice))
+    return cases
+
+
+def _extraction_reports(data):
+    """Equivariant residual reports of both blocks and the contact check,
+    through whatever ``cylhom.extract_equivariant`` currently is."""
+    label = data.counts.section_choice
+    variant = "(2,0)" if label == "generic" else label
+    reports = [(r.name, r.zero, _witness_signature(r.witnesses))
+               for flavor in ("hat", "check")
+               for r in equivariant_trr_residuals(data, variant, flavor,
+                                                  max_arg_order=1)]
+    return reports, contact_vanishing(data).checked
+
+
+def _compare_extractions(data, monkeypatch):
+    for flavor in ("hat", "check"):
+        ext = extract_equivariant(data, flavor)
+        eq, plain_equal, offdiag_zero, consistent = _grouped_extraction(data, flavor)
+        assert consistent
+        assert (ext.plain_blocks_equal, ext.offdiag_plain_zero) == (
+            plain_equal, offdiag_zero)
+        assert Counter(ext.data.counts.entries) == Counter(eq.counts.entries)
+        assert ext.data.name == eq.name
+    got = _extraction_reports(data)
+    with monkeypatch.context() as m:
+        m.setattr(cylhom, "extract_equivariant",
+                  lambda d, f="hat": BlockExtraction(*_grouped_extraction(d, f)[:3]))
+        want = _extraction_reports(data)
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(_extraction_cases()))
+def test_extraction_matches_the_grouped_extraction(name, monkeypatch):
+    reports, _ = _compare_extractions(_extraction_cases()[name], monkeypatch)
+    if name.endswith("+every-third"):
+        assert any(not zero for _, zero, _ in reports)
+
+
+def test_extraction_releases_constrained_hat_to_check_entries(floer_point,
+                                                              monkeypatch):
+    """A released hat-to-check entry is two degrees off the single-flavor
+    degree rule, so both extractions reject the data; with the rule lifted
+    the released entries and every report agree."""
+    data = _with_hat_to_check_entries(floer_point)
+    for extract in (extract_equivariant, _grouped_extraction):
+        with pytest.raises(ValidationError, match="entry degree mismatch"):
+            extract(data, "hat")
+    monkeypatch.setattr(ChainComplexData, "_check_degree_rule",
+                        lambda self, e, path: None)
+    released = [CountEntry(("ep1", ""), ("ep1", ""),
+                           (Insertion("e", 0, False), Insertion("e~dt", 0, False)),
+                           (), Fraction(2)),
+                CountEntry(("ep2", ""), ("ep1", ""), (Insertion("e~dt", 0, False),),
+                           (), Fraction(-1))]
+    for flavor in ("hat", "check"):
+        entries = extract_equivariant(data, flavor).data.counts.entries
+        assert all(e in entries for e in released)
+    reports, _ = _compare_extractions(data, monkeypatch)
+    assert any(not zero for _, zero, _ in reports)

@@ -1,12 +1,15 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
+from sftlab import io as sio
 from sftlab.algebra import TruncationPolicy
 from sftlab.errors import MissingPrimaryError, ValidationError
 from sftlab.gw import (
     Bounds, CorrelatorTable, QuantumProduct, Reconstructor, TargetModel,
+    _degree_splits,
     assemble_potential, averaged_trr_residual, correlator_from_potential,
     enumerate_keys, quantum_product, reconstruct, restrict_series_max_t_order,
     string_dilaton_divisor_residuals, t_name, trr_residual,
@@ -91,6 +94,160 @@ def test_dimension_filter_zeroes(point_table):
     assert point_table.get(m.key([("e", 2)] + [("e", 0)] * 2)) == 0
 
 
+# -- one forgetful rule against the separate string and divisor rules ---------------
+
+
+class _SeparateRulesReconstructor(Reconstructor):
+    """The reconstruction with string and divisor as two rules, the default
+    reference pair found by sorting and the rest of a split by multiset
+    difference; records the keys the divisor rule reduces."""
+
+    def __init__(self, model, bounds):
+        super().__init__(model, bounds)
+        self.divisor_keys = []
+
+    def _compute(self, key):
+        model = self.model
+        ins = key.insertions
+        n = len(ins)
+        if n < 3 or not model.dimension_ok(key):
+            return Fraction(0)
+        unit = model.unit
+        if n >= 4 and (unit, 0) in ins:
+            return self._string(key)
+        if n >= 4 and (unit, 1) in ins:
+            return self._dilaton(key)
+        if any(a >= 1 for _, a in ins):
+            return self._trr(key)
+        if key in model.primaries:
+            return model.primaries[key]
+        if (n >= 4 and model.divisor is not None
+                and (model.divisor, 0) in ins and model.divisor_cup):
+            self.divisor_keys.append(key)
+            return self._divisor(key)
+        raise MissingPrimaryError(key)
+
+    def _string(self, key):
+        ins = list(key.insertions)
+        ins.remove((self.model.unit, 0))
+        total = Fraction(0)
+        for i, (c, a) in enumerate(ins):
+            if a >= 1:
+                rest = ins[:i] + [(c, a - 1)] + ins[i + 1:]
+                total += self.value(self.model.key(rest, key.degree))
+        return total
+
+    def _divisor(self, key):
+        model = self.model
+        ins = list(key.insertions)
+        ins.remove((model.divisor, 0))
+        total = model.pairing_with_divisor(key.degree) * self.value(
+            model.key(ins, key.degree))
+        for i, (c, a) in enumerate(ins):
+            if a >= 1:
+                for b, coeff in model.cup_with_divisor(c).items():
+                    if coeff:
+                        rest = ins[:i] + [(b, a - 1)] + ins[i + 1:]
+                        total += coeff * self.value(model.key(rest, key.degree))
+        return total
+
+    def _trr(self, key):
+        model = self.model
+        ins = list(key.insertions)
+        target = max(range(len(ins)), key=lambda i: (ins[i][1], ins[i][0]))
+        alpha, a = ins.pop(target)
+        order = sorted(range(len(ins)),
+                       key=lambda i: (model.class_index(ins[i][0]), ins[i][1]))
+        bi, gi = order[0], order[1]
+        beta, gamma = ins[bi], ins[gi]
+        rest = [ins[i] for i in range(len(ins)) if i not in (bi, gi)]
+        counts = {}
+        for item in rest:
+            counts[item] = counts.get(item, 0) + 1
+        total = Fraction(0)
+        for x1, mult in _counted_submultisets(counts):
+            x2 = _multiset_minus(rest, x1)
+            for d1, d2 in _degree_splits(key.degree):
+                left_base = list(x1) + [(alpha, a - 1)]
+                right_base = list(x2) + [beta, gamma]
+                for mu in range(len(model.classes)):
+                    for nu in range(len(model.classes)):
+                        w = model.eta_inv[mu][nu]
+                        if not w:
+                            continue
+                        left = model.key(left_base + [(model.classes[mu].id, 0)], d1)
+                        lv = self.value(left)
+                        if not lv:
+                            continue
+                        right = model.key(right_base + [(model.classes[nu].id, 0)],
+                                          d2)
+                        rv = self.value(right)
+                        if not rv:
+                            continue
+                        total += mult * w * lv * rv
+        return total
+
+
+def _counted_submultisets(counts):
+    items = sorted(counts.items())
+    for picks in product(*[range(c + 1) for _, c in items]):
+        mult = 1
+        sub = []
+        for (item, c), k in zip(items, picks):
+            mult *= comb(c, k)
+            sub.extend([item] * k)
+        yield tuple(sub), mult
+
+
+def _multiset_minus(whole, part):
+    out = list(whole)
+    for item in part:
+        out.remove(item)
+    return tuple(out)
+
+
+def _p1_raised():
+    """P1 with <pt pt pt>_1 raised by one."""
+    m = projective_line_model()
+    key = m.key([("pt", 0)] * 3, (1,))
+    m.add_primary(key, m.primaries[key] + 1)
+    return m
+
+
+FORGETFUL_CASES = {
+    "point": (point_model, Bounds(max_points=8, max_level=4)),
+    "two-point": (two_point_model, Bounds(max_points=7, max_level=3)),
+    "p1": (projective_line_model, Bounds(max_points=6, max_level=3, max_degree=3)),
+    "p1-raised": (_p1_raised, Bounds(max_points=6, max_level=3, max_degree=3)),
+}
+
+
+def _values_by_both_rules(name):
+    build, bounds = FORGETFUL_CASES[name]
+    model = build()
+    keys = list(enumerate_keys(model, bounds))
+    oracle = _SeparateRulesReconstructor(model, bounds)
+    want = {k: oracle.value(k) for k in keys}
+    rec = Reconstructor(model, bounds)
+    return {k: rec.value(k) for k in keys}, want, oracle.divisor_keys
+
+
+@pytest.mark.parametrize("name", list(FORGETFUL_CASES))
+def test_one_forgetful_rule_matches_the_separate_rules(name):
+    got, want, _ = _values_by_both_rules(name)
+    assert got == want
+    assert any(want.values())
+
+
+def test_divisor_rule_sees_a_raised_primary():
+    """The divisor reductions of P1 are nonzero and change when a primary
+    is raised, so the comparison above covers the divisor rule."""
+    _, base, reduced = _values_by_both_rules("p1")
+    _, raised, _ = _values_by_both_rules("p1-raised")
+    assert reduced and all(base[k] for k in reduced if k in base)
+    assert any(base[k] != raised[k] for k in reduced if k in base)
+
+
 # -- model validation -----------------------------------------------------------
 
 
@@ -125,7 +282,7 @@ def test_potential_round_trip(point_table):
     policy = TruncationPolicy(max_t_order=8)
     f = assemble_potential(point_table, policy, max_level=5)
     for key, v in point_table.values.items():
-        assert correlator_from_potential(f, m, key) == v
+        assert correlator_from_potential(f, key) == v
 
 
 def test_single_entry_potential():
@@ -142,43 +299,40 @@ def test_empty_table_potential():
     assert f.is_zero()
 
 
-def _residual_setup(table, max_level):
+def _potential(table, max_level):
     policy = TruncationPolicy(max_t_order=table.bounds.max_points)
-    f = assemble_potential(table, policy, max_level=max_level)
-    return policy, f
+    return assemble_potential(table, policy, max_level=max_level)
 
 
 def test_trr_residuals_zero(point_table):
-    policy, f = _residual_setup(point_table, 5)
+    f = _potential(point_table, 5)
     for i, j, k in ((1, 0, 0), (1, 1, 0), (2, 0, 0), (3, 1, 2)):
-        r = trr_residual(point_table, ("e", i), ("e", j), ("e", k), policy,
-                         potential=f)
+        r = trr_residual(f, point_table.model, ("e", i), ("e", j), ("e", k))
         assert restrict_series_max_t_order(r, 5).is_zero()
 
 
 def test_trr_residuals_zero_toy(toy_table):
-    policy, f = _residual_setup(toy_table, 3)
+    f = _potential(toy_table, 3)
     for alpha in ("1", "x"):
         for beta, gamma in ((("x", 0), ("x", 0)), (("1", 0), ("x", 1))):
-            r = trr_residual(toy_table, (alpha, 1), beta, gamma, policy,
-                             potential=f)
+            r = trr_residual(f, toy_table.model, (alpha, 1), beta, gamma)
             assert restrict_series_max_t_order(r, 4).is_zero()
 
 
 def test_averaged_trr_zero(point_table, toy_table):
-    policy, f = _residual_setup(point_table, 5)
+    f = _potential(point_table, 5)
     for i in (1, 2):
-        r = averaged_trr_residual(point_table, "e", i, policy, potential=f)
+        r = averaged_trr_residual(f, point_table.model, "e", i)
         assert restrict_series_max_t_order(r, 5).is_zero()
-    policy, f = _residual_setup(toy_table, 3)
-    r = averaged_trr_residual(toy_table, "x", 1, policy, potential=f)
+    f = _potential(toy_table, 3)
+    r = averaged_trr_residual(f, toy_table.model, "x", 1)
     assert restrict_series_max_t_order(r, 4).is_zero()
 
 
 def test_vacuous_level_is_zero(point_table):
-    policy, f = _residual_setup(point_table, 5)
+    f = _potential(point_table, 5)
     # a level with no entries in bounds: vacuously zero
-    r = averaged_trr_residual(point_table, "e", 5, policy, potential=f)
+    r = averaged_trr_residual(f, point_table.model, "e", 5)
     assert restrict_series_max_t_order(r, 5).is_zero()
 
 
@@ -187,16 +341,15 @@ def test_fault_injection_detected(point_table):
     bad = point_table.perturbed(m.key([("e", 1)] + [("e", 0)] * 3), 2)
     policy = TruncationPolicy(max_t_order=8)
     f = assemble_potential(bad, policy, max_level=5)
-    r = trr_residual(bad, ("e", 1), ("e", 0), ("e", 0), policy, potential=f)
+    r = trr_residual(f, m, ("e", 1), ("e", 0), ("e", 0))
     assert not restrict_series_max_t_order(r, 5).is_zero()
-    ra = averaged_trr_residual(bad, "e", 1, policy, potential=f)
+    ra = averaged_trr_residual(f, m, "e", 1)
     assert not restrict_series_max_t_order(ra, 5).is_zero()
 
 
 def test_string_dilaton(point_table):
-    policy, f = _residual_setup(point_table, 5)
-    eq = string_dilaton_divisor_residuals(point_table, policy, potential=f,
-                                          max_level=5)
+    f = _potential(point_table, 5)
+    eq = string_dilaton_divisor_residuals(f, point_table.model)
     assert restrict_series_max_t_order(eq.string, 7).is_zero()
     assert restrict_series_max_t_order(eq.dilaton, 7).is_zero()
     assert eq.divisor is None
@@ -205,8 +358,8 @@ def test_string_dilaton(point_table):
 def test_string_dilaton_detect_a_perturbed_value(point_table):
     m = point_model()
     bad = point_table.perturbed(m.key([("e", 1)] + [("e", 0)] * 3), 2)
-    policy, f = _residual_setup(bad, 5)
-    eq = string_dilaton_divisor_residuals(bad, policy, potential=f, max_level=5)
+    f = _potential(bad, 5)
+    eq = string_dilaton_divisor_residuals(f, m)
     assert not restrict_series_max_t_order(eq.string, 7).is_zero()
     assert not restrict_series_max_t_order(eq.dilaton, 7).is_zero()
 
@@ -296,8 +449,7 @@ def test_equations_match_the_written_out_oracle(name, point_table, toy_table,
     bad = _perturbed_every(table, 3)
     policy = TruncationPolicy(max_t_order=table.bounds.max_points)
     f = assemble_potential(bad, policy, max_level=max_level)
-    eq = string_dilaton_divisor_residuals(bad, policy, potential=f,
-                                          max_level=max_level)
+    eq = string_dilaton_divisor_residuals(f, bad.model)
     want = _equations_oracle(bad, policy, f, max_level)
     got = (eq.string, eq.dilaton, eq.divisor)
     for g, w in zip(got, want):
@@ -348,8 +500,7 @@ def test_p1_wdvv_detects_a_perturbed_constant(p1_table):
 def test_p1_trr_internal_consistency(p1_table):
     policy = TruncationPolicy(max_t_order=6)
     f = assemble_potential(p1_table, policy, max_level=2)
-    r = trr_residual(p1_table, ("pt", 1), ("pt", 0), ("pt", 0), policy,
-                     potential=f)
+    r = trr_residual(f, p1_table.model, ("pt", 1), ("pt", 0), ("pt", 0))
     assert restrict_series_max_t_order(r, 3).is_zero()
 
 
@@ -358,8 +509,7 @@ def test_p1_divisor_equation_boundary(p1_table):
     # a boundary term 1/2 t_pt^2 z in the divisor residual at t-order 2
     policy = TruncationPolicy(max_t_order=6)
     f = assemble_potential(p1_table, policy, max_level=2)
-    eq = string_dilaton_divisor_residuals(p1_table, policy, potential=f,
-                                          max_level=2)
+    eq = string_dilaton_divisor_residuals(f, p1_table.model)
     assert eq.divisor is not None
     low = restrict_series_max_t_order(eq.divisor, 2)
     vt = eq.divisor.table
@@ -368,6 +518,35 @@ def test_p1_divisor_equation_boundary(p1_table):
     zfree = eq.divisor.map_terms(
         lambda mo: 1 if all(vt.variables[p].kind != "z" for p, _ in mo) else 0)
     assert restrict_series_max_t_order(zfree, 5).is_zero()
+
+
+def test_empty_divisor_cup_means_no_divisor():
+    """divisor_cup={} (io writes it as null) is no divisor data, in the
+    reconstruction and in the equations alike."""
+    p1 = sio.load_model(sio.fixture_path("p1.model.json"))
+    bare = TargetModel(p1.name, p1.classes, p1.unit, p1.eta, p1.h2_rank, p1.chern,
+                       p1.primaries, divisor=p1.divisor, divisor_cup={},
+                       divisor_pairing=p1.divisor_pairing)
+    assert p1.has_divisor and not bare.has_divisor
+    table = reconstruct(p1, Bounds(max_points=5, max_level=2, max_degree=2))
+    f = assemble_potential(table, TruncationPolicy(max_t_order=5), max_level=2)
+    eq = string_dilaton_divisor_residuals(f, bare)
+    assert eq.divisor is None
+    full = string_dilaton_divisor_residuals(f, p1)
+    assert full.divisor is not None
+    assert (eq.string, eq.dilaton) == (full.string, full.dilaton)
+    with pytest.raises(MissingPrimaryError):
+        Reconstructor(bare, Bounds(4, 0, 1)).value(bare.key([("pt", 0)] * 4, (1,)))
+    with pytest.raises(ValidationError, match="no forgetful rule"):
+        bare.forgetting("pt")
+
+
+def test_forgetful_rule_of_the_unit_and_the_divisor():
+    m = projective_line_model()
+    cup, weight = m.forgetting("1")
+    assert (cup("pt"), weight((3,))) == ({"pt": 1}, 0)
+    cup, weight = m.forgetting("pt")
+    assert (cup("1"), cup("pt"), weight((3,))) == ({"pt": 1}, {}, 3)
 
 
 def test_negative_curve_class_rejected():

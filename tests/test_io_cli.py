@@ -172,6 +172,17 @@ def test_cli_hierarchy_profiles(tmp_path):
     assert payload["hamiltonians"]["0"]["terms"]
 
 
+def test_cli_hierarchy_cover_bound_from_the_profile(tmp_path):
+    """--max-cover wins, then the profile's cover_bound, then 3."""
+    circle = str(sio.fixture_path("circle.profiles.json"))
+    out = tmp_path / "h.json"
+    for extra, cover in ((["--profiles", circle], 6),
+                         (["--profiles", circle, "--max-cover", "2"], 2),
+                         ([], 3)):
+        assert main(["hierarchy", "--levels", "0", "--out", str(out)] + extra) == 0
+        assert json.loads(out.read_text())["cover_bound"] == cover
+
+
 def test_cli_homology(tmp_path):
     out = tmp_path / "b.json"
     assert main(["homology", "--counts",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import cylhom, divisors, gw, hierarchy, io as sio
@@ -87,23 +88,14 @@ def cmd_hierarchy(args) -> int:
     cover = args.max_cover
     if cover is None:
         cover = prof["cover_bound"] if prof else 3
-    if prof:
-        with under_path(args.profiles):  # a cover it does not declare
-            lattice = hierarchy.OrbitLattice(
-                cover, half_dim=prof["half_dim"],
-                q_degree=(prof["grading"].q_degree if prof["grading"] else None))
-            table = lattice.table()
-            hams = {
-                j: hierarchy.geodesic_hamiltonian(
-                    lattice, j, prof["grading"], prof["signs"], table=table)
-                for j in levels
-            } if prof["grading"] else {
-                j: hierarchy.circle_hamiltonian(lattice, j, table=table)
-                for j in levels}
-    else:
-        lattice = hierarchy.OrbitLattice(cover)
-        table = lattice.table()
-        hams = {j: hierarchy.circle_hamiltonian(lattice, j, table=table)
+    grading = prof and prof["grading"]
+    lattice = hierarchy.OrbitLattice(cover, half_dim=prof["half_dim"] if prof else 1,
+                                     q_degree=grading and grading.q_degree)
+    with under_path(args.profiles) if prof else nullcontext():
+        table = lattice.table()  # a cover the profile does not declare
+        hams = {j: hierarchy.geodesic_hamiltonian(lattice, j, prof["signs"],
+                                                  table=table) if grading
+                else hierarchy.circle_hamiltonian(lattice, j, table=table)
                 for j in levels}
     out = {
         "schema": "sftlab-hamiltonians/1",

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd
 from typing import Iterable, Optional
 
 from . import linalg
@@ -308,14 +309,10 @@ class HomologyResult:
         return sum(self.betti.values())
 
 
-def _degree_modulus(model: TargetModel):
+def _degree_modulus(model: TargetModel) -> int:
     """Coefficients polynomial in z shift degrees by the z-degree lattice;
-    grading survives modulo the gcd of those shifts."""
-    from math import gcd
-    g = 0
-    for c in model.chern:
-        g = gcd(g, abs(2 * c))
-    return g or None
+    grading survives modulo the gcd of those shifts (0: no shift)."""
+    return gcd(*(2 * c for c in model.chern))
 
 
 def compute_homology(data: ChainComplexData) -> HomologyResult:
@@ -333,19 +330,17 @@ def compute_homology(data: ChainComplexData) -> HomologyResult:
     gens = data.orbits.generators
     width = data.model.h2_rank
     modulus = _degree_modulus(data.model)
+
+    def grade(deg):
+        return deg % modulus if modulus else deg
     by_degree = {}
     for i, g in enumerate(gens):
-        key = g.degree if modulus is None else g.degree % modulus
-        by_degree.setdefault(key, []).append(i)
+        by_degree.setdefault(grade(g.degree), []).append(i)
     betti = {}
     reps = {}
     for deg, idxs in sorted(by_degree.items()):
-        if modulus is None:
-            below = by_degree.get(deg - 1, [])
-            above = by_degree.get(deg + 1, [])
-        else:
-            below = by_degree.get((deg - 1) % modulus, [])
-            above = by_degree.get((deg + 1) % modulus, [])
+        below = by_degree.get(grade(deg - 1), [])
+        above = by_degree.get(grade(deg + 1), [])
         mat_out = [[d.entries.get((b, s), {}) for s in idxs] for b in below]
         mat_in = [[d.entries.get((t, a), {}) for a in above] for t in idxs]
         b = len(idxs) - linalg.rank(mat_out) - linalg.rank(mat_in)
@@ -625,42 +620,40 @@ def noneq_trr_residuals(data: ChainComplexData, variant: str,
 def generic_exactness_report(data: ChainComplexData):
     """(2,0) residual at t = 0 must map cycles into the image of the
     differential (exactness on homology) for generic section choices."""
-    maps = build_differential(data)
-    potential = DressedComplex(data).potential()
+    cx = DressedComplex(data)
+    plain = build_differential(data).plain
     reports = []
     for cls in data.model.classes:
         for i in range(1, data.level_bound + 1):
-            lhs = maps.decorated.get((cls.id, i, True),
-                                     LinearChainMap(data.orbits))
-            rhs = _f_term_matrix(data, maps, potential, cls.id, i)
-            residual = lhs - rhs
-            ok, witness = _exact_on_cycles(data, maps.plain, residual)
+            residual = _generic_residual_matrix(cx, cls.id, i)
+            ok, witness = _exact_on_cycles(data, plain, residual)
             reports.append(ResidualReport(
                 f"(2,0) on homology alpha={cls.id} i={i}", ok,
                 [] if ok else [witness]))
     return reports
 
 
-def _f_term_matrix(data: ChainComplexData, maps: DifferentialMaps,
-                   potential: GradedSeries, alpha: str, i: int) -> LinearChainMap:
-    """Sum_mu,nu d2f/dt^{alpha,i-1}dt^{mu,0}|_{t=0} eta^{mu nu} decorated(nu)
-    as a matrix.  At t = 0 only the z-only terms survive; they come from
-    stored two-point values, which are zero by the stability convention
-    unless a table sets them explicitly."""
-    model = data.model
-    vt = potential.table
-    coeffs = []
-    for series in second_derivative_series(potential, model, alpha, i - 1):
-        poly = {}
-        for mono, c in series.terms.items():
-            if all(vt.kinds[p] == "z" for p, _ in mono):
-                d = [0] * model.h2_rank
-                for p, e in mono:
-                    d[vt.variables[p].indices[0]] += e
-                poly[tuple(d)] = c
-        coeffs.append(poly)
-    return _contract(data.orbits, coeffs,
-                     [maps.decorated.get((c.id, 0, True)) for c in model.classes])
+def _generic_residual_matrix(cx: DressedComplex, alpha: str,
+                             i: int) -> LinearChainMap:
+    """The t-free part of the non-equivariant (2,0) residual operator as a
+    matrix: a q_dst z^d term of its value on q_src is entry (dst, src) at
+    z-degree d.  Its F-term sees only stored two-point values, zero by the
+    stability convention unless a table sets them."""
+    op = _trr_residual_operator(cx, "(2,0)", alpha, i, False)
+    vt, orbits = cx.vt, cx.data.orbits
+    index = {vt.position(q_var_name(g.key)): j for j, g in enumerate(orbits.generators)}
+    out = LinearChainMap(orbits)
+    for q_src, src in index.items():
+        value = op(vt.series({((q_src, 1),): 1}, cx.policy))
+        for mono, c in value.truncate(TruncationPolicy(max_t_order=0)).terms.items():
+            degree = [0] * cx.data.model.h2_rank
+            for p, e in mono:
+                if p in index:
+                    dst = index[p]
+                else:
+                    degree[vt.variables[p].indices[0]] += e
+            out.add_term(dst, src, tuple(degree), c)
+    return out
 
 
 def _contract(orbits: OrbitSet, coeffs, maps) -> LinearChainMap:
@@ -721,7 +714,6 @@ def extract_equivariant(data: ChainComplexData,
         raise ValidationError("data is already equivariant", "orbits")
     if source_flavor not in ("hat", "check"):
         raise ValidationError("source flavor must be hat or check", "flavor")
-    orbit_set = OrbitSet(data.orbits.orbits, equivariant=True)
     entries = []
     for e in data.counts.entries:
         flavors = (e.src[1], e.dst[1])
@@ -733,17 +725,14 @@ def extract_equivariant(data: ChainComplexData,
                         for i in e.insertions)
         else:
             continue
-        entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""), ins,
-                                  e.degree, e.value))
+        entries.append((e.src[0], e.dst[0], ins, e.degree, e.value))
     plain = build_differential(data).plain
     for (dst, src), poly in plain.block(source_flavor, source_flavor).items():
         for deg, v in poly.items():
-            entries.append(CountEntry((src, ""), (dst, ""), (), deg, v))
-    eq = replace(data, orbits=orbit_set,
-                 counts=CountData(entries, data.counts.section_choice),
-                 name=data.name + f"/{source_flavor}-block", internal=True)
+            entries.append((src, dst, (), deg, v))
     return BlockExtraction(
-        eq, plain.block("hat", "hat") == plain.block("check", "check"),
+        _single_flavor(data, entries, f"/{source_flavor}-block"),
+        plain.block("hat", "hat") == plain.block("check", "check"),
         not plain.block("check", "hat"))
 
 
@@ -756,20 +745,26 @@ def extract_floer(data: ChainComplexData) -> ChainComplexData:
     if data.fiber_model is None or data.fiber_table is None:
         raise ValidationError("no fiber model attached", "fiber_model")
     fiber_ids = {c.id for c in data.fiber_model.classes}
-    orbit_set = OrbitSet(data.orbits.orbits, equivariant=True)
     entries = []
     for e in data.counts.entries:
         if e.src[1] != "hat" or e.dst[1] != "hat":
             continue
         if any(i.class_id not in fiber_ids for i in e.insertions):
             continue
-        entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
-                                  e.insertions, e.degree, e.value))
-    return replace(data, orbits=orbit_set,
+        entries.append((e.src[0], e.dst[0], e.insertions, e.degree, e.value))
+    return _single_flavor(data, entries, "/floer", model=data.fiber_model,
+                          table=data.fiber_table, fiber_model=None,
+                          fiber_table=None, wedge_map=None)
+
+
+def _single_flavor(data: ChainComplexData, entries, suffix: str,
+                   **fields) -> ChainComplexData:
+    """Internal equivariant data over the orbits of ``data``; an entry is
+    (src orbit, dst orbit, insertions, degree, value), ``fields`` replace more."""
+    entries = [CountEntry((src, ""), (dst, ""), *rest) for src, dst, *rest in entries]
+    return replace(data, orbits=OrbitSet(data.orbits.orbits, equivariant=True),
                    counts=CountData(entries, data.counts.section_choice),
-                   model=data.fiber_model, table=data.fiber_table,
-                   fiber_model=None, fiber_table=None, wedge_map=None,
-                   name=data.name + "/floer", internal=True)
+                   name=data.name + suffix, internal=True, **fields)
 
 
 def equivariant_trr_residuals(data: ChainComplexData, variant: str,

@@ -6,10 +6,14 @@ r = j + 3, with n_i in {+-1, ..., +-K} and zero total winding of
     eps(n) * u_{n_1} ... u_{n_r} / r!
 
 with u_k = q_k and u_{-k} = p_k over the cover lattice of the orbit, cover
-multiplicities kappa_n = n.  Level 0 is the cubic Hamiltonian.  The circle
-case takes eps = +1 and no degree filter; a geodesic applies a grading
-filter (total degree 2(m+j-2) at level j) and an orientation sign profile,
-and reduces to the circle sum when every cover has degree m-3.
+multiplicities kappa_n = n.  Level 0 is the cubic Hamiltonian.  Both
+builders walk the zero-sum multisets once and weigh each by an integer
+over r!.  The circle takes eps = +1 and no degree filter: the weight is
+the number of orderings.  A geodesic reads the degrees of q_n and m from
+its lattice, keeps the multisets of total degree 2(m+j-2) at level j and
+weighs each by the sum, over its distinct orderings, of the orientation
+sign times the Koszul sign of sorting the word.  At m = 5 with every q_n
+of degree m-3 = 2 and every sign +1 it reduces to the circle sum.
 
 Cover truncation is subtle: the bracket of two Hamiltonians built at cover
 bound K is *not* the cover-K window of the full bracket, because pairings
@@ -54,7 +58,7 @@ class OrbitLattice:
 
     cover_bound: int
     window: int = 0
-    q_degree: Callable[[int], int] = None  # n -> degree of q_n; default -2
+    q_degree: Callable[[int], int] = None  # n -> degree of q_n; default half_dim - 3
     half_dim: int = 1
 
     def __post_init__(self):
@@ -64,10 +68,8 @@ class OrbitLattice:
     def table(self) -> VariableTable:
         variables = [planck_variable(self.half_dim)]
         for n in range(1, self.window + 1):
-            if self.q_degree is None:
-                qdeg = self.half_dim - 3  # CZ = 0 for every cover
-            else:
-                qdeg = self.q_degree(n)
+            # CZ = 0 for every cover unless q_degree says otherwise
+            qdeg = self.half_dim - 3 if self.q_degree is None else self.q_degree(n)
             q = Variable(f"q[o,{n}]", "q", ("o", n), qdeg, n)
             p = Variable(f"p[o,{n}]", "p", ("o", n), 2 * (self.half_dim - 3) - qdeg, n)
             variables.extend((q, p))
@@ -83,7 +85,6 @@ class GradingProfile:
     """Degrees of q_n per cover, from the Morse indices of the iterates."""
 
     degrees: dict  # n -> degree of q_n
-    half_dim: int
 
     def q_degree(self, n: int) -> int:
         try:
@@ -132,69 +133,74 @@ def _zero_sum_multisets(order: int, cover_bound: int, window: int):
                 yield tuple(sorted(ms + (-s,)))
 
 
-def circle_hamiltonian(lattice: OrbitLattice, level: int,
-                       table: Optional[VariableTable] = None,
-                       policy: Optional[TruncationPolicy] = None) -> GradedSeries:
-    """Level-j Hamiltonian of the circle: every sign +1, no degree filter."""
+def _hamiltonian(lattice: OrbitLattice, level: int,
+                 table: Optional[VariableTable], policy: Optional[TruncationPolicy],
+                 weight: Callable[..., int]) -> GradedSeries:
+    """Sum over the zero-sum multisets ms of weight(ms, mult, pos, table) / r!
+    times the monomial of ms; ``mult`` maps each index of ms to its
+    multiplicity, ``pos`` each index n to the table position of u_n."""
     if level < 0:
         raise ValidationError("level must be >= 0", "level")
     if table is None:
         table = lattice.table()
-    if policy is None:
-        policy = TruncationPolicy(max_cover=lattice.window,
-                                  max_pq_order=level + 3)
     order = level + 3
+    policy = policy or TruncationPolicy(max_cover=lattice.window, max_pq_order=order)
     fact = factorial(order)
     pos = {n: table.position(lattice.u_name(n))
            for n in range(-lattice.window, lattice.window + 1) if n}
-    counts = {}  # monomial -> number of ordered tuples, over order!
+    terms = {}
     for ms in _zero_sum_multisets(order, lattice.cover_bound, lattice.window):
         mult = {}
         for n in ms:
             mult[n] = mult.get(n, 0) + 1
-        perms = fact
-        for e in mult.values():
-            perms //= factorial(e)
-        mono = tuple(sorted((pos[n], e) for n, e in mult.items()))
-        counts[mono] = counts.get(mono, 0) + perms
-    return table.series({mono: Fraction(c, fact) for mono, c in counts.items()},
-                        policy)
+        c = weight(ms, mult, pos, table)
+        if c:
+            mono = tuple(sorted((pos[n], e) for n, e in mult.items()))
+            terms[mono] = Fraction(c, fact)
+    return table.series(terms, policy)
 
 
-def geodesic_hamiltonian(lattice: OrbitLattice, level: int,
-                         grading: GradingProfile, signs: SignProfile,
+def circle_hamiltonian(lattice: OrbitLattice, level: int,
+                       table: Optional[VariableTable] = None,
+                       policy: Optional[TruncationPolicy] = None) -> GradedSeries:
+    """Level-j Hamiltonian of the circle: every sign +1, no degree filter."""
+    return _hamiltonian(lattice, level, table, policy, _orderings)
+
+
+def _orderings(ms, mult, pos, table) -> int:
+    """Number of orderings of the multiset ms: r! / prod mult!."""
+    count = factorial(len(ms))
+    for e in mult.values():
+        if e > 1:
+            count //= factorial(e)
+    return count
+
+
+def geodesic_hamiltonian(lattice: OrbitLattice, level: int, signs: SignProfile,
                          table: Optional[VariableTable] = None,
                          policy: Optional[TruncationPolicy] = None) -> GradedSeries:
-    """Geodesic Hamiltonian: signed ordered sum filtered to degree 2(m+j-3).
+    """Geodesic Hamiltonian: signed ordered sum filtered to degree 2(m+j-2).
 
-    Ordered tuples are walked explicitly: the sign profile acts on the
-    tuple as written, the Koszul sign of sorting the written word into
-    canonical order is collected by the series product.
+    The degrees of q_n and m are the lattice's own.  A multiset of the
+    target degree weighs the sum, over its distinct orderings, of the sign
+    profile's sign of the tuple as written times the Koszul sign of sorting
+    the written word into table order (0 when an odd letter repeats).
     """
-    m = grading.half_dim
-    lat = OrbitLattice(lattice.cover_bound, lattice.window,
-                       q_degree=grading.q_degree, half_dim=m)
-    if table is None:
-        table = lat.table()
-    if policy is None:
-        policy = TruncationPolicy(max_cover=lat.window, max_pq_order=level + 3)
-    order = level + 3
-    target_degree = 2 * (m + level - 2)
-    fact = factorial(order)
-    total = table.zero(policy)
-    for ms in _zero_sum_multisets(order, lat.cover_bound, lat.window):
-        degree = sum(table.variable(lat.u_name(n)).degree for n in ms)
-        if degree != target_degree:
-            continue
+    target = 2 * (lattice.half_dim + level - 2)
+
+    def signed_orderings(ms, mult, pos, table):
+        if sum(table.degrees[pos[n]] for n in ms) != target:
+            return 0
+        total = 0
         for tup in set(permutations(ms)):
             eps = signs.sign(tup)
-            if eps == 0:
-                continue
-            word = table.one(policy)
-            for n in tup:
-                word = word * table.var(lat.u_name(n), 1, policy)
-            total = total + word.scale(Fraction(eps, fact))
-    return total
+            odd = [pos[n] for n in tup if table.parity[pos[n]]]
+            if eps and len(set(odd)) == len(odd):
+                total += eps * (-1) ** sum(a > b for k, a in enumerate(odd)
+                                           for b in odd[k + 1:])
+        return total
+
+    return _hamiltonian(lattice, level, table, policy, signed_orderings)
 
 
 def commutator_residuals(levels, cover_bound: int,

@@ -338,7 +338,7 @@ def load_profiles(path):
                 raise ValidationError(f"cover {k!r} is not an integer",
                                       f"{p}.q_degrees.{k}") from None
             q_degrees[cover] = _int_value(v, f"{p}.q_degrees.{k}")
-        grading = GradingProfile(q_degrees, half_dim)
+        grading = GradingProfile(q_degrees)
     signs_obj = obj.get("signs") or {}
     explicit = {}
     for i, item in enumerate(signs_obj.get("explicit", [])):

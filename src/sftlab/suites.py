@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 from . import cylhom, divisors, gw, gw_oracle, hierarchy
 from .algebra import (
@@ -281,23 +281,20 @@ def hierarchy_suite(cover_bound=6, max_level=3) -> VerificationReport:
         return all(total(m) == 0 for h in hams for m in h.terms), "", ""
 
     # geodesic builder: maximal grading reduces to the circle sum
-    grading = hierarchy.GradingProfile({n: 2 for n in range(1, 4)}, half_dim=5)
-    lat5 = hierarchy.OrbitLattice(3, half_dim=5)
+    lat5 = hierarchy.OrbitLattice(3, half_dim=5)  # every q_n of degree m-3 = 2
 
     def geodesic_maximal():
-        circle = hierarchy.OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
-        same = all(hierarchy.geodesic_hamiltonian(lat5, j, grading,
+        same = all(hierarchy.geodesic_hamiltonian(lat5, j,
                                                   hierarchy.SignProfile()).terms
-                   == hierarchy.circle_hamiltonian(circle, j).terms for j in (0, 1))
+                   == hierarchy.circle_hamiltonian(lat5, j).terms for j in (0, 1))
         return same, "", ""
 
     def geodesic_bad_orbit():
         """Bad covers kill monomials."""
         bad = hierarchy.SignProfile(bad_covers=frozenset({2}))
-        geo = hierarchy.geodesic_hamiltonian(lat5, 0, grading, bad)
-        touched = any(v.indices[1] == 2
-                      for mono in geo.terms for p, _ in mono
-                      for v in [lat5.table().variables[p]])
+        geo = hierarchy.geodesic_hamiltonian(lat5, 0, bad)
+        touched = any(geo.table.variables[p].indices[1] == 2
+                      for mono in geo.terms for p, _ in mono)
         return not touched, "", ""
 
     checks += [
@@ -344,13 +341,12 @@ def gw_suite(max_points=8, max_level=4, window=5) -> VerificationReport:
     def point_oracle():
         """Oracle comparison over everything in bounds."""
         ptable, bad = table("point"), []
-        for n in range(3, max_points + 1):
-            for levels in combinations_with_replacement(range(max_level + 1), n):
-                key = model.key([("e", a) for a in levels])
-                want = gw_oracle.point_correlator(tuple(levels))
-                closed = gw_oracle.point_correlator_closed_form(tuple(levels))
-                if want != closed or ptable.get(key) != want:
-                    bad.append((levels, ptable.get(key), want, closed))
+        for key in gw.enumerate_keys(*cases["point"]):
+            levels = tuple(a for _, a in key.insertions)
+            want = gw_oracle.point_correlator(levels)
+            closed = gw_oracle.point_correlator_closed_form(levels)
+            if want != closed or ptable.get(key) != want:
+                bad.append((levels, ptable.get(key), want, closed))
         return not bad, str(bad[:3]) if bad else "0", ""
 
     def toy_oracle():
@@ -433,27 +429,16 @@ def gw_suite(max_points=8, max_level=4, window=5) -> VerificationReport:
 
 
 def _choice_independence(model, max_points, max_level) -> bool:
-    from itertools import combinations
     bounds = gw.Bounds(max_points=max_points, max_level=max_level)
     base = gw.reconstruct(model, bounds)
-    keys = list(base.values)
     # recompute every value under every admissible reference choice
-    for key in keys:
-        ins = list(key.insertions)
-        target = max(range(len(ins)), key=lambda i: (ins[i][1], ins[i][0]))
-        if ins[target][1] < 1:
+    for key in list(base.values):
+        if max(a for _, a in key.insertions) < 1:
             continue
-        rest = [i for i in range(len(ins)) if i != target]
-        if len(rest) < 2:
-            continue
-        for bi_, gi_ in combinations(range(len(rest)), 2):
-            def chooser(k, tgt, bi=bi_, gi=gi_, key0=key):
-                if k == key0:
-                    return bi, gi
-                other = [i for i in range(len(k.insertions)) if i != tgt]
-                order = sorted(range(len(other)))
-                return order[0], order[1]
-            rec = gw.Reconstructor(model, bounds, trr_choice=chooser)
+        for pair in combinations(range(len(key.insertions) - 1), 2):
+            rec = gw.Reconstructor(
+                model, bounds,
+                trr_choice=lambda k, _: pair if k == key else (0, 1))
             if rec.value(key) != base.get(key):
                 return False
     return True

@@ -11,7 +11,7 @@ from sftlab.cylhom import (
     Insertion, Orbit,
     OrbitSet, build_differential, build_floer_model, compare_equivariant_floer,
     compute_homology, contact_vanishing, d_squared_residual,
-    LinearChainMap, _contract, _exact_on_cycles, _f_term_matrix,
+    LinearChainMap, _contract, _exact_on_cycles, _generic_residual_matrix,
     equivariant_trr_residuals, extract_equivariant, extract_floer,
     _witness_signature, noneq_trr_residuals, q_var_name, quantum_action,
     second_derivative_series, t_name, tc_name, z_name,
@@ -468,17 +468,22 @@ def _f_term_by_two_point_scan(data, maps, alpha, i):
 
 
 def test_f_term_matrix_equals_the_two_point_scan():
-    data = _p1_generic()
-    maps = build_differential(data)
-    potential = DressedComplex(data).potential()
-    nonzero = 0
-    for alpha in ("1", "pt"):
-        for i in (1, 2):
-            got = _f_term_matrix(data, maps, potential, alpha, i)
-            want = _f_term_by_two_point_scan(data, maps, alpha, i)
-            assert got.entries == want.entries, (alpha, i)
-            nonzero += not want.is_zero()
-    assert nonzero == 3
+    """The decorated map less the t-free residual operator is the F-term,
+    whether the residual vanishes (scale 1) or not (scale 2)."""
+    for scale in (1, 2):
+        data = _p1_generic(scale)
+        maps = build_differential(data)
+        cx = DressedComplex(data)
+        nonzero = 0
+        for alpha in ("1", "pt"):
+            for i in (1, 2):
+                lhs = maps.decorated.get((alpha, i, True),
+                                         LinearChainMap(data.orbits))
+                got = lhs - _generic_residual_matrix(cx, alpha, i)
+                want = _f_term_by_two_point_scan(data, maps, alpha, i)
+                assert got.entries == want.entries, (scale, alpha, i)
+                nonzero += not want.is_zero()
+        assert nonzero == 3
 
 
 def test_two_point_values_enter_the_generic_exactness_check():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,68 @@ def test_circle_builder_matches_reference():
                                                           max_pq_order=level + 3))
             if cover == 5:
                 assert len(built.terms) == (30, 125, 434, 1285)[level]
+
+
+def geodesic_hamiltonian_reference(lattice, level, signs, table, policy):
+    """The geodesic Hamiltonian built ordering by ordering: each written word
+    is a chain of series products, which collects its Koszul sign."""
+    order = level + 3
+    target = 2 * (lattice.half_dim + level - 2)
+    fact = factorial(order)
+    total = table.zero(policy)
+    for ms in _zero_sum_multisets(order, lattice.cover_bound, lattice.window):
+        if sum(table.variable(lattice.u_name(n)).degree for n in ms) != target:
+            continue
+        for tup in set(permutations(ms)):
+            eps = signs.sign(tup)
+            if eps == 0:
+                continue
+            word = table.one(policy)
+            for n in tup:
+                word = word * table.var(lattice.u_name(n), 1, policy)
+            total = total + word.scale(Fraction(eps, fact))
+    return total
+
+
+def odd_thirds(n):
+    """q_n (and p_n) odd at n = 3, 6, ... for half_dim 5."""
+    return 2 if n % 3 else 1
+
+
+def odd_covers(n):
+    """q_n (and p_n) odd at odd n for half_dim 4."""
+    return 1 if n % 2 else 2
+
+
+GEODESIC_CASES = [  # (half_dim, q-degree of cover n, sign profile)
+    (5, odd_thirds, SignProfile()),
+    (5, odd_thirds, SignProfile(rule=lambda ns: -1 if ns[0] < 0 else 1)),
+    (5, odd_thirds, SignProfile(bad_covers=frozenset({2}))),
+    (4, odd_covers, SignProfile(rule=lambda ns: 1 if ns[0] < ns[-1] else -1)),
+    (4, odd_covers, SignProfile(explicit={(1, 2, -3): -1, (-3, 2, 1): 0,
+                                           (2, -3, 1): -1, (1, -3, 2): 1})),
+]
+
+
+def test_geodesic_builder_matches_the_series_products():
+    """Odd letters, sign rules, explicit signs and bad covers, levels 0..3 at
+    covers 2..3, on the bare lattice and on the extended one."""
+    nonzero = odd = 0
+    for half_dim, q_degree, signs in GEODESIC_CASES:
+        for cover in (2, 3):
+            for level in range(4):
+                for window in (cover, cover * (level + 2)):
+                    lat = OrbitLattice(cover, window, q_degree=q_degree,
+                                       half_dim=half_dim)
+                    table = lat.table()
+                    policy = TruncationPolicy(max_cover=window,
+                                              max_pq_order=level + 3)
+                    built = geodesic_hamiltonian(lat, level, signs, table=table)
+                    assert built == geodesic_hamiltonian_reference(
+                        lat, level, signs, table, policy), (half_dim, cover, level)
+                    nonzero += not built.is_zero()
+                    odd += any(table.parity[p] for m in built.terms for p, _ in m)
+    assert nonzero > 50 and odd > 15
 
 
 def test_pinned_circle_values():
@@ -182,55 +245,54 @@ def test_windowed_matches_naive_on_sound_window():
 
 
 def test_geodesic_maximal_grading_reduces_to_circle():
-    grading = GradingProfile({n: 2 for n in range(1, 4)}, half_dim=5)
+    grading = GradingProfile({n: 2 for n in range(1, 4)})
     signs = SignProfile()
-    lat = OrbitLattice(3, half_dim=5)
+    lat = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
     for j in (0, 1):
-        geo = geodesic_hamiltonian(lat, j, grading, signs)
-        circ = circle_hamiltonian(
-            OrbitLattice(3, half_dim=5, q_degree=grading.q_degree), j)
+        geo = geodesic_hamiltonian(lat, j, signs)
+        circ = circle_hamiltonian(lat, j)
         assert geo.terms == circ.terms
 
 
 def test_geodesic_degree_filter():
     # degrees that never hit the target wipe the Hamiltonian out
-    grading = GradingProfile({n: 0 for n in range(1, 3)}, half_dim=5)
+    grading = GradingProfile({n: 0 for n in range(1, 3)})
     signs = SignProfile()
-    lat = OrbitLattice(2, half_dim=5)
-    geo = geodesic_hamiltonian(lat, 0, grading, signs)
+    lat = OrbitLattice(2, half_dim=5, q_degree=grading.q_degree)
+    geo = geodesic_hamiltonian(lat, 0, signs)
     assert geo.is_zero()
 
 
 def test_geodesic_degree_filter_soundness():
-    grading = GradingProfile({1: 2, 2: 2, 3: 2}, half_dim=5)
-    lat = OrbitLattice(3, half_dim=5)
+    grading = GradingProfile({1: 2, 2: 2, 3: 2})
+    lat = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
     for j in (0, 1):
-        geo = geodesic_hamiltonian(lat, j, grading, SignProfile())
+        geo = geodesic_hamiltonian(lat, j, SignProfile())
         target = 2 * (5 + j - 2)
-        table = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree).table()
+        table = lat.table()
         from sftlab.algebra import mono_degree
         for mono in geo.terms:
             assert mono_degree(table, mono) == target
 
 
 def test_bad_covers_vanish():
-    grading = GradingProfile({n: 2 for n in range(1, 4)}, half_dim=5)
+    grading = GradingProfile({n: 2 for n in range(1, 4)})
     signs = SignProfile(bad_covers=frozenset({2}))
-    lat = OrbitLattice(3, half_dim=5)
-    geo = geodesic_hamiltonian(lat, 0, grading, signs)
-    table = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree).table()
+    lat = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
+    geo = geodesic_hamiltonian(lat, 0, signs)
+    table = lat.table()
     for mono in geo.terms:
         for pos, _ in mono:
             assert table.variables[pos].indices[1] != 2
 
 
 def test_explicit_sign_rule():
-    grading = GradingProfile({n: 2 for n in range(1, 3)}, half_dim=5)
+    grading = GradingProfile({n: 2 for n in range(1, 3)})
     # flip the sign of every ordered tuple: the whole sum flips
     lat = OrbitLattice(2, half_dim=5, q_degree=grading.q_degree)
     table = lat.table()
-    plus = geodesic_hamiltonian(lat, 0, grading, SignProfile(), table=table)
-    minus = geodesic_hamiltonian(lat, 0, grading, SignProfile(rule=lambda ns: -1),
+    plus = geodesic_hamiltonian(lat, 0, SignProfile(), table=table)
+    minus = geodesic_hamiltonian(lat, 0, SignProfile(rule=lambda ns: -1),
                                  table=table)
     assert not plus.is_zero()
     assert (plus + minus).is_zero()
@@ -252,17 +314,17 @@ def perturbed_circle(seed, count=3):
     return build
 
 
-def geodesic_builder(grading, signs):
-    """Geodesic builder on one graded table per lattice window."""
-    tables = {}
+def geodesic_builder(grading, half_dim, signs):
+    """Geodesic builder on one graded lattice and table per lattice window."""
+    graded = {}
 
     def build(lattice, level, table, policy):
-        if lattice.window not in tables:
-            tables[lattice.window] = OrbitLattice(
-                lattice.cover_bound, lattice.window, q_degree=grading.q_degree,
-                half_dim=grading.half_dim).table()
-        return geodesic_hamiltonian(lattice, level, grading, signs,
-                                    table=tables[lattice.window], policy=policy)
+        if lattice.window not in graded:
+            lat = OrbitLattice(lattice.cover_bound, lattice.window,
+                               q_degree=grading.q_degree, half_dim=half_dim)
+            graded[lattice.window] = lat, lat.table()
+        lat, tab = graded[lattice.window]
+        return geodesic_hamiltonian(lat, level, signs, table=tab, policy=policy)
     return build
 
 
@@ -289,11 +351,10 @@ def test_geodesic_residuals_equal_windowed_full_brackets():
     # covers 3, 6, 9 are odd; the sign rule is not a coherent orientation
     cover, levels = 3, [0, 1, 2]
     window = cover * (max(levels) + 2)
-    grading = GradingProfile({n: 2 if n % 3 else 1 for n in range(1, window + 1)},
-                             half_dim=5)
+    grading = GradingProfile({n: 2 if n % 3 else 1 for n in range(1, window + 1)})
     signs = SignProfile(rule=lambda ns: -1 if ns[0] < 0 else 1)
     hams = assert_residuals_are_windowed_full_brackets(
-        levels, cover, geodesic_builder(grading, signs))
+        levels, cover, geodesic_builder(grading, 5, signs))
     table = hams[0].table
     assert any(table.parity[pos] for h in hams for m in h.terms for pos, _ in m)
 

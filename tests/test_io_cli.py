@@ -183,6 +183,22 @@ def test_cli_hierarchy_cover_bound_from_the_profile(tmp_path):
         assert json.loads(out.read_text())["cover_bound"] == cover
 
 
+def test_cli_hierarchy_negative_level_exits_2(capsys):
+    assert main(["hierarchy", "--levels", "-1"]) == 2
+    assert capsys.readouterr().err == "error: level: level must be >= 0\n"
+
+
+def test_cli_hierarchy_odd_circle_profile_exits_2(tmp_path, capsys):
+    """Half-dimension 4 makes every q and p odd; the circle builder applies
+    no Koszul sign, so q[o,1]^2 is rejected as input."""
+    obj = sio.load_json(sio.fixture_path("circle.profiles.json"))
+    obj.update(half_dim=4, cover_bound=3)
+    path = tmp_path / "odd.profiles.json"
+    path.write_text(json.dumps(obj))
+    assert main(["hierarchy", "--profiles", str(path)]) == 2
+    assert capsys.readouterr().err == "error: exponent 2 not allowed on q[o,1]\n"
+
+
 def test_cli_homology(tmp_path):
     out = tmp_path / "b.json"
     assert main(["homology", "--counts",

@@ -5,7 +5,6 @@ Run from the repository root:
     python scripts/make_fixtures.py
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -13,9 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sftlab import io as sio  # noqa: E402
 from sftlab.models import point_model, projective_line_model, two_point_model  # noqa: E402
-from sftlab.suites import (  # noqa: E402
-    CYLHOM_FIXTURE_FILES, build_cylhom_fixtures, builtin_m05_ledger,
-)
+from sftlab.suites import CYLHOM_FIXTURE_FILES, build_cylhom_fixtures  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "sftlab" / "fixtures"
 
@@ -29,9 +26,6 @@ def main():
     datasets = build_cylhom_fixtures()
     for key, fname in CYLHOM_FIXTURE_FILES.items():
         sio.save_counts(datasets[key], FIXTURES / fname)
-
-    ledger = {"schema": sio.LEDGER_SCHEMA, **builtin_m05_ledger()}
-    (FIXTURES / "m05_ledger.json").write_text(sio.dumps_canonical(ledger))
 
     circle = {
         "schema": sio.PROFILES_SCHEMA,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import gcd
 from typing import Iterable, Optional
 
@@ -467,38 +467,26 @@ class DressedComplex:
 
     # spanning-set evaluation ------------------------------------------------
 
-    def arguments(self, max_arg_order: Optional[int] = None, arg_classes=None):
-        """Generators dressed with plain-t monomials up to a given order, in
-        the t-variables of the classes in ``arg_classes`` (default: all)."""
+    def arguments(self, arg_classes=None):
+        """Generators, bare and times one plain t-variable of a class in
+        ``arg_classes`` (default: all)."""
         vt = self.vt
-        cap = self.data.t_order if max_arg_order is None else max_arg_order
         tvars = [t_name(c.id, a) for c in self.data.model.classes
                  for a in range(self.data.level_bound + 1)]
         if arg_classes is not None:
             tvars = [nm for nm in tvars
                      if vt.variable(nm).indices[0] in arg_classes]
-        monomials = [()]
-        for k in range(1, cap + 1):
-            monomials.extend(combinations_with_replacement(tvars, k))
         for g in self.data.orbits.generators:
             qn = q_var_name(g.key)
-            for mono in monomials:
-                factors = {qn: 1}
-                ok = True
-                for nm in mono:
-                    factors[nm] = factors.get(nm, 0) + 1
-                    if vt.variable(nm).odd and factors[nm] > 1:
-                        ok = False
-                        break
-                if ok:
-                    yield (g, mono), self.vt.monomial(factors, 1, self.policy)
+            yield (g, ()), vt.monomial({qn: 1}, 1, self.policy)
+            for nm in tvars:
+                yield (g, (nm,)), vt.monomial({qn: 1, nm: 1}, 1, self.policy)
 
-    def operator_residual(self, op: LinearOperator, max_arg_order=None,
-                          arg_classes=None):
+    def operator_residual(self, op: LinearOperator, arg_classes=None):
         """Evaluate an operator over the spanning set; collect nonzero hits."""
         window = TruncationPolicy(max_t_order=self.data.t_order, max_pq_order=2)
         witnesses = []
-        for label, arg in self.arguments(max_arg_order, arg_classes):
+        for label, arg in self.arguments(arg_classes):
             out = op(arg).truncate(window)
             if not out.is_zero():
                 witnesses.append((label, out))
@@ -580,21 +568,19 @@ def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
 
 
 def _residual_reports(cx: DressedComplex, variant: str, equivariant: bool,
-                      classes, max_arg_order: Optional[int],
-                      arg_classes=None):
+                      classes, arg_classes=None):
     """One report per class and level 1..L of one recursion identity,
     evaluated on arguments dressed in the t-variables of ``arg_classes``."""
     reports = []
     for cls in classes:
         for i in range(1, cx.data.level_bound + 1):
             op = _trr_residual_operator(cx, variant, cls, i, equivariant)
-            w = cx.operator_residual(op, max_arg_order, arg_classes)
+            w = cx.operator_residual(op, arg_classes)
             reports.append(ResidualReport(f"{variant} alpha={cls} i={i}", not w, w))
     return reports
 
 
-def noneq_trr_residuals(data: ChainComplexData, variant: str,
-                        max_arg_order: Optional[int] = None):
+def noneq_trr_residuals(data: ChainComplexData, variant: str):
     """Residual reports of one recursion identity on non-equivariant data.
 
     The data's section choice must match the requested identity; "generic"
@@ -614,7 +600,7 @@ def noneq_trr_residuals(data: ChainComplexData, variant: str,
             f"data is labeled {label!r}; checking the {variant} identity "
             f"against it is rejected")
     return _residual_reports(DressedComplex(data), variant, False,
-                             [c.id for c in data.model.classes], max_arg_order)
+                             [c.id for c in data.model.classes])
 
 
 def generic_exactness_report(data: ChainComplexData):
@@ -769,14 +755,13 @@ def _single_flavor(data: ChainComplexData, entries, suffix: str,
 
 def equivariant_trr_residuals(data: ChainComplexData, variant: str,
                               source_flavor: str = "hat",
-                              max_arg_order: Optional[int] = None,
                               classes: Optional[list] = None,
                               arg_classes=None):
     """Residuals of the equivariant recursion identities on extracted blocks."""
     ext = extract_equivariant(data, source_flavor)
     reports = _residual_reports(
         DressedComplex(ext.data), variant, True,
-        classes or [c.id for c in data.model.classes], max_arg_order, arg_classes)
+        classes or [c.id for c in data.model.classes], arg_classes)
     return [replace(r, name=f"eq {r.name} [{source_flavor}]") for r in reports]
 
 
@@ -800,8 +785,7 @@ class BlockComparison:
     details: list = field(default_factory=list)
 
 
-def compare_equivariant_floer(data: ChainComplexData, variant: str,
-                              max_arg_order: int = 1) -> BlockComparison:
+def compare_equivariant_floer(data: ChainComplexData, variant: str) -> BlockComparison:
     """The split-model reductions, block by block.
 
     (i) the hat- and check-block extractions give identical equivariant
@@ -816,14 +800,14 @@ def compare_equivariant_floer(data: ChainComplexData, variant: str,
     wedged = [data.wedge_map[fc] for fc in fiber]
     sigs = {}
     for flavor in ("hat", "check"):
-        reports = equivariant_trr_residuals(data, variant, flavor, max_arg_order,
-                                            classes=wedged, arg_classes=set(fiber))
+        reports = equivariant_trr_residuals(data, variant, flavor, classes=wedged,
+                                            arg_classes=set(fiber))
         sigs[flavor] = [_witness_signature(r.witnesses) for r in reports]
     hat_check_equal = sigs["hat"] == sigs["check"]
     if not hat_check_equal:
         details.append("hat and check extractions disagree")
     floer = _residual_reports(DressedComplex(extract_floer(data)), variant, False,
-                              fiber, max_arg_order)
+                              fiber)
     floer_match = True
     levels = range(1, data.level_bound + 1)
     for (fc, i), hat_sig, r in zip(product(fiber, levels), sigs["hat"], floer):
@@ -848,10 +832,11 @@ class ContactVanishingReport:
 
 
 def contact_vanishing(data: ChainComplexData) -> ContactVanishingReport:
-    """Level >= 1 decorated maps must vanish on homology for contact models.
+    """Level >= 1 decorated maps must vanish on homology for data flagged
+    ``contact``.
 
-    The level-0 maps are exempt.  Non-contact models are reported as not
-    applicable rather than checked.
+    The level-0 maps are exempt.  Data not flagged contact is reported as
+    not applicable rather than checked.
     """
     if not data.contact:
         return ContactVanishingReport(False, "model is not flagged contact")
@@ -947,8 +932,7 @@ def product_model(fiber: TargetModel) -> TargetModel:
             eta[nf + i][j] = fiber.eta[i][j]
     return TargetModel(
         f"circle-x-{fiber.name}", classes, fiber.unit, eta,
-        h2_rank=fiber.h2_rank, chern=fiber.chern,
-        contact=(len(fiber.classes) == 1 and fiber.dimension == 0))
+        h2_rank=fiber.h2_rank, chern=fiber.chern)
 
 
 def product_table(fiber: TargetModel, fiber_table: CorrelatorTable,
@@ -969,22 +953,23 @@ def product_table(fiber: TargetModel, fiber_table: CorrelatorTable,
 
 
 def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2,
-                      t_order: int = 2, section_choice: str = "(2,0)",
-                      max_degree: int = 0) -> ChainComplexData:
+                      t_order: int = 2,
+                      section_choice: str = "(2,0)") -> ChainComplexData:
     """Test-bed chain data for a circle-times-fiber product.
 
     Generators come in hat/check pairs per fiber basis class and period
     (multiplicity = period).  Constrained fiber decorations realize the
     recursion relation seeded by quantum multiplication; the wedged classes
     mirror them as free decorations.  Wedged constrained maps are zero, the
-    plain differential is zero, everything is block-diagonal.
+    plain differential is zero, everything is block-diagonal.  Fiber
+    correlators are reconstructed in curve-class degree 0, and the data is
+    flagged contact when the fiber is one class of dimension 0 (a point).
     """
-    bounds = Bounds(max_points=t_order + 4, max_level=level_bound,
-                    max_degree=max_degree)
-    fiber_table = reconstruct(fiber, bounds)
+    fiber_table = reconstruct(fiber, Bounds(max_points=t_order + 4,
+                                            max_level=level_bound))
     vmodel = product_model(fiber)
     vtable = product_table(fiber, fiber_table, vmodel)
-    qp = quantum_product(fiber, fiber_table, max_degree=max_degree)
+    qp = quantum_product(fiber, fiber_table)
     nf = len(fiber.classes)
     orbits = []
     for b in fiber.classes:
@@ -1063,6 +1048,7 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
     wedge = {c.id: wedged_id(c.id) for c in fiber.classes}
     return ChainComplexData(
         orbit_set, CountData(entries, section_choice), vmodel, vtable,
-        level_bound, t_order, contact=vmodel.contact,
+        level_bound, t_order,
+        contact=(len(fiber.classes) == 1 and fiber.dimension == 0),
         fiber_model=fiber, fiber_table=fiber_table, wedge_map=wedge,
         name=f"floer-{fiber.name}")

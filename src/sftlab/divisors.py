@@ -184,13 +184,13 @@ def _lhs_factor(variant: str, r: int, p: int) -> Fraction:
     raise ValidationError(f"unknown variant {variant!r}", "variant")
 
 
-def enumerate_splittings(r: int, pos: int, neg: int, i: int = 1):
+def enumerate_splittings(r: int, pos: int, neg: int):
     """All splittings of r marked points and pos/neg puncture labels with the
-    descendant point i on the first side."""
+    descendant point 1 on the first side."""
+    if r < 1:
+        raise ValidationError("need at least one marked point", "r")
     marked = set(range(1, r + 1))
-    if i not in marked:
-        raise ValidationError(f"descendant index {i} outside 1..{r}", "i")
-    others = sorted(marked - {i})
+    others = sorted(marked - {1})
     out = []
     for jk in range(0, r):
         for j_side in combinations(others, jk):
@@ -208,18 +208,15 @@ def enumerate_splittings(r: int, pos: int, neg: int, i: int = 1):
     return out
 
 
-def map_zero_locus(r: int, pos: int, neg: int, variant: str,
-                   i: int = 1) -> tuple:
+def map_zero_locus(r: int, pos: int, neg: int, variant: str) -> tuple:
     """(LHS factor, expression) for one averaged zero-locus formula.
 
     variant "A" remembers the two punctures, "B" one puncture and one
     marked point, "C" two marked points; coefficients are the displayed
     combinatorial weights as functions of (r1, r2, P2).
     """
-    if r < 1:
-        raise ValidationError("need at least one marked point", "r")
     expr = {}
-    for s in enumerate_splittings(r, pos, neg, i):
+    for s in enumerate_splittings(r, pos, neg):
         c = _coefficient(variant, s.r1, s.r2, s.p2)
         if c:
             expr[s] = c
@@ -316,27 +313,22 @@ def ledger_check(ledger: dict):
       self_intersections: [{divisor: [i,j], weight: w, at: [[[k,l], index], ...]}]
       cross_intersections: [{a: [i,j], a_weight: w, b: [k,l],
                              at: [[location, index], ...]}]
-    Each self entry must sum to weight * (-1); each cross entry to
-    a_weight * pairing(a, b).
+    Each entry's indices must sum to its weight times the pairing of its two
+    divisors, b = a for a self entry (pairing -1).
     """
+    entries = [("self", item["divisor"], item["divisor"], item["weight"], item["at"])
+               for item in ledger.get("self_intersections", [])]
+    entries += [("cross", item["a"], item["b"], item["a_weight"], item["at"])
+                for item in ledger.get("cross_intersections", [])]
     violations = []
-    for item in ledger.get("self_intersections", []):
-        div = frozenset(item["divisor"])
-        w = Fraction(item["weight"])
-        total = sum((Fraction(idx) for _, idx in item["at"]), Fraction(0))
-        expected = w * m05_pair_index(div, div)
-        if total != expected:
-            violations.append(LedgerViolation(
-                f"self({set(div)}, weight {w})", expected, total))
-    for item in ledger.get("cross_intersections", []):
-        a = frozenset(item["a"])
-        b = frozenset(item["b"])
-        w = Fraction(item["a_weight"])
-        total = sum((Fraction(idx) for _, idx in item["at"]), Fraction(0))
+    for kind, a, b, w, at in entries:
+        a, b, w = frozenset(a), frozenset(b), Fraction(w)
+        total = sum((Fraction(idx) for _, idx in at), Fraction(0))
         expected = w * m05_pair_index(a, b)
         if total != expected:
+            pair = set(a) if kind == "self" else f"{set(a)} vs {set(b)}"
             violations.append(LedgerViolation(
-                f"cross({set(a)} vs {set(b)}, weight {w})", expected, total))
+                f"{kind}({pair}, weight {w})", expected, total))
     return violations
 
 

@@ -56,13 +56,12 @@ class TargetModel:
 
     ``eta`` is the Poincare pairing on the chosen basis.  ``chern`` holds
     the first-Chern pairing per curve-class basis element.  Primary values
-    are keyed by CorrelatorKey and must have at least three insertions and
-    pass the dimension filter.
+    enter through ``add_primary``, keyed by CorrelatorKey; they must have at
+    least three insertions and pass the dimension filter.
     """
 
     def __init__(self, name, classes, unit, eta, h2_rank=0, chern=(),
-                 primaries=None, divisor=None, divisor_cup=None,
-                 divisor_pairing=None, contact=False):
+                 divisor=None, divisor_cup=None, divisor_pairing=None):
         self.name = name
         self.classes = tuple(CohClass(c.id, c.degree) if isinstance(c, CohClass)
                              else CohClass(str(c[0]), int(c[1])) for c in classes)
@@ -73,7 +72,6 @@ class TargetModel:
         self.divisor = divisor
         self.divisor_cup = divisor_cup
         self.divisor_pairing = tuple(divisor_pairing) if divisor_pairing else None
-        self.contact = bool(contact)
         self._index = {c.id: i for i, c in enumerate(self.classes)}
         self._validate_static()
         try:
@@ -81,8 +79,6 @@ class TargetModel:
         except ZeroDivisionError:
             raise ValidationError("eta not invertible", "eta") from None
         self.primaries = {}
-        for key, value in (primaries or {}).items():
-            self.add_primary(key, value)
 
     # -- validation ------------------------------------------------------
 
@@ -202,12 +198,10 @@ class CorrelatorTable:
     Every stored nonzero value must pass the model's dimension filter.
     """
 
-    def __init__(self, model: TargetModel, values=None, bounds: Optional[Bounds] = None):
+    def __init__(self, model: TargetModel, bounds: Optional[Bounds] = None):
         self.model = model
         self.bounds = bounds
         self.values = {}
-        for k, v in (values or {}).items():
-            self.set(k, v)
 
     def set(self, key: CorrelatorKey, value):
         value = Fraction(value)
@@ -644,12 +638,11 @@ class QuantumProduct:
         return bad
 
 
-def quantum_product(model: TargetModel, table: CorrelatorTable,
-                    max_degree: Optional[int] = None) -> QuantumProduct:
-    """c_{ab}^nu = sum_d <a b mu>_d z^d eta^{mu nu} from primary 3-point values."""
-    if max_degree is None:
-        max_degree = max((sum(k.degree) for k in table.values), default=0)
-    degs = _curve_classes(model, max_degree)
+def quantum_product(model: TargetModel, table: CorrelatorTable) -> QuantumProduct:
+    """c_{ab}^nu = sum_d <a b mu>_d z^d eta^{mu nu} from primary 3-point values,
+    over the curve classes up to the table's largest degree."""
+    top = max((sum(k.degree) for k in table.values), default=0)
+    degs = _curve_classes(model, top)
     structure = {}
     n = len(model.classes)
     for a in range(n):

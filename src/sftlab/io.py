@@ -142,7 +142,6 @@ def model_to_dict(model: TargetModel) -> dict:
                         if model.divisor_cup else None),
         "divisor_pairing": (list(model.divisor_pairing)
                             if model.divisor_pairing else None),
-        "contact": model.contact,
         "primaries": [
             {"insertions": [[c, a] for c, a in key.insertions],
              "degree": list(key.degree),
@@ -179,8 +178,7 @@ def model_from_dict(obj: dict, path="model") -> TargetModel:
         model = TargetModel(
             obj.get("name", "model"), classes, unit, eta, h2_rank=h2_rank,
             chern=chern, divisor=obj.get("divisor"), divisor_cup=cup,
-            divisor_pairing=pairing,
-            contact=obj.get("contact", False))
+            divisor_pairing=pairing)
     for ppath, p in _objects(obj, "primaries", path, required=False):
         key = _correlator_key(model, p, ppath)
         value = decode_rational(_require(p, "value", ppath), f"{ppath}.value")
@@ -329,6 +327,10 @@ def load_profiles(path):
     half_dim = _int_field(obj, "half_dim", p)
     degrees = obj.get("q_degrees")
     grading = None
+    if degrees is None and half_dim % 2 == 0:
+        raise ValidationError(
+            f"a circle profile (no q_degrees) needs an odd half_dim: {half_dim} "
+            f"makes every q_n and p_n odd", f"{p}.half_dim")
     if degrees is not None:
         q_degrees = {}
         for k, v in degrees.items():

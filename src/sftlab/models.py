@@ -7,7 +7,7 @@ from .gw import TargetModel
 
 def point_model() -> TargetModel:
     """One degree-0 class, eta = (1), <111> = 1."""
-    m = TargetModel("point", classes=[("e", 0)], unit="e", eta=[[1]], contact=True)
+    m = TargetModel("point", classes=[("e", 0)], unit="e", eta=[[1]])
     m.add_primary(m.key([("e", 0)] * 3), 1)
     return m
 

@@ -79,8 +79,8 @@ def _reports_verdict(reports):
 # -- randomized series for the algebra suite ------------------------------------------
 
 
-def _random_table(rng: random.Random, max_vars=6) -> VariableTable:
-    n_orbits = rng.randint(1, max_vars // 2)
+def _random_table(rng: random.Random) -> VariableTable:
+    n_orbits = rng.randint(1, 3)
     variables = [planck_variable(rng.choice((1, 2, 3)))]
     m = variables[0].degree // 2 + 3
     for k in range(n_orbits):
@@ -92,15 +92,15 @@ def _random_table(rng: random.Random, max_vars=6) -> VariableTable:
 
 
 def _random_series(rng: random.Random, table: VariableTable, policy,
-                   max_terms=3, max_exp=2, hbar_free=False) -> GradedSeries:
+                   hbar_free=False) -> GradedSeries:
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         factors = {}
         for v in table.variables:
             if v.kind == "hbar" and hbar_free:
                 continue
             if rng.random() < 0.45:
-                factors[v.name] = 1 if v.odd else rng.randint(1, max_exp)
+                factors[v.name] = 1 if v.odd else rng.randint(1, 2)
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         if not coeff:
             continue
@@ -447,10 +447,9 @@ def _choice_independence(model, max_points, max_level) -> bool:
 # -- cylhom ---------------------------------------------------------------------------
 
 
-def cylhom_suite(datasets=None) -> VerificationReport:
+def cylhom_suite() -> VerificationReport:
     """Floer-model fixtures: differentials, recursion, action, homology."""
-    if datasets is None:
-        datasets = default_cylhom_fixtures()
+    datasets = default_cylhom_fixtures()
     data20 = datasets["(2,0)"]
     noneq = cylhom.noneq_trr_residuals
 
@@ -463,7 +462,7 @@ def cylhom_suite(datasets=None) -> VerificationReport:
         return False, "", ""
 
     def eq_vs_floer(variant):
-        cmp = cylhom.compare_equivariant_floer(data20, variant, max_arg_order=1)
+        cmp = cylhom.compare_equivariant_floer(data20, variant)
         return cmp.hat_check_equal and cmp.floer_match, "", "; ".join(cmp.details)
 
     def structure():
@@ -473,6 +472,10 @@ def cylhom_suite(datasets=None) -> VerificationReport:
     def contact():
         cv = cylhom.contact_vanishing(data20)
         return cv.applicable and cv.passed, "", str(cv.checked)
+
+    def not_applicable():
+        cv = cylhom.contact_vanishing(datasets["noncontact"])
+        return not cv.applicable, "", cv.reason
 
     def action():
         qa = cylhom.quantum_action(data20)
@@ -493,7 +496,7 @@ def cylhom_suite(datasets=None) -> VerificationReport:
         *[(f"trr.noneq.{variant}",
            f"constrained recursion {variant} holds at chain level{note}",
            lambda variant=variant: _reports_verdict(
-               noneq(datasets[variant], variant, max_arg_order=1)))
+               noneq(datasets[variant], variant)))
           for variant, note in (("(2,0)", ""), ("(1,1)", " (order-1 data)"),
                                 ("(0,2)", " (trivial data)"))],
         ("trr.label-guard",
@@ -501,7 +504,7 @@ def cylhom_suite(datasets=None) -> VerificationReport:
          "is rejected", label_guard),
         ("trr.fault-detection", "perturbed counts give a nonzero (2,0) residual",
          lambda: (any(not x.zero for x in noneq(data20.perturbed(0, Fraction(5)),
-                                                "(2,0)", max_arg_order=1)),
+                                                "(2,0)")),
                   "", "")),
         *[(f"blocks.eq-vs-floer.{variant}",
            f"equivariant {variant} residuals equal the fixed-period "
@@ -519,26 +522,17 @@ def cylhom_suite(datasets=None) -> VerificationReport:
          "up to boundaries", action),
         ("homology.betti",
          "zero differential: every hat and check generator survives", homology),
+        ("contact.not-applicable",
+         "vanishing check skipped for non-contact model", not_applicable),
+        # generic-labeled data: exactness on homology instead of chain identity
+        ("trr.generic-exactness",
+         "(2,0) residual maps cycles into boundaries for generic section data",
+         lambda: _reports_verdict(noneq(datasets["generic"], "(2,0)"))),
+        ("trr.generic-fault",
+         "non-exact residual on generic data is detected",
+         lambda: (any(not x.zero for x in noneq(datasets["generic-fault"], "(2,0)")),
+                  "", "")),
     ]
-    if "noncontact" in datasets:
-        def not_applicable():
-            cv = cylhom.contact_vanishing(datasets["noncontact"])
-            return not cv.applicable, "", cv.reason
-        checks.append(("contact.not-applicable",
-                       "vanishing check skipped for non-contact model",
-                       not_applicable))
-    # generic-labeled data: exactness on homology instead of chain identity
-    if "generic" in datasets:
-        checks.append(("trr.generic-exactness",
-                       "(2,0) residual maps cycles into boundaries for generic "
-                       "section data",
-                       lambda: _reports_verdict(noneq(datasets["generic"], "(2,0)"))))
-    if "generic-fault" in datasets:
-        checks.append(("trr.generic-fault",
-                       "non-exact residual on generic data is detected",
-                       lambda: (any(not x.zero for x in
-                                    noneq(datasets["generic-fault"], "(2,0)")),
-                                "", "")))
     return _run_checks(VerificationReport("cylhom"), checks)
 
 
@@ -562,8 +556,7 @@ def counts_suite(data) -> VerificationReport:
              lambda: (not cylhom.build_differential(data).plain.block("check", "hat"),
                       "", "")),
             (f"trr.{variant}", f"recursion {variant} residuals (as labeled)",
-             lambda: _reports_verdict(cylhom.noneq_trr_residuals(
-                 data, variant, max_arg_order=1))),
+             lambda: _reports_verdict(cylhom.noneq_trr_residuals(data, variant))),
         ]
     checks.append(("homology.betti", "betti numbers", homology))
     return _run_checks(VerificationReport(f"cylhom:{data.name}"), checks)
@@ -740,36 +733,6 @@ def divisor_suite(ledger=None) -> VerificationReport:
                    "two-puncture locus carries no splitting with fewer than two "
                    "punctures on the far side", variant_a_support))
     return _run_checks(VerificationReport("divisor"), checks)
-
-
-def builtin_m05_ledger() -> dict:
-    """The worked 5-point perturbation bookkeeping, as checkable data."""
-    return {
-        "self_intersections": [
-            {"divisor": [1, 5], "weight": "1/2",
-             "at": [[[3, 4], "-1/6"], [[2, 4], "-1/6"], [[2, 3], "-1/6"]]},
-            {"divisor": [3, 4], "weight": "1/6",
-             "at": [[[1, 5], "-1/6"], [[2, 5], "1/6"], [[1, 2], "-1/6"]]},
-        ],
-        "cross_intersections": [
-            {"a": [1, 5], "a_weight": "1/2", "b": [3, 4],
-             "at": [["near [3,4]^[1,5] (two branches)", "1/3"],
-                    ["at [3,4]^[1,5]", "1/6"]]},
-        ],
-        "restrictions": {
-            "3,4": [
-                {"at": [1, 5],
-                 "contributions": [["half D15 branch", "1/6"],
-                                   ["half D15 branch", "1/6"]]},
-                {"at": [1, 2],
-                 "contributions": [["half D12 branch", "1/6"],
-                                   ["half D12 branch", "1/6"]]},
-                {"at": [2, 5],
-                 "contributions": [["sixth D34 perturbation", "1/6"],
-                                   ["sixth D25 perturbation", "1/6"]]},
-            ],
-        },
-    }
 
 
 SUITES = {

@@ -10,13 +10,11 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from sftlab import cylhom, divisors, gw, gw_oracle, hierarchy
+from sftlab import cylhom, divisors, gw, gw_oracle, hierarchy, io as sio
 from sftlab.algebra import TruncationPolicy
 from sftlab.models import point_model, two_point_model
 from sftlab.report import FAIL, PASS
-from sftlab.suites import (
-    algebra_suite, builtin_m05_ledger, default_cylhom_fixtures,
-)
+from sftlab.suites import algebra_suite, default_cylhom_fixtures
 
 
 def _verdict(name, ok, extra=""):
@@ -120,7 +118,7 @@ def test_criterion_6_averaged_psi():
     ok = ok and divisors.m05_pair_index(frozenset({1, 2}), frozenset({3, 4})) == 1
     ok = ok and divisors.m05_pair_index(frozenset({1, 2}), frozenset({1, 3})) == 0
     ok = ok and divisors.m05_pair_index(frozenset({1, 2}), frozenset({1, 2})) == -1
-    ledger = builtin_m05_ledger()
+    ledger = sio.load_ledger(sio.fixture_path("m05_ledger.json"))
     ok = ok and not divisors.ledger_check(ledger)
     sums = {tuple(item["divisor"]): sum((Fraction(i) for _, i in item["at"]),
                                         Fraction(0))
@@ -142,7 +140,7 @@ def test_criterion_7_floer_model_suite():
     ok = r.is_zero()
     ok = ok and not cylhom.build_differential(data).plain.block("check", "hat")
     for variant in ("(2,0)", "(1,1)", "(0,2)"):
-        cmp = cylhom.compare_equivariant_floer(data, variant, max_arg_order=1)
+        cmp = cylhom.compare_equivariant_floer(data, variant)
         ok = ok and cmp.hat_check_equal and cmp.floer_match
     cv = cylhom.contact_vanishing(data)
     ok = ok and cv.applicable and cv.passed

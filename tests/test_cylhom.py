@@ -2,6 +2,7 @@ import copy
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -211,24 +212,24 @@ def test_floer_toy_d_squared(floer_toy):
 
 
 def test_noneq_trr_20(floer_point):
-    reps = noneq_trr_residuals(floer_point, "(2,0)", max_arg_order=1)
+    reps = noneq_trr_residuals(floer_point, "(2,0)")
     assert all(r.zero for r in reps)
 
 
 def test_noneq_trr_20_toy(floer_toy):
-    reps = noneq_trr_residuals(floer_toy, "(2,0)", max_arg_order=1)
+    reps = noneq_trr_residuals(floer_toy, "(2,0)")
     assert all(r.zero for r in reps)
 
 
 def test_noneq_trr_11_at_order_one():
     data = build_floer_model(point_model(), periods=1, level_bound=2, t_order=1,
                              section_choice="(1,1)")
-    reps = noneq_trr_residuals(data, "(1,1)", max_arg_order=1)
+    reps = noneq_trr_residuals(data, "(1,1)")
     assert all(r.zero for r in reps)
 
 
 def test_noneq_trr_02_trivial_data():
-    reps = noneq_trr_residuals(_trivial_02_fixture(), "(0,2)", max_arg_order=1)
+    reps = noneq_trr_residuals(_trivial_02_fixture(), "(0,2)")
     assert all(r.zero for r in reps)
 
 
@@ -241,13 +242,13 @@ def test_relabeled_data_fails_its_identity():
     # (2,0)-consistent counts relabeled as (0,2): nonzero residual detected
     data = build_floer_model(point_model(), periods=1, level_bound=2, t_order=1,
                              section_choice="(0,2)")
-    reps = noneq_trr_residuals(data, "(0,2)", max_arg_order=1)
+    reps = noneq_trr_residuals(data, "(0,2)")
     assert any(not r.zero for r in reps)
 
 
 def test_fault_injection(floer_point):
     bad = floer_point.perturbed(0, Fraction(9))
-    reps = noneq_trr_residuals(bad, "(2,0)", max_arg_order=1)
+    reps = noneq_trr_residuals(bad, "(2,0)")
     assert any(not r.zero for r in reps)
 
 
@@ -257,7 +258,7 @@ def test_all_zero_counts_pass_everything():
                              base.table, base.level_bound, base.t_order,
                              base.contact, base.fiber_model, base.fiber_table,
                              base.wedge_map)
-    reps = noneq_trr_residuals(empty, "(2,0)", max_arg_order=1)
+    reps = noneq_trr_residuals(empty, "(2,0)")
     assert all(r.zero for r in reps)
 
 
@@ -274,17 +275,17 @@ def test_block_extraction(floer_point):
 
 
 def test_equivariant_wedged_residuals_vanish(floer_point):
-    # on bare generators, and on fiber-dressed arguments via the comparison
-    # path; wedged-dressed arguments are outside the generated data's scope
+    # on bare and fiber-dressed generators; wedged-dressed arguments are
+    # outside the generated data's scope
     reps = equivariant_trr_residuals(
-        floer_point, "(2,0)", "hat", max_arg_order=0,
-        classes=[floer_point.wedge_map["e"]])
+        floer_point, "(2,0)", "hat", classes=[floer_point.wedge_map["e"]],
+        arg_classes={"e"})
     assert all(r.zero for r in reps)
 
 
 def test_equivariant_floer_comparison(floer_point):
     for variant in ("(2,0)", "(1,1)", "(0,2)"):
-        cmp = compare_equivariant_floer(floer_point, variant, max_arg_order=1)
+        cmp = compare_equivariant_floer(floer_point, variant)
         assert cmp.hat_check_equal, cmp.details
         assert cmp.floer_match, cmp.details
 
@@ -369,6 +370,22 @@ def _per_entry_differential(cx, series):
     return out
 
 
+def _arguments_to_t_order(cx):
+    """Generators dressed with plain-t monomials of every order up to the
+    data's t_order (``DressedComplex.arguments`` stops at order 1)."""
+    vt = cx.vt
+    tvars = [t_name(c.id, a) for c in cx.data.model.classes
+             for a in range(cx.data.level_bound + 1)]
+    for g in cx.data.orbits.generators:
+        for k in range(cx.data.t_order + 1):
+            for mono in combinations_with_replacement(tvars, k):
+                factors = Counter(mono)
+                if any(vt.variable(nm).odd and e > 1 for nm, e in factors.items()):
+                    continue
+                factors[q_var_name(g.key)] = 1
+                yield vt.monomial(factors, 1, cx.policy)
+
+
 @pytest.mark.parametrize("name", SHIPPED_COUNTS)
 def test_grouped_dressed_differential_matches_per_entry_sum(name):
     data = sio.load_counts(sio.fixture_path(f"{name}.counts.json"))
@@ -379,7 +396,7 @@ def test_grouped_dressed_differential_matches_per_entry_sum(name):
         dd = cx.dressed_differential()
         assert cx.dressed_differential() is dd
         checked = 0
-        for _, arg in cx.arguments():
+        for arg in _arguments_to_t_order(cx):
             # the image is a sum of several terms: a second, denser argument
             for series in (arg, _per_entry_differential(cx, arg)):
                 got, want = dd(series), _per_entry_differential(cx, series)
@@ -500,7 +517,7 @@ def test_two_point_values_enter_the_generic_exactness_check():
 def test_tripled_hat_action_breaks_only_the_floer_match():
     data = sio.load_counts(sio.fixture_path("floer_point_20.counts.json"))
     bad = data.perturbed(0, 3 * data.counts.entries[0].value)
-    cmp = compare_equivariant_floer(bad, "(2,0)", max_arg_order=1)
+    cmp = compare_equivariant_floer(bad, "(2,0)")
     assert cmp.hat_check_equal and not cmp.floer_match
     assert cmp.details == ["mismatch at class e, level 1",
                            "mismatch at class e, level 2"]
@@ -511,7 +528,7 @@ def test_tripled_check_block_entry_breaks_only_hat_check_equality(variant):
     data = sio.load_counts(sio.fixture_path("floer_point_20.counts.json"))
     assert data.counts.entries[3].src == ("ep1", "check")
     bad = data.perturbed(3, 3 * data.counts.entries[3].value)
-    cmp = compare_equivariant_floer(bad, variant, max_arg_order=1)
+    cmp = compare_equivariant_floer(bad, variant)
     assert not cmp.hat_check_equal and cmp.floer_match
     assert cmp.details == ["hat and check extractions disagree"]
 
@@ -626,9 +643,8 @@ def perturbed_by_label():
 def _all_residual_reports(data, variant):
     """Non-equivariant, hat-block and check-block reports of one identity."""
     relabeled = replace(data, counts=CountData(data.counts.entries, variant))
-    return {"noneq": noneq_trr_residuals(relabeled, variant, max_arg_order=1),
-            **{flavor: equivariant_trr_residuals(relabeled, variant, flavor,
-                                                 max_arg_order=1)
+    return {"noneq": noneq_trr_residuals(relabeled, variant),
+            **{flavor: equivariant_trr_residuals(relabeled, variant, flavor)
                for flavor in ("hat", "check")}}
 
 
@@ -756,8 +772,7 @@ def _extraction_reports(data):
     variant = "(2,0)" if label == "generic" else label
     reports = [(r.name, r.zero, _witness_signature(r.witnesses))
                for flavor in ("hat", "check")
-               for r in equivariant_trr_residuals(data, variant, flavor,
-                                                  max_arg_order=1)]
+               for r in equivariant_trr_residuals(data, variant, flavor)]
     return reports, contact_vanishing(data).checked
 
 

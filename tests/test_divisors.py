@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sftlab import io as sio
 from sftlab.divisors import (
     DivisorExpression, Splitting, as_pair_divisor, averaged_psi,
     enumerate_splittings, ledger_check, m05_intersection, m05_pair_index,
@@ -9,7 +10,10 @@ from sftlab.divisors import (
 )
 from sftlab.errors import ValidationError
 from sftlab.gw_oracle import point_correlator
-from sftlab.suites import builtin_m05_ledger
+
+
+def _shipped_ledger():
+    return sio.load_ledger(sio.fixture_path("m05_ledger.json"))
 
 
 def test_four_point_coefficients():
@@ -59,7 +63,7 @@ def test_pairing_rejects_map_splittings():
 
 
 def test_ledger_consistency_and_fault():
-    ledger = builtin_m05_ledger()
+    ledger = _shipped_ledger()
     assert ledger_check(ledger) == []
     bad = {
         "self_intersections": [dict(ledger["self_intersections"][0])],
@@ -74,7 +78,7 @@ def test_ledger_consistency_and_fault():
 
 
 def test_restriction_coherence():
-    assert restriction_check(builtin_m05_ledger()["restrictions"]) == []
+    assert restriction_check(_shipped_ledger()["restrictions"]) == []
     broken = {"3,4": [{"at": [1, 5], "contributions": [["x", "1/6"]]}]}
     assert restriction_check(broken)
 

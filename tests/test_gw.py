@@ -525,8 +525,10 @@ def test_empty_divisor_cup_means_no_divisor():
     reconstruction and in the equations alike."""
     p1 = sio.load_model(sio.fixture_path("p1.model.json"))
     bare = TargetModel(p1.name, p1.classes, p1.unit, p1.eta, p1.h2_rank, p1.chern,
-                       p1.primaries, divisor=p1.divisor, divisor_cup={},
+                       divisor=p1.divisor, divisor_cup={},
                        divisor_pairing=p1.divisor_pairing)
+    for key, value in p1.primaries.items():
+        bare.add_primary(key, value)
     assert p1.has_divisor and not bare.has_divisor
     table = reconstruct(p1, Bounds(max_points=5, max_level=2, max_degree=2))
     f = assemble_potential(table, TruncationPolicy(max_t_order=5), max_level=2)

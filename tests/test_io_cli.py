@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -13,9 +14,7 @@ from sftlab.cli import main
 from sftlab.errors import ValidationError
 from sftlab.gw import Bounds, reconstruct
 from sftlab.models import point_model, projective_line_model
-from sftlab.suites import (
-    CYLHOM_FIXTURE_FILES, build_cylhom_fixtures, builtin_m05_ledger,
-)
+from sftlab.suites import CYLHOM_FIXTURE_FILES, build_cylhom_fixtures
 
 
 def test_rational_round_trip():
@@ -110,9 +109,40 @@ def test_shipped_counts_fixtures_are_the_built_ones_byte_for_byte():
         assert shipped == sio.dumps_canonical(sio.counts_to_dict(built[key])), fname
 
 
-def test_shipped_ledger_is_the_builtin_one():
-    shipped = sio.load_json(sio.fixture_path("m05_ledger.json"))
-    assert shipped == {"schema": sio.LEDGER_SCHEMA, **builtin_m05_ledger()}
+def test_every_shipped_fixture_is_what_make_fixtures_writes(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures",
+        Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURES", tmp_path)
+    script.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    shipped = sio.fixture_path("m05_ledger.json").parent
+    # the five-point ledger is hand-written data, not generated
+    assert written == sorted(p.name for p in shipped.glob("*.json")
+                             if p.name != "m05_ledger.json")
+    for name in written:
+        assert (tmp_path / name).read_text() == (shipped / name).read_text(), name
+
+
+def test_files_with_the_old_model_contact_field_load_the_same(tmp_path, capsys):
+    """Model files once carried an unread "contact" field; files that still
+    do load as before, and count data gives the same report."""
+    model_obj = sio.load_json(sio.fixture_path("point.model.json"))
+    old_model = tmp_path / "point.model.json"
+    old_model.write_text(json.dumps({**model_obj, "contact": True}))
+    assert sio.model_to_dict(sio.load_model(old_model)) == model_obj
+    counts_obj = sio.load_json(sio.fixture_path("floer_point_20.counts.json"))
+    old_counts = tmp_path / "floer_point_20.counts.json"
+    old_counts.write_text(json.dumps({
+        **counts_obj, "model": {**counts_obj["model"], "contact": True},
+        "fiber_model": {**counts_obj["fiber_model"], "contact": True}}))
+    reports = []
+    for path in (sio.fixture_path("floer_point_20.counts.json"), old_counts):
+        assert main(["verify", "--suite", "cylhom", "--counts", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -190,13 +220,15 @@ def test_cli_hierarchy_negative_level_exits_2(capsys):
 
 def test_cli_hierarchy_odd_circle_profile_exits_2(tmp_path, capsys):
     """Half-dimension 4 makes every q and p odd; the circle builder applies
-    no Koszul sign, so q[o,1]^2 is rejected as input."""
+    no Koszul sign, so the profile is rejected at its half_dim field."""
     obj = sio.load_json(sio.fixture_path("circle.profiles.json"))
     obj.update(half_dim=4, cover_bound=3)
     path = tmp_path / "odd.profiles.json"
     path.write_text(json.dumps(obj))
     assert main(["hierarchy", "--profiles", str(path)]) == 2
-    assert capsys.readouterr().err == "error: exponent 2 not allowed on q[o,1]\n"
+    assert capsys.readouterr().err == (
+        f"error: {path}.half_dim: a circle profile (no q_degrees) needs an odd "
+        f"half_dim: 4 makes every q_n and p_n odd\n")
 
 
 def test_cli_homology(tmp_path):
@@ -239,7 +271,7 @@ def test_cli_counts_check_error_is_not_a_failed_check(monkeypatch, capsys):
     import sftlab.cli as cli
     from sftlab.errors import SftlabError
 
-    def broken(data, variant, max_arg_order=None):
+    def broken(data, variant):
         raise SftlabError("broken recursion check")
 
     monkeypatch.setattr(cli.cylhom, "noneq_trr_residuals", broken)
@@ -261,10 +293,10 @@ def test_cylhom_label_guard_does_not_pass_on_a_crash(monkeypatch):
     original = cylhom.noneq_trr_residuals
     ids = {c.id for c in cylhom_suite().checks}
 
-    def crash_on_mismatch(data, variant, max_arg_order=None):
+    def crash_on_mismatch(data, variant):
         if (data.counts.section_choice, variant) == ("(2,0)", "(1,1)"):
             raise ZeroDivisionError("bug")
-        return original(data, variant, max_arg_order)
+        return original(data, variant)
 
     monkeypatch.setattr(cylhom, "noneq_trr_residuals", crash_on_mismatch)
     status = {c.id: c.status for c in cylhom_suite().checks}

@@ -88,13 +88,14 @@ def cmd_hierarchy(args) -> int:
     cover = args.max_cover
     if cover is None:
         cover = prof["cover_bound"] if prof else 3
-    grading = prof and prof["grading"]
+    q_degrees = prof["q_degrees"] if prof else None
     lattice = hierarchy.OrbitLattice(cover, half_dim=prof["half_dim"] if prof else 1,
-                                     q_degree=grading and grading.q_degree)
+                                     q_degrees=q_degrees)
     with under_path(args.profiles) if prof else nullcontext():
         table = lattice.table()  # a cover the profile does not declare
         hams = {j: hierarchy.geodesic_hamiltonian(lattice, j, prof["signs"],
-                                                  table=table) if grading
+                                                  table=table)
+                if q_degrees is not None
                 else hierarchy.circle_hamiltonian(lattice, j, table=table)
                 for j in levels}
     out = {

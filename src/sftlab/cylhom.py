@@ -47,7 +47,6 @@ SECTION_CHOICES = ("(2,0)", "(1,1)", "(0,2)", "generic")
 class Orbit:
     id: str
     degree: int
-    multiplicity: int = 1
     good: bool = True
 
 
@@ -86,16 +85,12 @@ class OrbitSet:
                 gens.append(Generator(o.id, "check", o.degree + 1))
         self.generators = tuple(gens)
         self._index = {g.key: i for i, g in enumerate(self.generators)}
-        self._orbit = {o.id: o for o in self.orbits}
 
     def index(self, key) -> int:
         try:
             return self._index[tuple(key)]
         except KeyError:
             raise ValidationError(f"unknown generator {key}", "generators") from None
-
-    def orbit(self, oid: str) -> Orbit:
-        return self._orbit[oid]
 
 
 @dataclass(frozen=True)
@@ -114,44 +109,37 @@ class CountEntry:
     value: Fraction
 
 
-class CountData:
-    def __init__(self, entries, section_choice="generic"):
-        if section_choice not in SECTION_CHOICES:
-            raise ValidationError(
-                f"section choice {section_choice!r} not one of {SECTION_CHOICES}",
-                "section_choice")
-        self.section_choice = section_choice
-        self.entries = tuple(entries)
-
-
 @dataclass(eq=False)
 class ChainComplexData:
-    """Orbit generators, counts, and the associated target model.
+    """Orbit generators, count entries, and the associated target model.
 
+    ``section_choice`` names the recursion identity the counts realize.
     ``table`` holds the correlator values whose potential enters the
-    recursion identities; ``fiber_model``/``fiber_table``/``wedge_map`` are
-    set by the Floer-case generator and drive the block comparisons.
-    Copies go through ``dataclasses.replace``, which validates again.
+    recursion identities; ``fiber_model``/``fiber_table`` are set by the
+    Floer-case generator and drive the block comparisons.  Copies go
+    through ``dataclasses.replace``, which validates again.
     """
 
     orbits: OrbitSet
-    counts: CountData
+    entries: tuple  # CountEntry, ...
     model: TargetModel
     table: CorrelatorTable
+    section_choice: str = "generic"
     level_bound: int = 2
     t_order: int = 2
     contact: bool = False
     fiber_model: Optional[TargetModel] = None
     fiber_table: Optional[CorrelatorTable] = None
-    wedge_map: Optional[dict] = None
     name: str = "chain-data"
-    # internal data (block extractions, Floer restrictions) may carry
-    # constrained insertions on a single-flavor generator set
-    internal: bool = False
 
     def __post_init__(self):
+        if self.section_choice not in SECTION_CHOICES:
+            raise ValidationError(
+                f"section choice {self.section_choice!r} not one of {SECTION_CHOICES}",
+                "section_choice")
+        self.entries = tuple(self.entries)
         gens = self.orbits
-        for n, e in enumerate(self.counts.entries):
+        for n, e in enumerate(self.entries):
             path = f"entries[{n}]"
             for end in ("src", "dst"):
                 with under_path(f"{path}.{end}", item=True):
@@ -161,11 +149,7 @@ class ChainComplexData:
             if any(x < 0 for x in e.degree):
                 raise ValidationError("negative curve-class exponent",
                                       f"{path}.degree")
-            constrained = [i for i in e.insertions if i.constrained]
-            if constrained and self.orbits.equivariant and not self.internal:
-                raise ValidationError(
-                    "constrained insertion in equivariant mode", f"{path}.insertions")
-            if len(constrained) > 1:
+            if sum(i.constrained for i in e.insertions) > 1:
                 raise ValidationError("more than one constrained insertion",
                                       f"{path}.insertions")
             for k, i in enumerate(e.insertions):
@@ -202,11 +186,10 @@ class ChainComplexData:
 
     def perturbed(self, entry_index: int, new_value) -> "ChainComplexData":
         """Copy with one count replaced (fault injection)."""
-        entries = list(self.counts.entries)
+        entries = list(self.entries)
         entries[entry_index] = replace(entries[entry_index],
                                        value=Fraction(new_value))
-        return replace(self, counts=CountData(entries, self.counts.section_choice),
-                       name=self.name + "+fault")
+        return replace(self, entries=entries, name=self.name + "+fault")
 
 
 # -- z-polynomial sparse matrices -------------------------------------------------
@@ -273,7 +256,7 @@ def build_differential(data: ChainComplexData) -> DifferentialMaps:
     orbits = data.orbits
     plain = LinearChainMap(orbits)
     decorated = {}
-    for e in data.counts.entries:
+    for e in data.entries:
         src = orbits.index(e.src)
         dst = orbits.index(e.dst)
         if not e.insertions:
@@ -377,9 +360,7 @@ def chain_variable_table(data: ChainComplexData) -> VariableTable:
     vs = []
     for g in data.orbits.generators:
         flavor_rank = {"": 0, "hat": 0, "check": 1}[g.flavor]
-        vs.append(Variable(q_var_name(g.key), "q",
-                           (g.orbit, flavor_rank), g.degree,
-                           data.orbits.orbit(g.orbit).multiplicity))
+        vs.append(Variable(q_var_name(g.key), "q", (g.orbit, flavor_rank), g.degree))
     descendants = descendant_table(data.model, data.level_bound, with_checked=True)
     return VariableTable(vs + list(descendants.variables))
 
@@ -424,7 +405,7 @@ class DressedComplex:
         vt = self.vt
         policy = self.policy
         by_source = {}
-        for e in self.data.counts.entries:
+        for e in self.data.entries:
             factors = {q_var_name(e.dst): 1}
             for ins in e.insertions:
                 nm = (tc_name if ins.constrained else t_name)(ins.class_id, ins.level)
@@ -588,7 +569,7 @@ def noneq_trr_residuals(data: ChainComplexData, variant: str):
     """
     if data.orbits.equivariant:
         raise ValidationError("need non-equivariant data", "orbits")
-    label = data.counts.section_choice
+    label = data.section_choice
     if label == "generic":
         if variant != "(2,0)":
             raise LabelMismatchError(
@@ -701,7 +682,7 @@ def extract_equivariant(data: ChainComplexData,
     if source_flavor not in ("hat", "check"):
         raise ValidationError("source flavor must be hat or check", "flavor")
     entries = []
-    for e in data.counts.entries:
+    for e in data.entries:
         flavors = (e.src[1], e.dst[1])
         if flavors == (source_flavor, source_flavor) and e.insertions:
             ins = e.insertions
@@ -732,7 +713,7 @@ def extract_floer(data: ChainComplexData) -> ChainComplexData:
         raise ValidationError("no fiber model attached", "fiber_model")
     fiber_ids = {c.id for c in data.fiber_model.classes}
     entries = []
-    for e in data.counts.entries:
+    for e in data.entries:
         if e.src[1] != "hat" or e.dst[1] != "hat":
             continue
         if any(i.class_id not in fiber_ids for i in e.insertions):
@@ -740,17 +721,16 @@ def extract_floer(data: ChainComplexData) -> ChainComplexData:
         entries.append((e.src[0], e.dst[0], e.insertions, e.degree, e.value))
     return _single_flavor(data, entries, "/floer", model=data.fiber_model,
                           table=data.fiber_table, fiber_model=None,
-                          fiber_table=None, wedge_map=None)
+                          fiber_table=None)
 
 
 def _single_flavor(data: ChainComplexData, entries, suffix: str,
                    **fields) -> ChainComplexData:
-    """Internal equivariant data over the orbits of ``data``; an entry is
-    (src orbit, dst orbit, insertions, degree, value), ``fields`` replace more."""
+    """Equivariant data over the orbits of ``data``; an entry is (src orbit,
+    dst orbit, insertions, degree, value), ``fields`` replace more."""
     entries = [CountEntry((src, ""), (dst, ""), *rest) for src, dst, *rest in entries]
     return replace(data, orbits=OrbitSet(data.orbits.orbits, equivariant=True),
-                   counts=CountData(entries, data.counts.section_choice),
-                   name=data.name + suffix, internal=True, **fields)
+                   entries=entries, name=data.name + suffix, **fields)
 
 
 def equivariant_trr_residuals(data: ChainComplexData, variant: str,
@@ -793,11 +773,11 @@ def compare_equivariant_floer(data: ChainComplexData, variant: str) -> BlockComp
     Floer residual at the underlying fiber class, on fiber-dressed
     arguments.
     """
-    if not data.wedge_map:
-        raise ValidationError("no wedge map attached", "wedge_map")
+    if data.fiber_model is None:
+        raise ValidationError("no fiber model attached", "fiber_model")
     details = []
     fiber = [c.id for c in data.fiber_model.classes]
-    wedged = [data.wedge_map[fc] for fc in fiber]
+    wedged = [wedged_id(fc) for fc in fiber]
     sigs = {}
     for flavor in ("hat", "check"):
         reports = equivariant_trr_residuals(data, variant, flavor, classes=wedged,
@@ -957,13 +937,13 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
                       section_choice: str = "(2,0)") -> ChainComplexData:
     """Test-bed chain data for a circle-times-fiber product.
 
-    Generators come in hat/check pairs per fiber basis class and period
-    (multiplicity = period).  Constrained fiber decorations realize the
-    recursion relation seeded by quantum multiplication; the wedged classes
-    mirror them as free decorations.  Wedged constrained maps are zero, the
-    plain differential is zero, everything is block-diagonal.  Fiber
-    correlators are reconstructed in curve-class degree 0, and the data is
-    flagged contact when the fiber is one class of dimension 0 (a point).
+    Generators come in hat/check pairs per fiber basis class and period.
+    Constrained fiber decorations realize the recursion relation seeded by
+    quantum multiplication; the wedged classes mirror them as free
+    decorations.  Wedged constrained maps are zero, the plain differential
+    is zero, everything is block-diagonal.  Fiber correlators are
+    reconstructed in curve-class degree 0, and the data is flagged contact
+    when the fiber is one class of dimension 0 (a point).
     """
     fiber_table = reconstruct(fiber, Bounds(max_points=t_order + 4,
                                             max_level=level_bound))
@@ -974,8 +954,7 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
     orbits = []
     for b in fiber.classes:
         for period in range(1, periods + 1):
-            orbits.append(Orbit(f"{b.id}p{period}",
-                                2 * (period - 1) - b.degree, period, True))
+            orbits.append(Orbit(f"{b.id}p{period}", 2 * (period - 1) - b.degree))
     orbit_set = OrbitSet(orbits, equivariant=False)
 
     # quantum multiplication matrices: class ai sends basis b to b'
@@ -1045,10 +1024,7 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
                         emit(b, b2, period, flavor, ins, dvec, v)
                         emit(b, b2, period, flavor, wins, dvec, v)
 
-    wedge = {c.id: wedged_id(c.id) for c in fiber.classes}
     return ChainComplexData(
-        orbit_set, CountData(entries, section_choice), vmodel, vtable,
-        level_bound, t_order,
+        orbit_set, entries, vmodel, vtable, section_choice, level_bound, t_order,
         contact=(len(fiber.classes) == 1 and fiber.dimension == 0),
-        fiber_model=fiber, fiber_table=fiber_table, wedge_map=wedge,
-        name=f"floer-{fiber.name}")
+        fiber_model=fiber, fiber_table=fiber_table, name=f"floer-{fiber.name}")

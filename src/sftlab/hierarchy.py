@@ -53,12 +53,14 @@ class OrbitLattice:
 
     ``cover_bound`` is the verification window K; ``window`` extends the
     variable range for exact bracket evaluation (window >= cover_bound).
-    kappa_n = n * kappa with kappa = 1 for the simple orbit.
+    kappa_n = n * kappa with kappa = 1 for the simple orbit.  ``q_degrees``
+    maps each cover n to the degree of q_n, from the Morse indices of the
+    iterates; without it every q_n has degree half_dim - 3 (CZ = 0).
     """
 
     cover_bound: int
     window: int = 0
-    q_degree: Callable[[int], int] = None  # n -> degree of q_n; default half_dim - 3
+    q_degrees: Optional[dict] = None
     half_dim: int = 1
 
     def __post_init__(self):
@@ -68,8 +70,10 @@ class OrbitLattice:
     def table(self) -> VariableTable:
         variables = [planck_variable(self.half_dim)]
         for n in range(1, self.window + 1):
-            # CZ = 0 for every cover unless q_degree says otherwise
-            qdeg = self.half_dim - 3 if self.q_degree is None else self.q_degree(n)
+            qdeg = self.half_dim - 3 if self.q_degrees is None else self.q_degrees.get(n)
+            if qdeg is None:
+                raise ValidationError(f"no degree declared for cover {n}",
+                                      f"q_degrees.{n}")
             q = Variable(f"q[o,{n}]", "q", ("o", n), qdeg, n)
             p = Variable(f"p[o,{n}]", "p", ("o", n), 2 * (self.half_dim - 3) - qdeg, n)
             variables.extend((q, p))
@@ -78,19 +82,6 @@ class OrbitLattice:
     def u_name(self, n: int) -> str:
         """u_k = q_k for k > 0, u_{-k} = p_k."""
         return f"q[o,{n}]" if n > 0 else f"p[o,{-n}]"
-
-
-@dataclass(frozen=True)
-class GradingProfile:
-    """Degrees of q_n per cover, from the Morse indices of the iterates."""
-
-    degrees: dict  # n -> degree of q_n
-
-    def q_degree(self, n: int) -> int:
-        try:
-            return self.degrees[n]
-        except KeyError:
-            raise ValidationError(f"no degree declared for cover {n}", f"q_degrees.{n}")
 
 
 @dataclass(frozen=True)

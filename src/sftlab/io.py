@@ -12,12 +12,10 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .cylhom import (
-    ChainComplexData, CountData, CountEntry, Insertion, Orbit, OrbitSet,
-)
+from .cylhom import ChainComplexData, CountEntry, Insertion, Orbit, OrbitSet
 from .errors import ValidationError, under_path
 from .gw import CorrelatorTable, TargetModel
-from .hierarchy import GradingProfile, SignProfile
+from .hierarchy import SignProfile
 
 MODEL_SCHEMA = "sftlab-model/1"
 COUNTS_SCHEMA = "sftlab-counts/1"
@@ -84,6 +82,13 @@ def _int_field(obj, key, path, default=None, minimum=None):
     """obj[key] as a JSON integer; required unless a default is given."""
     value = _require(obj, key, path) if default is None else obj.get(key, default)
     return _int_value(value, f"{path}.{key}", minimum)
+
+
+def _bool_value(value, path):
+    """value as a JSON boolean, else a ValidationError at path."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"expected a boolean, got {value!r}", path)
+    return value
 
 
 def _correlator_key(model: TargetModel, item, path):
@@ -236,12 +241,12 @@ def counts_to_dict(data: ChainComplexData) -> dict:
         "schema": COUNTS_SCHEMA,
         "name": data.name,
         "equivariant": data.orbits.equivariant,
-        "section_choice": data.counts.section_choice,
+        "section_choice": data.section_choice,
         "level_bound": data.level_bound,
         "t_order": data.t_order,
         "contact": data.contact,
-        "orbits": [{"id": o.id, "degree": o.degree, "multiplicity": o.multiplicity,
-                    "good": o.good} for o in data.orbits.orbits],
+        "orbits": [{"id": o.id, "degree": o.degree, "good": o.good}
+                   for o in data.orbits.orbits],
         "model": model_to_dict(data.model),
         "table": table_to_dict(data.table),
         "entries": [
@@ -249,13 +254,11 @@ def counts_to_dict(data: ChainComplexData) -> dict:
              "insertions": [[i.class_id, i.level, i.constrained]
                             for i in e.insertions],
              "degree": list(e.degree), "value": encode_rational(e.value)}
-            for e in data.counts.entries],
+            for e in data.entries],
     }
     if data.fiber_model is not None:
         out["fiber_model"] = model_to_dict(data.fiber_model)
         out["fiber_table"] = table_to_dict(data.fiber_table)
-    if data.wedge_map:
-        out["wedge_map"] = dict(sorted(data.wedge_map.items()))
     return out
 
 
@@ -269,13 +272,16 @@ def _generator_key(entry, end, path):
 
 
 def counts_from_dict(obj, path="counts") -> ChainComplexData:
+    """Chain data from a counts file.  Legacy orbit ``multiplicity`` and
+    top-level ``wedge_map`` fields are ignored.  A constrained insertion
+    needs a hat/check generator set (non-equivariant mode)."""
     _check_schema(obj, COUNTS_SCHEMA, path)
     orbits = []
     for opath, o in _objects(obj, "orbits", path):
         orbits.append(Orbit(_require(o, "id", opath), _int_field(o, "degree", opath),
-                            _int_field(o, "multiplicity", opath, 1, minimum=1),
-                            bool(o.get("good", True))))
-    equivariant = bool(_require(obj, "equivariant", path))
+                            _bool_value(o.get("good", True), f"{opath}.good")))
+    equivariant = _bool_value(_require(obj, "equivariant", path),
+                              f"{path}.equivariant")
     model = model_from_dict(_require(obj, "model", path), f"{path}.model")
     table = table_from_dict(_require(obj, "table", path), model, f"{path}.table")
     entries = []
@@ -285,11 +291,16 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
             if not isinstance(ins, list) or len(ins) != 3:
                 raise ValidationError(f"expected [class, level, constrained], got {ins!r}",
                                       f"{epath}.insertions[{i}]")
+        insertions = tuple(
+            Insertion(str(c), _int_value(a, f"{epath}.insertions[{i}][1]"),
+                      _bool_value(flag, f"{epath}.insertions[{i}][2]"))
+            for i, (c, a, flag) in enumerate(insertions))
+        if equivariant and any(i.constrained for i in insertions):
+            raise ValidationError("constrained insertion in equivariant mode",
+                                  f"{epath}.insertions")
         entries.append(CountEntry(
             _generator_key(e, "src", epath), _generator_key(e, "dst", epath),
-            tuple(Insertion(str(c), _int_value(a, f"{epath}.insertions[{i}][1]"),
-                            bool(flag))
-                  for i, (c, a, flag) in enumerate(insertions)),
+            insertions,
             tuple(_int_value(x, f"{epath}.degree[{i}]")
                   for i, x in enumerate(_typed(e, "degree", epath, list, []))),
             decode_rational(_require(e, "value", epath), f"{epath}.value")))
@@ -302,11 +313,10 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
     t_order = _int_field(obj, "t_order", path, 2, minimum=0)
     with under_path(path):
         return ChainComplexData(
-            OrbitSet(orbits, equivariant),
-            CountData(entries, obj.get("section_choice", "generic")),
-            model, table, level_bound, t_order, bool(obj.get("contact", False)),
-            fiber_model, fiber_table, obj.get("wedge_map"),
-            name=obj.get("name", "counts"))
+            OrbitSet(orbits, equivariant), entries, model, table,
+            obj.get("section_choice", "generic"), level_bound, t_order,
+            _bool_value(obj.get("contact", False), f"{path}.contact"),
+            fiber_model, fiber_table, name=obj.get("name", "counts"))
 
 
 def load_counts(path) -> ChainComplexData:
@@ -325,22 +335,20 @@ def load_profiles(path):
     _check_schema(obj, PROFILES_SCHEMA, str(path))
     p = str(path)
     half_dim = _int_field(obj, "half_dim", p)
-    degrees = obj.get("q_degrees")
-    grading = None
-    if degrees is None and half_dim % 2 == 0:
+    q_degrees = obj.get("q_degrees")
+    if q_degrees is None and half_dim % 2 == 0:
         raise ValidationError(
             f"a circle profile (no q_degrees) needs an odd half_dim: {half_dim} "
             f"makes every q_n and p_n odd", f"{p}.half_dim")
-    if degrees is not None:
+    if q_degrees is not None:
         q_degrees = {}
-        for k, v in degrees.items():
+        for k, v in _typed(obj, "q_degrees", p, dict).items():
             try:
                 cover = int(k)
             except ValueError:
                 raise ValidationError(f"cover {k!r} is not an integer",
                                       f"{p}.q_degrees.{k}") from None
             q_degrees[cover] = _int_value(v, f"{p}.q_degrees.{k}")
-        grading = GradingProfile(q_degrees)
     signs_obj = obj.get("signs") or {}
     explicit = {}
     for i, item in enumerate(signs_obj.get("explicit", [])):
@@ -362,7 +370,7 @@ def load_profiles(path):
         "name": obj.get("name", "profiles"),
         "half_dim": half_dim,
         "cover_bound": _int_field(obj, "cover_bound", p, 3),
-        "grading": grading,
+        "q_degrees": q_degrees,
         "signs": signs,
     }
 

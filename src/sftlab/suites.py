@@ -549,7 +549,7 @@ def counts_suite(data) -> VerificationReport:
     checks = [("differential.squared", "d . d = 0",
                lambda: _series_verdict(*d_squared()))]
     if not data.orbits.equivariant:
-        label = data.counts.section_choice
+        label = data.section_choice
         variant = "(2,0)" if label == "generic" else label
         checks += [
             ("differential.off-diagonal", "hat-to-check plain block is zero",
@@ -602,8 +602,7 @@ def _trivial_02_fixture():
     """All-zero decorated counts over the point-fiber orbit set."""
     base = cylhom.build_floer_model(point_model(), periods=1, level_bound=2,
                                     t_order=1, section_choice="(0,2)")
-    return replace(base, counts=cylhom.CountData((), "(0,2)"),
-                   name="floer-point-02-trivial")
+    return replace(base, entries=(), name="floer-point-02-trivial")
 
 
 def _generic_fixture(exact=True):
@@ -636,8 +635,7 @@ def _generic_fixture(exact=True):
     table = gw.CorrelatorTable(model)
     table.set(model.key([("e", 0)] * 3), Fraction(1))
     return cylhom.ChainComplexData(
-        orbits, cylhom.CountData(entries, "generic"), model, table,
-        level_bound=1, t_order=1, contact=False,
+        orbits, entries, model, table, level_bound=1, t_order=1,
         name="generic-exact" if exact else "generic-fault")
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from sftlab import cylhom, io as sio
 from sftlab.cylhom import (
-    BlockExtraction, ChainComplexData, CountData, CountEntry, DressedComplex,
+    BlockExtraction, ChainComplexData, CountEntry, DressedComplex,
     Insertion, Orbit,
     OrbitSet, build_differential, build_floer_model, compare_equivariant_floer,
     compute_homology, contact_vanishing, d_squared_residual,
@@ -43,22 +43,13 @@ def floer_toy():
 # -- data validation ------------------------------------------------------------
 
 
-def test_constrained_rejected_in_equivariant_mode():
-    m = point_model()
-    orbits = OrbitSet([Orbit("a", 0)], equivariant=True)
-    entry = CountEntry(("a", ""), ("a", ""), (Insertion("e", 0, True),), (),
-                       Fraction(1))
-    with pytest.raises(ValidationError, match="constrained"):
-        ChainComplexData(orbits, CountData([entry]), m, CorrelatorTable(m))
-
-
 def test_two_constrained_insertions_rejected():
     m = point_model()
     orbits = OrbitSet([Orbit("a", 0)], equivariant=False)
     ins = (Insertion("e", 0, True), Insertion("e", 0, True))
     entry = CountEntry(("a", "hat"), ("a", "hat"), ins, (), Fraction(1))
     with pytest.raises(ValidationError):
-        ChainComplexData(orbits, CountData([entry]), m, CorrelatorTable(m))
+        ChainComplexData(orbits, [entry], m, CorrelatorTable(m))
 
 
 def test_degree_rule_enforced():
@@ -67,7 +58,7 @@ def test_degree_rule_enforced():
     # a plain entry between equal degrees violates deg(dst)-deg(src) = -1
     entry = CountEntry(("a", "hat"), ("b", "hat"), (), (), Fraction(1))
     with pytest.raises(ValidationError, match="degree"):
-        ChainComplexData(orbits, CountData([entry]), m, CorrelatorTable(m))
+        ChainComplexData(orbits, [entry], m, CorrelatorTable(m))
 
 
 def test_bad_orbits_do_not_generate():
@@ -89,15 +80,14 @@ def test_zero_and_acyclic_complexes():
     m = point_model()
     t = CorrelatorTable(m)
     orbits = OrbitSet([Orbit("a", 0)], equivariant=True)
-    data = ChainComplexData(orbits, CountData([]), m, t)
+    data = ChainComplexData(orbits, [], m, t)
     assert build_differential(data).plain.is_zero()
     h = compute_homology(data)
     assert h.total() == 1
     # acyclic: d(a) = b
     orbits2 = OrbitSet([Orbit("a", 1), Orbit("b", 0)], equivariant=True)
     data2 = ChainComplexData(
-        orbits2, CountData([CountEntry(("a", ""), ("b", ""), (), (),
-                                       Fraction(1))]), m, t)
+        orbits2, [CountEntry(("a", ""), ("b", ""), (), (), Fraction(1))], m, t)
     r, off = d_squared_residual(data2)
     assert r.is_zero()
     assert compute_homology(data2).total() == 0
@@ -110,7 +100,7 @@ def test_d_squared_fault_reported():
                       equivariant=True)
     entries = [CountEntry(("x", ""), ("y", ""), (), (), Fraction(1)),
                CountEntry(("y", ""), ("z", ""), (), (), Fraction(1))]
-    data = ChainComplexData(orbits, CountData(entries), m, t)
+    data = ChainComplexData(orbits, entries, m, t)
     r, offending = d_squared_residual(data)
     assert not r.is_zero()
     assert offending == [("x", "z")]
@@ -124,11 +114,11 @@ def test_homology_with_curve_class_coefficients():
     t = CorrelatorTable(m)
     orbits = OrbitSet([Orbit("a", 0), Orbit("b", 3)], equivariant=True)
     entries = [CountEntry(("a", ""), ("b", ""), (), (1,), Fraction(1))]
-    data = ChainComplexData(orbits, CountData(entries), m, t)
+    data = ChainComplexData(orbits, entries, m, t)
     h = compute_homology(data)
     assert h.total() == 0
     # without the entry both classes survive
-    data0 = ChainComplexData(orbits, CountData([]), m, t)
+    data0 = ChainComplexData(orbits, [], m, t)
     assert compute_homology(data0).total() == 2
 
 
@@ -153,7 +143,7 @@ def _z_complex(entries):
                        Orbit("e", 0)], equivariant=True)
     counts = [CountEntry((s, ""), (d, ""), (), deg, Fraction(1))
               for s, d, deg in entries]
-    return ChainComplexData(orbits, CountData(counts), m, CorrelatorTable(m))
+    return ChainComplexData(orbits, counts, m, CorrelatorTable(m))
 
 
 def test_exactness_with_polynomial_cycles():
@@ -254,10 +244,9 @@ def test_fault_injection(floer_point):
 
 def test_all_zero_counts_pass_everything():
     base = build_floer_model(point_model(), periods=1, level_bound=1, t_order=1)
-    empty = ChainComplexData(base.orbits, CountData((), "(2,0)"), base.model,
-                             base.table, base.level_bound, base.t_order,
-                             base.contact, base.fiber_model, base.fiber_table,
-                             base.wedge_map)
+    empty = ChainComplexData(base.orbits, (), base.model, base.table, "(2,0)",
+                             base.level_bound, base.t_order, base.contact,
+                             base.fiber_model, base.fiber_table)
     reps = noneq_trr_residuals(empty, "(2,0)")
     assert all(r.zero for r in reps)
 
@@ -278,7 +267,7 @@ def test_equivariant_wedged_residuals_vanish(floer_point):
     # on bare and fiber-dressed generators; wedged-dressed arguments are
     # outside the generated data's scope
     reps = equivariant_trr_residuals(
-        floer_point, "(2,0)", "hat", classes=[floer_point.wedge_map["e"]],
+        floer_point, "(2,0)", "hat", classes=["e~dt"],
         arg_classes={"e"})
     assert all(r.zero for r in reps)
 
@@ -293,7 +282,7 @@ def test_equivariant_floer_comparison(floer_point):
 def test_floer_restriction_is_fiber_only(floer_point):
     fl = extract_floer(floer_point)
     fiber_ids = {c.id for c in floer_point.fiber_model.classes}
-    for e in fl.counts.entries:
+    for e in fl.entries:
         assert all(i.class_id in fiber_ids for i in e.insertions)
 
 
@@ -313,7 +302,7 @@ def test_quantum_action(floer_point, floer_toy):
 
 def test_quantum_action_fault_detected(floer_toy):
     # break one unit-action entry: identity axiom fails on homology
-    idx = next(i for i, e in enumerate(floer_toy.counts.entries)
+    idx = next(i for i, e in enumerate(floer_toy.entries)
                if len(e.insertions) == 1 and e.insertions[0].constrained
                and e.insertions[0].class_id == "1"
                and e.src == e.dst)
@@ -358,7 +347,7 @@ def _per_entry_differential(cx, series):
     """Sum over count entries of value * q_dst * insertions * z^d * d/dq_src."""
     vt = cx.vt
     out = vt.zero(cx.policy)
-    for e in cx.data.counts.entries:
+    for e in cx.data.entries:
         factors = {q_var_name(e.dst): 1}
         for ins in e.insertions:
             name = (tc_name if ins.constrained else t_name)(ins.class_id, ins.level)
@@ -403,7 +392,7 @@ def test_grouped_dressed_differential_matches_per_entry_sum(name):
                 assert got.terms == want.terms
                 assert got.policy == want.policy
                 checked += not want.is_zero()
-        assert checked or not cx.data.counts.entries
+        assert checked or not cx.data.entries
 
 
 # -- one potential, one eta-contraction ---------------------------------------------
@@ -463,8 +452,7 @@ def _p1_generic(f_term_scale=1):
                                   Fraction(1, 2) * f_term_scale))
         entries.append(CountEntry(("a", fl), ("b", fl), con("pt", 2), (1,),
                                   -2 * f_term_scale))
-    return ChainComplexData(orbits, CountData(entries, "generic"), m, table,
-                            level_bound=2, t_order=1)
+    return ChainComplexData(orbits, entries, m, table, level_bound=2, t_order=1)
 
 
 def _f_term_by_two_point_scan(data, maps, alpha, i):
@@ -516,7 +504,7 @@ def test_two_point_values_enter_the_generic_exactness_check():
 
 def test_tripled_hat_action_breaks_only_the_floer_match():
     data = sio.load_counts(sio.fixture_path("floer_point_20.counts.json"))
-    bad = data.perturbed(0, 3 * data.counts.entries[0].value)
+    bad = data.perturbed(0, 3 * data.entries[0].value)
     cmp = compare_equivariant_floer(bad, "(2,0)")
     assert cmp.hat_check_equal and not cmp.floer_match
     assert cmp.details == ["mismatch at class e, level 1",
@@ -526,8 +514,8 @@ def test_tripled_hat_action_breaks_only_the_floer_match():
 @pytest.mark.parametrize("variant", ["(2,0)", "(1,1)", "(0,2)"])
 def test_tripled_check_block_entry_breaks_only_hat_check_equality(variant):
     data = sio.load_counts(sio.fixture_path("floer_point_20.counts.json"))
-    assert data.counts.entries[3].src == ("ep1", "check")
-    bad = data.perturbed(3, 3 * data.counts.entries[3].value)
+    assert data.entries[3].src == ("ep1", "check")
+    bad = data.perturbed(3, 3 * data.entries[3].value)
     cmp = compare_equivariant_floer(bad, variant)
     assert not cmp.hat_check_equal and cmp.floer_match
     assert cmp.details == ["hat and check extractions disagree"]
@@ -539,13 +527,11 @@ def test_block_extraction_sums_the_hat_to_check_plain_entries():
     data = _generic_fixture()
     cancel = [CountEntry(("a", "hat"), ("c", "check"), (), (), Fraction(v))
               for v in (1, -1)]
-    data = replace(data, counts=CountData(data.counts.entries + tuple(cancel),
-                                          data.counts.section_choice))
+    data = replace(data, entries=data.entries + tuple(cancel))
     assert build_differential(data).plain.block("check", "hat") == {}
     ext = extract_equivariant(data, "hat")
     assert ext.offdiag_plain_zero and ext.plain_blocks_equal
-    one_sided = replace(data, counts=CountData(
-        data.counts.entries[:-1], data.counts.section_choice))
+    one_sided = replace(data, entries=data.entries[:-1])
     assert not extract_equivariant(one_sided, "hat").offdiag_plain_zero
 
 
@@ -635,14 +621,14 @@ def perturbed_by_label():
     out = {}
     for label, data in built.items():
         entries = [replace(e, value=e.value + 1) if n % 3 == 0 else e
-                   for n, e in enumerate(data.counts.entries)]
-        out[label] = replace(data, counts=CountData(entries, label))
+                   for n, e in enumerate(data.entries)]
+        out[label] = replace(data, entries=entries, section_choice=label)
     return out
 
 
 def _all_residual_reports(data, variant):
     """Non-equivariant, hat-block and check-block reports of one identity."""
-    relabeled = replace(data, counts=CountData(data.counts.entries, variant))
+    relabeled = replace(data, section_choice=variant)
     return {"noneq": noneq_trr_residuals(relabeled, variant),
             **{flavor: equivariant_trr_residuals(relabeled, variant, flavor)
                for flavor in ("hat", "check")}}
@@ -696,7 +682,7 @@ def _grouped_extraction(data, source_flavor="hat"):
             out[k] = out.get(k, Fraction(0)) + e.value
         return {k: v for k, v in out.items() if v}
 
-    for e in data.counts.entries:
+    for e in data.entries:
         if not e.insertions:
             continue
         sflav, dflav = e.src[1], e.dst[1]
@@ -732,9 +718,8 @@ def _grouped_extraction(data, source_flavor="hat"):
                              for i in e.insertions)
             entries.append(CountEntry((e.src[0], ""), (e.dst[0], ""),
                                       released, e.degree, e.value))
-    eq = replace(data, orbits=orbit_set,
-                 counts=CountData(entries, data.counts.section_choice),
-                 name=data.name + f"/{source_flavor}-block", internal=True)
+    eq = replace(data, orbits=orbit_set, entries=entries,
+                 name=data.name + f"/{source_flavor}-block")
     return (eq, plain.block("hat", "hat") == plain.block("check", "check"),
             not plain.block("check", "hat"), consistent)
 
@@ -747,8 +732,7 @@ def _with_hat_to_check_entries(data):
                         (), Fraction(2)),
              CountEntry(("ep2", "hat"), ("ep1", "check"),
                         (Insertion("e~dt", 0, True),), (), Fraction(-1)))
-    return replace(data, counts=CountData(data.counts.entries + extra,
-                                          data.counts.section_choice),
+    return replace(data, entries=data.entries + extra,
                    name=data.name + "+hat-to-check")
 
 
@@ -757,18 +741,17 @@ def _extraction_cases():
     for name in SHIPPED_COUNTS:
         data = sio.load_counts(sio.fixture_path(f"{name}.counts.json"))
         cases[name] = data
-        if data.counts.entries:
+        if data.entries:
             entries = [replace(e, value=e.value + 1) if n % 3 == 0 else e
-                       for n, e in enumerate(data.counts.entries)]
-            cases[name + "+every-third"] = replace(
-                data, counts=CountData(entries, data.counts.section_choice))
+                       for n, e in enumerate(data.entries)]
+            cases[name + "+every-third"] = replace(data, entries=entries)
     return cases
 
 
 def _extraction_reports(data):
     """Equivariant residual reports of both blocks and the contact check,
     through whatever ``cylhom.extract_equivariant`` currently is."""
-    label = data.counts.section_choice
+    label = data.section_choice
     variant = "(2,0)" if label == "generic" else label
     reports = [(r.name, r.zero, _witness_signature(r.witnesses))
                for flavor in ("hat", "check")
@@ -783,7 +766,7 @@ def _compare_extractions(data, monkeypatch):
         assert consistent
         assert (ext.plain_blocks_equal, ext.offdiag_plain_zero) == (
             plain_equal, offdiag_zero)
-        assert Counter(ext.data.counts.entries) == Counter(eq.counts.entries)
+        assert Counter(ext.data.entries) == Counter(eq.entries)
         assert ext.data.name == eq.name
     got = _extraction_reports(data)
     with monkeypatch.context() as m:
@@ -818,7 +801,7 @@ def test_extraction_releases_constrained_hat_to_check_entries(floer_point,
                 CountEntry(("ep2", ""), ("ep1", ""), (Insertion("e~dt", 0, False),),
                            (), Fraction(-1))]
     for flavor in ("hat", "check"):
-        entries = extract_equivariant(data, flavor).data.counts.entries
+        entries = extract_equivariant(data, flavor).data.entries
         assert all(e in entries for e in released)
     reports, _ = _compare_extractions(data, monkeypatch)
     assert any(not zero for _, zero, _ in reports)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sftlab import algebra
 from sftlab.algebra import TruncationPolicy, poisson_bracket
 from sftlab.hierarchy import (
-    GradingProfile, OrbitLattice, SignProfile, _zero_sum_multisets,
+    OrbitLattice, SignProfile, _zero_sum_multisets,
     circle_hamiltonian, commutator_residuals, geodesic_hamiltonian,
 )
 
@@ -106,7 +106,8 @@ def test_geodesic_builder_matches_the_series_products():
         for cover in (2, 3):
             for level in range(4):
                 for window in (cover, cover * (level + 2)):
-                    lat = OrbitLattice(cover, window, q_degree=q_degree,
+                    q_degrees = {n: q_degree(n) for n in range(1, window + 1)}
+                    lat = OrbitLattice(cover, window, q_degrees=q_degrees,
                                        half_dim=half_dim)
                     table = lat.table()
                     policy = TruncationPolicy(max_cover=window,
@@ -245,9 +246,9 @@ def test_windowed_matches_naive_on_sound_window():
 
 
 def test_geodesic_maximal_grading_reduces_to_circle():
-    grading = GradingProfile({n: 2 for n in range(1, 4)})
+    q_degrees = {n: 2 for n in range(1, 4)}
     signs = SignProfile()
-    lat = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
+    lat = OrbitLattice(3, half_dim=5, q_degrees=q_degrees)
     for j in (0, 1):
         geo = geodesic_hamiltonian(lat, j, signs)
         circ = circle_hamiltonian(lat, j)
@@ -256,16 +257,16 @@ def test_geodesic_maximal_grading_reduces_to_circle():
 
 def test_geodesic_degree_filter():
     # degrees that never hit the target wipe the Hamiltonian out
-    grading = GradingProfile({n: 0 for n in range(1, 3)})
+    q_degrees = {n: 0 for n in range(1, 3)}
     signs = SignProfile()
-    lat = OrbitLattice(2, half_dim=5, q_degree=grading.q_degree)
+    lat = OrbitLattice(2, half_dim=5, q_degrees=q_degrees)
     geo = geodesic_hamiltonian(lat, 0, signs)
     assert geo.is_zero()
 
 
 def test_geodesic_degree_filter_soundness():
-    grading = GradingProfile({1: 2, 2: 2, 3: 2})
-    lat = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
+    q_degrees = {1: 2, 2: 2, 3: 2}
+    lat = OrbitLattice(3, half_dim=5, q_degrees=q_degrees)
     for j in (0, 1):
         geo = geodesic_hamiltonian(lat, j, SignProfile())
         target = 2 * (5 + j - 2)
@@ -276,9 +277,9 @@ def test_geodesic_degree_filter_soundness():
 
 
 def test_bad_covers_vanish():
-    grading = GradingProfile({n: 2 for n in range(1, 4)})
+    q_degrees = {n: 2 for n in range(1, 4)}
     signs = SignProfile(bad_covers=frozenset({2}))
-    lat = OrbitLattice(3, half_dim=5, q_degree=grading.q_degree)
+    lat = OrbitLattice(3, half_dim=5, q_degrees=q_degrees)
     geo = geodesic_hamiltonian(lat, 0, signs)
     table = lat.table()
     for mono in geo.terms:
@@ -287,9 +288,9 @@ def test_bad_covers_vanish():
 
 
 def test_explicit_sign_rule():
-    grading = GradingProfile({n: 2 for n in range(1, 3)})
+    q_degrees = {n: 2 for n in range(1, 3)}
     # flip the sign of every ordered tuple: the whole sum flips
-    lat = OrbitLattice(2, half_dim=5, q_degree=grading.q_degree)
+    lat = OrbitLattice(2, half_dim=5, q_degrees=q_degrees)
     table = lat.table()
     plus = geodesic_hamiltonian(lat, 0, SignProfile(), table=table)
     minus = geodesic_hamiltonian(lat, 0, SignProfile(rule=lambda ns: -1),
@@ -314,14 +315,14 @@ def perturbed_circle(seed, count=3):
     return build
 
 
-def geodesic_builder(grading, half_dim, signs):
+def geodesic_builder(q_degrees, half_dim, signs):
     """Geodesic builder on one graded lattice and table per lattice window."""
     graded = {}
 
     def build(lattice, level, table, policy):
         if lattice.window not in graded:
             lat = OrbitLattice(lattice.cover_bound, lattice.window,
-                               q_degree=grading.q_degree, half_dim=half_dim)
+                               q_degrees=q_degrees, half_dim=half_dim)
             graded[lattice.window] = lat, lat.table()
         lat, tab = graded[lattice.window]
         return geodesic_hamiltonian(lat, level, signs, table=tab, policy=policy)
@@ -351,10 +352,10 @@ def test_geodesic_residuals_equal_windowed_full_brackets():
     # covers 3, 6, 9 are odd; the sign rule is not a coherent orientation
     cover, levels = 3, [0, 1, 2]
     window = cover * (max(levels) + 2)
-    grading = GradingProfile({n: 2 if n % 3 else 1 for n in range(1, window + 1)})
+    q_degrees = {n: 2 if n % 3 else 1 for n in range(1, window + 1)}
     signs = SignProfile(rule=lambda ns: -1 if ns[0] < 0 else 1)
     hams = assert_residuals_are_windowed_full_brackets(
-        levels, cover, geodesic_builder(grading, 5, signs))
+        levels, cover, geodesic_builder(q_degrees, 5, signs))
     table = hams[0].table
     assert any(table.parity[pos] for h in hams for m in h.terms for pos, _ in m)
 

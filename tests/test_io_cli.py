@@ -50,9 +50,9 @@ def test_counts_round_trip(tmp_path):
     path = tmp_path / "c.json"
     sio.save_counts(data, path)
     data2 = sio.load_counts(path)
-    assert data2.counts.entries == data.counts.entries
+    assert data2.entries == data.entries
+    assert data2.section_choice == data.section_choice
     assert data2.table.values == data.table.values
-    assert data2.wedge_map == data.wedge_map
 
 
 def test_bad_schema_rejected(tmp_path):
@@ -97,7 +97,7 @@ def test_shipped_fixtures_load():
         sio.load_counts(sio.fixture_path(name))
     sio.load_profiles(sio.fixture_path("circle.profiles.json"))
     prof = sio.load_profiles(sio.fixture_path("geodesic.profiles.json"))
-    assert prof["grading"].q_degree(2) == 2
+    assert prof["q_degrees"][2] == 2
     ledger = sio.load_json(sio.fixture_path("m05_ledger.json"))
     assert ledger["schema"] == sio.LEDGER_SCHEMA
 
@@ -143,6 +143,26 @@ def test_files_with_the_old_model_contact_field_load_the_same(tmp_path, capsys):
         assert main(["verify", "--suite", "cylhom", "--counts", str(path)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("name", ["floer_point_20", "generic_fault"])
+def test_counts_files_with_multiplicity_and_wedge_map_give_the_same_output(
+        tmp_path, capsys, name):
+    """Counts files once carried an orbit "multiplicity" and a "wedge_map";
+    both are ignored, so files that still carry them give the same bytes."""
+    shipped = sio.fixture_path(f"{name}.counts.json")
+    obj = sio.load_json(shipped)
+    for k, orbit in enumerate(obj["orbits"]):
+        orbit["multiplicity"] = k  # 0 included
+    obj["wedge_map"] = {"e": "e~dt"}
+    old = tmp_path / f"{name}.counts.json"
+    old.write_text(json.dumps(obj))
+    for command in (["verify", "--suite", "cylhom", "--counts"], ["homology", "--counts"]):
+        results = []
+        for path in (shipped, old):
+            code = main(command + [str(path)])
+            results.append((code, capsys.readouterr()))
+        assert results[0] == results[1], command
 
 
 # -- CLI -----------------------------------------------------------------------------
@@ -294,7 +314,7 @@ def test_cylhom_label_guard_does_not_pass_on_a_crash(monkeypatch):
     ids = {c.id for c in cylhom_suite().checks}
 
     def crash_on_mismatch(data, variant):
-        if (data.counts.section_choice, variant) == ("(2,0)", "(1,1)"):
+        if (data.section_choice, variant) == ("(2,0)", "(1,1)"):
             raise ZeroDivisionError("bug")
         return original(data, variant)
 
@@ -365,7 +385,6 @@ def _drop(path):
     (_drop(("orbits", 0, "id")), "orbits[0].id"),
     (_set(("orbits", 0, "degree"), "one"), "orbits[0].degree"),
     (_set(("level_bound",), "two"), "level_bound"),
-    (_set(("orbits", 0, "multiplicity"), 0), "orbits[0].multiplicity"),
     (_set(("entries", 0, "insertions"), [["x", 1]]), "entries[0].insertions[0]"),
     (_set(("entries", 0, "insertions"), [["x", "one", True]]),
      "entries[0].insertions[0][1]"),
@@ -407,7 +426,13 @@ def _drop(path):
     (_set(("model", "primaries", 0, "value"), "1/0"), "model.primaries[0].value"),
     (lambda obj: obj["table"]["values"].append(
         {"insertions": [["e", 0]] * 4 + [["e", 2]], "value": "1"}), "table"),
-], ids=["missing-id", "text-degree", "text-level-bound", "zero-multiplicity",
+    (_set(("contact",), "false"), "contact"),
+    (_set(("equivariant",), "false"), "equivariant"),
+    (_set(("orbits", 0, "good"), 1), "orbits[0].good"),
+    (_set(("entries", 2, "insertions", 0, 2), "true"), "entries[2].insertions[0][2]"),
+    # a constrained insertion needs hat/check generators
+    (_set(("equivariant",), True), "entries[2].insertions"),
+], ids=["missing-id", "text-degree", "text-level-bound",
         "short-insertion", "text-insertion-level", "text-entry-degree",
         "model-class-missing-id", "model-class-text-degree",
         "primary-short-insertion", "primary-text-level", "primary-text-degree",
@@ -417,7 +442,9 @@ def _drop(path):
         "int-divisor-cup-row", "int-divisor-pairing", "unknown-src", "unknown-dst", "int-src",
         "unhashable-dst", "int-orbit", "int-entry", "int-insertions",
         "int-table-value-item", "int-model", "bad-entry-rational",
-        "bad-table-rational", "bad-primary-rational", "table-level-above-bound"])
+        "bad-table-rational", "bad-primary-rational", "table-level-above-bound",
+        "text-contact", "text-equivariant", "int-good", "text-constrained",
+        "constrained-in-equivariant-mode"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)
@@ -487,13 +514,16 @@ def test_cli_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     (_set(("cover_bound",), "three"), "cover_bound"),
     (_set(("q_degrees", "one"), 2), "q_degrees.one"),
     (_set(("q_degrees", "1"), "two"), "q_degrees.1"),
+    (_drop(("q_degrees", "2")), "q_degrees.2"),
+    (_set(("q_degrees",), [2, 2]), "q_degrees"),
     (_set(("signs", "bad_covers"), ["one"]), "signs.bad_covers[0]"),
     (_set(("signs", "explicit"), [[[1, -1], "one"]]), "signs.explicit[0][1]"),
     (_set(("signs", "explicit"), [[["a"], 1]]), "signs.explicit[0][0][0]"),
     (_set(("signs", "explicit"), [[1, 1]]), "signs.explicit[0]"),
     (_set(("signs", "explicit"), [[[1, -1], 2]]), "signs.explicit[0]"),
 ], ids=["text-half-dim", "missing-half-dim", "text-cover-bound",
-        "text-cover-key", "text-q-degree", "text-bad-cover", "text-sign",
+        "text-cover-key", "text-q-degree", "undeclared-cover", "q-degrees-list",
+        "text-bad-cover", "text-sign",
         "text-sign-cover", "sign-tuple-not-a-list", "sign-out-of-range"])
 def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
                                                        field):
@@ -627,8 +657,7 @@ def test_counts_suite_skips_homology_when_d_squared_is_not_zero():
 
     data = build_cylhom_fixtures()["generic"]
     extra = cylhom.CountEntry(("b", "hat"), ("c", "hat"), (), (), Fraction(1))
-    bad = replace(data, counts=cylhom.CountData([*data.counts.entries, extra],
-                                                "generic"))
+    bad = replace(data, entries=[*data.entries, extra])
     status = {c.id: c.status for c in counts_suite(bad).checks}
     assert status["differential.squared"] == FAIL
     assert status["homology.betti"] == SKIP

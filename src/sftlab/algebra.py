@@ -50,6 +50,14 @@ their q/p partials, cut to the bracket's window (see
 :func:`poisson_bracket`), keyed by (width, window).  The key is all they
 depend on, so a series bracketed with many others under one window is
 differentiated once; the value of a series never changes.
+
+The Poisson bracket of two series fixed by sigma: q_n <-> p_n forms half
+the products, {f,g} = A - sigma(A) with A = sum_n kappa_n df/dp_n dg/dq_n,
+on a table with no odd variable whose every q has its p partner.  With
+the bias added, sigma exchanges the q block and the p block of a key:
+three masks and two shifts, computed once per (table, width) in
+:func:`_layout`.  Whether sigma fixes a series is checked exactly, once,
+and cached with its bracket operand.
 """
 
 from __future__ import annotations
@@ -225,6 +233,7 @@ class VariableTable:
         )
         self.qp_mask = sum(1 << i for i, kind in enumerate(self.kinds)
                            if kind in (QORBIT, PORBIT))
+        self._sigma = _sigma_block(self)  # sigma: q <-> p on key fields
         self._layouts = {}  # key width -> _layout
         self._covers = {}  # support mask -> largest q/p cover, see _lowered
 
@@ -310,16 +319,48 @@ def _width_for(top: int) -> int:
     return max(5, top.bit_length() + 2)
 
 
+def _sigma_block(table: VariableTable):
+    """(first q position, number n of q) when the table has no odd variable
+    and its p block pairs with its q block in order, p_i n places after
+    q_i, so that sigma: q <-> p exchanges two runs of key fields; None
+    otherwise."""
+    if any(table.parity):
+        return None
+    qs = [i for i, kind in enumerate(table.kinds) if kind == QORBIT]
+    n = len(qs)
+    pairs = [(q, p) for q, p, _ in table.orbit_pairs]
+    if n and pairs == [(qs[0] + i, qs[0] + n + i) for i in range(n)]:
+        return qs[0], n
+    return None
+
+
 def _layout(table: VariableTable, width: int):
-    """(bias, odd fields, record cache) of table at a key width.  With the
-    bias (2^(w-1) per field) added, field i of a key is carry-free, and its
-    low bit (bit w*i, set in the odd-field mask at odd i) is an odd letter's."""
+    """(bias, odd fields, record cache, sigma) of table at a key width.  With
+    the bias (2^(w-1) per field) added, field i of a key is carry-free, and
+    its low bit (bit w*i, set in the odd-field mask at odd i) is an odd
+    letter's.  sigma is None, or (rest, q block, p block, shift): the masks
+    and shift of :func:`_swapped`, which exchanges the q and p fields."""
     try:
         return table._layouts[width]
     except KeyError:
         bias = sum(1 << width * (i + 1) - 1 for i in range(len(table)))
         odd = sum(1 << width * i for i, o in enumerate(table.parity) if o)
-        return table._layouts.setdefault(width, (bias, odd, {}))
+        sigma = None
+        if table._sigma is not None:
+            first, n = table._sigma
+            shift = width * n
+            qblock = ((1 << shift) - 1) << width * first
+            pblock = qblock << shift
+            rest = ((1 << width * len(table)) - 1) ^ qblock ^ pblock
+            sigma = (rest, qblock, pblock, shift)
+        return table._layouts.setdefault(width, (bias, odd, {}, sigma))
+
+
+def _swapped(key: int, bias: int, sigma) -> int:
+    """The key with each q_n field exchanged with its p_n field."""
+    rest, qblock, pblock, shift = sigma
+    u = key + bias
+    return ((u & rest) | (u & qblock) << shift | (u & pblock) >> shift) - bias
 
 
 def _decode(key: int, width: int) -> tuple:
@@ -410,7 +451,7 @@ class GradedSeries:
         self._den = den
         self._width = width
         self._top = top
-        self._operand = None  # (width, window, parts), see _bracket_operand
+        self._operand = None  # see _bracket_operand
 
     def _at(self, width: int) -> dict:
         """The terms re-packed at a width at least the series' own."""
@@ -430,21 +471,32 @@ class GradedSeries:
             out.append((key, c) + info)
         return out
 
-    def _bracket_operand(self, width: int, window: TruncationPolicy) -> list:
-        """[(odd, dq, dp)] per nonzero parity part: the :func:`_partials` of
-        the part's records at width, cut to window.  Cached for the last
-        (width, window) asked; the lists are never mutated, and two threads
-        filling the slot at once store equal values."""
+    def _bracket_operand(self, width: int, window: TruncationPolicy):
+        """(parts, symmetric).  parts is [(odd, dq, dp)] per nonzero parity
+        part: the :func:`_partials` of the part's records at width, cut to
+        window.  symmetric says whether sigma: q <-> p fixes the series, on
+        a table where sigma permutes key fields, and is None on any other.
+        Cached for the last (width, window) asked, the invariance for good;
+        the lists are never mutated, and two threads filling the slot at
+        once store equal values."""
         cached = self._operand
         if cached is not None and cached[0] == width and cached[1] == window:
-            return cached[2]
+            return cached[2], cached[3]
         split = ([], [])
         for r in self._records(width):
             split[r[5].bit_count() & 1].append(r)
         parts = [(odd, *_partials(self.table, records, odd, window, width))
                  for odd, records in enumerate(split) if records]
-        self._operand = (width, window, parts)
-        return parts
+        if cached is not None:
+            symmetric = cached[3]
+        elif self.table._sigma is None:
+            symmetric = None
+        else:
+            bias, _, _, sigma = _layout(self.table, self._width)
+            symmetric = all(self._num.get(_swapped(k, bias, sigma)) == c
+                            for k, c in self._num.items())
+        self._operand = (width, window, parts, symmetric)
+        return parts, symmetric
 
     def _like(self, num: dict, den: int = None, policy=None) -> "GradedSeries":
         """A series of num (keys of self's width) over den, reduced."""
@@ -538,7 +590,7 @@ class GradedSeries:
 
     def parity_parts(self):
         """(even part, odd part): split by the popcount of the odd letters."""
-        bias, odd_fields, _ = _layout(self.table, self._width)
+        bias, odd_fields, *_ = _layout(self.table, self._width)
         even, odd = parts = ({}, {})
         for k, c in self._num.items():
             parts[((k + bias) & odd_fields).bit_count() & 1][k] = c
@@ -556,7 +608,7 @@ class GradedSeries:
         pos = table.position(name)
         top = self._top + (table.kinds[pos] in _LAURENT_KINDS)
         width = self._width if top < 1 << self._width - 1 else _width_for(top)
-        bias, odd_fields, _ = _layout(table, width)
+        bias, odd_fields, *_ = _layout(table, width)
         shift = width * pos
         unit, mask, half = 1 << shift, (1 << width) - 1, 1 << width - 1
         passed = odd_fields & unit - 1 if table.parity[pos] else 0
@@ -708,14 +760,42 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     and replaces the cache.  The cached lists are never mutated, so two
     threads that fill the slot at once each store an equal value, and the
     one kept does not matter.
+
+    Half the products suffice when sigma: q_n <-> p_n fixes f and g, the
+    table has no odd variable and every q has its p partner: then
+    {f,g} = A - sigma(A), A = sum_n kappa_n df/dp_n dg/dq_n.  This is
+    exact: with every letter even, sigma is an automorphism taking df/dp_n
+    to d(sigma f)/dq_n = df/dq_n, so sigma(A) is the second sum, and the
+    window is sigma-symmetric, because its cover, pq-order, t-order and
+    hbar caps treat q_n and p_n alike.  The decision is taken from the
+    input alone.  The table's sigma masks are computed once per width and
+    each series' invariance once, with its operand; any other input takes
+    the two-sum loop.
     """
     window = f._join(g) if policy is None else f._join(g).cap(policy)
     table = f.table
     top = f._top + g._top
     width = _common_width(f, g, top)
-    gparts = g._bracket_operand(width, window)
+    fparts, fsym = f._bracket_operand(width, window)
+    gparts, gsym = g._bracket_operand(width, window)
     acc: dict = {}
-    for fodd, fdq, fdp in f._bracket_operand(width, window):
+    if fsym and gsym and fparts and gparts:  # one even part each: A - sigma(A)
+        (_, _, fdp), (_, gdq, _) = fparts[0], gparts[0]
+        for qpos, ppos, kappa in table.orbit_pairs:
+            if ppos in fdp and qpos in gdq:
+                _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
+        bias, _, _, sigma = _layout(table, width)
+        get = acc.get
+        out = {}
+        for k, c in acc.items():
+            s = _swapped(k, bias, sigma)
+            c -= get(s, 0)
+            if c:
+                out[k] = c
+                if s not in acc:
+                    out[s] = -c
+        return _reduced(table, window, out, f._den * g._den, width, top)
+    for fodd, fdq, fdp in fparts:
         for godd, gdq, gdp in gparts:
             sgn = -1 if (fodd and godd) else 1
             for qpos, ppos, kappa in table.orbit_pairs:

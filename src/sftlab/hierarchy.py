@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Optional
 
@@ -167,6 +167,25 @@ def _orderings(ms, mult, pos, table) -> int:
     return count
 
 
+def _distinct_orderings(ms):
+    """Each distinct ordering of the multiset ms once, in lexicographic
+    order: from the sorted word, the next permutation swaps the last ascent
+    with the smallest larger letter after it and reverses the tail."""
+    word = sorted(ms)
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = word[:i:-1]
+
+
 def geodesic_hamiltonian(lattice: OrbitLattice, level: int, signs: SignProfile,
                          table: Optional[VariableTable] = None,
                          policy: Optional[TruncationPolicy] = None) -> GradedSeries:
@@ -183,7 +202,7 @@ def geodesic_hamiltonian(lattice: OrbitLattice, level: int, signs: SignProfile,
         if sum(table.degrees[pos[n]] for n in ms) != target:
             return 0
         total = 0
-        for tup in set(permutations(ms)):
+        for tup in _distinct_orderings(ms):
             eps = signs.sign(tup)
             odd = [pos[n] for n in tup if table.parity[pos[n]]]
             if eps and len(set(odd)) == len(odd):

@@ -349,9 +349,9 @@ def load_profiles(path):
                 raise ValidationError(f"cover {k!r} is not an integer",
                                       f"{p}.q_degrees.{k}") from None
             q_degrees[cover] = _int_value(v, f"{p}.q_degrees.{k}")
-    signs_obj = obj.get("signs") or {}
+    signs_obj = {} if obj.get("signs") is None else _typed(obj, "signs", p, dict)
     explicit = {}
-    for i, item in enumerate(signs_obj.get("explicit", [])):
+    for i, item in enumerate(_typed(signs_obj, "explicit", f"{p}.signs", list, [])):
         epath = f"{p}.signs.explicit[{i}]"
         if (not isinstance(item, list) or len(item) != 2
                 or not isinstance(item[0], list)):
@@ -364,7 +364,8 @@ def load_profiles(path):
                        for j, n in enumerate(tup))] = eps
     signs = SignProfile(
         frozenset(_int_value(b, f"{p}.signs.bad_covers[{i}]")
-                  for i, b in enumerate(signs_obj.get("bad_covers", []))),
+                  for i, b in enumerate(_typed(signs_obj, "bad_covers",
+                                               f"{p}.signs", list, []))),
         None, explicit)
     return {
         "name": obj.get("name", "profiles"),

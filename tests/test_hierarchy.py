@@ -5,11 +5,12 @@ from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
-from sftlab import algebra
+from sftlab import algebra, io as sio
 from sftlab.algebra import TruncationPolicy, poisson_bracket
 from sftlab.hierarchy import (
-    OrbitLattice, SignProfile, _zero_sum_multisets,
-    circle_hamiltonian, commutator_residuals, geodesic_hamiltonian,
+    OrbitLattice, SignProfile, _distinct_orderings, _hamiltonian,
+    _zero_sum_multisets, circle_hamiltonian, commutator_residuals,
+    geodesic_hamiltonian,
 )
 
 
@@ -100,7 +101,8 @@ GEODESIC_CASES = [  # (half_dim, q-degree of cover n, sign profile)
 
 def test_geodesic_builder_matches_the_series_products():
     """Odd letters, sign rules, explicit signs and bad covers, levels 0..3 at
-    covers 2..3, on the bare lattice and on the extended one."""
+    covers 2..3, on the bare lattice and on the extended one; against the
+    series products and the sum over set(permutations(ms))."""
     nonzero = odd = 0
     for half_dim, q_degree, signs in GEODESIC_CASES:
         for cover in (2, 3):
@@ -115,9 +117,53 @@ def test_geodesic_builder_matches_the_series_products():
                     built = geodesic_hamiltonian(lat, level, signs, table=table)
                     assert built == geodesic_hamiltonian_reference(
                         lat, level, signs, table, policy), (half_dim, cover, level)
+                    assert built == _hamiltonian(lat, level, table, None,
+                                                 permutation_sum_weight(
+                                                     lat, level, signs))
                     nonzero += not built.is_zero()
                     odd += any(table.parity[p] for m in built.terms for p, _ in m)
     assert nonzero > 50 and odd > 15
+
+
+def permutation_sum_weight(lattice, level, signs):
+    """The geodesic weight summed over set(permutations(ms)): every one of
+    the r! orderings formed, then deduplicated."""
+    target = 2 * (lattice.half_dim + level - 2)
+
+    def weight(ms, mult, pos, table):
+        if sum(table.degrees[pos[n]] for n in ms) != target:
+            return 0
+        total = 0
+        for tup in set(permutations(ms)):
+            eps = signs.sign(tup)
+            odd = [pos[n] for n in tup if table.parity[pos[n]]]
+            if eps and len(set(odd)) == len(odd):
+                total += eps * (-1) ** sum(a > b for k, a in enumerate(odd)
+                                           for b in odd[k + 1:])
+        return total
+    return weight
+
+
+def test_distinct_orderings_are_the_deduplicated_permutations():
+    for ms in [(), (4,), (1, 1), (-2, 1, 1), (-3, -1, 1, 1, 2), (1, 1, 1),
+               (-2, -2, 1, 1, 2, 2), (-1, -1, -1, 1, 1, 1, 2)]:
+        got = list(_distinct_orderings(ms))
+        assert len(got) == len(set(got))
+        assert set(got) == set(permutations(ms))
+        assert got == sorted(got)
+
+
+def test_geodesic_profile_matches_the_permutation_sum():
+    """The shipped geodesic profile, levels 0..4."""
+    prof = sio.load_profiles(sio.fixture_path("geodesic.profiles.json"))
+    lat = OrbitLattice(prof["cover_bound"], q_degrees=prof["q_degrees"],
+                       half_dim=prof["half_dim"])
+    table = lat.table()
+    for level in range(5):
+        built = geodesic_hamiltonian(lat, level, prof["signs"], table=table)
+        assert not built.is_zero()
+        assert built == _hamiltonian(lat, level, table, None, permutation_sum_weight(
+            lat, level, prof["signs"]))
 
 
 def test_pinned_circle_values():

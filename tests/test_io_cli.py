@@ -521,10 +521,14 @@ def test_cli_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     (_set(("signs", "explicit"), [[["a"], 1]]), "signs.explicit[0][0][0]"),
     (_set(("signs", "explicit"), [[1, 1]]), "signs.explicit[0]"),
     (_set(("signs", "explicit"), [[[1, -1], 2]]), "signs.explicit[0]"),
+    (_set(("signs",), [1]), "signs"),
+    (_set(("signs", "bad_covers"), 5), "signs.bad_covers"),
+    (_set(("signs", "explicit"), 5), "signs.explicit"),
 ], ids=["text-half-dim", "missing-half-dim", "text-cover-bound",
         "text-cover-key", "text-q-degree", "undeclared-cover", "q-degrees-list",
         "text-bad-cover", "text-sign",
-        "text-sign-cover", "sign-tuple-not-a-list", "sign-out-of-range"])
+        "text-sign-cover", "sign-tuple-not-a-list", "sign-out-of-range",
+        "signs-list", "bad-covers-number", "explicit-number"])
 def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
                                                        field):
     obj = sio.load_json(sio.fixture_path("geodesic.profiles.json"))

@@ -69,26 +69,28 @@ def kernel_case(draw):
     for position in range(draw(st.integers(0, 2))):
         variables.append(curve_class_variable(position, draw(st.integers(0, 1))))
     table = VariableTable(variables, half_dim=half_dim)
-    series = []
-    for _ in range(2):
-        big = draw(st.sampled_from(EDGE_EXPONENTS))
-        terms = {}
-        for _ in range(draw(st.integers(1, 5))):
-            mono = []
-            for pos in sorted(draw(st.sets(st.integers(0, len(table) - 1),
-                                           max_size=4))):
-                v = table.variables[pos]
-                if v.odd:
-                    e = 1
-                elif v.kind in ("hbar", "z"):
-                    e = draw(st.integers(-big, big).filter(bool))
-                else:
-                    e = draw(st.integers(1, big))
-                mono.append((pos, e))
-            coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
-            terms[tuple(mono)] = terms.get(tuple(mono), 0) + coeff
-        series.append(table.series(terms, LOOSE))
-    return (table, *series)
+    return table, draw_series(draw, table), draw_series(draw, table)
+
+
+def draw_series(draw, table):
+    """Up to five terms of up to four letters, exponents across a field edge."""
+    big = draw(st.sampled_from(EDGE_EXPONENTS))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        mono = []
+        for pos in sorted(draw(st.sets(st.integers(0, len(table) - 1),
+                                       max_size=4))):
+            v = table.variables[pos]
+            if v.odd:
+                e = 1
+            elif v.kind in ("hbar", "z"):
+                e = draw(st.integers(-big, big).filter(bool))
+            else:
+                e = draw(st.integers(1, big))
+            mono.append((pos, e))
+        coeff = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + coeff
+    return table.series(terms, LOOSE)
 
 
 policies = st.one_of(
@@ -231,6 +233,147 @@ def test_product_rows_at_the_budget_edge(field, over):
     agrees(f * g, F * G)
     agrees(g * f, G * F)
     agrees(poisson_bracket(f, g), oracle.poisson_bracket(F, G))
+
+
+# -- the sigma path: {f,g} = A - sigma(A) for sigma-invariant operands --------
+
+
+def swapped(f):
+    """f with q_n and p_n exchanged, built from its tuple monomials."""
+    table = f.table
+    partner = {}
+    for q, p, _ in table.orbit_pairs:
+        partner[q], partner[p] = p, q
+    return table.series({tuple(sorted((partner.get(pos, pos), e) for pos, e in m)): c
+                         for m, c in f.terms.items()}, f.policy)
+
+
+@st.composite
+def even_case(draw):
+    """Two sigma-symmetrized series f + sigma(f) on a table with no odd
+    variable: even q/p pairs of several orbits, covers and kappas, even t,
+    z and Laurent hbar."""
+    variables = [planck_variable(1)]
+    for k in range(draw(st.integers(1, 2))):
+        for cover in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
+                                   unique=True)):
+            variables.extend(orbit_variable_pair(
+                f"o{k}", cover, cz=draw(st.sampled_from((-2, 0, 2))),
+                multiplicity=draw(st.integers(1, 3))))
+    for level in range(draw(st.integers(0, 2))):
+        variables.append(descendant_variable("a", level, 0))
+    for position in range(draw(st.integers(0, 1))):
+        variables.append(curve_class_variable(position, draw(st.integers(0, 1))))
+    table = VariableTable(variables, half_dim=1)
+    assert not any(table.parity)
+    f, g = draw_series(draw, table), draw_series(draw, table)
+    return table, f + swapped(f), g + swapped(g)
+
+
+def sigma_flags(*series):
+    """The cached sigma-invariance of each series' bracket operand."""
+    return [s._operand[3] for s in series]
+
+
+@settings(max_examples=120, deadline=None)
+@given(even_case(), policies)
+def test_symmetric_brackets_take_the_half_path_and_match_reference(case, policy):
+    table, f, g = case
+    F, G = TupleSeries.of(f), TupleSeries.of(g)
+    agrees(poisson_bracket(f, g, policy), oracle.poisson_bracket(F, G, policy))
+    assert sigma_flags(f, g) == [True, True]
+    agrees(poisson_bracket(f, g), oracle.poisson_bracket(F, G))
+    fg = f * g  # a product of sigma-invariant series is sigma-invariant
+    agrees(poisson_bracket(fg, g, policy), oracle.poisson_bracket(F * G, G, policy))
+    assert sigma_flags(fg) == [True]
+
+
+def test_symmetric_pinned_bracket_is_nonzero():
+    q1, p1 = orbit_variable_pair("o", 1, multiplicity=2)
+    q2, p2 = orbit_variable_pair("o", 2)
+    t = descendant_variable("a", 0, 0)
+    table = VariableTable([planck_variable(1), q1, p1, q2, p2, t], half_dim=1)
+    f = named(table, [({q1.name: 2, p2.name: 1}, 3), ({p1.name: 2, q2.name: 1}, 3),
+                      ({"hbar": -1, t.name: 1, q1.name: 1, p1.name: 1},
+                       Fraction(1, 2))], LOOSE)
+    g = named(table, [({q1.name: 1}, 1), ({p1.name: 1}, 1),
+                      ({q2.name: 1, p2.name: 2}, -2), ({p2.name: 1, q2.name: 2}, -2)],
+              LOOSE)
+    assert f == swapped(f) and g == swapped(g)
+    got = poisson_bracket(f, g)
+    assert sigma_flags(f, g) == [True, True]
+    assert not got.is_zero()
+    agrees(got, oracle.poisson_bracket(TupleSeries.of(f), TupleSeries.of(g)))
+    assert swapped(got) == -got  # the bracket of invariants is anti-invariant
+
+
+def test_half_path_refuses_what_sigma_does_not_fix():
+    """An odd q/p pair, a q with no p partner and an operand with one
+    coefficient changed each take the two-sum path, and agree with the
+    oracle."""
+    q1, p1 = orbit_variable_pair("o", 1, multiplicity=2)
+    q2, p2 = orbit_variable_pair("o", 2)
+    odd_q, odd_p = orbit_variable_pair("a", 1, cz=1)
+    lone_q = orbit_variable_pair("b", 1)[0]
+    hbar = planck_variable(1)
+    policy = TruncationPolicy(max_pq_order=5)
+
+    def symmetric_pair(table):
+        f = named(table, [({q1.name: 2, p2.name: 1}, 3), ({q2.name: 1}, -1),
+                          ({"hbar": 1, p1.name: 1}, Fraction(1, 2))], policy)
+        g = named(table, [({q1.name: 1, q2.name: 1}, 2), ({p1.name: 3}, 5),
+                          ({"hbar": -1, p2.name: 1, q1.name: 1}, 1)], policy)
+        return f + swapped(f), g + swapped(g)
+
+    odd_table = VariableTable([hbar, q1, p1, q2, p2, odd_q, odd_p])
+    f, g = symmetric_pair(odd_table)
+    a = odd_table.var(odd_q.name, 1, policy) + odd_table.var(odd_p.name, 1, policy)
+    cases = [(f * a, g * a, [None, None]), (f, g * a, [None, None])]
+    lone_table = VariableTable([hbar, q1, p1, q2, p2, lone_q])
+    f, g = symmetric_pair(lone_table)
+    b = lone_table.var(lone_q.name, 1, policy)
+    cases += [(f, g, [None, None]), (f * b, g + b, [None, None])]
+    even_table = VariableTable([hbar, q1, p1, q2, p2])
+    f, g = symmetric_pair(even_table)
+    bent = named(even_table, [({q1.name: 2, p2.name: 1}, 4)], policy)  # 3 -> 7
+    cases += [(f + bent, g, [False, True]), (g, f + bent, [True, False])]
+    for f, g, flags in cases:
+        got = poisson_bracket(f, g)
+        assert sigma_flags(f, g) == flags
+        assert not got.is_zero()
+        agrees(got, oracle.poisson_bracket(TupleSeries.of(f), TupleSeries.of(g)))
+
+
+def test_symmetric_hamiltonian_brackets_form_half_the_products(monkeypatch):
+    """Every circle bracket pairs df/dp with dg/dq only: the kernel visits
+    sum |fdp[p]||gdq[q]| record pairs, half the two-sum count."""
+    visited = []
+    original = algebra._mul_packed
+
+    def counted(acc, records1, records2, policy, factor):
+        visited.append(len(records1) * len(records2))
+        return original(acc, records1, records2, policy, factor)
+
+    monkeypatch.setattr(algebra, "_mul_packed", counted)
+    levels = [0, 1, 2, 3]
+    residuals, hams = commutator_residuals(levels, 3)
+    assert all(r.is_zero() for row in residuals for r in row)
+    out_policy = TruncationPolicy(max_cover=3, max_pq_order=2 * (max(levels) + 3))
+    half = two_sum = 0
+    for i, f in enumerate(hams):
+        for g in hams[i:]:
+            width = algebra._common_width(f, g, f._top + g._top)
+            window = f._join(g).cap(out_policy)
+            (fparts, fsym), (gparts, gsym) = (
+                s._bracket_operand(width, window) for s in (f, g))
+            assert fsym and gsym
+            (_, fdq, fdp), (_, gdq, gdp) = fparts[0], gparts[0]
+            for qpos, ppos, _ in f.table.orbit_pairs:
+                half += len(fdp.get(ppos, ())) * len(gdq.get(qpos, ()))
+                two_sum += len(gdp.get(ppos, ())) * len(fdq.get(qpos, ()))
+    two_sum += half
+    assert sum(visited) == half > 0
+    assert two_sum == 2 * half
 
 
 def test_each_hamiltonian_forms_its_partials_once(monkeypatch):

@@ -160,7 +160,8 @@ class TupleSeries:
 def poisson_bracket(f, g, policy=None):
     """sum_orbits kappa*(df/dp dg/dq - (-1)^{|f||g|} dg/dp df/dq) over the
     parity parts, p from the right and q from the left, truncated to the
-    joint policy capped by ``policy``."""
+    joint policy capped by ``policy``.  A q with no p partner pairs with
+    nothing."""
     table = f.table
     window = f._join(g) if policy is None else f._join(g).cap(policy)
     out = TupleSeries(table, {}, window)
@@ -170,8 +171,10 @@ def poisson_bracket(f, g, policy=None):
             for q in table.variables:
                 if q.kind != QORBIT:
                     continue
-                p = next(v for v in table.variables
-                         if v.kind == PORBIT and v.indices == q.indices)
+                p = next((v for v in table.variables
+                          if v.kind == PORBIT and v.indices == q.indices), None)
+                if p is None:
+                    continue
                 kappa = q.multiplicity
                 out = out + (fp.right_derivative(p.name)
                              * gp.derivative(q.name)).scale(kappa)

@@ -25,6 +25,25 @@ from .suites import SUITES, counts_suite
 
 EXIT_INTERNAL = 3
 
+# The least value each bound option takes.  Below it the bound is negative
+# or gives checks that pass whatever the data: no samples, no cover, a
+# t-order window where both recursion residuals are zero on any table of
+# the gw suite's models, or no level-1 insertion for the recursion checks
+# (their level bound is min(levels + 1, max_points - 3)).
+LEAST = {
+    "verify": {"trunc_t": 1, "max_cover": 1, "max_points": 4, "levels": 0,
+               "samples": 1},
+    "reconstruct": {"max_points": 0, "levels": 0, "max_degree": 0},
+}
+
+
+def _check_bounds(args):
+    for dest, least in LEAST.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value < least:
+            raise ValidationError(f"must be >= {least}, got {value}",
+                                  "--" + dest.replace("_", "-"))
+
 
 def _load_model_arg(spec: str):
     if spec in BUILTIN_MODELS:
@@ -214,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         return args.fn(args)
     except (ValidationError, SftlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,15 @@ forgetful rule ``TargetModel.forgetting(w)`` of an inserted class w (the
 unit, or the model's degree-2 class), read by the reconstruction and the
 equations alike.  Each verifier takes the potential f it checks and the
 model; the policy and the level range are f's.
+
+Two walks over the keys within bounds: ``reconstruct`` evaluates only
+``admissible_keys``, the keys that pass the dimension filter, found
+without visiting the rest (every other key is zero); ``enumerate_keys``
+yields every key, and the oracle checks walk it so that the zero of a
+dimension-rejected key is compared with the oracle too.  Keys formed
+inside the package from canonical insertions (those two walks and the
+reconstruction's own rules) are built directly; ``TargetModel.key``
+validates everything else.
 """
 
 from __future__ import annotations
@@ -110,6 +119,10 @@ class TargetModel:
                                       "divisor")
             if self.degree_of(self.divisor) != 2:
                 raise ValidationError("divisor class must have degree 2", "divisor")
+        for cid, row in (self.divisor_cup or {}).items():
+            for b in row:
+                if b not in self._index:
+                    raise ValidationError(f"unknown class {b!r}", f"divisor_cup.{cid}")
 
     def add_primary(self, key: CorrelatorKey, value):
         value = Fraction(value)
@@ -264,11 +277,18 @@ class Reconstructor:
         self.model = model
         self.bounds = bounds
         self.memo = {}
+        rank = model._index
+        self._order = lambda ca: (rank[ca[0]], ca[1])
         # trr_choice(key, target_index) -> (beta_idx, gamma_idx): positions of
         # the two reference insertions among the remaining ones.  The default
         # (0, 1) takes the two (class, level)-smallest; any admissible choice
         # gives the same values (asserted by tests).
         self.trr_choice = trr_choice
+
+    def _key(self, insertions, degree) -> CorrelatorKey:
+        """Key of insertions and a curve class taken from a valid key or
+        from the model: only the canonical sort is left to do."""
+        return CorrelatorKey(tuple(sorted(insertions, key=self._order)), degree)
 
     def value(self, key: CorrelatorKey) -> Fraction:
         if key in self.memo:
@@ -305,20 +325,20 @@ class Reconstructor:
         ins = list(key.insertions)
         ins.remove((w, 0))
         pairing = weight(key.degree)
-        total = (pairing * self.value(model.key(ins, key.degree)) if pairing
+        total = (pairing * self.value(self._key(ins, key.degree)) if pairing
                  else Fraction(0))
         for i, (c, a) in enumerate(ins):
             if a >= 1:
                 for b, coeff in cup(c).items():
                     if coeff:
                         rest = ins[:i] + [(b, a - 1)] + ins[i + 1:]
-                        total += coeff * self.value(model.key(rest, key.degree))
+                        total += coeff * self.value(self._key(rest, key.degree))
         return total
 
     def _dilaton(self, key: CorrelatorKey) -> Fraction:
         ins = list(key.insertions)
         ins.remove((self.model.unit, 1))
-        sub = self.model.key(ins, key.degree)
+        sub = self._key(ins, key.degree)
         return (len(ins) - 2) * self.value(sub)
 
     def _trr(self, key: CorrelatorKey) -> Fraction:
@@ -344,11 +364,11 @@ class Reconstructor:
                         w = eta_inv[mu][nu]
                         if not w:
                             continue
-                        left = model.key(left_base + [(classes[mu].id, 0)], d1)
+                        left = self._key(left_base + [(classes[mu].id, 0)], d1)
                         lv = self.value(left)
                         if not lv:
                             continue
-                        right = model.key(right_base + [(classes[nu].id, 0)], d2)
+                        right = self._key(right_base + [(classes[nu].id, 0)], d2)
                         rv = self.value(right)
                         if not rv:
                             continue
@@ -364,20 +384,73 @@ def _curve_classes(model: TargetModel, max_degree: int):
             if sum(d) <= max_degree]
 
 
+def _pairs(model: TargetModel, bounds: Bounds):
+    """The (class, level) pairs within bounds, in canonical key order."""
+    return [(c.id, a) for c in model.classes for a in range(bounds.max_level + 1)]
+
+
 def enumerate_keys(model: TargetModel, bounds: Bounds):
-    pairs = [(c.id, a) for c in model.classes for a in range(bounds.max_level + 1)]
+    """Every key within bounds, dimension-admissible or not: one per
+    multiset of 3 to max_points (class, level) pairs and curve class.
+
+    This full walk is what the oracle checks compare against the oracle,
+    so that a key the dimension filter rejects must read zero too;
+    ``reconstruct`` walks only ``admissible_keys``.
+    """
+    pairs = _pairs(model, bounds)
     degs = _curve_classes(model, bounds.max_degree)
     for n in range(3, bounds.max_points + 1):
         for combo in combinations_with_replacement(pairs, n):
             for d in degs:
-                yield model.key(combo, d)
+                yield CorrelatorKey(combo, d)
+
+
+def admissible_keys(model: TargetModel, bounds: Bounds):
+    """The keys of ``enumerate_keys`` that pass ``model.dimension_ok``, in
+    the same order, without visiting the others.
+
+    A key passes when its weight sum(deg theta + 2a) is
+    dim + 2(n-3) + 2 c1.d.  The multisets are walked in canonical order and
+    a branch is cut as soon as the weights its remaining slots can add
+    (``sums``) reach no curve class's target; each finished multiset gives
+    one key per curve class whose target it meets, in curve-class order.
+    """
+    pairs = _pairs(model, bounds)
+    weights = [model.degree_of(c) + 2 * a for c, a in pairs]
+    top = bounds.max_points
+    # sums[i][s]: the weight sums of s pairs drawn from pairs[i:]
+    sums = [[{0}] + [set() for _ in range(top)] for _ in range(len(pairs) + 1)]
+    for i in range(len(pairs) - 1, -1, -1):
+        for s in range(1, top + 1):
+            sums[i][s] = sums[i + 1][s] | {weights[i] + x for x in sums[i][s - 1]}
+    degs = _curve_classes(model, bounds.max_degree)
+
+    def walk(start, slots, total, prefix, targets):
+        if not slots:
+            for d in targets[total]:
+                yield CorrelatorKey(prefix, d)
+            return
+        for i in range(start, len(pairs)):
+            head = total + weights[i]
+            if any(t - head in sums[i][slots - 1] for t in targets):
+                yield from walk(i, slots - 1, head, prefix + (pairs[i],), targets)
+
+    for n in range(3, top + 1):
+        targets = {}
+        for d in degs:
+            t = model.dimension + 2 * (n - 3) + 2 * sum(
+                c * x for c, x in zip(model.chern, d))
+            targets.setdefault(t, []).append(d)
+        yield from walk(0, n, 0, (), targets)
 
 
 def reconstruct(model: TargetModel, bounds: Bounds) -> CorrelatorTable:
-    """Every correlator within bounds, computed from the model's primaries."""
+    """Every nonzero correlator within bounds, computed from the model's
+    primaries; a key the dimension filter rejects is zero, so only
+    ``admissible_keys`` are evaluated, in ``enumerate_keys`` order."""
     rec = Reconstructor(model, bounds)
     table = CorrelatorTable(model, bounds=bounds)
-    for key in enumerate_keys(model, bounds):
+    for key in admissible_keys(model, bounds):
         v = rec.value(key)
         if v:
             table.set(key, v)

@@ -3,13 +3,14 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sftlab import io as sio
 from sftlab.algebra import TruncationPolicy
 from sftlab.errors import MissingPrimaryError, ValidationError
 from sftlab.gw import (
     Bounds, CorrelatorTable, QuantumProduct, Reconstructor, TargetModel,
-    _degree_splits,
+    _degree_splits, admissible_keys,
     assemble_potential, averaged_trr_residual, correlator_from_potential,
     enumerate_keys, quantum_product, reconstruct, restrict_series_max_t_order,
     string_dilaton_divisor_residuals, t_name, trr_residual,
@@ -246,6 +247,124 @@ def test_divisor_rule_sees_a_raised_primary():
     _, raised, _ = _values_by_both_rules("p1-raised")
     assert reduced and all(base[k] for k in reduced if k in base)
     assert any(base[k] != raised[k] for k in reduced if k in base)
+
+
+# -- the admissible-key walk against enumerate-and-filter ---------------------------
+
+
+def _filtered_keys(model, bounds):
+    """Every key within bounds, then the dimension filter."""
+    return filter(model.dimension_ok, enumerate_keys(model, bounds))
+
+
+def _reconstruct_every_key(model, bounds):
+    """The reconstruction loop over every key within bounds."""
+    rec = Reconstructor(model, bounds)
+    table = CorrelatorTable(model, bounds=bounds)
+    for key in enumerate_keys(model, bounds):
+        v = rec.value(key)
+        if v:
+            table.set(key, v)
+    return table
+
+
+WALK_CASES = {
+    "point": (point_model, Bounds(max_points=8, max_level=5, max_degree=3)),
+    "two-point": (two_point_model, Bounds(max_points=7, max_level=3, max_degree=3)),
+    "p1": (projective_line_model, Bounds(max_points=7, max_level=3, max_degree=3)),
+    "p1-raised": (_p1_raised, Bounds(max_points=6, max_level=3, max_degree=3)),
+}
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_admissible_keys_are_the_filtered_keys_in_order(name):
+    build, bounds = WALK_CASES[name]
+    model = build()
+    walked = list(admissible_keys(model, bounds))
+    assert walked == list(_filtered_keys(model, bounds))
+    assert walked
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_reconstruct_gives_the_table_of_every_key(name):
+    build, bounds = WALK_CASES[name]
+    model = build()
+    got = reconstruct(model, bounds)
+    want = _reconstruct_every_key(model, bounds)
+    assert list(got.values.items()) == list(want.values.items())
+    assert got.values
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_reconstruction_memoizes_only_canonical_keys(name):
+    build, bounds = WALK_CASES[name]
+    model = build()
+    rec = Reconstructor(model, bounds)
+    for key in admissible_keys(model, bounds):
+        rec.value(key)
+    assert len(rec.memo) > 1
+    for key in rec.memo:
+        assert key == model.key(key.insertions, key.degree)
+
+
+@st.composite
+def small_models(draw):
+    """A model of classes paired in degree, listed in any order, with up to
+    two curve classes of any first Chern number sign."""
+    top = draw(st.integers(0, 4))
+    degrees = [0] if top == 0 else [0, top]
+    for k in draw(st.lists(st.integers(0, top), max_size=2)):
+        degrees += [k] if 2 * k == top else [k, top - k]
+    order = draw(st.permutations(range(len(degrees))))
+    classes = [(f"c{i}", degrees[i]) for i in order]
+    # each class pairs with the next one of the dual degree, or itself
+    partner, free = {}, list(range(len(classes)))
+    while free:
+        i = free.pop(0)
+        j = next((j for j in free if classes[i][1] + classes[j][1] == top), i)
+        if j != i:
+            free.remove(j)
+        partner[i], partner[j] = j, i
+    eta = [[int(partner[i] == j) for j in range(len(classes))]
+           for i in range(len(classes))]
+    unit = next(c for c, deg in classes if deg == 0)
+    h2_rank = draw(st.integers(0, 2))
+    chern = draw(st.lists(st.integers(-2, 2), min_size=h2_rank, max_size=h2_rank))
+    model = TargetModel("drawn", classes, unit, eta, h2_rank=h2_rank, chern=chern)
+    bounds = Bounds(max_points=draw(st.integers(3, 5)),
+                    max_level=draw(st.integers(0, 2)),
+                    max_degree=draw(st.integers(0, 2)))
+    return model, bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_models())
+def test_admissible_keys_match_the_filter_on_drawn_models(case):
+    model, bounds = case
+    assert list(admissible_keys(model, bounds)) == list(_filtered_keys(model, bounds))
+
+
+def _partitions(total, largest):
+    """Non-increasing tuples of positive parts <= largest summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+def test_point_reconstruction_at_large_bounds():
+    m, bounds = point_model(), Bounds(max_points=12, max_level=9)
+    table = reconstruct(m, bounds)
+    assert len(table.values) == 97
+    for key, v in table.values.items():
+        assert v == point_correlator_closed_form(tuple(a for _, a in key.insertions))
+    # level multisets with sum(a) = n - 3: a partition of n - 3 padded with zeros
+    want = {tuple(sorted(parts + (0,) * (n - len(parts))))
+            for n in range(3, 13) for parts in _partitions(n - 3, 9)}
+    walked = [tuple(a for _, a in key.insertions) for key in admissible_keys(m, bounds)]
+    assert len(walked) == len(set(walked)) and set(walked) == want
 
 
 # -- model validation -----------------------------------------------------------

@@ -238,6 +238,35 @@ def test_cli_hierarchy_negative_level_exits_2(capsys):
     assert capsys.readouterr().err == "error: level: level must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv, option, least, value", [
+    (["verify", "--suite", "gw", "--max-points", "3"], "--max-points", 4, 3),
+    (["verify", "--suite", "gw", "--levels", "-1"], "--levels", 0, -1),
+    (["verify", "--suite", "hierarchy", "--levels", "-2"], "--levels", 0, -2),
+    (["verify", "--suite", "algebra", "--samples", "-3"], "--samples", 1, -3),
+    (["verify", "--suite", "algebra", "--samples", "0"], "--samples", 1, 0),
+    (["verify", "--suite", "hierarchy", "--max-cover", "0"], "--max-cover", 1, 0),
+    (["verify", "--suite", "gw", "--trunc-t", "-1"], "--trunc-t", 1, -1),
+    (["verify", "--suite", "gw", "--trunc-t", "0"], "--trunc-t", 1, 0),
+    (["reconstruct", "--levels", "-1"], "--levels", 0, -1),
+    (["reconstruct", "--max-points", "-1"], "--max-points", 0, -1),
+    (["reconstruct", "--model", "p1", "--max-degree", "-1"], "--max-degree", 0, -1),
+])
+def test_cli_bound_below_its_least_value_exits_2_naming_the_option(
+        argv, option, least, value, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: must be >= {least}, got {value}\n"
+
+
+def test_cli_bounds_at_their_least_values_run(capsys):
+    assert main(["verify", "--suite", "gw", "--max-points", "4", "--levels", "0",
+                 "--trunc-t", "1"]) == 0
+    assert main(["reconstruct", "--max-points", "0", "--levels", "0",
+                 "--max-degree", "0"]) == 0
+    assert '"values": []' in capsys.readouterr().out
+
+
 def test_cli_hierarchy_odd_circle_profile_exits_2(tmp_path, capsys):
     """Half-dimension 4 makes every q and p odd; the circle builder applies
     no Koszul sign, so the profile is rejected at its half_dim field."""
@@ -411,6 +440,7 @@ def _drop(path):
     (_set(("model", "eta"), [5]), "model.eta[0]"),
     (_set(("model", "divisor_cup"), 5), "model.divisor_cup"),
     (_set(("model", "divisor_cup"), {"e": 5}), "model.divisor_cup.e"),
+    (_set(("model", "divisor_cup"), {"e": {"nope": "1"}}), "model.divisor_cup.e"),
     (_set(("model", "divisor_pairing"), 5), "model.divisor_pairing"),
     (_set(("entries", 0, "src"), ["nope", "hat"]), "entries[0].src"),
     (_set(("entries", 0, "dst"), ["b", "nope"]), "entries[0].dst"),
@@ -439,7 +469,8 @@ def _drop(path):
         "table-text-level", "table-insertion-not-a-pair", "table-missing-value",
         "model-text-h2-rank", "model-text-chern", "primary-unknown-class",
         "model-eta-shape", "int-eta", "int-eta-row", "int-divisor-cup",
-        "int-divisor-cup-row", "int-divisor-pairing", "unknown-src", "unknown-dst", "int-src",
+        "int-divisor-cup-row", "divisor-cup-unknown-class", "int-divisor-pairing",
+        "unknown-src", "unknown-dst", "int-src",
         "unhashable-dst", "int-orbit", "int-entry", "int-insertions",
         "int-table-value-item", "int-model", "bad-entry-rational",
         "bad-table-rational", "bad-primary-rational", "table-level-above-bound",

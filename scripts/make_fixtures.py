@@ -42,7 +42,7 @@ def main():
         "half_dim": 5,
         "cover_bound": 3,
         "q_degrees": {str(n): 2 for n in range(1, 4)},
-        "signs": {"bad_covers": [], "explicit": []},
+        "signs": {"explicit": []},
     }
     (FIXTURES / "geodesic.profiles.json").write_text(sio.dumps_canonical(geodesic))
     print(f"wrote fixtures to {FIXTURES}")

@@ -34,13 +34,14 @@ LEAST = {
     "verify": {"trunc_t": 1, "max_cover": 1, "max_points": 4, "levels": 0,
                "samples": 1},
     "reconstruct": {"max_points": 0, "levels": 0, "max_degree": 0},
+    "hierarchy": {"max_cover": 1},
 }
 
 
 def _check_bounds(args):
     for dest, least in LEAST.get(args.command, {}).items():
         value = getattr(args, dest)
-        if value < least:
+        if value is not None and value < least:
             raise ValidationError(f"must be >= {least}, got {value}",
                                   "--" + dest.replace("_", "-"))
 
@@ -102,19 +103,21 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    levels = [int(x) for x in args.levels.split(",")]
-    prof = sio.load_profiles(args.profiles) if args.profiles else None
-    cover = args.max_cover
-    if cover is None:
-        cover = prof["cover_bound"] if prof else 3
-    q_degrees = prof["q_degrees"] if prof else None
-    lattice = hierarchy.OrbitLattice(cover, half_dim=prof["half_dim"] if prof else 1,
-                                     q_degrees=q_degrees)
-    with under_path(args.profiles) if prof else nullcontext():
+    try:
+        levels = [int(x) for x in args.levels.split(",")]
+    except ValueError:
+        raise ValidationError(f"expected comma-separated integers, got "
+                              f"{args.levels!r}", "--levels") from None
+    prof = (sio.load_profiles(args.profiles) if args.profiles else
+            {"cover_bound": 3, "half_dim": 1, "q_degrees": None})
+    cover = prof["cover_bound"] if args.max_cover is None else args.max_cover
+    lattice = hierarchy.OrbitLattice(cover, half_dim=prof["half_dim"],
+                                     q_degrees=prof["q_degrees"])
+    with under_path(args.profiles) if args.profiles else nullcontext():
         table = lattice.table()  # a cover the profile does not declare
-        hams = {j: hierarchy.geodesic_hamiltonian(lattice, j, prof["signs"],
+        hams = {j: hierarchy.geodesic_hamiltonian(lattice, j, prof["explicit"],
                                                   table=table)
-                if q_degrees is not None
+                if lattice.q_degrees is not None
                 else hierarchy.circle_hamiltonian(lattice, j, table=table)
                 for j in levels}
     out = {

@@ -12,8 +12,15 @@ over r!.  The circle takes eps = +1 and no degree filter: the weight is
 the number of orderings.  A geodesic reads the degrees of q_n and m from
 its lattice, keeps the multisets of total degree 2(m+j-2) at level j and
 weighs each by the sum, over its distinct orderings, of the orientation
-sign times the Koszul sign of sorting the word.  At m = 5 with every q_n
-of degree m-3 = 2 and every sign +1 it reduces to the circle sum.
+sign times the Koszul sign of sorting the word.  The sign is 0 on a bad
+cover, else from a finite explicit table, else +1, and the sum is a closed
+form: 0 on a bad cover or a repeated odd letter, else the ordering count
+with at most one odd letter and 0 with k >= 2 (the Koszul signs of the k!
+assignments of the odd letters sum to 0), plus each explicit entry's
+difference from +1.  The parity of CZ(gamma^k) depends only on k mod 2 (Eliashberg-
+Givental-Hofer 2000), so cover n is bad exactly when n is even and deg q_n
+and deg q_1 differ in parity.  At m = 5 with every q_n of degree m-3 = 2
+and no explicit sign it reduces to the circle sum.
 
 Cover truncation is subtle: the bracket of two Hamiltonians built at cover
 bound K is *not* the cover-K window of the full bracket, because pairings
@@ -34,7 +41,7 @@ be negative) and is applied to the products only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
@@ -84,30 +91,12 @@ class OrbitLattice:
         return f"q[o,{n}]" if n > 0 else f"p[o,{-n}]"
 
 
-@dataclass(frozen=True)
-class SignProfile:
-    """Coherent-orientation signs per ordered tuple; zero on bad orbits.
-
-    ``rule`` maps an ordered index tuple to -1, 0 or +1; absent a rule the
-    sign is +1.  Tuples touching a bad cover are forced to zero.
-    """
-
-    bad_covers: frozenset = frozenset()
-    rule: Optional[Callable[[tuple], int]] = None
-    explicit: dict = field(default_factory=dict)
-
-    def sign(self, ns: tuple) -> int:
-        if any(abs(n) in self.bad_covers for n in ns):
-            return 0
-        if ns in self.explicit:
-            return self.explicit[ns]
-        if self.rule is not None:
-            eps = self.rule(ns)
-            if eps not in (-1, 0, 1):
-                raise ValidationError(f"sign {eps} for tuple {ns} not in {{-1,0,+1}}",
-                                      "signs")
-            return eps
-        return 1
+def bad_covers(q_degrees: Optional[dict]) -> frozenset:
+    """The even covers n whose q_n has the other parity than q_1 (none
+    without degrees, or without a degree for q_1)."""
+    q_degrees = q_degrees or {}
+    return frozenset(n for n, d in q_degrees.items()
+                     if n % 2 == 0 and 1 in q_degrees and (d - q_degrees[1]) % 2)
 
 
 def _zero_sum_multisets(order: int, cover_bound: int, window: int):
@@ -167,50 +156,40 @@ def _orderings(ms, mult, pos, table) -> int:
     return count
 
 
-def _distinct_orderings(ms):
-    """Each distinct ordering of the multiset ms once, in lexicographic
-    order: from the sorted word, the next permutation swaps the last ascent
-    with the smallest larger letter after it and reverses the tail."""
-    word = sorted(ms)
-    while True:
-        yield tuple(word)
-        i = len(word) - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(word) - 1
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1:] = word[:i:-1]
-
-
-def geodesic_hamiltonian(lattice: OrbitLattice, level: int, signs: SignProfile,
+def geodesic_hamiltonian(lattice: OrbitLattice, level: int, explicit: dict = {},
                          table: Optional[VariableTable] = None,
                          policy: Optional[TruncationPolicy] = None) -> GradedSeries:
     """Geodesic Hamiltonian: signed ordered sum filtered to degree 2(m+j-2).
 
-    The degrees of q_n and m are the lattice's own.  A multiset of the
-    target degree weighs the sum, over its distinct orderings, of the sign
-    profile's sign of the tuple as written times the Koszul sign of sorting
-    the written word into table order (0 when an odd letter repeats).
+    The degrees of q_n, m and the bad covers are the lattice's.  A multiset
+    of the target degree weighs the sum over its orderings t of eps(t) times
+    the Koszul sign K(t) of sorting t into table order, eps(t) = 0 on a bad
+    cover, ``explicit[t]`` if given, else +1.  That sum is 0 on a bad cover
+    or a repeated odd letter; otherwise it is r!/prod mult! with at most one
+    odd letter and 0 with k >= 2, plus (explicit[t] - 1) * K(t) for each
+    explicit t ordering the multiset.  Exact: with +1 signs each pattern of
+    the even letters carries all k! placements of the distinct odd letters,
+    whose Koszul signs are the signs of S_k and sum to 0 for k >= 2.
     """
     target = 2 * (lattice.half_dim + level - 2)
+    bad = bad_covers(lattice.q_degrees)
+    orders_of = {}
+    for tup, eps in explicit.items():
+        orders_of.setdefault(tuple(sorted(tup)), []).append((tup, eps))
 
-    def signed_orderings(ms, mult, pos, table):
-        if sum(table.degrees[pos[n]] for n in ms) != target:
+    def closed_form(ms, mult, pos, table):
+        odd = [n for n in mult if table.parity[pos[n]]]
+        if (sum(table.degrees[pos[n]] for n in ms) != target
+                or any(abs(n) in bad for n in mult) or any(mult[n] > 1 for n in odd)):
             return 0
-        total = 0
-        for tup in _distinct_orderings(ms):
-            eps = signs.sign(tup)
-            odd = [pos[n] for n in tup if table.parity[pos[n]]]
-            if eps and len(set(odd)) == len(odd):
-                total += eps * (-1) ** sum(a > b for k, a in enumerate(odd)
-                                           for b in odd[k + 1:])
+        total = _orderings(ms, mult, pos, table) if len(odd) < 2 else 0
+        for tup, eps in orders_of.get(ms, ()):
+            word = [pos[n] for n in tup if table.parity[pos[n]]]
+            total += (eps - 1) * (-1) ** sum(a > b for k, a in enumerate(word)
+                                             for b in word[k + 1:])
         return total
 
-    return _hamiltonian(lattice, level, table, policy, signed_orderings)
+    return _hamiltonian(lattice, level, table, policy, closed_form)
 
 
 def commutator_residuals(levels, cover_bound: int,

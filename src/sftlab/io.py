@@ -15,7 +15,7 @@ from pathlib import Path
 from .cylhom import ChainComplexData, CountEntry, Insertion, Orbit, OrbitSet
 from .errors import ValidationError, under_path
 from .gw import CorrelatorTable, TargetModel
-from .hierarchy import SignProfile
+from .hierarchy import bad_covers
 
 MODEL_SCHEMA = "sftlab-model/1"
 COUNTS_SCHEMA = "sftlab-counts/1"
@@ -349,6 +349,14 @@ def load_profiles(path):
                 raise ValidationError(f"cover {k!r} is not an integer",
                                       f"{p}.q_degrees.{k}") from None
             q_degrees[cover] = _int_value(v, f"{p}.q_degrees.{k}")
+        least = {}  # deg q_n mod 2 depends only on n mod 2
+        for n in sorted(q_degrees):
+            m = least.setdefault(n % 2, n)
+            if (q_degrees[n] - q_degrees[m]) % 2:
+                raise ValidationError(
+                    f"deg q_{n} = {q_degrees[n]} and deg q_{m} = {q_degrees[m]} "
+                    f"differ in parity, but the parity of deg q_n depends only "
+                    f"on n mod 2", f"{p}.q_degrees.{n}")
     signs_obj = {} if obj.get("signs") is None else _typed(obj, "signs", p, dict)
     explicit = {}
     for i, item in enumerate(_typed(signs_obj, "explicit", f"{p}.signs", list, [])):
@@ -362,17 +370,20 @@ def load_profiles(path):
             raise ValidationError(f"sign {eps} for {tup} not in -1..1", epath)
         explicit[tuple(_int_value(n, f"{epath}[0][{j}]")
                        for j, n in enumerate(tup))] = eps
-    signs = SignProfile(
-        frozenset(_int_value(b, f"{p}.signs.bad_covers[{i}]")
-                  for i, b in enumerate(_typed(signs_obj, "bad_covers",
-                                               f"{p}.signs", list, []))),
-        None, explicit)
+    if "bad_covers" in signs_obj:  # legacy field: must be the derived set
+        declared = {_int_value(b, f"{p}.signs.bad_covers[{i}]") for i, b in
+                    enumerate(_typed(signs_obj, "bad_covers", f"{p}.signs", list))}
+        if declared != bad_covers(q_degrees):
+            raise ValidationError(
+                f"declared {sorted(declared)}, but the degrees make "
+                f"{sorted(bad_covers(q_degrees))} bad (the even covers whose q "
+                f"has the other parity than q_1)", f"{p}.signs.bad_covers")
     return {
         "name": obj.get("name", "profiles"),
         "half_dim": half_dim,
-        "cover_bound": _int_field(obj, "cover_bound", p, 3),
+        "cover_bound": _int_field(obj, "cover_bound", p, 3, minimum=1),
         "q_degrees": q_degrees,
-        "signs": signs,
+        "explicit": explicit,
     }
 
 

@@ -284,15 +284,14 @@ def hierarchy_suite(cover_bound=6, max_level=3) -> VerificationReport:
     lat5 = hierarchy.OrbitLattice(3, half_dim=5)  # every q_n of degree m-3 = 2
 
     def geodesic_maximal():
-        same = all(hierarchy.geodesic_hamiltonian(lat5, j,
-                                                  hierarchy.SignProfile()).terms
+        same = all(hierarchy.geodesic_hamiltonian(lat5, j).terms
                    == hierarchy.circle_hamiltonian(lat5, j).terms for j in (0, 1))
         return same, "", ""
 
     def geodesic_bad_orbit():
-        """Bad covers kill monomials."""
-        bad = hierarchy.SignProfile(bad_covers=frozenset({2}))
-        geo = hierarchy.geodesic_hamiltonian(lat5, 0, bad)
+        """Cover 2 is bad (q_2 even, q_1 odd); else level 1 keeps q2^2 p2^2."""
+        odd = hierarchy.OrbitLattice(3, half_dim=5, q_degrees={1: 1, 2: 2, 3: 1})
+        geo = hierarchy.geodesic_hamiltonian(odd, 1)
         touched = any(geo.table.variables[p].indices[1] == 2
                       for mono in geo.terms for p, _ in mono)
         return not touched, "", ""

@@ -3,14 +3,14 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sftlab import algebra, io as sio
+from sftlab import algebra, hierarchy, io as sio
 from sftlab.algebra import TruncationPolicy, poisson_bracket
 from sftlab.hierarchy import (
-    OrbitLattice, SignProfile, _distinct_orderings, _hamiltonian,
-    _zero_sum_multisets, circle_hamiltonian, commutator_residuals,
-    geodesic_hamiltonian,
+    OrbitLattice, _hamiltonian, _zero_sum_multisets, bad_covers,
+    circle_hamiltonian, commutator_residuals, geodesic_hamiltonian,
 )
 
 
@@ -58,9 +58,32 @@ def test_circle_builder_matches_reference():
                 assert len(built.terms) == (30, 125, 434, 1285)[level]
 
 
-def geodesic_hamiltonian_reference(lattice, level, signs, table, policy):
+def oracle_sign(lattice, explicit):
+    """The orientation sign of an ordered tuple: 0 when it touches a bad
+    cover (n even, deg q_n and deg q_1 of other parity), else its explicit
+    sign, else +1."""
+    deg = lattice.q_degrees or {}
+
+    def sign(tup):
+        if any(n % 2 == 0 and (deg[abs(n)] - deg[1]) % 2 for n in tup):
+            return 0
+        return explicit.get(tup, 1)
+    return sign
+
+
+def rule_table(rule, lattice, levels):
+    """The signs ``rule`` gives every ordering of every zero-sum multiset the
+    lattice reaches at the levels, as an explicit table."""
+    return {tup: rule(tup) for level in levels
+            for ms in _zero_sum_multisets(level + 3, lattice.cover_bound,
+                                          lattice.window)
+            for tup in set(permutations(ms))}
+
+
+def geodesic_hamiltonian_reference(lattice, level, explicit, table, policy):
     """The geodesic Hamiltonian built ordering by ordering: each written word
     is a chain of series products, which collects its Koszul sign."""
+    sign = oracle_sign(lattice, explicit)
     order = level + 3
     target = 2 * (lattice.half_dim + level - 2)
     fact = factorial(order)
@@ -69,7 +92,7 @@ def geodesic_hamiltonian_reference(lattice, level, signs, table, policy):
         if sum(table.variable(lattice.u_name(n)).degree for n in ms) != target:
             continue
         for tup in set(permutations(ms)):
-            eps = signs.sign(tup)
+            eps = sign(tup)
             if eps == 0:
                 continue
             word = table.one(policy)
@@ -85,72 +108,92 @@ def odd_thirds(n):
 
 
 def odd_covers(n):
-    """q_n (and p_n) odd at odd n for half_dim 4."""
+    """q_n (and p_n) odd at odd n: the degrees obey the parity rule and
+    every even cover is bad."""
     return 1 if n % 2 else 2
 
 
-GEODESIC_CASES = [  # (half_dim, q-degree of cover n, sign profile)
-    (5, odd_thirds, SignProfile()),
-    (5, odd_thirds, SignProfile(rule=lambda ns: -1 if ns[0] < 0 else 1)),
-    (5, odd_thirds, SignProfile(bad_covers=frozenset({2}))),
-    (4, odd_covers, SignProfile(rule=lambda ns: 1 if ns[0] < ns[-1] else -1)),
-    (4, odd_covers, SignProfile(explicit={(1, 2, -3): -1, (-3, 2, 1): 0,
-                                           (2, -3, 1): -1, (1, -3, 2): 1})),
+def odd_above_one(n):
+    """q_n (and p_n) odd at odd n >= 3: no cover is bad, since q_1 is even,
+    but the degrees break the parity rule."""
+    return 1 if n % 2 and n > 1 else 2
+
+
+# Explicit signs on ordered tuples; the last two entries sit on a repeated
+# odd letter (q_1) and on a bad cover (2), so each must contribute 0.
+FIXED_SIGNS = {(1, 3, -1, -3): -1, (-3, 1, 3, -1): 0, (3, -3, 1, -1): -1,
+               (1, -1, 3, -3): 1, (-1, 1, -3, 3): -1,
+               (1, 1, -1, -1): -1, (2, 2, -2, -2): -1}
+
+
+def first_negative(ns):
+    return -1 if ns[0] < 0 else 1
+
+
+def ascending_ends(ns):
+    return 1 if ns[0] < ns[-1] else -1
+
+
+GEODESIC_CASES = [  # (half_dim, q-degree of cover n, sign rule, fixed signs)
+    (5, odd_thirds, None, {}),
+    (5, odd_thirds, first_negative, {}),
+    (4, odd_covers, ascending_ends, {}),
+    (4, odd_covers, None, {(1, 2, -3): -1, (-3, 2, 1): 0,
+                           (2, -3, 1): -1, (1, -3, 2): 1}),
+    (5, odd_covers, None, FIXED_SIGNS),
+    (4, odd_above_one, first_negative, {}),
+    (4, odd_above_one, ascending_ends, {}),
 ]
 
 
 def test_geodesic_builder_matches_the_series_products():
-    """Odd letters, sign rules, explicit signs and bad covers, levels 0..3 at
-    covers 2..3, on the bare lattice and on the extended one; against the
-    series products and the sum over set(permutations(ms))."""
+    """Odd letters, non-constant and explicit signs and bad covers, levels
+    0..3 at covers 2..3, on the bare lattice and on the extended one, with
+    degrees that break the parity rule (odd_thirds, odd_above_one) and
+    degrees that obey it (odd_covers); against the series products and the
+    sum over set(permutations(ms)).  A sign rule enters as the explicit
+    table of its values on the tuples reached."""
     nonzero = odd = 0
-    for half_dim, q_degree, signs in GEODESIC_CASES:
+    for half_dim, q_degree, rule, fixed in GEODESIC_CASES:
         for cover in (2, 3):
             for level in range(4):
                 for window in (cover, cover * (level + 2)):
                     q_degrees = {n: q_degree(n) for n in range(1, window + 1)}
                     lat = OrbitLattice(cover, window, q_degrees=q_degrees,
                                        half_dim=half_dim)
+                    explicit = rule_table(rule, lat, [level]) if rule else fixed
                     table = lat.table()
                     policy = TruncationPolicy(max_cover=window,
                                               max_pq_order=level + 3)
-                    built = geodesic_hamiltonian(lat, level, signs, table=table)
+                    built = geodesic_hamiltonian(lat, level, explicit, table=table)
                     assert built == geodesic_hamiltonian_reference(
-                        lat, level, signs, table, policy), (half_dim, cover, level)
+                        lat, level, explicit, table, policy), (half_dim, cover, level)
                     assert built == _hamiltonian(lat, level, table, None,
                                                  permutation_sum_weight(
-                                                     lat, level, signs))
+                                                     lat, level, explicit))
                     nonzero += not built.is_zero()
                     odd += any(table.parity[p] for m in built.terms for p, _ in m)
     assert nonzero > 50 and odd > 15
 
 
-def permutation_sum_weight(lattice, level, signs):
+def permutation_sum_weight(lattice, level, explicit):
     """The geodesic weight summed over set(permutations(ms)): every one of
     the r! orderings formed, then deduplicated."""
     target = 2 * (lattice.half_dim + level - 2)
+    sign = oracle_sign(lattice, explicit)
 
     def weight(ms, mult, pos, table):
         if sum(table.degrees[pos[n]] for n in ms) != target:
             return 0
         total = 0
         for tup in set(permutations(ms)):
-            eps = signs.sign(tup)
+            eps = sign(tup)
             odd = [pos[n] for n in tup if table.parity[pos[n]]]
             if eps and len(set(odd)) == len(odd):
                 total += eps * (-1) ** sum(a > b for k, a in enumerate(odd)
                                            for b in odd[k + 1:])
         return total
     return weight
-
-
-def test_distinct_orderings_are_the_deduplicated_permutations():
-    for ms in [(), (4,), (1, 1), (-2, 1, 1), (-3, -1, 1, 1, 2), (1, 1, 1),
-               (-2, -2, 1, 1, 2, 2), (-1, -1, -1, 1, 1, 1, 2)]:
-        got = list(_distinct_orderings(ms))
-        assert len(got) == len(set(got))
-        assert set(got) == set(permutations(ms))
-        assert got == sorted(got)
 
 
 def test_geodesic_profile_matches_the_permutation_sum():
@@ -160,10 +203,10 @@ def test_geodesic_profile_matches_the_permutation_sum():
                        half_dim=prof["half_dim"])
     table = lat.table()
     for level in range(5):
-        built = geodesic_hamiltonian(lat, level, prof["signs"], table=table)
+        built = geodesic_hamiltonian(lat, level, prof["explicit"], table=table)
         assert not built.is_zero()
         assert built == _hamiltonian(lat, level, table, None, permutation_sum_weight(
-            lat, level, prof["signs"]))
+            lat, level, prof["explicit"]))
 
 
 def test_pinned_circle_values():
@@ -293,10 +336,9 @@ def test_windowed_matches_naive_on_sound_window():
 
 def test_geodesic_maximal_grading_reduces_to_circle():
     q_degrees = {n: 2 for n in range(1, 4)}
-    signs = SignProfile()
     lat = OrbitLattice(3, half_dim=5, q_degrees=q_degrees)
     for j in (0, 1):
-        geo = geodesic_hamiltonian(lat, j, signs)
+        geo = geodesic_hamiltonian(lat, j)
         circ = circle_hamiltonian(lat, j)
         assert geo.terms == circ.terms
 
@@ -304,9 +346,8 @@ def test_geodesic_maximal_grading_reduces_to_circle():
 def test_geodesic_degree_filter():
     # degrees that never hit the target wipe the Hamiltonian out
     q_degrees = {n: 0 for n in range(1, 3)}
-    signs = SignProfile()
     lat = OrbitLattice(2, half_dim=5, q_degrees=q_degrees)
-    geo = geodesic_hamiltonian(lat, 0, signs)
+    geo = geodesic_hamiltonian(lat, 0)
     assert geo.is_zero()
 
 
@@ -314,7 +355,7 @@ def test_geodesic_degree_filter_soundness():
     q_degrees = {1: 2, 2: 2, 3: 2}
     lat = OrbitLattice(3, half_dim=5, q_degrees=q_degrees)
     for j in (0, 1):
-        geo = geodesic_hamiltonian(lat, j, SignProfile())
+        geo = geodesic_hamiltonian(lat, j)
         target = 2 * (5 + j - 2)
         table = lat.table()
         from sftlab.algebra import mono_degree
@@ -322,15 +363,41 @@ def test_geodesic_degree_filter_soundness():
             assert mono_degree(table, mono) == target
 
 
+# Cover 2 is bad: q_2 is even and q_1 odd.  At level 1 only the bad-cover
+# rule removes q2^2 p2^2, of the target degree 8.
+BAD_ORBIT = dict(cover_bound=3, half_dim=5, q_degrees={1: 1, 2: 2, 3: 1})
+
+
+def touches_cover_2(geo):
+    return any(geo.table.variables[p].indices[1] == 2
+               for mono in geo.terms for p, _ in mono)
+
+
 def test_bad_covers_vanish():
-    q_degrees = {n: 2 for n in range(1, 4)}
-    signs = SignProfile(bad_covers=frozenset({2}))
-    lat = OrbitLattice(3, half_dim=5, q_degrees=q_degrees)
-    geo = geodesic_hamiltonian(lat, 0, signs)
-    table = lat.table()
-    for mono in geo.terms:
-        for pos, _ in mono:
-            assert table.variables[pos].indices[1] != 2
+    lat = OrbitLattice(**BAD_ORBIT)
+    assert bad_covers(lat.q_degrees) == {2}
+    assert not touches_cover_2(geodesic_hamiltonian(lat, 1))
+
+
+def test_bad_orbit_check_fails_without_the_bad_cover_rule(monkeypatch):
+    from sftlab.suites import hierarchy_suite
+
+    monkeypatch.setattr(hierarchy, "bad_covers", lambda q_degrees: frozenset())
+    geo = geodesic_hamiltonian(OrbitLattice(**BAD_ORBIT), 1)
+    assert touches_cover_2(geo)
+    assert geo.terms == geo.table.monomial({"q[o,2]": 2, "p[o,2]": 2},
+                                           Fraction(1, 4)).terms
+    status = {c.id: c.status for c in hierarchy_suite(1, 0).checks}
+    assert status["geodesic.bad-orbit"] == "fail"
+
+
+@pytest.mark.parametrize("q_degrees, bad", [
+    (None, set()), ({}, set()), ({1: 2, 2: 2, 3: 2, 4: 2}, set()),
+    ({1: 1, 2: 2, 3: 1, 4: 0}, {2, 4}), ({1: 2, 2: 1, 3: 0, 4: 3}, {2, 4}),
+    ({1: 2, 2: 2, 3: 1, 6: 1}, {6}), ({2: 1}, set()),
+])
+def test_bad_covers_are_the_even_covers_of_the_other_parity(q_degrees, bad):
+    assert bad_covers(q_degrees) == bad
 
 
 def test_explicit_sign_rule():
@@ -338,8 +405,8 @@ def test_explicit_sign_rule():
     # flip the sign of every ordered tuple: the whole sum flips
     lat = OrbitLattice(2, half_dim=5, q_degrees=q_degrees)
     table = lat.table()
-    plus = geodesic_hamiltonian(lat, 0, SignProfile(), table=table)
-    minus = geodesic_hamiltonian(lat, 0, SignProfile(rule=lambda ns: -1),
+    plus = geodesic_hamiltonian(lat, 0, table=table)
+    minus = geodesic_hamiltonian(lat, 0, rule_table(lambda ns: -1, lat, [0]),
                                  table=table)
     assert not plus.is_zero()
     assert (plus + minus).is_zero()
@@ -361,7 +428,7 @@ def perturbed_circle(seed, count=3):
     return build
 
 
-def geodesic_builder(q_degrees, half_dim, signs):
+def geodesic_builder(q_degrees, half_dim, explicit):
     """Geodesic builder on one graded lattice and table per lattice window."""
     graded = {}
 
@@ -371,7 +438,7 @@ def geodesic_builder(q_degrees, half_dim, signs):
                                q_degrees=q_degrees, half_dim=half_dim)
             graded[lattice.window] = lat, lat.table()
         lat, tab = graded[lattice.window]
-        return geodesic_hamiltonian(lat, level, signs, table=tab, policy=policy)
+        return geodesic_hamiltonian(lat, level, explicit, table=tab, policy=policy)
     return build
 
 
@@ -395,11 +462,11 @@ def test_perturbed_circle_residuals_equal_windowed_full_brackets():
 
 
 def test_geodesic_residuals_equal_windowed_full_brackets():
-    # covers 3, 6, 9 are odd; the sign rule is not a coherent orientation
+    # covers 3, 6, 9 are odd; the signs are not a coherent orientation
     cover, levels = 3, [0, 1, 2]
     window = cover * (max(levels) + 2)
     q_degrees = {n: 2 if n % 3 else 1 for n in range(1, window + 1)}
-    signs = SignProfile(rule=lambda ns: -1 if ns[0] < 0 else 1)
+    signs = rule_table(first_negative, OrbitLattice(cover, window), levels)
     hams = assert_residuals_are_windowed_full_brackets(
         levels, cover, geodesic_builder(q_degrees, 5, signs))
     table = hams[0].table

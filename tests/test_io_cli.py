@@ -250,6 +250,7 @@ def test_cli_hierarchy_negative_level_exits_2(capsys):
     (["reconstruct", "--levels", "-1"], "--levels", 0, -1),
     (["reconstruct", "--max-points", "-1"], "--max-points", 0, -1),
     (["reconstruct", "--model", "p1", "--max-degree", "-1"], "--max-degree", 0, -1),
+    (["hierarchy", "--max-cover", "-2"], "--max-cover", 1, -2),
 ])
 def test_cli_bound_below_its_least_value_exits_2_naming_the_option(
         argv, option, least, value, capsys):
@@ -257,6 +258,13 @@ def test_cli_bound_below_its_least_value_exits_2_naming_the_option(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {option}: must be >= {least}, got {value}\n"
+
+
+@pytest.mark.parametrize("levels", ["a", "0,,1"])
+def test_cli_hierarchy_malformed_levels_exit_2(levels, capsys):
+    assert main(["hierarchy", "--levels", levels]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --levels: expected comma-separated integers, got {levels!r}\n")
 
 
 def test_cli_bounds_at_their_least_values_run(capsys):
@@ -555,11 +563,15 @@ def test_cli_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     (_set(("signs",), [1]), "signs"),
     (_set(("signs", "bad_covers"), 5), "signs.bad_covers"),
     (_set(("signs", "explicit"), 5), "signs.explicit"),
+    (_set(("cover_bound",), 0), "cover_bound"),
+    (_set(("q_degrees", "3"), 1), "q_degrees.3"),
+    (_set(("signs", "bad_covers"), [2]), "signs.bad_covers"),
 ], ids=["text-half-dim", "missing-half-dim", "text-cover-bound",
         "text-cover-key", "text-q-degree", "undeclared-cover", "q-degrees-list",
         "text-bad-cover", "text-sign",
         "text-sign-cover", "sign-tuple-not-a-list", "sign-out-of-range",
-        "signs-list", "bad-covers-number", "explicit-number"])
+        "signs-list", "bad-covers-number", "explicit-number", "zero-cover-bound",
+        "parity-rule", "bad-covers-not-derived"])
 def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
                                                        field):
     obj = sio.load_json(sio.fixture_path("geodesic.profiles.json"))
@@ -569,6 +581,41 @@ def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
     assert main(["hierarchy", "--max-cover", "2", "--levels", "0",
                  "--profiles", str(path)]) == 2
     assert f"{path}.{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q_degrees, bad_covers", [
+    (None, []), ({"1": 2, "2": 2, "3": 2}, []), ({"1": 1, "2": 2, "3": 1}, [2])])
+def test_profiles_with_the_derived_bad_covers_load_the_same(tmp_path, capsys,
+                                                            q_degrees, bad_covers):
+    """Profile files once declared their bad covers; a file that still does,
+    and declares the derived set, gives the same Hamiltonians."""
+    obj = sio.load_json(sio.fixture_path("geodesic.profiles.json"))
+    obj["q_degrees"] = q_degrees
+    explicit = [[[1, 3, -1, -3], -1]]
+    outputs = []
+    for signs in ({"explicit": explicit},
+                  {"bad_covers": bad_covers, "explicit": explicit}):
+        path = tmp_path / "p.profiles.json"
+        path.write_text(json.dumps({**obj, "signs": signs}))
+        assert main(["hierarchy", "--levels", "0,1,2", "--profiles", str(path)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["hamiltonians"]["1"]["terms"]
+
+
+# sha256 of `sftlab hierarchy --profiles <shipped geodesic.profiles.json>
+# --levels 0,1,2,3,4` output.
+HIERARCHY_GEODESIC_DIGEST = (
+    "377a6cffd5e86769c1345af35145c74c828596f2d576cf33131b30471e04043e")
+
+
+def test_cli_hierarchy_geodesic_output_is_byte_identical(capsys):
+    import hashlib
+
+    assert main(["hierarchy", "--levels", "0,1,2,3,4", "--profiles",
+                 str(sio.fixture_path("geodesic.profiles.json"))]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HIERARCHY_GEODESIC_DIGEST
 
 
 def test_algebra_identities_record_their_own_time(monkeypatch):

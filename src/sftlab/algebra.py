@@ -36,14 +36,17 @@ widths meet at the wider one.
 
 Each table caches, per width and key, the record fields the kernel
 :func:`_mul_packed` reads: pq-order, t-order, hbar exponent, the mask of
-odd letters, the Koszul cross mask, the largest q/p cover and the support
-mask.  A cap check is an integer compare against the budget the first
-factor leaves; factors sharing an odd letter give zero (``odd1 & odd2``);
-the parity of a term is the popcount of its odd letters.  A row of the
-first factor with no odd letter, whose budget the second factor's largest
-pq-order, t-order and hbar exponent all fit, skips every check.  Tuple
-monomials ((position, exponent), ...) and Fractions appear only in the
-table's constructors and in the decoded, read-only ``terms`` view.
+odd letters, the Koszul cross mask and the support mask.  A cap check is
+an integer compare against the budget the first factor leaves; factors
+sharing an odd letter give zero (``odd1 & odd2``); the parity of a term
+is the popcount of its odd letters.  A row of the first factor with no
+odd letter, whose budget the second factor's largest pq-order, t-order
+and hbar exponent all fit, skips every check.  The cover cap is a test of
+the support mask against ``table.above(cap)``.  One step,
+:func:`_derived`, builds the record of a q/p derivative, for the bracket
+and the star product alike.  Tuple monomials ((position, exponent), ...)
+and Fractions appear only in the table's constructors and in the decoded,
+read-only ``terms`` view.
 
 A series caches its bracket operand: the records of each parity part and
 their q/p partials, cut to the bracket's window (see
@@ -172,10 +175,11 @@ class TruncationPolicy:
             min(self.max_hbar_order, other.max_hbar_order),
         )
 
-    def admits(self, info) -> bool:
-        """Whether a term with record fields ``info`` lies within the caps."""
+    def admits(self, table: "VariableTable", info) -> bool:
+        """Whether a term of table with record fields ``info`` is in the caps."""
         return (info[0] <= self.max_pq_order and info[1] <= self.max_t_order
-                and info[2] <= self.max_hbar_order and info[5] <= self.max_cover)
+                and info[2] <= self.max_hbar_order
+                and not info[5] & table.above(self.max_cover))
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -235,7 +239,7 @@ class VariableTable:
                            if kind in (QORBIT, PORBIT))
         self._sigma = _sigma_block(self)  # sigma: q <-> p on key fields
         self._layouts = {}  # key width -> _layout
-        self._covers = {}  # support mask -> largest q/p cover, see _lowered
+        self._above = {}  # cover cap -> above(cap)
 
     def position(self, name: str) -> int:
         try:
@@ -248,6 +252,13 @@ class VariableTable:
 
     def names(self):
         return [v.name for v in self.variables]
+
+    def above(self, cap: int) -> int:
+        """Mask of the positions of the q/p letters of cover over cap."""
+        if cap not in self._above:
+            self._above[cap] = sum(1 << i for i, cv in enumerate(self.covers)
+                                   if cv > cap)
+        return self._above[cap]
 
     def __len__(self):
         return len(self.variables)
@@ -278,7 +289,7 @@ class VariableTable:
             c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
             if c:
                 info = _mono_info(self, mono, check=True)
-                if policy.admits(info):
+                if policy.admits(self, info):
                     kept.append((mono, c, info))
         top = max((abs(e) for mono, _, _ in kept for _, e in mono), default=0)
         width = _width_for(top)
@@ -306,12 +317,12 @@ def mono_hbar_order(table: VariableTable, mono) -> int:
 # -- packed keys and records --------------------------------------------------------
 #
 # A record is (key, numerator, pq-order, t-order, hbar exponent, odd mask,
-# cross mask, largest q/p cover, support).  The cross mask is the XOR, over
-# the odd letters b, of the mask of every bit above b, so popcount(odd1 &
-# cross2) has the parity of the number of pairs (a, b), a an odd letter of
-# the first factor above b an odd letter of the second: the Koszul sign.
-
-_COVER = 7  # index of the largest q/p cover in a record
+# cross mask, support).  The cross mask is the XOR, over the odd letters b,
+# of the mask of every bit above b, so popcount(odd1 & cross2) has the
+# parity of the number of pairs (a, b), a an odd letter of the first factor
+# above b an odd letter of the second: the Koszul sign.  The support has
+# bit i set when position i occurs; it is within a cover cap when it
+# misses ``table.above(cap)``.
 
 
 def _width_for(top: int) -> int:
@@ -384,8 +395,8 @@ def _decode(key: int, width: int) -> tuple:
 def _mono_info(table: VariableTable, mono, check: bool = False) -> tuple:
     """Record fields of a tuple monomial, past key and numerator; with
     ``check``, a monomial out of canonical form raises DeclarationError."""
-    kinds, parity, covers = table.kinds, table.parity, table.covers
-    pq = t_order = hb = odd = cross = cover = support = 0
+    kinds, parity = table.kinds, table.parity
+    pq = t_order = hb = odd = cross = support = 0
     for pos, e in mono:
         if check:
             if not (0 <= pos < len(kinds)) or support >> pos:
@@ -398,7 +409,6 @@ def _mono_info(table: VariableTable, mono, check: bool = False) -> tuple:
         kind = kinds[pos]
         if kind == QORBIT or kind == PORBIT:
             pq += e
-            cover = max(cover, covers[pos])
         elif kind == TFORM or kind == TCHECK:
             t_order += e
         elif kind == HBAR:
@@ -406,27 +416,29 @@ def _mono_info(table: VariableTable, mono, check: bool = False) -> tuple:
         if parity[pos]:
             odd |= 1 << pos
             cross ^= -1 << pos + 1  # every bit above pos
-    return (pq, t_order, hb, odd, cross, cover, support)
+    return (pq, t_order, hb, odd, cross, support)
 
 
-def _lowered(table: VariableTable, record, pos: int, e: int, c: int,
-             width: int) -> tuple:
-    """Record of one power of the q/p letter at pos (exponent e) taken off
-    record's term, with numerator c."""
-    key, _, pq, t_order, hb, odd, cross, cover, support = record
+def _derived(table: VariableTable, record, pos: int, width: int, right: bool,
+             n: int = 1) -> tuple:
+    """Record of the derivative of record's term, which holds the q/p letter
+    at pos, over n: the exponent e, read from the key, comes down, and the
+    letter is commuted to the front (or, ``right``, the end), a sign per odd
+    letter passed.  On a term carrying (d/dp)^(n-1)/(n-1)! this gives
+    (d/dp)^n/n!: c*C(e, n-1) times the current exponent e-n+1 is
+    c*C(e, n)*n, so the division is exact."""
+    key, c, pq, t_order, hb, odd, cross, support = record
+    bias = _layout(table, width)[0]
+    e = ((key + bias) >> width * pos & (1 << width) - 1) - (1 << width - 1)
+    c = c * e // n
+    if table.parity[pos]:  # an odd letter, so e == 1
+        if (odd >> pos + 1 if right else odd & (1 << pos) - 1).bit_count() & 1:
+            c = -c
+        odd ^= 1 << pos
+        cross ^= -1 << pos + 1
     if e == 1:
         support ^= 1 << pos
-        if table.parity[pos]:
-            odd ^= 1 << pos
-            cross ^= -1 << pos + 1
-        if table.covers[pos] == cover:  # the largest cover may have gone
-            cover = table._covers.get(support)
-            if cover is None:
-                cover = table._covers[support] = max(
-                    (cv for i, cv in enumerate(table.covers) if support >> i & 1),
-                    default=0)
-    return (key - (1 << width * pos), c, pq - 1, t_order, hb, odd, cross, cover,
-            support)
+    return (key - (1 << width * pos), c, pq - 1, t_order, hb, odd, cross, support)
 
 
 class GradedSeries:
@@ -485,7 +497,7 @@ class GradedSeries:
         split = ([], [])
         for r in self._records(width):
             split[r[5].bit_count() & 1].append(r)
-        parts = [(odd, *_partials(self.table, records, odd, window, width))
+        parts = [(odd, *_partials(self.table, records, window, width))
                  for odd, records in enumerate(split) if records]
         if cached is not None:
             symmetric = cached[3]
@@ -583,7 +595,11 @@ class GradedSeries:
         policy = self._join(other)
         top = self._top + other._top
         width = _common_width(self, other, top)
-        acc = _mul_terms({}, self._records(width), other._records(width), policy, 1)
+        # q/p exponents are never negative: over the cover cap stays over
+        above = self.table.above(policy.max_cover)
+        acc = _mul_terms({}, [r for r in self._records(width) if not r[7] & above],
+                         [r for r in other._records(width) if not r[7] & above],
+                         policy, 1)
         return _reduced(self.table, policy, acc, self._den * other._den, width, top)
 
     # -- grading and calculus ---------------------------------------------------
@@ -622,7 +638,7 @@ class GradedSeries:
 
     def truncate(self, policy: TruncationPolicy) -> "GradedSeries":
         return self._like({r[0]: r[1] for r in self._records(self._width)
-                           if policy.admits(r[2:])}, policy=policy)
+                           if policy.admits(self.table, r[2:])}, policy=policy)
 
     def coefficient(self, factors: dict) -> Fraction:
         mono = [(self.table.position(n), e) for n, e in factors.items() if e]
@@ -698,7 +714,7 @@ def _mul_packed(acc: dict, records1: list, records2: list,
     get = acc.get
     keys2, nums2, pq2s, t2s, h2s, *_ = zip(*records2)
     pq_top, t_top, h_top = max(pq2s), max(t2s), max(h2s)
-    for k1, c1, pq1, t1, h1, o1, _, _, _ in records1:
+    for k1, c1, pq1, t1, h1, o1, _, _ in records1:
         pq_left = policy.max_pq_order - pq1
         t_left = policy.max_t_order - t1
         if pq_left < 0 or t_left < 0:
@@ -710,7 +726,7 @@ def _mul_packed(acc: dict, records1: list, records2: list,
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
             continue
-        for k2, c2, pq2, t2, h2, o2, cross2, _, _ in records2:
+        for k2, c2, pq2, t2, h2, o2, cross2, _ in records2:
             if pq2 > pq_left or t2 > t_left or h2 > h_left or o1 & o2:
                 continue
             key = k1 + k2
@@ -723,12 +739,9 @@ def _mul_packed(acc: dict, records1: list, records2: list,
 def _mul_terms(acc: dict, records1: list, records2: list,
                policy: TruncationPolicy, factor: int) -> dict:
     """acc plus factor * records1 * records2 within policy; returns acc.
-    Records over the cover cap are dropped first: q/p exponents are never
-    negative, so none of their products lies within it."""
+    Every record must lie within the cover cap of policy."""
     if factor:
-        cap = policy.max_cover
-        _mul_packed(acc, [r for r in records1 if r[_COVER] <= cap],
-                    [r for r in records2 if r[_COVER] <= cap], policy, factor)
+        _mul_packed(acc, records1, records2, policy, factor)
     return acc
 
 
@@ -806,47 +819,36 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     return _reduced(table, window, acc, f._den * g._den, width, top)
 
 
-def _partials(table: VariableTable, records: list, odd: int,
-              policy: TruncationPolicy, width: int):
-    """All q- and p-derivatives of one parity part's records, in one pass.
+def _partials(table: VariableTable, records: list, policy: TruncationPolicy,
+              width: int):
+    """All q- and p-derivatives of a record list, in one pass.
 
     Returns (dq, dp), each mapping a variable position to the records of
-    the derivative: d/dq from the left, d/dp from the right (on a part of
-    parity ``odd``, the left one times (-1)^{|p|(|f|+1)}).  Terms over the
-    cover, pq-order or t-order cap of ``policy`` are left out (see
-    :func:`poisson_bracket`).  Differentiation by one variable is injective
-    on keys, so each derivative key comes from exactly one record.
+    the derivative (see :func:`_derived`): d/dq from the left, d/dp from
+    the right.  Terms over the cover, pq-order or t-order cap of ``policy``
+    are left out (see :func:`poisson_bracket`).  Differentiation by one
+    variable is injective on keys, so each derivative key comes from
+    exactly one record.
     """
-    kinds, parity, covers = table.kinds, table.parity, table.covers
-    bias = _layout(table, width)[0]
-    mask, half = (1 << width) - 1, 1 << width - 1
-    max_cover = policy.max_cover
-    wide = sum(1 << pos for pos, cv in enumerate(covers) if cv > max_cover)
+    kinds = table.kinds
+    above = table.above(policy.max_cover)
     dq: dict = {}
     dp: dict = {}
     for record in records:
-        key, c, pq, t_order, _, odd_mask, _, cover, support = record
+        pq, t_order, support = record[2], record[3], record[7]
         if t_order > policy.max_t_order or pq > policy.max_pq_order + 1:
             continue
-        letters = support & table.qp_mask
-        if cover > max_cover:  # only one factor over the cap, at exponent 1
-            letters &= wide
-            if letters & (letters - 1):
-                continue
-        u = key + bias
+        letters = support & above  # only one, at exponent 1, may go
+        if letters & (letters - 1):
+            continue
+        letters = letters or support & table.qp_mask
         while letters:
             low = letters & -letters
             letters ^= low
             pos = low.bit_length() - 1
-            e = (u >> width * pos & mask) - half
-            if cover > max_cover and e != 1:
-                continue
-            d = c * e
-            if parity[pos] and ((odd_mask & (low - 1)).bit_count()
-                                + (kinds[pos] == PORBIT and not odd)) & 1:
-                d = -d
-            out = dq if kinds[pos] == QORBIT else dp
-            out.setdefault(pos, []).append(_lowered(table, record, pos, e, d, width))
+            d = _derived(table, record, pos, width, kinds[pos] == PORBIT)
+            if not d[7] & above:
+                (dq if kinds[pos] == QORBIT else dp).setdefault(pos, []).append(d)
     return dq, dp
 
 
@@ -862,28 +864,31 @@ def _wick(acc: dict, table: VariableTable, f_records: list, g_records: list,
     alpha running over multi-indices on the orbits (q/p pairs), the sides
     differentiated as in :func:`poisson_bracket`.  The multi-indices are
     visited depth first with non-decreasing orbit index, so each is reached
-    once; the divided power (d/dp)^n / n! takes one derivative and divides
-    by n at each step, which is exact.  Each node multiplies its two parts
-    with the f side shifted by hbar^|alpha| in the key (``width`` leaves
-    room, see :func:`_star_operands`); terms over the cover cap are left out.
+    once; the divided power (d/dp)^n / n! takes one derivative step (see
+    :func:`_derived`) and divides by n at each node, which is exact.  Each
+    node multiplies its two parts with the f side shifted by hbar^|alpha| in
+    the key (``width`` leaves room, see :func:`_star_operands`); terms over
+    the cover cap are left out.
     """
     if not f_records or not g_records:
         return
     pairs = table.orbit_pairs
     hbar = table.kinds.index(HBAR) if HBAR in table.kinds else None
-    max_cover = policy.max_cover
+    above = table.above(policy.max_cover)
 
     def visit(fd, gd, start, run, order, weight):
         shift = order << width * hbar if order else 0
-        frec = [(k + shift, c, pq, t, hb + order, o, x, cover, s)
-                for k, c, pq, t, hb, o, x, cover, s in fd if cover <= max_cover]
-        grec = [r for r in gd if r[_COVER] <= max_cover]
+        frec = [(k + shift, c, pq, t, hb + order, o, x, s)
+                for k, c, pq, t, hb, o, x, s in fd if not s & above]
+        grec = [r for r in gd if not r[7] & above]
         _mul_packed(acc, frec, grec, policy, factor * weight)
         for i in range(start, len(pairs)):
             qpos, ppos, kappa = pairs[i]
             n = run + 1 if i == start else 1  # alpha_i after this step
-            fd2 = _orbit_derivative(table, fd, ppos, width, right=True, n=n)
-            gd2 = _orbit_derivative(table, gd, qpos, width) if fd2 else None
+            fd2 = [_derived(table, r, ppos, width, True, n)
+                   for r in fd if r[7] >> ppos & 1]
+            gd2 = [_derived(table, r, qpos, width, False)
+                   for r in gd if r[7] >> qpos & 1] if fd2 else None
             if gd2:
                 if hbar is None:
                     raise DeclarationError(
@@ -891,30 +896,6 @@ def _wick(acc: dict, table: VariableTable, f_records: list, g_records: list,
                 visit(fd2, gd2, i, n, order + 1, weight * kappa)
 
     visit(f_records, g_records, 0, 0, 0, 1)
-
-
-def _orbit_derivative(table: VariableTable, records: list, pos: int, width: int,
-                      right: bool = False, n: int = 1) -> list:
-    """Derivative by the variable at pos of a record list, over n.
-
-    The variable is commuted to the front (or, ``right``, the end) of the
-    monomial, a sign per odd letter passed.  On terms carrying
-    (d/dp)^(n-1)/(n-1)! this gives (d/dp)^n/n!: c*C(e, n-1) times the
-    current exponent e-n+1 is c*C(e, n)*n, so the division is exact.
-    """
-    low = 1 << pos
-    bias = _layout(table, width)[0]
-    shift, mask, half = width * pos, (1 << width) - 1, 1 << width - 1
-    out = []
-    for record in records:
-        if record[8] & low:
-            e = ((record[0] + bias) >> shift & mask) - half
-            c = record[1] * e // n
-            passed = record[5] >> pos + 1 if right else record[5] & low - 1
-            if table.parity[pos] and passed.bit_count() & 1:
-                c = -c
-            out.append(_lowered(table, record, pos, e, c, width))
-    return out
 
 
 def _star_operands(f: GradedSeries, g: GradedSeries):

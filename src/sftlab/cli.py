@@ -108,6 +108,8 @@ def cmd_hierarchy(args) -> int:
     except ValueError:
         raise ValidationError(f"expected comma-separated integers, got "
                               f"{args.levels!r}", "--levels") from None
+    if min(levels) < 0:
+        raise ValidationError(f"must be >= 0, got {min(levels)}", "--levels")
     prof = (sio.load_profiles(args.profiles) if args.profiles else
             {"cover_bound": 3, "half_dim": 1, "q_degrees": None})
     cover = prof["cover_bound"] if args.max_cover is None else args.max_cover

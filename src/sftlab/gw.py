@@ -272,10 +272,8 @@ def _degree_splits(d: tuple):
 class Reconstructor:
     """Memoized evaluation of descendant correlators from primaries."""
 
-    def __init__(self, model: TargetModel, bounds: Bounds,
-                 trr_choice: Optional[callable] = None):
+    def __init__(self, model: TargetModel, trr_choice: Optional[callable] = None):
         self.model = model
-        self.bounds = bounds
         self.memo = {}
         rank = model._index
         self._order = lambda ca: (rank[ca[0]], ca[1])
@@ -448,7 +446,7 @@ def reconstruct(model: TargetModel, bounds: Bounds) -> CorrelatorTable:
     """Every nonzero correlator within bounds, computed from the model's
     primaries; a key the dimension filter rejects is zero, so only
     ``admissible_keys`` are evaluated, in ``enumerate_keys`` order."""
-    rec = Reconstructor(model, bounds)
+    rec = Reconstructor(model)
     table = CorrelatorTable(model, bounds=bounds)
     for key in admissible_keys(model, bounds):
         v = rec.value(key)

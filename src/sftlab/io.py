@@ -370,6 +370,10 @@ def load_profiles(path):
             raise ValidationError(f"sign {eps} for {tup} not in -1..1", epath)
         explicit[tuple(_int_value(n, f"{epath}[0][{j}]")
                        for j, n in enumerate(tup))] = eps
+    if explicit and q_degrees is None:
+        raise ValidationError("a circle profile (no q_degrees) takes every sign "
+                              "+1; explicit signs need q_degrees",
+                              f"{p}.signs.explicit")
     if "bad_covers" in signs_obj:  # legacy field: must be the derived set
         declared = {_int_value(b, f"{p}.signs.bad_covers[{i}]") for i, b in
                     enumerate(_typed(signs_obj, "bad_covers", f"{p}.signs", list))}

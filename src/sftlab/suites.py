@@ -289,12 +289,13 @@ def hierarchy_suite(cover_bound=6, max_level=3) -> VerificationReport:
         return same, "", ""
 
     def geodesic_bad_orbit():
-        """Cover 2 is bad (q_2 even, q_1 odd); else level 1 keeps q2^2 p2^2."""
+        """Cover 2 is bad (q_2 even, q_1 odd); else level 1 keeps q2^2 p2^2.
+        One explicit sign keeps a good-cover term, so zero fails too."""
         odd = hierarchy.OrbitLattice(3, half_dim=5, q_degrees={1: 1, 2: 2, 3: 1})
-        geo = hierarchy.geodesic_hamiltonian(odd, 1)
+        geo = hierarchy.geodesic_hamiltonian(odd, 1, {(1, -1, 3, -3): -1})
         touched = any(geo.table.variables[p].indices[1] == 2
                       for mono in geo.terms for p, _ in mono)
-        return not touched, "", ""
+        return bool(geo) and not touched, "", ""
 
     checks += [
         ("values.g0", "g_0 at cover 2 = q1^2 p2/2 + q2 p1^2/2", g0_value),
@@ -436,8 +437,7 @@ def _choice_independence(model, max_points, max_level) -> bool:
             continue
         for pair in combinations(range(len(key.insertions) - 1), 2):
             rec = gw.Reconstructor(
-                model, bounds,
-                trr_choice=lambda k, _: pair if k == key else (0, 1))
+                model, trr_choice=lambda k, _: pair if k == key else (0, 1))
             if rec.value(key) != base.get(key):
                 return False
     return True

@@ -99,6 +99,18 @@ def test_cover_truncation():
     assert f.truncate(TruncationPolicy(max_cover=2)).is_zero()
 
 
+def test_mixed_policy_laurent_product_keeps_terms_over_the_joint_hbar_cap():
+    """A product truncates its result, not its operands: hbar^9 q lies over
+    the joint hbar cap of 8, but times hbar^-2 it lands within."""
+    table = make_table()
+    f = table.monomial({"hbar": 9, "q[o0,1]": 1},
+                       policy=TruncationPolicy(max_hbar_order=10))
+    g = table.monomial({"hbar": -2}, policy=TruncationPolicy(max_hbar_order=8))
+    want = table.monomial({"hbar": 7, "q[o0,1]": 1})
+    assert (f * g).terms == want.terms
+    assert (g * f).terms == want.terms
+
+
 def test_table_mismatch():
     t1 = make_table()
     t2 = make_table()
@@ -343,9 +355,9 @@ def test_windowed_bracket_on_the_cap(f, g, policy, want):
 def test_fused_partials_match_single_derivatives(ts):
     table, f, _ = ts
     loose = TruncationPolicy(max_t_order=99, max_cover=99, max_pq_order=99)
-    for odd, part in enumerate(f.parity_parts()):
+    for part in f.parity_parts():
         width = part._width
-        dq, dp = _partials(table, part._records(width), odd, loose, width)
+        dq, dp = _partials(table, part._records(width), loose, width)
 
         def terms(records):
             # every derived record carries the fields of its own key

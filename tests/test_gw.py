@@ -78,13 +78,13 @@ def test_choice_independence_point():
                     return b, g
                 other = list(range(len(k.insertions) - 1))
                 return other[0], other[1]
-            rec = Reconstructor(m, bounds, trr_choice=chooser)
+            rec = Reconstructor(m, trr_choice=chooser)
             assert rec.value(key) == base.get(key)
 
 
 def test_missing_primary_reported():
     m = TargetModel("bare", [("e", 0)], "e", [[1]])
-    rec = Reconstructor(m, Bounds(3, 0))
+    rec = Reconstructor(m)
     with pytest.raises(MissingPrimaryError):
         rec.value(m.key([("e", 0)] * 3))
 
@@ -103,8 +103,8 @@ class _SeparateRulesReconstructor(Reconstructor):
     reference pair found by sorting and the rest of a split by multiset
     difference; records the keys the divisor rule reduces."""
 
-    def __init__(self, model, bounds):
-        super().__init__(model, bounds)
+    def __init__(self, model):
+        super().__init__(model)
         self.divisor_keys = []
 
     def _compute(self, key):
@@ -227,9 +227,9 @@ def _values_by_both_rules(name):
     build, bounds = FORGETFUL_CASES[name]
     model = build()
     keys = list(enumerate_keys(model, bounds))
-    oracle = _SeparateRulesReconstructor(model, bounds)
+    oracle = _SeparateRulesReconstructor(model)
     want = {k: oracle.value(k) for k in keys}
-    rec = Reconstructor(model, bounds)
+    rec = Reconstructor(model)
     return {k: rec.value(k) for k in keys}, want, oracle.divisor_keys
 
 
@@ -259,7 +259,7 @@ def _filtered_keys(model, bounds):
 
 def _reconstruct_every_key(model, bounds):
     """The reconstruction loop over every key within bounds."""
-    rec = Reconstructor(model, bounds)
+    rec = Reconstructor(model)
     table = CorrelatorTable(model, bounds=bounds)
     for key in enumerate_keys(model, bounds):
         v = rec.value(key)
@@ -299,7 +299,7 @@ def test_reconstruct_gives_the_table_of_every_key(name):
 def test_reconstruction_memoizes_only_canonical_keys(name):
     build, bounds = WALK_CASES[name]
     model = build()
-    rec = Reconstructor(model, bounds)
+    rec = Reconstructor(model)
     for key in admissible_keys(model, bounds):
         rec.value(key)
     assert len(rec.memo) > 1
@@ -657,7 +657,7 @@ def test_empty_divisor_cup_means_no_divisor():
     assert full.divisor is not None
     assert (eq.string, eq.dilaton) == (full.string, full.dilaton)
     with pytest.raises(MissingPrimaryError):
-        Reconstructor(bare, Bounds(4, 0, 1)).value(bare.key([("pt", 0)] * 4, (1,)))
+        Reconstructor(bare).value(bare.key([("pt", 0)] * 4, (1,)))
     with pytest.raises(ValidationError, match="no forgetful rule"):
         bare.forgetting("pt")
 

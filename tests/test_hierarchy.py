@@ -391,6 +391,19 @@ def test_bad_orbit_check_fails_without_the_bad_cover_rule(monkeypatch):
     assert status["geodesic.bad-orbit"] == "fail"
 
 
+def test_bad_orbit_check_fails_for_a_zero_hamiltonian(monkeypatch):
+    from sftlab.suites import hierarchy_suite
+
+    def zero(lattice, level, explicit={}, table=None, policy=None):
+        return (table or lattice.table()).zero()
+
+    status = {c.id: c.status for c in hierarchy_suite(1, 0).checks}
+    assert status["geodesic.bad-orbit"] == "pass"
+    monkeypatch.setattr(hierarchy, "geodesic_hamiltonian", zero)
+    status = {c.id: c.status for c in hierarchy_suite(1, 0).checks}
+    assert status["geodesic.bad-orbit"] == "fail"
+
+
 @pytest.mark.parametrize("q_degrees, bad", [
     (None, set()), ({}, set()), ({1: 2, 2: 2, 3: 2, 4: 2}, set()),
     ({1: 1, 2: 2, 3: 1, 4: 0}, {2, 4}), ({1: 2, 2: 1, 3: 0, 4: 3}, {2, 4}),
@@ -477,19 +490,20 @@ def test_geodesic_residuals_equal_windowed_full_brackets():
 @given(cover=st.integers(2, 3),
        levels=st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
 def test_kernel_never_sees_covers_above_the_window(cover, levels):
-    seen = []
+    supports = []
     original = algebra._mul_packed
 
     def spy(acc, records1, records2, policy, factor):
-        seen.extend(r[algebra._COVER] for records in (records1, records2)
-                    for r in records)
+        supports.extend(r[7] for records in (records1, records2) for r in records)
         return original(acc, records1, records2, policy, factor)
 
     algebra._mul_packed = spy
     try:
-        commutator_residuals(sorted(levels), cover)
+        covers = commutator_residuals(sorted(levels), cover)[1][0].table.covers
     finally:
         algebra._mul_packed = original
+    seen = [max((cv for pos, cv in enumerate(covers) if s >> pos & 1), default=0)
+            for s in supports]
     assert seen and max(seen) <= cover
 
 

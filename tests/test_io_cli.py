@@ -235,7 +235,7 @@ def test_cli_hierarchy_cover_bound_from_the_profile(tmp_path):
 
 def test_cli_hierarchy_negative_level_exits_2(capsys):
     assert main(["hierarchy", "--levels", "-1"]) == 2
-    assert capsys.readouterr().err == "error: level: level must be >= 0\n"
+    assert capsys.readouterr().err == "error: --levels: must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("argv, option, least, value", [
@@ -566,12 +566,14 @@ def test_cli_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     (_set(("cover_bound",), 0), "cover_bound"),
     (_set(("q_degrees", "3"), 1), "q_degrees.3"),
     (_set(("signs", "bad_covers"), [2]), "signs.bad_covers"),
+    (lambda obj: obj.update(q_degrees=None, signs={"explicit": [[[1, 1, -2], -1]]}),
+     "signs.explicit"),
 ], ids=["text-half-dim", "missing-half-dim", "text-cover-bound",
         "text-cover-key", "text-q-degree", "undeclared-cover", "q-degrees-list",
         "text-bad-cover", "text-sign",
         "text-sign-cover", "sign-tuple-not-a-list", "sign-out-of-range",
         "signs-list", "bad-covers-number", "explicit-number", "zero-cover-bound",
-        "parity-rule", "bad-covers-not-derived"])
+        "parity-rule", "bad-covers-not-derived", "circle-explicit-signs"])
 def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
                                                        field):
     obj = sio.load_json(sio.fixture_path("geodesic.profiles.json"))
@@ -588,10 +590,11 @@ def test_cli_malformed_profiles_exit_2_with_field_path(tmp_path, capsys, mutate,
 def test_profiles_with_the_derived_bad_covers_load_the_same(tmp_path, capsys,
                                                             q_degrees, bad_covers):
     """Profile files once declared their bad covers; a file that still does,
-    and declares the derived set, gives the same Hamiltonians."""
+    and declares the derived set, gives the same Hamiltonians.  A circle
+    profile (no q_degrees) takes no explicit signs."""
     obj = sio.load_json(sio.fixture_path("geodesic.profiles.json"))
     obj["q_degrees"] = q_degrees
-    explicit = [[[1, 3, -1, -3], -1]]
+    explicit = [[[1, 3, -1, -3], -1]] if q_degrees else []
     outputs = []
     for signs in ({"explicit": explicit},
                   {"bad_covers": bad_covers, "explicit": explicit}):

@@ -8,6 +8,16 @@ pairs and how many pairs the change wins, and per side the sha256 and
 the non-blank line count of ``src/sftlab/*.py``.  With ``--trace`` each
 side also gets one traced run per workload for the per-layer metrics.
 
+Each end-to-end metric also gets a verdict, written and printed:
+
+- ``gain``: the change wins at least 9 of 10 pairs, and the medians differ
+  by more than the base's interquartile range in the better direction;
+- ``regressed``: the change's median is worse than the base's by more than
+  the metric's relative ``bound``;
+- ``unresolved``: the base's interquartile range exceeds the bound, and not
+  every change run beats every base run;
+- ``unchanged``: everything else.
+
     python3 scripts/bench_pairs.py --base ../parent --change . \\
         --label packed_kernel --pairs 10 --trace
 
@@ -61,6 +71,25 @@ def summary(values: list) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(entry: dict, bound: float) -> str:
+    """Verdict of one metric entry of a report (see the module docstring);
+    ``bound`` is the metric's relative bound in ``BENCHMARK.json``."""
+    base, change = entry["base"], entry["change"]
+    sign = 1 if entry["better"] == "lower" else -1  # sign * value: lower is better
+    scale = bound * abs(base["median"])
+    worse_by = sign * (change["median"] - base["median"])
+    spread = base["q3"] - base["q1"]
+    if 10 * entry["change_wins"] >= 9 * len(base["values"]) and -worse_by > spread:
+        return "gain"
+    if worse_by > scale:
+        return "regressed"
+    beats_all = (max(sign * v for v in change["values"])
+                 < min(sign * v for v in base["values"]))
+    if spread > scale and not beats_all:
+        return "unresolved"
+    return "unchanged"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
@@ -80,6 +109,7 @@ def main(argv=None) -> int:
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     report = {"label": args.label, "pairs": args.pairs, "seconds": seconds,
@@ -108,9 +138,10 @@ def main(argv=None) -> int:
                     for name in runs}
             sign = 1 if direction == "lower" else -1
             wins = sum(sign * (c - b) < 0 for b, c in zip(vals["base"], vals["change"]))
-            entry["metrics"][metric] = {
+            entry["metrics"][metric] = m = {
                 "better": direction, "change_wins": wins,
                 **{name: summary(v) for name, v in vals.items()}}
+            m["verdict"] = verdict(m, bounds[metric])
         if args.trace:
             entry["traced"] = {
                 name: run_once(sides[name], workload, args.seed, seconds,
@@ -122,10 +153,10 @@ def main(argv=None) -> int:
     print(f"src/sftlab non-blank lines: {lines['base']} -> {lines['change']} "
           f"({lines['change'] - lines['base']:+d})")
     for workload, entry in report["workloads"].items():
-        m = entry["metrics"]["verdict_s"]
-        print(f"{workload}: verdict_s median {m['base']['median']:.3f} -> "
-              f"{m['change']['median']:.3f} s, change wins {m['change_wins']}/"
-              f"{args.pairs}")
+        for metric, m in entry["metrics"].items():
+            print(f"{workload} {metric}: median {m['base']['median']:.4g} -> "
+                  f"{m['change']['median']:.4g}, change wins {m['change_wins']}/"
+                  f"{args.pairs}: {m['verdict']}")
     return 0
 
 

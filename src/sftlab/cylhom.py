@@ -681,8 +681,9 @@ def extract_equivariant(data: ChainComplexData,
         raise ValidationError("data is already equivariant", "orbits")
     if source_flavor not in ("hat", "check"):
         raise ValidationError("source flavor must be hat or check", "flavor")
+    single = _single_flavor(data, (), f"/{source_flavor}-block")
     entries = []
-    for e in data.entries:
+    for n, e in enumerate(data.entries):
         flavors = (e.src[1], e.dst[1])
         if flavors == (source_flavor, source_flavor) and e.insertions:
             ins = e.insertions
@@ -692,13 +693,15 @@ def extract_equivariant(data: ChainComplexData,
                         for i in e.insertions)
         else:
             continue
-        entries.append((e.src[0], e.dst[0], ins, e.degree, e.value))
+        entry = CountEntry((e.src[0], ""), (e.dst[0], ""), ins, e.degree, e.value)
+        single._check_degree_rule(entry, f"entries[{n}]")  # named as in data
+        entries.append(entry)
     plain = build_differential(data).plain
     for (dst, src), poly in plain.block(source_flavor, source_flavor).items():
         for deg, v in poly.items():
-            entries.append((src, dst, (), deg, v))
+            entries.append(CountEntry((src, ""), (dst, ""), (), deg, v))
     return BlockExtraction(
-        _single_flavor(data, entries, f"/{source_flavor}-block"),
+        replace(single, entries=entries),
         plain.block("hat", "hat") == plain.block("check", "check"),
         not plain.block("check", "hat"))
 

@@ -8,8 +8,9 @@ thunk, records a crash as ``error`` (an SftlabError, bad input,
 propagates) and sorts the records by id.  Work that several checks share
 is a ``functools.cache`` closure run inside the first check that needs
 it, so its time and any crash in it land on that check.  The one
-exception are the algebra suite's ``random.*`` records, built from one
-streamed sample pass that clocks each identity.
+exception are the algebra suite's ``random.*`` records: each sample draws
+all its inputs first, then one chained clock charges each identity for its
+own residuals only.
 """
 
 from __future__ import annotations
@@ -24,19 +25,12 @@ from itertools import combinations
 
 from . import cylhom, divisors, gw, gw_oracle, hierarchy
 from .algebra import (
-    GradedSeries, TruncationPolicy, VariableTable, mono_hbar_order,
-    orbit_variable_pair, planck_variable, poisson_bracket, weyl_commutator,
+    GradedSeries, TruncationPolicy, VariableTable, orbit_variable_pair,
+    planck_variable, poisson_bracket, weyl_commutator,
 )
 from .errors import LabelMismatchError, SftlabError
 from .models import point_model, two_point_model
 from .report import CheckRecord, ERROR, FAIL, PASS, SKIP, VerificationReport
-
-
-def _lap(spent, key, t):
-    """Add the time since t to spent[key]; returns the time now."""
-    now = time.monotonic()
-    spent[key] += now - t
-    return now
 
 
 def _run_checks(report, checks):
@@ -95,17 +89,12 @@ def _random_series(rng: random.Random, table: VariableTable, policy,
                    hbar_free=False) -> GradedSeries:
     terms = {}
     for _ in range(rng.randint(1, 3)):
-        factors = {}
-        for v in table.variables:
-            if v.kind == "hbar" and hbar_free:
-                continue
-            if rng.random() < 0.45:
-                factors[v.name] = 1 if v.odd else rng.randint(1, 2)
+        mono = tuple((pos, 1 if v.odd else rng.randint(1, 2))
+                     for pos, v in enumerate(table.variables)
+                     if not (hbar_free and v.kind == "hbar") and rng.random() < 0.45)
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        if not coeff:
-            continue
-        mono = tuple(sorted((table.position(n), e) for n, e in factors.items()))
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        if coeff:
+            terms[mono] = terms.get(mono, 0) + coeff
     return table.series(terms, policy)
 
 
@@ -119,90 +108,75 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
     report = VerificationReport("algebra")
     rng = random.Random(seed)
     policy = TruncationPolicy(max_pq_order=24, max_hbar_order=8)
-    failures = {k: None for k in
-                ("super-commutativity", "leibniz", "antisymmetry", "jacobi",
-                 "hbar-divisibility", "hbar-linear-term")}
-    spent = dict.fromkeys(failures, 0.0)  # seconds per identity
-    count = 0
-    while count < samples:
-        table = _random_table(rng)
-        f = _random_series(rng, table, policy)
-        g = _random_series(rng, table, policy)
-        h = _random_series(rng, table, policy)
-        count += 1
-        fparts, gparts, hparts = _parity_split(f), _parity_split(g), _parity_split(h)
-        t = time.monotonic()
-        # super-commutativity on homogeneous-parity parts
+    no_hbar = replace(policy, max_hbar_order=0)
+
+    # The residuals of each identity on the current sample: the generators
+    # read the draws the sample loop below binds.
+    def super_commutativity():
         for fp, fodd in fparts:
             for gp, godd in gparts:
-                s = -1 if (fodd and godd) else 1
-                r = fp * gp - (gp * fp).scale(s)
-                if not r.is_zero() and failures["super-commutativity"] is None:
-                    failures["super-commutativity"] = str(r)
-        t = _lap(spent, "super-commutativity", t)
-        # graded Leibniz for one derivative variable
-        v = rng.choice(table.names())
+                yield fp * gp - (gp * fp).scale(-1 if fodd and godd else 1)
+
+    def leibniz():
+        dg, vodd = g.derivative(v), table.variable(v).odd
         for fp, fodd in fparts:
-            s = -1 if (table.variable(v).odd and fodd) else 1
-            r = (fp * g).derivative(v) - fp.derivative(v) * g \
-                - (fp * g.derivative(v)).scale(s)
-            if not r.is_zero() and failures["leibniz"] is None:
-                failures["leibniz"] = str(r)
-        t = _lap(spent, "leibniz", t)
-        # bracket antisymmetry and Jacobi on parity components; each bracket
-        # of two parts is taken once
-        fg = {}
+            yield (fp * g).derivative(v) - fp.derivative(v) * g \
+                - (fp * dg).scale(-1 if vodd and fodd else 1)
+
+    def antisymmetry():
         for fp, fodd in fparts:
             for gp, godd in gparts:
-                s = -1 if (fodd and godd) else 1
                 fg[fodd, godd] = poisson_bracket(fp, gp)
-                r = fg[fodd, godd] + poisson_bracket(gp, fp).scale(s)
-                if not r.is_zero() and failures["antisymmetry"] is None:
-                    failures["antisymmetry"] = str(r)
-        t = _lap(spent, "antisymmetry", t)
-        gh = {(godd, hodd): poisson_bracket(gp, hp)
-              for gp, godd in gparts for hp, hodd in hparts}
-        fh = {(fodd, hodd): poisson_bracket(fp, hp)
-              for fp, fodd in fparts for hp, hodd in hparts}
+                yield fg[fodd, godd] + poisson_bracket(gp, fp).scale(
+                    -1 if fodd and godd else 1)
+
+    def jacobi():
+        # on the whole h: linear in h, and a bracket removes a q_n p_n pair of
+        # even degree, so every term of the residual for a parity part h_p has
+        # parity |f|+|g|+|h_p|; the sum vanishes iff each part's residual does
+        gh = {godd: poisson_bracket(gp, h) for gp, godd in gparts}
+        fh = {fodd: poisson_bracket(fp, h) for fp, fodd in fparts}
         for fp, fodd in fparts:
             for gp, godd in gparts:
-                for hp, hodd in hparts:
-                    s = -1 if (fodd and godd) else 1
-                    r = poisson_bracket(fp, gh[godd, hodd]) \
-                        - poisson_bracket(fg[fodd, godd], hp) \
-                        - poisson_bracket(gp, fh[fodd, hodd]).scale(s)
-                    if not r.is_zero() and failures["jacobi"] is None:
-                        failures["jacobi"] = str(r)
-        t = _lap(spent, "jacobi", t)
-        # Weyl commutator: hbar divisibility; first order = bracket
-        fe = _random_series(rng, table, policy, hbar_free=True)
-        ge = _random_series(rng, table, policy, hbar_free=True)
-        w = weyl_commutator(fe, ge)
-        if any(mono_hbar_order(table, m) < 1 for m in w.terms):
-            if failures["hbar-divisibility"] is None:
-                failures["hbar-divisibility"] = str(w)
-        t = _lap(spent, "hbar-divisibility", t)
-        fe_even = fe.parity_parts()[0]
-        ge_even = ge.parity_parts()[0]
-        w = weyl_commutator(fe_even, ge_even)
-        lin = _hbar_coefficient(table, w, 1)
-        pb = dict(poisson_bracket(fe_even, ge_even).terms)
-        if lin != pb and failures["hbar-linear-term"] is None:
-            failures["hbar-linear-term"] = f"{lin} != {pb}"
-        _lap(spent, "hbar-linear-term", t)
-    statements = {
-        "super-commutativity": "f*g = (-1)^{|f||g|} g*f",
-        "leibniz": "d(f*g) = df*g + (-1)^{|v||f|} f*dg",
-        "antisymmetry": "{f,g} = -(-1)^{|f||g|} {g,f}",
-        "jacobi": "{f,{g,h}} = {{f,g},h} + (-1)^{|f||g|} {g,{f,h}}",
-        "hbar-divisibility": "[f,g] lies in hbar * W",
-        "hbar-linear-term": "hbar-linear part of [f,g] = {f,g} (even, hbar-free)",
-    }
-    for key, witness in failures.items():
+                yield poisson_bracket(fp, gh[godd]) - poisson_bracket(fg[fodd, godd], h) \
+                    - poisson_bracket(gp, fh[fodd]).scale(-1 if fodd and godd else 1)
+
+    def hbar_divisibility():
+        yield weyl_commutator(fe, ge).truncate(no_hbar)
+
+    def hbar_linear_term():
+        fe0, ge0 = fe.parity_parts()[0], ge.parity_parts()[0]
+        yield weyl_commutator(fe0, ge0).derivative("hbar").truncate(no_hbar) \
+            - poisson_bracket(fe0, ge0)
+
+    identities = [
+        ("super-commutativity", "f*g = (-1)^{|f||g|} g*f", super_commutativity),
+        ("leibniz", "d(f*g) = df*g + (-1)^{|v||f|} f*dg", leibniz),
+        ("antisymmetry", "{f,g} = -(-1)^{|f||g|} {g,f}", antisymmetry),
+        ("jacobi", "{f,{g,h}} = {{f,g},h} + (-1)^{|f||g|} {g,{f,h}}", jacobi),
+        ("hbar-divisibility", "[f,g] lies in hbar * W", hbar_divisibility),
+        ("hbar-linear-term", "hbar-linear part of [f,g] = {f,g} (even, hbar-free)",
+         hbar_linear_term),
+    ]
+    tally = [[None, 0.0] for _ in identities]  # first witness, seconds
+    for _ in range(samples):
+        table = _random_table(rng)
+        f, g, h = (_random_series(rng, table, policy) for _ in range(3))
+        v = rng.choice(table.names())
+        fe, ge = (_random_series(rng, table, policy, hbar_free=True) for _ in range(2))
+        fparts, gparts, fg = _parity_split(f), _parity_split(g), {}
+        t = time.monotonic()
+        for (_, _, residuals), found in zip(identities, tally):
+            for r in residuals():
+                if r and found[0] is None:
+                    found[0] = str(r)
+            now = time.monotonic()
+            found[1] += now - t
+            t = now
+    for (key, statement, _), (witness, seconds) in zip(identities, tally):
         report.add(CheckRecord(
-            f"random.{key}", f"{statements[key]} ({samples} samples)",
-            PASS if witness is None else FAIL, witness or "0", "",
-            int(spent[key] * 1000)))
+            f"random.{key}", f"{statement} ({samples} samples)",
+            PASS if witness is None else FAIL, witness or "0", "", int(seconds * 1000)))
 
     def weyl_relation(kappa):
         q, p = orbit_variable_pair("g", kappa, cz=0, half_dim=1,
@@ -231,17 +205,6 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
                    "identical inputs give byte-identical canonical output",
                    determinism))
     return _run_checks(report, checks)
-
-
-def _hbar_coefficient(table, series, power):
-    pos = next(i for i, v in enumerate(table.variables) if v.kind == "hbar")
-    out = {}
-    for mono, c in series.terms.items():
-        d = dict(mono)
-        if d.get(pos, 0) == power:
-            d.pop(pos)
-            out[tuple(sorted(d.items()))] = c
-    return out
 
 
 # -- hierarchy ------------------------------------------------------------------------

@@ -404,3 +404,16 @@ def test_determinism_check_brackets_fresh_operands_per_worker(monkeypatch):
     parts = sum(bool(part) for seed in (8, 9) for part in
                 suites._random_series(random.Random(seed), table, policy).parity_parts())
     assert len(calls) == 8 * parts
+
+
+def test_determinism_check_draws_are_pinned():
+    """The operands the determinism check brackets: a change to the draw
+    order of ``_random_series`` shows here."""
+    from sftlab import suites
+
+    policy = TruncationPolicy(max_pq_order=24, max_hbar_order=8)
+    table = suites._random_table(random.Random(7))
+    assert [str(suites._random_series(random.Random(seed), table, policy))
+            for seed in (8, 9)] == [
+        "2/3*hbar^2*q[o0,3]*p[o0,3]*p[o1,3]",
+        "2*q[o1,3]^2*p[o0,3] - 3/2*q[o0,3]*q[o1,3]*p[o0,3]"]

@@ -793,6 +793,12 @@ def test_extraction_releases_constrained_hat_to_check_entries(floer_point,
     for extract in (extract_equivariant, _grouped_extraction):
         with pytest.raises(ValidationError, match="entry degree mismatch"):
             extract(data, "hat")
+    # the error names the first added entry where it sits in the data
+    assert len(floer_point.entries) == 32
+    for flavor in ("hat", "check"):
+        with pytest.raises(ValidationError) as err:
+            extract_equivariant(data, flavor)
+        assert err.value.path == "entries[32]"
     monkeypatch.setattr(ChainComplexData, "_check_degree_rule",
                         lambda self, e, path: None)
     released = [CountEntry(("ep1", ""), ("ep1", ""),

@@ -691,6 +691,16 @@ def test_cli_verify_all_report_is_byte_identical(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]
 
 
+@pytest.mark.parametrize("seed", ["1", "2147483647"])
+def test_cli_verify_all_report_does_not_depend_on_the_seed(capsys, seed):
+    import hashlib
+
+    code = main(["verify", "--suite", "all", "--max-cover", "3", "--seed", seed])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS["text"]
+
+
 # sha256 of `sftlab verify --suite cylhom --counts F` output for each shipped
 # counts file F, text and machine format.
 VERIFY_COUNTS_DIGESTS = {

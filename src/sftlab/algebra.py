@@ -310,10 +310,6 @@ def mono_degree(table: VariableTable, mono) -> int:
     return sum(table.degrees[p] * e for p, e in mono)
 
 
-def mono_hbar_order(table: VariableTable, mono) -> int:
-    return sum(e for p, e in mono if table.kinds[p] == HBAR)
-
-
 # -- packed keys and records --------------------------------------------------------
 #
 # A record is (key, numerator, pq-order, t-order, hbar exponent, odd mask,

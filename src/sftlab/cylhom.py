@@ -681,7 +681,8 @@ def extract_equivariant(data: ChainComplexData,
         raise ValidationError("data is already equivariant", "orbits")
     if source_flavor not in ("hat", "check"):
         raise ValidationError("source flavor must be hat or check", "flavor")
-    single = _single_flavor(data, (), f"/{source_flavor}-block")
+    suffix = f"/{source_flavor}-block"
+    degree_rule = _single_flavor(data, (), suffix)._check_degree_rule
     entries = []
     for n, e in enumerate(data.entries):
         flavors = (e.src[1], e.dst[1])
@@ -693,15 +694,15 @@ def extract_equivariant(data: ChainComplexData,
                         for i in e.insertions)
         else:
             continue
-        entry = CountEntry((e.src[0], ""), (e.dst[0], ""), ins, e.degree, e.value)
-        single._check_degree_rule(entry, f"entries[{n}]")  # named as in data
-        entries.append(entry)
+        entries.append(replace(e, src=(e.src[0], ""), dst=(e.dst[0], ""),
+                               insertions=ins))
+        degree_rule(entries[-1], f"entries[{n}]")  # named where it sits in data
     plain = build_differential(data).plain
     for (dst, src), poly in plain.block(source_flavor, source_flavor).items():
         for deg, v in poly.items():
             entries.append(CountEntry((src, ""), (dst, ""), (), deg, v))
     return BlockExtraction(
-        replace(single, entries=entries),
+        _single_flavor(data, entries, suffix),
         plain.block("hat", "hat") == plain.block("check", "check"),
         not plain.block("check", "hat"))
 
@@ -721,7 +722,7 @@ def extract_floer(data: ChainComplexData) -> ChainComplexData:
             continue
         if any(i.class_id not in fiber_ids for i in e.insertions):
             continue
-        entries.append((e.src[0], e.dst[0], e.insertions, e.degree, e.value))
+        entries.append(replace(e, src=(e.src[0], ""), dst=(e.dst[0], "")))
     return _single_flavor(data, entries, "/floer", model=data.fiber_model,
                           table=data.fiber_table, fiber_model=None,
                           fiber_table=None)
@@ -729,9 +730,8 @@ def extract_floer(data: ChainComplexData) -> ChainComplexData:
 
 def _single_flavor(data: ChainComplexData, entries, suffix: str,
                    **fields) -> ChainComplexData:
-    """Equivariant data over the orbits of ``data``; an entry is (src orbit,
-    dst orbit, insertions, degree, value), ``fields`` replace more."""
-    entries = [CountEntry((src, ""), (dst, ""), *rest) for src, dst, *rest in entries]
+    """Equivariant data over the orbits of ``data`` with the CountEntry
+    ``entries`` (generator keys (orbit, "")); ``fields`` replace more."""
     return replace(data, orbits=OrbitSet(data.orbits.orbits, equivariant=True),
                    entries=entries, name=data.name + suffix, **fields)
 

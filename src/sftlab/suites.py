@@ -146,8 +146,11 @@ def algebra_suite(samples=1000, seed=20240) -> VerificationReport:
 
     def hbar_linear_term():
         fe0, ge0 = fe.parity_parts()[0], ge.parity_parts()[0]
-        yield weyl_commutator(fe0, ge0).derivative("hbar").truncate(no_hbar) \
-            - poisson_bracket(fe0, ge0)
+        pb = poisson_bracket(fe0, ge0)
+        yield weyl_commutator(fe0, ge0).derivative("hbar").truncate(no_hbar) - pb
+        # the subtraction truncates pb to hbar-order 0; its own hbar terms
+        # (none, for hbar-free operands) show in its hbar-derivative
+        yield pb.derivative("hbar")
 
     identities = [
         ("super-commutativity", "f*g = (-1)^{|f||g|} g*f", super_commutativity),

@@ -29,6 +29,13 @@ def _bracket_plus_fresh_constant(original):
         next(fresh))
 
 
+def _bracket_plus_hbar_bracket(original):
+    def bracket(f, g, *args):
+        b = original(f, g, *args)
+        return b + b.table.monomial({"hbar": 1}, 1, b.policy) * b
+    return bracket
+
+
 def _commutator_plus_product(original):
     return lambda f, g: original(f, g) + f * g
 
@@ -55,6 +62,8 @@ MUTANTS = {
     "bracket-plus-f": (suites, "poisson_bracket", _bracket_plus_f,
                        {"random.antisymmetry", "random.jacobi",
                         "random.hbar-linear-term"}),
+    "bracket-plus-hbar-bracket": (suites, "poisson_bracket", _bracket_plus_hbar_bracket,
+                                  {"random.hbar-linear-term"}),
     "bracket-fresh-constant": (suites, "poisson_bracket", _bracket_plus_fresh_constant,
                                {"determinism.bracket"}),
     "commutator-plus-product": (suites, "weyl_commutator", _commutator_plus_product,

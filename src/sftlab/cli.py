@@ -133,7 +133,8 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_homology(args) -> int:
     data = sio.load_counts(args.counts)
-    h = cylhom.compute_homology(data)
+    with under_path(args.counts):
+        h = cylhom.compute_homology(data)
     out = {
         "schema": "sftlab-homology/1",
         "name": data.name,

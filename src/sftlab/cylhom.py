@@ -5,8 +5,8 @@ target generators, a multiset of (class, level) insertions each either
 free or constrained, a curve class, and an exact rational count.  From
 these the module builds the plain differential, the decorated maps (one
 free / one constrained insertion), homology with coefficients polynomial
-in the curve-class variables, and the operator-level recursion residuals,
-all on top of the graded-series engine.
+in the curve-class variables, and the chain-level recursion residuals
+(one pass per argument), all on top of the graded-series engine.
 
 Degree bookkeeping: an entry is homogeneous when
 
@@ -36,9 +36,7 @@ from .gw import (
     quantum_product, reconstruct, second_derivative_series,
 )
 from .linalg import _zp_add, _zp_mul
-from .operators import (
-    LinearOperator, graded_anticommutator, release_constrained_operator,
-)
+from .operators import release_constrained_operator
 
 SECTION_CHOICES = ("(2,0)", "(1,1)", "(0,2)", "generic")
 
@@ -308,7 +306,7 @@ def compute_homology(data: ChainComplexData) -> HomologyResult:
     r, offending = d_squared_residual(data)
     if not r.is_zero():
         raise ValidationError(f"differential does not square to zero: {offending}",
-                              "counts")
+                              "entries")
     d = build_differential(data).plain
     gens = data.orbits.generators
     width = data.model.h2_rank
@@ -371,7 +369,8 @@ def q_var_name(gen_key) -> str:
 
 
 class DressedComplex:
-    """Operator realization of count data on a graded-series chain space."""
+    """Count data on a graded-series chain space: the potential and the
+    dressed differential, each built once."""
 
     def __init__(self, data: ChainComplexData):
         self.data = data
@@ -383,18 +382,15 @@ class DressedComplex:
         self._potential = None
         self._dd = None
 
-    # series-level pieces -------------------------------------------------
-
     def potential(self) -> GradedSeries:
         if self._potential is None:
             self._potential = assemble_potential(self.data.table, self.policy,
                                                  var_table=self.vt)
         return self._potential
 
-    # operators ----------------------------------------------------------------
-
-    def dressed_differential(self) -> LinearOperator:
-        """sum over entries of value * q_dst * insertions * z^degree * d/dq_src.
+    def dressed_differential(self):
+        """D = sum over entries of value * q_dst * insertions * z^degree *
+        d/dq_src, as a function on series (odd: every entry is).
 
         The multipliers of the entries sharing a source generator are summed
         into one series, so an application takes one derivative and one
@@ -425,53 +421,8 @@ class DressedComplex:
                     out = out + mult * der
             return out
 
-        self._dd = LinearOperator(apply, 1)
-        return self._dd
-
-    def decorated(self, alpha: str, i: int, constrained: bool) -> LinearOperator:
-        """d/dt^{alpha,i} (d/dtc^{alpha,i} if constrained) after the dressed
-        differential; the stripped variable lowers the degree by its own."""
-        nm = (tc_name if constrained else t_name)(alpha, i)
-        dd = self.dressed_differential()
-        return LinearOperator(lambda s: dd(s).derivative(nm),
-                              dd.degree - self.vt.variable(nm).degree)
-
-    def point_count_op(self) -> LinearOperator:
-        """N on plain t factors only (``operators.point_count`` also counts
-        t-check factors)."""
-        def count_plain(series):
-            vt = series.table
-            return series.map_terms(
-                lambda m: sum(e for p, e in m if vt.kinds[p] == "t"))
-
-        return LinearOperator(count_plain, 0)
-
-    # spanning-set evaluation ------------------------------------------------
-
-    def arguments(self, arg_classes=None):
-        """Generators, bare and times one plain t-variable of a class in
-        ``arg_classes`` (default: all)."""
-        vt = self.vt
-        tvars = [t_name(c.id, a) for c in self.data.model.classes
-                 for a in range(self.data.level_bound + 1)]
-        if arg_classes is not None:
-            tvars = [nm for nm in tvars
-                     if vt.variable(nm).indices[0] in arg_classes]
-        for g in self.data.orbits.generators:
-            qn = q_var_name(g.key)
-            yield (g, ()), vt.monomial({qn: 1}, 1, self.policy)
-            for nm in tvars:
-                yield (g, (nm,)), vt.monomial({qn: 1, nm: 1}, 1, self.policy)
-
-    def operator_residual(self, op: LinearOperator, arg_classes=None):
-        """Evaluate an operator over the spanning set; collect nonzero hits."""
-        window = TruncationPolicy(max_t_order=self.data.t_order, max_pq_order=2)
-        witnesses = []
-        for label, arg in self.arguments(arg_classes):
-            out = op(arg).truncate(window)
-            if not out.is_zero():
-                witnesses.append((label, out))
-        return witnesses
+        self._dd = apply
+        return apply
 
 
 @dataclass
@@ -483,82 +434,121 @@ class ResidualReport:
     def summary(self):
         if self.zero:
             return f"{self.name}: residual 0"
-        (g, mono), out = self.witnesses[0]
+        arg, out = self.witnesses[0]
+        if isinstance(arg, dict):  # on homology: a cycle and its image
+            return (f"{self.name}: the cycle {_chain_text(arg)} maps to "
+                    f"{_chain_text(out)}, not a boundary")
+        g, mono = arg
         return (f"{self.name}: nonzero residual, e.g. on {g}"
                 f"{(' * ' + '*'.join(mono)) if mono else ''} -> {out}")
 
 
-def _trr_residual_operator(cx: DressedComplex, variant: str, alpha: str, i: int,
-                           equivariant: bool):
-    """LHS - RHS of one recursion identity as a single map on series.
+def _chain_text(chain) -> str:
+    """A chain {generator name: z-polynomial} as a sum of terms."""
+    terms = []
+    for gen, poly in chain.items():
+        for degree, c in sorted(poly.items()):
+            z = "".join(f"*{z_name(k)}^{e}" for k, e in enumerate(degree) if e)
+            terms.append(f"{c}{z}*{gen}" if c != 1 or z else gen)
+    return " + ".join(terms)
+
+
+def _identity_residuals(cx: DressedComplex, variant: str, equivariant: bool,
+                        classes):
+    """LHS - RHS of one recursion identity at every class in ``classes`` and
+    level 1..L: one map s -> {(alpha, i): residual}, class-major.
 
     The identities differ in k, the number of constrained reference points:
-    (2,0) -> 0, (1,1) -> 1, (0,2) -> 2.  With N the point count,
-    P_k = N(N-1)...(N-k+1) and Q_k = (N-1)...(N-k+1) (k-1 factors), the
-    residual on s is
+    (2,0) -> 0, (1,1) -> 1, (0,2) -> 2.  With D the dressed differential,
+    d_{alpha,i} = d/dt^{alpha,i} D (d/dtc^{alpha,i} D when constrained), N
+    the count of plain t factors, P_k = N(N-1)...(N-k+1) and
+    Q_k = (N-1)...(N-k+1), the residual on s is
 
-        P_k(L s) - sum_nu two[nu] P_k(L_nu s)
-                 - (k/2) sum_corr {dec_{i-1}, dress Q_k dd}(s)
+        P_k(d_{alpha,i} s) - sum_nu two[nu] P_k(d_{nu,0} s)
+                           - (k/2) sum_corr {d_{alpha,i-1}, dressed D}(s)
 
-    where L decorates by (alpha, i), L_nu by (nu, 0), two[nu] is the
-    eta-contracted d2f/dt^{alpha,i-1}dt^{mu,0} and dd is the dressed
-    differential; k = 0 has no correction.  The non-equivariant form
-    decorates with constrained insertions and has one correction, the
-    constrained dec_{i-1} against the release-dressed dd; the equivariant
-    form decorates with free insertions and pairs the free dec_{i-1} with
-    the release-dressed dd and the constrained one with the N-dressed dd.
+    with two[nu] the eta-contracted d2f/dt^{alpha,i-1}dt^{mu,0}; k = 0 has
+    no correction.  Non-equivariant: constrained decorations and one
+    correction, the constrained d_{alpha,i-1} against release Q_k D.
+    Equivariant: free decorations, the free d_{alpha,i-1} against
+    release Q_k D and the constrained one against N Q_k D.  In
+    {a, b} = ab + (-1)^{|a||b|} ba, release Q_k D is even, N Q_k D odd and
+    d_{alpha,i-1} of the parity of deg alpha: the N-dressed term takes -1
+    exactly when deg alpha is odd.
+
+    Per s, D s, the level-0 decorations, D(release Q_k D s) and
+    D(N Q_k D s) are formed once; each (alpha, i) adds one D per correction.
     """
     if variant not in SECTION_CHOICES[:3]:
         raise ValidationError(f"unknown recursion variant {variant!r}", "variant")
     k = SECTION_CHOICES.index(variant)
     model = cx.data.model
     dd = cx.dressed_differential()
-    lhs_con = not equivariant
-    lhs_map = cx.decorated(alpha, i, lhs_con)
-    level0 = [cx.decorated(cls.id, 0, lhs_con) for cls in model.classes]
-    two = second_derivative_series(cx.potential(), model, alpha, i - 1)
-    n_op = cx.point_count_op()
+    dec = t_name if equivariant else tc_name  # the decorating insertion
+    two = {(alpha, i): second_derivative_series(cx.potential(), model, alpha, i - 1)
+           for alpha in classes for i in range(1, cx.data.level_bound + 1)}
+    release = release_constrained_operator(cx.vt) if k else None
+    kinds = cx.vt.kinds
+
+    def count(s):  # not operators.point_count, which counts t-check factors too
+        return s.map_terms(lambda m: sum(e for p, e in m if kinds[p] == "t"))
 
     def falling(s, first):
         """(N-first)(N-first-1)...(N-k+1) s"""
         for j in range(first, k):
-            s = n_op(s) - s.scale(j) if j else n_op(s)
+            s = count(s) - s.scale(j) if j else count(s)
         return s
 
-    corrs = []
-    if k:
-        release = release_constrained_operator(cx.vt)
-        released = LinearOperator(lambda s: release(falling(dd(s), 1)), 0)
-        counted = LinearOperator(lambda s: n_op(falling(dd(s), 1)), 1)
-        previous = cx.decorated(alpha, i - 1, True)
-        corrs = [graded_anticommutator(previous, released)]
-        if equivariant:
-            corrs = [graded_anticommutator(cx.decorated(alpha, i - 1, False),
-                                           released),
-                     graded_anticommutator(previous, counted)]
-
-    def apply(s):
-        out = falling(lhs_map(s), 0)
-        for nu, series in enumerate(two):
-            if not series.is_zero():
-                out = out - series * falling(level0[nu](s), 0)
-        for corr in corrs:
-            out = out - corr(s).scale(Fraction(k, 2))
+    def residuals(s):
+        ds = dd(s)
+        level0 = [falling(ds.derivative(dec(c.id, 0)), 0) for c in model.classes]
+        # (decoration of d_{alpha,i-1}, dressing, D(dressing Q_k D s), odd)
+        corrections = []
+        if k:
+            q = falling(ds, 1)
+            corrections = [(dec, release, dd(release(q)), False)]
+            if equivariant:
+                corrections.append((tc_name, count, dd(count(q)), True))
+        out = {}
+        for (alpha, i), two_ai in two.items():
+            r = falling(ds.derivative(dec(alpha, i)), 0)
+            for series, decorated in zip(two_ai, level0):
+                if not series.is_zero():
+                    r = r - series * decorated
+            for name, dressing, dressed, odd in corrections:
+                nm = name(alpha, i - 1)
+                back = dressing(falling(dd(ds.derivative(nm)), 1))
+                if odd and model.degree_of(alpha) % 2:
+                    back = -back
+                r = r - (dressed.derivative(nm) + back).scale(Fraction(k, 2))
+            out[alpha, i] = r
         return out
-    return apply
+    return residuals
 
 
 def _residual_reports(cx: DressedComplex, variant: str, equivariant: bool,
                       classes, arg_classes=None):
     """One report per class and level 1..L of one recursion identity,
-    evaluated on arguments dressed in the t-variables of ``arg_classes``."""
-    reports = []
-    for cls in classes:
-        for i in range(1, cx.data.level_bound + 1):
-            op = _trr_residual_operator(cx, variant, cls, i, equivariant)
-            w = cx.operator_residual(op, arg_classes)
-            reports.append(ResidualReport(f"{variant} alpha={cls} i={i}", not w, w))
-    return reports
+    class-major, with the nonzero residuals cut to the data's window on the
+    generators, bare and times one plain t-variable of a class in
+    ``arg_classes`` (default: all)."""
+    data, vt = cx.data, cx.vt
+    residuals = _identity_residuals(cx, variant, equivariant, classes)
+    window = TruncationPolicy(max_t_order=data.t_order, max_pq_order=2)
+    tvars = [t_name(c.id, a) for c in data.model.classes
+             if arg_classes is None or c.id in arg_classes
+             for a in range(data.level_bound + 1)]
+    witnesses = {key: [] for key in product(classes, range(1, data.level_bound + 1))}
+    for g in data.orbits.generators:
+        for mono in [(), *((nm,) for nm in tvars)]:
+            arg = vt.monomial(dict.fromkeys((q_var_name(g.key), *mono), 1), 1,
+                              cx.policy)
+            for key, r in residuals(arg).items():
+                out = r.truncate(window)
+                if not out.is_zero():
+                    witnesses[key].append(((g, mono), out))
+    return [ResidualReport(f"{variant} alpha={a} i={i}", not w, w)
+            for (a, i), w in witnesses.items()]
 
 
 def noneq_trr_residuals(data: ChainComplexData, variant: str):
@@ -587,39 +577,38 @@ def noneq_trr_residuals(data: ChainComplexData, variant: str):
 def generic_exactness_report(data: ChainComplexData):
     """(2,0) residual at t = 0 must map cycles into the image of the
     differential (exactness on homology) for generic section choices."""
-    cx = DressedComplex(data)
     plain = build_differential(data).plain
     reports = []
-    for cls in data.model.classes:
-        for i in range(1, data.level_bound + 1):
-            residual = _generic_residual_matrix(cx, cls.id, i)
-            ok, witness = _exact_on_cycles(data, plain, residual)
-            reports.append(ResidualReport(
-                f"(2,0) on homology alpha={cls.id} i={i}", ok,
-                [] if ok else [witness]))
+    for (alpha, i), residual in _generic_residual_matrix(DressedComplex(data)).items():
+        ok, witness = _exact_on_cycles(data, plain, residual)
+        reports.append(ResidualReport(f"(2,0) on homology alpha={alpha} i={i}", ok,
+                                      [] if ok else [witness]))
     return reports
 
 
-def _generic_residual_matrix(cx: DressedComplex, alpha: str,
-                             i: int) -> LinearChainMap:
-    """The t-free part of the non-equivariant (2,0) residual operator as a
-    matrix: a q_dst z^d term of its value on q_src is entry (dst, src) at
-    z-degree d.  Its F-term sees only stored two-point values, zero by the
-    stability convention unless a table sets them."""
-    op = _trr_residual_operator(cx, "(2,0)", alpha, i, False)
-    vt, orbits = cx.vt, cx.data.orbits
-    index = {vt.position(q_var_name(g.key)): j for j, g in enumerate(orbits.generators)}
-    out = LinearChainMap(orbits)
+def _generic_residual_matrix(cx: DressedComplex) -> dict:
+    """The t-free part of the non-equivariant (2,0) residual as one matrix
+    per class and level, {(alpha, i): LinearChainMap}: a q_dst z^d term of
+    its value on q_src is entry (dst, src) at z-degree d.  Its F-term sees
+    only stored two-point values, zero by the stability convention unless a
+    table sets them."""
+    vt, data = cx.vt, cx.data
+    classes = [c.id for c in data.model.classes]
+    residuals = _identity_residuals(cx, "(2,0)", False, classes)
+    index = {vt.position(q_var_name(g.key)): j
+             for j, g in enumerate(data.orbits.generators)}
+    out = {key: LinearChainMap(data.orbits)
+           for key in product(classes, range(1, data.level_bound + 1))}
     for q_src, src in index.items():
-        value = op(vt.series({((q_src, 1),): 1}, cx.policy))
-        for mono, c in value.truncate(TruncationPolicy(max_t_order=0)).terms.items():
-            degree = [0] * cx.data.model.h2_rank
-            for p, e in mono:
-                if p in index:
-                    dst = index[p]
-                else:
-                    degree[vt.variables[p].indices[0]] += e
-            out.add_term(dst, src, tuple(degree), c)
+        for key, value in residuals(vt.series({((q_src, 1),): 1}, cx.policy)).items():
+            for mono, c in value.truncate(TruncationPolicy(max_t_order=0)).terms.items():
+                degree = [0] * data.model.h2_rank
+                for p, e in mono:
+                    if p in index:
+                        dst = index[p]
+                    else:
+                        degree[vt.variables[p].indices[0]] += e
+                out[key].add_term(dst, src, tuple(degree), c)
     return out
 
 
@@ -637,7 +626,8 @@ def _contract(orbits: OrbitSet, coeffs, maps) -> LinearChainMap:
 
 def _exact_on_cycles(data: ChainComplexData, plain: LinearChainMap,
                      residual: LinearChainMap):
-    """Does the residual map every cycle into the image of the differential?"""
+    """Does the residual map every cycle into the image of the differential?
+    If not: (False, (cycle, image)), each {generator name: z-polynomial}."""
     if residual.is_zero():
         return True, None
     gens = data.orbits.generators
@@ -652,9 +642,8 @@ def _exact_on_cycles(data: ChainComplexData, plain: LinearChainMap,
         if not any(img):
             continue
         if not linalg.in_span(dmat, img):
-            witness = (("cycle", tuple(str(gens[j]) for j in range(n) if vec[j])),
-                       None)
-            return False, witness
+            return False, ({str(gens[j]): x for j, x in enumerate(vec) if x},
+                           {str(gens[j]): x for j, x in enumerate(img) if x})
     return True, None
 
 

@@ -7,6 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from sftlab import cylhom, io as sio
+from sftlab.algebra import TruncationPolicy
 from sftlab.cylhom import (
     BlockExtraction, ChainComplexData, CountEntry, DressedComplex,
     Insertion, Orbit,
@@ -361,7 +362,7 @@ def _per_entry_differential(cx, series):
 
 def _arguments_to_t_order(cx):
     """Generators dressed with plain-t monomials of every order up to the
-    data's t_order (``DressedComplex.arguments`` stops at order 1)."""
+    data's t_order (the recursion residuals stop at order 1)."""
     vt = cx.vt
     tvars = [t_name(c.id, a) for c in cx.data.model.classes
              for a in range(cx.data.level_bound + 1)]
@@ -478,13 +479,13 @@ def test_f_term_matrix_equals_the_two_point_scan():
     for scale in (1, 2):
         data = _p1_generic(scale)
         maps = build_differential(data)
-        cx = DressedComplex(data)
+        residuals = _generic_residual_matrix(DressedComplex(data))
         nonzero = 0
         for alpha in ("1", "pt"):
             for i in (1, 2):
                 lhs = maps.decorated.get((alpha, i, True),
                                          LinearChainMap(data.orbits))
-                got = lhs - _generic_residual_matrix(cx, alpha, i)
+                got = lhs - residuals[alpha, i]
                 want = _f_term_by_two_point_scan(data, maps, alpha, i)
                 assert got.entries == want.entries, (scale, alpha, i)
                 nonzero += not want.is_zero()
@@ -538,19 +539,38 @@ def test_block_extraction_sums_the_hat_to_check_plain_entries():
 # -- one recursion residual in the number of constrained points -------------------
 
 
+def _decorated(cx, alpha, i, constrained):
+    """d/dt^{alpha,i} (d/dtc^{alpha,i} if constrained) after the dressed
+    differential; the stripped variable lowers the degree by its own."""
+    nm = (tc_name if constrained else t_name)(alpha, i)
+    dd = cx.dressed_differential()
+    return LinearOperator(lambda s: dd(s).derivative(nm),
+                          1 - cx.vt.variable(nm).degree)
+
+
+def _point_count_op():
+    """N on plain t factors only."""
+    def count_plain(series):
+        kinds = series.table.kinds
+        return series.map_terms(lambda m: sum(e for p, e in m if kinds[p] == "t"))
+
+    return LinearOperator(count_plain, 0)
+
+
 def _three_branch_operator(cx, variant, alpha, i, equivariant):
     """The recursion identities written out one branch each: (2,0), (1,1)
-    with half corrections through N, (0,2) through N(N-1) and N-1."""
+    with half corrections through N, (0,2) through N(N-1) and N-1, the
+    corrections as graded anticommutators of operators with a degree."""
     model = cx.data.model
     dd = cx.dressed_differential()
     lhs_con = not equivariant
-    lhs_map = cx.decorated(alpha, i, lhs_con)
+    lhs_map = _decorated(cx, alpha, i, lhs_con)
     two = second_derivative_series(cx.potential(), model, alpha, i - 1)
-    n_op = cx.point_count_op()
+    n_op = _point_count_op()
     release = release_constrained_operator(cx.vt)
 
     def rhs_f_term(post):
-        level0 = [cx.decorated(cls.id, 0, lhs_con) for cls in model.classes]
+        level0 = [_decorated(cx, cls.id, 0, lhs_con) for cls in model.classes]
 
         def apply(series):
             out = cx.vt.zero(series.policy)
@@ -563,11 +583,11 @@ def _three_branch_operator(cx, variant, alpha, i, equivariant):
 
     def corrections(ncheck_dress, n_dress):
         if not equivariant:
-            return [graded_anticommutator(cx.decorated(alpha, i - 1, True),
+            return [graded_anticommutator(_decorated(cx, alpha, i - 1, True),
                                           ncheck_dress)]
-        return [graded_anticommutator(cx.decorated(alpha, i - 1, False),
+        return [graded_anticommutator(_decorated(cx, alpha, i - 1, False),
                                       ncheck_dress),
-                graded_anticommutator(cx.decorated(alpha, i - 1, True), n_dress)]
+                graded_anticommutator(_decorated(cx, alpha, i - 1, True), n_dress)]
 
     if variant == "(2,0)":
         rhs = rhs_f_term(lambda s: s)
@@ -601,6 +621,29 @@ def _three_branch_operator(cx, variant, alpha, i, equivariant):
             return out
         return apply02
     raise ValidationError(f"unknown recursion variant {variant!r}", "variant")
+
+
+def _three_branch_reports(cx, variant, equivariant, classes, arg_classes=None):
+    """``cylhom._residual_reports`` through the oracle: one operator per
+    class and level, evaluated on the generators, bare and times one plain
+    t-variable of a class in ``arg_classes``, cut to the data's window."""
+    data, vt = cx.data, cx.vt
+    window = TruncationPolicy(max_t_order=data.t_order, max_pq_order=2)
+    tvars = [t_name(c.id, a) for c in data.model.classes
+             if arg_classes is None or c.id in arg_classes
+             for a in range(data.level_bound + 1)]
+    args = [((g, mono), vt.monomial(dict.fromkeys((q_var_name(g.key), *mono), 1),
+                                    1, cx.policy))
+            for g in data.orbits.generators for mono in [(), *((t,) for t in tvars)]]
+    reports = []
+    for alpha in classes:
+        for i in range(1, data.level_bound + 1):
+            op = _three_branch_operator(cx, variant, alpha, i, equivariant)
+            hits = [(label, op(arg).truncate(window)) for label, arg in args]
+            hits = [(label, out) for label, out in hits if not out.is_zero()]
+            reports.append(cylhom.ResidualReport(f"{variant} alpha={alpha} i={i}",
+                                                 not hits, hits))
+    return reports
 
 
 VARIANTS = ("(2,0)", "(1,1)", "(0,2)")
@@ -641,7 +684,7 @@ def test_one_residual_in_k_matches_the_three_branches(label, variant,
                                                       monkeypatch):
     data = perturbed_by_label[label]
     got = _all_residual_reports(data, variant)
-    monkeypatch.setattr(cylhom, "_trr_residual_operator", _three_branch_operator)
+    monkeypatch.setattr(cylhom, "_residual_reports", _three_branch_reports)
     want = _all_residual_reports(data, variant)
     for mode, reports in want.items():
         assert any(not r.zero for r in reports), mode
@@ -653,7 +696,37 @@ def test_one_residual_in_k_matches_the_three_branches(label, variant,
 def test_unknown_recursion_variant_rejected(floer_point):
     cx = DressedComplex(floer_point)
     with pytest.raises(ValidationError, match="unknown recursion variant"):
-        cylhom._trr_residual_operator(cx, "generic", "e", 1, False)
+        cylhom._identity_residuals(cx, "generic", False, ["e"])
+
+
+@pytest.mark.parametrize("variant, flavor, applications", [
+    ("(2,0)", None, 28), ("(1,1)", None, 168), ("(1,1)", "hat", 154)])
+def test_one_dressed_differential_pass_per_argument(variant, flavor, applications,
+                                                    monkeypatch):
+    """floer_point_20 has 28 non-equivariant arguments (4 generators, bare
+    and times one of 6 t-variables) and 14 hat-block ones.  (2,0) applies D
+    once per argument.  (1,1) adds D(release Q D s), on the hat block also
+    D(N Q D s), and one D per class, level and correction: 4 per argument,
+    8 on the hat block."""
+    data = sio.load_counts(sio.fixture_path("floer_point_20.counts.json"))
+    data = replace(data, section_choice=variant)
+    calls = []
+    original = DressedComplex.dressed_differential
+
+    def counted(cx):
+        dd = original(cx)
+
+        def apply(series):
+            calls.append(1)
+            return dd(series)
+        return apply
+
+    monkeypatch.setattr(DressedComplex, "dressed_differential", counted)
+    if flavor is None:
+        noneq_trr_residuals(data, variant)
+    else:
+        equivariant_trr_residuals(data, variant, flavor)
+    assert len(calls) == applications
 
 
 # -- block extraction against the grouped extraction -------------------------------

@@ -718,9 +718,9 @@ VERIFY_COUNTS_DIGESTS = {
     ("generic", "machine"):
         "a42302a85eb39684bcc6e34956b3f1d32faef30cac241aab76f0c831aa21b6b8",
     ("generic_fault", "text"):
-        "c249d6a381aac24bcc887031d3d2cb1148890a9164f3f5cc876563ce3ba80803",
+        "d39e5a71b22edd33cb04154e76852f266ca3e16cd20d2119a6f180fdb00458ac",
     ("generic_fault", "machine"):
-        "1ee75fb0b12ee9435fb30f510abb5643842b187eb6ce15ffcca6178e41a545b5",
+        "d31b033b0845e62ccf0b2572dbddc3730decb4165b1c9989670c6a321a34eacf",
 }
 
 
@@ -736,19 +736,37 @@ def test_cli_verify_counts_report_is_byte_identical(capsys, name, fmt):
         VERIFY_COUNTS_DIGESTS[name, fmt]
 
 
-def test_counts_suite_skips_homology_when_d_squared_is_not_zero():
+def _generic_with_d_squared_not_zero():
+    """The generic fixture plus a plain b.hat -> c.hat entry: d(a.hat) = b.hat
+    then goes on to c.hat."""
     from dataclasses import replace
 
     from sftlab import cylhom
-    from sftlab.report import FAIL, SKIP
-    from sftlab.suites import counts_suite
 
     data = build_cylhom_fixtures()["generic"]
     extra = cylhom.CountEntry(("b", "hat"), ("c", "hat"), (), (), Fraction(1))
-    bad = replace(data, entries=[*data.entries, extra])
-    status = {c.id: c.status for c in counts_suite(bad).checks}
-    assert status["differential.squared"] == FAIL
-    assert status["homology.betti"] == SKIP
+    return replace(data, entries=[*data.entries, extra])
+
+
+def test_counts_suite_skips_homology_when_d_squared_is_not_zero():
+    from sftlab.report import FAIL, SKIP
+    from sftlab.suites import counts_suite
+
+    records = {c.id: c for c in counts_suite(_generic_with_d_squared_not_zero()).checks}
+    assert records["differential.squared"].status == FAIL
+    # both homology-level checks: betti numbers and the generic (2,0) exactness
+    for cid in ("homology.betti", "trr.(2,0)"):
+        assert records[cid].status == SKIP
+        assert records[cid].detail == "needs d . d = 0"
+
+
+def test_cli_homology_names_the_file_when_d_squared_is_not_zero(tmp_path, capsys):
+    path = tmp_path / "bad.counts.json"
+    sio.save_counts(_generic_with_d_squared_not_zero(), path)
+    assert main(["homology", "--counts", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.entries: differential does not square to zero: "
+        f"[('a.hat', 'c.hat')]\n")
 
 
 # -- fuzzed fixtures -----------------------------------------------------------

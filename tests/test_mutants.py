@@ -1,16 +1,20 @@
-"""Mutation table for the algebra suite: each row breaks one function where
-``suites`` reads it, and names the records that must then FAIL.
+"""Mutation tables for the algebra and cylhom suites: each row breaks one
+function (or the fixtures) where ``suites`` or ``cylhom`` reads it, and
+names the records that must then FAIL.
 
-A record no row can fail is a check that cannot see a fault; the last test
-keeps every algebra record in some row's must-fail set.
+A record no row can fail is a check that cannot see a fault; a test keeps
+every algebra record in some row's must-fail set.
 """
 
+from dataclasses import replace
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
-from sftlab import suites
+from sftlab import cylhom, suites
 from sftlab.algebra import GradedSeries
+from sftlab.report import FAIL, PASS
 
 KAPPAS = ("weyl.kappa1", "weyl.kappa2", "weyl.kappa3")
 
@@ -95,3 +99,64 @@ def test_mutant_fails_its_records(name, monkeypatch):
 def test_every_algebra_record_has_a_mutant():
     ids = {c.id for c in suites.algebra_suite(samples=0).checks}
     assert ids == set().union(*(row[3] for row in MUTANTS.values()))
+
+
+# -- cylhom -------------------------------------------------------------------
+
+
+def _second_derivative_doubled(original):
+    return lambda *args: [series.scale(2) for series in original(*args)]
+
+
+def _counts_doubled(original):
+    def fixtures():
+        return {key: replace(data, entries=[replace(e, value=2 * e.value)
+                                            for e in data.entries])
+                for key, data in original().items()}
+    return fixtures
+
+
+def _release_zero(original):
+    return lambda table: (lambda series: series.table.zero(series.policy))
+
+
+def _structure_constants_doubled(original):
+    def product(*args):
+        qp = original(*args)
+        return SimpleNamespace(constant=lambda *abc: {
+            d: 2 * v for d, v in qp.constant(*abc).items()})
+    return product
+
+
+# Each row's set is every record that then FAILs.  No mutant fails
+# blocks.eq-vs-floer.*, trr.noneq.(0,2), trr.generic-exactness,
+# contact.vanishing or homology.betti yet, and the sign of the N-dressed
+# anticommutator term is guarded only by
+# test_cylhom.py::test_one_residual_in_k_matches_the_three_branches: with
+# it flipped every cylhom record still passes.
+CYLHOM_MUTANTS = {
+    "second-derivative-doubled": (cylhom, "second_derivative_series",
+                                  _second_derivative_doubled, {"trr.noneq.(2,0)"}),
+    "counts-doubled": (suites, "default_cylhom_fixtures", _counts_doubled,
+                       {"action.axioms", "trr.noneq.(1,1)"}),
+    "release-zero": (cylhom, "release_constrained_operator", _release_zero,
+                     {"trr.noneq.(1,1)"}),
+    "structure-constants-doubled": (cylhom, "quantum_product",
+                                    _structure_constants_doubled, {"action.axioms"}),
+}
+
+
+def _cylhom_not_passed():
+    return {c.id: c.status for c in suites.cylhom_suite().checks
+            if c.status != PASS}
+
+
+def test_unmutated_cylhom_suite_passes():
+    assert _cylhom_not_passed() == {}
+
+
+@pytest.mark.parametrize("name", sorted(CYLHOM_MUTANTS))
+def test_cylhom_mutant_fails_exactly_its_records(name, monkeypatch):
+    owner, attr, mutant, must_fail = CYLHOM_MUTANTS[name]
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
+    assert _cylhom_not_passed() == dict.fromkeys(must_fail, FAIL)

@@ -46,27 +46,35 @@ the support mask against ``table.above(cap)``.  One step,
 :func:`_derived`, builds the record of a q/p derivative, for the bracket
 and the star product alike.  Tuple monomials ((position, exponent), ...)
 and Fractions appear only in the table's constructors and in the decoded,
-read-only ``terms`` view.
+read-only ``terms`` view; the descendant Hamiltonians of
+:mod:`sftlab.hierarchy` are written as packed records directly, each key
+a sum of letter units, each record from its multiset.
 
 A series caches its bracket operand: the records of each parity part and
 their q/p partials, cut to the bracket's window (see
 :func:`poisson_bracket`), keyed by (width, window).  The key is all they
 depend on, so a series bracketed with many others under one window is
-differentiated once; the value of a series never changes.
+differentiated once; the value of a series never changes.  When the
+window's cover cap leaves q/p fields of the table dead (no partial holds
+them), the cached partials carry keys re-packed onto the live fields
+(:func:`_live`), so the products add shorter integers; the records'
+masks stay indexed by table position.
 
 The Poisson bracket of two series fixed by sigma: q_n <-> p_n forms half
 the products, {f,g} = A - sigma(A) with A = sum_n kappa_n df/dp_n dg/dq_n,
 on a table with no odd variable whose every q has its p partner.  With
 the bias added, sigma exchanges the q block and the p block of a key:
 three masks and two shifts, computed once per (table, width) in
-:func:`_layout`.  Whether sigma fixes a series is checked exactly, once,
-and cached with its bracket operand.
+:func:`_layout`, or per (table, width, cover cap) on live keys.  Whether
+sigma fixes a series is checked exactly, once, and cached with its
+bracket operand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional
@@ -239,6 +247,7 @@ class VariableTable:
                            if kind in (QORBIT, PORBIT))
         self._sigma = _sigma_block(self)  # sigma: q <-> p on key fields
         self._layouts = {}  # key width -> _layout
+        self._live = {}  # (key width, cover cap) -> _live
         self._above = {}  # cover cap -> above(cap)
 
     def position(self, name: str) -> int:
@@ -354,13 +363,79 @@ def _layout(table: VariableTable, width: int):
         odd = sum(1 << width * i for i, o in enumerate(table.parity) if o)
         sigma = None
         if table._sigma is not None:
-            first, n = table._sigma
-            shift = width * n
-            qblock = ((1 << shift) - 1) << width * first
-            pblock = qblock << shift
-            rest = ((1 << width * len(table)) - 1) ^ qblock ^ pblock
-            sigma = (rest, qblock, pblock, shift)
+            sigma = _sigma_masks(width, *table._sigma, len(table))
         return table._layouts.setdefault(width, (bias, odd, {}, sigma))
+
+
+def _sigma_masks(width: int, first: int, n: int, fields: int) -> tuple:
+    """(rest, q block, p block, shift) of a key of ``fields`` fields whose n
+    q fields start at field ``first`` and are followed by their n p fields."""
+    shift = width * n
+    qblock = ((1 << shift) - 1) << width * first
+    pblock = qblock << shift
+    rest = ((1 << width * fields) - 1) ^ qblock ^ pblock
+    return rest, qblock, pblock, shift
+
+
+def _live(table: VariableTable, width: int, cap: int) -> tuple:
+    """(bias, live bias, expansion bias, runs, sigma) of the live layout of
+    table under a cover cap: a key of width-bit fields holding only the
+    positions of cover at most cap, in table order.  Each run of
+    consecutive live positions is (mask of its fields in a live key, shift
+    to its place in a full key).  sigma is None, or the masks of
+    :func:`_swapped` on live keys: a q and its p share a cover, so the live
+    q fields form one block and the live p fields the next."""
+    try:
+        return table._live[width, cap]
+    except KeyError:
+        above = table.above(cap)
+        live = [i for i in range(len(table)) if not above >> i & 1]
+        runs = []  # a run's fields lie one distance from their positions
+        for offset, run in groupby(range(len(live)), lambda f: live[f] - f):
+            run = list(run)
+            runs.append((((1 << width * len(run)) - 1) << width * run[0],
+                         width * offset))
+        live_bias = sum(1 << width * (f + 1) - 1 for f in range(len(live)))
+        expansion = sum((live_bias & mask) << shift for mask, shift in runs)
+        sigma = None
+        if table._sigma is not None:
+            live_q = sum(not above >> q & 1 for q, _, _ in table.orbit_pairs)
+            sigma = _sigma_masks(width, table._sigma[0], live_q, len(live))
+        return table._live.setdefault((width, cap), (
+            _layout(table, width)[0], live_bias, expansion, tuple(runs), sigma))
+
+
+def _onto_live(partials: dict, live: tuple) -> dict:
+    """The partials (position -> records) with their keys re-packed onto
+    the live fields; every other field of a key must be 0.  Empties
+    partials as it goes, so that each list is freed once copied."""
+    bias, live_bias, _, runs, _ = live
+    out = {}
+    for pos in list(partials):
+        records = partials.pop(pos)
+        moved = out[pos] = []
+        for r in records:
+            u = r[0] + bias
+            key = -live_bias
+            for mask, shift in runs:
+                key += u >> shift & mask
+            moved.append((key,) + r[1:])
+    return out
+
+
+def _from_live(acc: dict, live: tuple) -> dict:
+    """The nonzero terms of acc, their keys expanded from the live fields
+    back to the full layout."""
+    _, live_bias, expansion, runs, _ = live
+    out = {}
+    for k, c in acc.items():
+        if c:
+            u = k + live_bias
+            key = -expansion
+            for mask, shift in runs:
+                key += (u & mask) << shift
+            out[key] = c
+    return out
 
 
 def _swapped(key: int, bias: int, sigma) -> int:
@@ -495,6 +570,10 @@ class GradedSeries:
             split[r[5].bit_count() & 1].append(r)
         parts = [(odd, *_partials(self.table, records, window, width))
                  for odd, records in enumerate(split) if records]
+        if self.table.above(window.max_cover):  # dead fields: live keys
+            live = _live(self.table, width, window.max_cover)
+            parts = [(odd, _onto_live(dq, live), _onto_live(dp, live))
+                     for odd, dq, dp in parts]
         if cached is not None:
             symmetric = cached[3]
         elif self.table._sigma is None:
@@ -780,6 +859,15 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     input alone.  The table's sigma masks are computed once per width and
     each series' invariance once, with its operand; any other input takes
     the two-sum loop.
+
+    Live keys: when the window's cover cap is below some q/p cover of the
+    table (``table.above(cap)`` is nonzero, as on the extended lattice of
+    :func:`sftlab.hierarchy.commutator_residuals`), no cut partial holds
+    those fields.  The cached partials then carry keys re-packed onto the
+    live fields, both loops (and sigma, which swaps the live q block with
+    the live p block) run on them, and the result's nonzero keys are
+    expanded once, before reduction.  A window with no dead field costs
+    one cached mask test and keeps the full keys.
     """
     window = f._join(g) if policy is None else f._join(g).cap(policy)
     table = f.table
@@ -787,13 +875,18 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     width = _common_width(f, g, top)
     fparts, fsym = f._bracket_operand(width, window)
     gparts, gsym = g._bracket_operand(width, window)
+    live = (_live(table, width, window.max_cover)
+            if table.above(window.max_cover) else None)
     acc: dict = {}
     if fsym and gsym and fparts and gparts:  # one even part each: A - sigma(A)
         (_, _, fdp), (_, gdq, _) = fparts[0], gparts[0]
         for qpos, ppos, kappa in table.orbit_pairs:
             if ppos in fdp and qpos in gdq:
                 _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
-        bias, _, _, sigma = _layout(table, width)
+        if live:
+            bias, sigma = live[1], live[4]
+        else:
+            bias, _, _, sigma = _layout(table, width)
         get = acc.get
         out = {}
         for k, c in acc.items():
@@ -803,15 +896,18 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
                 out[k] = c
                 if s not in acc:
                     out[s] = -c
-        return _reduced(table, window, out, f._den * g._den, width, top)
-    for fodd, fdq, fdp in fparts:
-        for godd, gdq, gdp in gparts:
-            sgn = -1 if (fodd and godd) else 1
-            for qpos, ppos, kappa in table.orbit_pairs:
-                if ppos in fdp and qpos in gdq:
-                    _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
-                if ppos in gdp and qpos in fdq:
-                    _mul_packed(acc, gdp[ppos], fdq[qpos], window, -sgn * kappa)
+        acc = out
+    else:
+        for fodd, fdq, fdp in fparts:
+            for godd, gdq, gdp in gparts:
+                sgn = -1 if (fodd and godd) else 1
+                for qpos, ppos, kappa in table.orbit_pairs:
+                    if ppos in fdp and qpos in gdq:
+                        _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
+                    if ppos in gdp and qpos in fdq:
+                        _mul_packed(acc, gdp[ppos], fdq[qpos], window, -sgn * kappa)
+    if live:
+        acc = _from_live(acc, live)
     return _reduced(table, window, acc, f._den * g._den, width, top)
 
 

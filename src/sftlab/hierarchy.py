@@ -20,7 +20,8 @@ assignments of the odd letters sum to 0), plus each explicit entry's
 difference from +1.  The parity of CZ(gamma^k) depends only on k mod 2 (Eliashberg-
 Givental-Hofer 2000), so cover n is bad exactly when n is even and deg q_n
 and deg q_1 differ in parity.  At m = 5 with every q_n of degree m-3 = 2
-and no explicit sign it reduces to the circle sum.
+and no explicit sign it reduces to the circle sum.  Each term is written
+packed, its record read off its multiset (see `_hamiltonian`).
 
 Cover truncation is subtle: the bracket of two Hamiltonians built at cover
 bound K is *not* the cover-K window of the full bracket, because pairings
@@ -42,14 +43,13 @@ be negative) and is applied to the products only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Optional
 
 from .algebra import (
-    GradedSeries, TruncationPolicy, Variable, VariableTable, planck_variable,
-    poisson_bracket,
+    GradedSeries, TruncationPolicy, Variable, VariableTable, _layout, _reduced,
+    _width_for, planck_variable, poisson_bracket,
 )
 from .errors import ValidationError
 
@@ -118,26 +118,53 @@ def _hamiltonian(lattice: OrbitLattice, level: int,
                  weight: Callable[..., int]) -> GradedSeries:
     """Sum over the zero-sum multisets ms of weight(ms, mult, pos, table) / r!
     times the monomial of ms; ``mult`` maps each index of ms to its
-    multiplicity, ``pos`` each index n to the table position of u_n."""
+    multiplicity, ``pos`` each index n to the table position of u_n.
+
+    Built packed, as :meth:`VariableTable.series` stores it: a term's record
+    fields come from its multiset (pq-order r, no t or hbar, odd, cross and
+    support masks from the letters' positions), go through ``policy.admits``
+    and into the table's record cache; its key is the sum of its letters'
+    key units, at the width of the largest kept multiplicity, and its
+    numerator the weight, over r!.  A weight is 0 on a repeated odd letter."""
     if level < 0:
         raise ValidationError("level must be >= 0", "level")
     if table is None:
         table = lattice.table()
     order = level + 3
     policy = policy or TruncationPolicy(max_cover=lattice.window, max_pq_order=order)
-    fact = factorial(order)
     pos = {n: table.position(lattice.u_name(n))
            for n in range(-lattice.window, lattice.window + 1) if n}
-    terms = {}
+    bits = {n: 1 << p for n, p in pos.items()}
+    odd_mask = sum(bit for n, bit in bits.items() if table.parity[pos[n]])
+    kept = []
+    top = 0
     for ms in _zero_sum_multisets(order, lattice.cover_bound, lattice.window):
         mult = {}
         for n in ms:
             mult[n] = mult.get(n, 0) + 1
         c = weight(ms, mult, pos, table)
-        if c:
-            mono = tuple(sorted((pos[n], e) for n, e in mult.items()))
-            terms[mono] = Fraction(c, fact)
-    return table.series(terms, policy)
+        if not c:
+            continue
+        support = sum(map(bits.__getitem__, mult))  # distinct letters
+        odd = letters = support & odd_mask
+        cross = 0
+        while letters:
+            low = letters & -letters
+            cross ^= -low << 1  # every bit above the letter
+            letters ^= low
+        info = (order, 0, 0, odd, cross, support)
+        if policy.admits(table, info):
+            kept.append((ms, c, info))
+            top = max(top, *mult.values())
+    width = _width_for(top)
+    units = {n: 1 << width * p for n, p in pos.items()}
+    cache = _layout(table, width)[2]
+    num = {}
+    for ms, c, info in kept:
+        key = sum(map(units.__getitem__, ms))
+        num[key] = c
+        cache[key] = info
+    return _reduced(table, policy, num, factorial(order), width, top)
 
 
 def circle_hamiltonian(lattice: OrbitLattice, level: int,
@@ -206,10 +233,13 @@ def commutator_residuals(levels, cover_bound: int,
     before forming products and the result equals the full bracket
     truncated to the window.  The hbar cap (hbar is Laurent) is applied
     to products only.  ``builder`` defaults to the circle Hamiltonian; a
-    custom builder receives (lattice, level, table, policy).
+    custom builder receives (lattice, level, table, policy).  No levels
+    give ([], []).
     """
     levels = list(levels)
-    window = cover_bound * (max(levels) + 2) if levels else cover_bound
+    if not levels:
+        return [], []
+    window = cover_bound * (max(levels) + 2)
     lattice = OrbitLattice(cover_bound, window)
     table = lattice.table()
     work_policy = TruncationPolicy(max_cover=window,

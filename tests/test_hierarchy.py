@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -36,9 +36,40 @@ def circle_hamiltonian_reference(lattice, level, table, policy):
     return table.series(terms, policy)
 
 
+def packed_as_series_stores_it(build, table):
+    """Run build(); assert that it formed no record from a tuple monomial
+    (no _mono_info call), that every record cached on the table is the
+    record of its key, and that the series has the width, exponent bound,
+    denominator and policy table.series gives its terms."""
+    original = algebra._mono_info
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    algebra._mono_info = spy
+    try:
+        built = build()
+    finally:
+        algebra._mono_info = original
+    assert not calls
+    width = built._width
+    cache = algebra._layout(table, width)[2]
+    assert set(built._num) <= set(cache)
+    for key, info in cache.items():
+        assert info == original(table, algebra._decode(key, width))
+    want = table.series(dict(built.terms), built.policy)
+    assert built == want
+    assert ((built._width, built._top, built._den, built.policy)
+            == (want._width, want._top, want._den, want.policy))
+    return built
+
+
 def test_circle_builder_matches_reference():
     """On the extended lattice and policy of commutator_residuals at levels
-    0..3, and on the bare lattice with the default policy."""
+    0..3, and on the bare lattice with the default policy; built packed as
+    table.series stores the same terms."""
     for cover in range(2, 6):
         window = cover * 5
         extended = OrbitLattice(cover, window)
@@ -47,10 +78,12 @@ def test_circle_builder_matches_reference():
         bare = OrbitLattice(cover)
         bare_table = bare.table()
         for level in range(4):
-            built = circle_hamiltonian(extended, level, table=table, policy=policy)
+            built = packed_as_series_stores_it(lambda: circle_hamiltonian(
+                extended, level, table=table, policy=policy), table)
             assert built == circle_hamiltonian_reference(extended, level, table, policy)
             assert built.policy == policy
-            plain = circle_hamiltonian(bare, level, table=bare_table)
+            plain = packed_as_series_stores_it(lambda: circle_hamiltonian(
+                bare, level, table=bare_table), bare_table)
             assert plain == circle_hamiltonian_reference(
                 bare, level, bare_table, TruncationPolicy(max_cover=cover,
                                                           max_pq_order=level + 3))
@@ -165,7 +198,8 @@ def test_geodesic_builder_matches_the_series_products():
                     table = lat.table()
                     policy = TruncationPolicy(max_cover=window,
                                               max_pq_order=level + 3)
-                    built = geodesic_hamiltonian(lat, level, explicit, table=table)
+                    built = packed_as_series_stores_it(lambda: geodesic_hamiltonian(
+                        lat, level, explicit, table=table), table)
                     assert built == geodesic_hamiltonian_reference(
                         lat, level, explicit, table, policy), (half_dim, cover, level)
                     assert built == _hamiltonian(lat, level, table, None,
@@ -207,6 +241,27 @@ def test_geodesic_profile_matches_the_permutation_sum():
         assert not built.is_zero()
         assert built == _hamiltonian(lat, level, table, None, permutation_sum_weight(
             lat, level, prof["explicit"]))
+
+
+def test_zero_sum_multisets_match_a_brute_force_filter():
+    """Every multiset of {+-1..+-W} of size r with sum 0 and at most one
+    element past K, once each: the sorted, deduplicated words of
+    product(+-1..+-W, repeat=r) are the multisets
+    combinations_with_replacement gives over the sorted letters."""
+    for cover in range(1, 4):
+        for window in (cover, 2 * cover, 3 * cover):
+            letters = sorted(n for n in range(-window, window + 1) if n)
+            for order in range(3, 7):
+                got = list(_zero_sum_multisets(order, cover, window))
+                want = [ms for ms in combinations_with_replacement(letters, order)
+                        if sum(ms) == 0 and sum(abs(n) > cover for n in ms) <= 1]
+                assert all(list(ms) == sorted(ms) for ms in got)
+                assert len(set(got)) == len(got)
+                assert sorted(got) == want, (cover, window, order)
+
+
+def test_no_levels_give_no_residuals():
+    assert commutator_residuals([], 3) == ([], [])
 
 
 def test_pinned_circle_values():

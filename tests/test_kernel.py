@@ -166,7 +166,8 @@ def test_cached_operand_follows_width_and_window(case, policy):
 
 def test_threads_racing_for_a_fresh_operand_agree():
     """Four threads take the first bracket of fresh series at once; whichever
-    fills the cached operand, every result is the oracle's."""
+    fills the cached operand (and, under a cover cap of 2 on a fresh
+    table, the live layout), every result is the oracle's."""
     q0, p0 = orbit_variable_pair("e", 1)  # even pair
     q1, p1 = orbit_variable_pair("a", 1, cz=1, multiplicity=2)  # odd pair
     table = VariableTable([planck_variable(1), q0, p0, q1, p1])
@@ -184,13 +185,14 @@ def test_threads_racing_for_a_fresh_operand_agree():
                     for level in (1, 2))
         else:
             f, g = named(table, terms_f, policy), named(table, terms_g, policy)
-        want = oracle.poisson_bracket(TupleSeries.of(f), TupleSeries.of(g))
+        window = TruncationPolicy(max_cover=2) if round_ % 4 == 1 else None
+        want = oracle.poisson_bracket(TupleSeries.of(f), TupleSeries.of(g), window)
         start = threading.Barrier(4, timeout=60)
         outs = [None] * 4
 
         def work(i):
             start.wait()
-            outs[i] = poisson_bracket(f, g)
+            outs[i] = poisson_bracket(f, g, window)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -388,6 +390,109 @@ def test_each_hamiltonian_forms_its_partials_once(monkeypatch):
     residuals, _ = commutator_residuals([0, 1, 2, 3], 5)
     assert len(calls) == 4
     assert all(r.is_zero() for row in residuals for r in row)
+
+
+# -- live keys: brackets on the fields a window leaves live ---------------------
+
+
+def lattice_series(draw, table, policy, cap):
+    """Up to six terms, each of up to three letters of cover at most cap
+    and at most one past it: hbar exponents -2..2, odd letters 1, every
+    other letter 1-3."""
+    live = [pos for pos, cover in enumerate(table.covers) if cover <= cap]
+    dead = [pos for pos, cover in enumerate(table.covers) if cover > cap]
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        mono = []
+        letters = draw(st.sets(st.sampled_from(live), min_size=1, max_size=3))
+        letters |= draw(st.sets(st.sampled_from(dead), max_size=1))
+        for pos in sorted(letters):
+            v = table.variables[pos]
+            e = (draw(st.integers(-2, 2).filter(bool)) if v.kind == "hbar"
+                 else 1 if v.odd else draw(st.integers(1, 3)))
+            mono.append((pos, e))
+        terms[tuple(mono)] = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    return table.series(terms, policy)
+
+
+def live_runs(table, window):
+    """The runs of every live layout the table holds for the window's cap."""
+    return [live[3] for (_, cap), live in table._live.items()
+            if cap == window.max_cover]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sigma_path_on_live_keys_matches_reference(data):
+    """Cover 3 of a window-9 lattice: q_4..q_9 and p_4..p_9 are dead, the
+    live q block is q_1..q_3 and sigma swaps it with p_1..p_3."""
+    table = OrbitLattice(3, 9).table()
+    loose = TruncationPolicy(max_cover=9, max_pq_order=12)
+    f, g = (s + swapped(s) for s in (lattice_series(data.draw, table, loose, 3)
+                                      for _ in range(2)))
+    window = TruncationPolicy(max_cover=3, max_pq_order=data.draw(st.integers(4, 12)))
+    got = poisson_bracket(f, g, window)
+    assert sigma_flags(f, g) == [True, True]
+    assert len(live_runs(table, window)[0]) == 2  # hbar and q_1..q_3; p_1..p_3
+    agrees(got, oracle.poisson_bracket(TupleSeries.of(f), TupleSeries.of(g), window))
+
+
+def two_orbit_table(draw):
+    """Orbits a and b at covers 1..3 with a drawn CZ each; q[a,1] odd."""
+    variables = [planck_variable(1), descendant_variable("c", 0, 0)]
+    for orbit in "ab":
+        for cover in (1, 2, 3):
+            cz = 1 if (orbit, cover) == ("a", 1) else draw(st.integers(-1, 1))
+            variables.extend(orbit_variable_pair(
+                orbit, cover, cz=cz, multiplicity=draw(st.integers(1, 3))))
+    return VariableTable(variables, half_dim=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_two_sum_path_on_several_live_runs_matches_reference(data):
+    """Cover cap 1 or 2 on two orbits of covers 1..3 with odd letters: the
+    live fields form four runs (hbar, t and the a q's; the b q's; the a p's;
+    the b p's), and the two-sum path expands its result through all of
+    them."""
+    table = two_orbit_table(data.draw)
+    loose = TruncationPolicy(max_cover=3, max_pq_order=12)
+    cap = data.draw(st.integers(1, 2))
+    f, g = (lattice_series(data.draw, table, loose, cap) for _ in range(2))
+    window = TruncationPolicy(max_cover=cap, max_pq_order=data.draw(st.integers(4, 12)))
+    got = poisson_bracket(f, g, window)
+    assert sigma_flags(f, g) == [None, None]
+    assert len(live_runs(table, window)[0]) == 4
+    agrees(got, oracle.poisson_bracket(TupleSeries.of(f), TupleSeries.of(g), window))
+
+
+def test_a_window_with_no_dead_field_builds_no_live_layout(monkeypatch):
+    """Under a cover cap no table position passes, brackets (sigma and
+    two-sum) never touch a live layout; under one that leaves fields dead,
+    each fresh operand and each bracket looks the layout up."""
+    calls = []
+    original = algebra._live
+
+    def spy(table, width, cap):
+        calls.append(cap)
+        return original(table, width, cap)
+
+    monkeypatch.setattr(algebra, "_live", spy)
+    lattice = OrbitLattice(3, 9)
+    table = lattice.table()
+    f, g = (circle_hamiltonian(lattice, level, table=table) for level in (0, 1))
+    odd = VariableTable([planck_variable(1), *orbit_variable_pair("a", 1, cz=1),
+                         *orbit_variable_pair("a", 2)])
+    a, b = odd.var("q[a,1]") * odd.var("p[a,2]"), odd.var("p[a,1]") * odd.var("q[a,2]")
+    for x, y, cap in ((f, g, 9), (a, b, 2)):
+        for window in (None, TruncationPolicy(max_cover=cap), TruncationPolicy()):
+            got = poisson_bracket(x, y, window)
+            agrees(got, oracle.poisson_bracket(TupleSeries.of(x), TupleSeries.of(y),
+                                               window))
+    assert calls == [] and table._live == {} and odd._live == {}
+    for x, y, cap in ((f, g, 3), (a, b, 1)):
+        poisson_bracket(x, y, TruncationPolicy(max_cover=cap))
+    assert len(calls) == 2 * 3
 
 
 def test_field_edge_repacks_wider():

@@ -4,12 +4,13 @@ BENCH_<label>_hierarchy.json.
 For each case (a cover bound K and levels 0..L) it runs
 ``hierarchy.commutator_residuals(range(L + 1), K)`` in a base and a change
 checkout, one fresh process per run, alternating which side goes first.
-Each run records separately the seconds spent building the Hamiltonians
-and the seconds spent in their brackets, the record pairs the bracket
-kernel ``algebra._mul_packed`` visits, whether every residual is zero,
-and the peak RSS.  Per side and case the report gives each value's
-median, and how many runs the change's bracket seconds beat the base's
-run of the same round.
+Each run records separately the seconds spent building the Hamiltonians,
+the seconds spent in their brackets and, within those, the seconds in
+``GradedSeries._bracket_operand`` (parity split, partials and their
+window keys), the record pairs the bracket kernel ``algebra._mul_packed``
+visits, whether every residual is zero, and the peak RSS.  Per side and
+case the report gives each value's median, and how many runs the
+change's bracket seconds beat the base's run of the same round.
 
     python3 scripts/bench_hierarchy.py --base ../parent --change . \\
         --label live_keys --case 7:4 --case 8:4 --runs 3
@@ -33,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_pairs import src_digest, src_lines  # noqa: E402
 
-FIELDS = ("build_s", "bracket_s", "pairs", "peak_rss_mb")
+FIELDS = ("build_s", "bracket_s", "operand_s", "pairs", "peak_rss_mb")
 
 
 def measure(checkout: Path, cover: int, max_level: int) -> dict:
@@ -41,7 +42,7 @@ def measure(checkout: Path, cover: int, max_level: int) -> dict:
     sys.path.insert(0, str(checkout / "src"))
     from sftlab import algebra, hierarchy
 
-    spent = {"build_s": 0.0, "bracket_s": 0.0}
+    spent = {"build_s": 0.0, "bracket_s": 0.0, "operand_s": 0.0}
     pairs = [0]
 
     def timed(name, fn):
@@ -61,6 +62,8 @@ def measure(checkout: Path, cover: int, max_level: int) -> dict:
     algebra._mul_packed = counted
     hierarchy.circle_hamiltonian = timed("build_s", hierarchy.circle_hamiltonian)
     hierarchy.poisson_bracket = timed("bracket_s", hierarchy.poisson_bracket)
+    algebra.GradedSeries._bracket_operand = timed(
+        "operand_s", algebra.GradedSeries._bracket_operand)
     residuals, _ = hierarchy.commutator_residuals(range(max_level + 1), cover)
     return {**spent, "pairs": pairs[0],
             "zero": all(r.is_zero() for row in residuals for r in row),

@@ -56,18 +56,17 @@ their q/p partials, cut to the bracket's window (see
 depend on, so a series bracketed with many others under one window is
 differentiated once; the value of a series never changes.  When the
 window's cover cap leaves q/p fields of the table dead (no partial holds
-them), the cached partials carry keys re-packed onto the live fields
-(:func:`_live`), so the products add shorter integers; the records'
-masks stay indexed by table position.
+them), :func:`_partials` writes each partial's key on the other fields
+(the :func:`_window` layout), so the products add shorter integers; the
+records' masks stay indexed by table position.
 
 The Poisson bracket of two series fixed by sigma: q_n <-> p_n forms half
 the products, {f,g} = A - sigma(A) with A = sum_n kappa_n df/dp_n dg/dq_n,
 on a table with no odd variable whose every q has its p partner.  With
 the bias added, sigma exchanges the q block and the p block of a key:
-three masks and two shifts, computed once per (table, width) in
-:func:`_layout`, or per (table, width, cover cap) on live keys.  Whether
-sigma fixes a series is checked exactly, once, and cached with its
-bracket operand.
+three masks and two shifts, computed once per (table, width, dead
+fields) in :func:`_window`.  Whether sigma fixes a series is checked
+exactly, once, and cached with its bracket operand.
 """
 
 from __future__ import annotations
@@ -247,7 +246,7 @@ class VariableTable:
                            if kind in (QORBIT, PORBIT))
         self._sigma = _sigma_block(self)  # sigma: q <-> p on key fields
         self._layouts = {}  # key width -> _layout
-        self._live = {}  # (key width, cover cap) -> _live
+        self._windows = {}  # (key width, dead-field mask) -> _window
         self._above = {}  # cover cap -> above(cap)
 
     def position(self, name: str) -> int:
@@ -351,91 +350,48 @@ def _sigma_block(table: VariableTable):
 
 
 def _layout(table: VariableTable, width: int):
-    """(bias, odd fields, record cache, sigma) of table at a key width.  With
-    the bias (2^(w-1) per field) added, field i of a key is carry-free, and
-    its low bit (bit w*i, set in the odd-field mask at odd i) is an odd
-    letter's.  sigma is None, or (rest, q block, p block, shift): the masks
-    and shift of :func:`_swapped`, which exchanges the q and p fields."""
+    """(bias, odd fields, record cache) of table at a key width.  With the
+    bias (2^(w-1) per field) added, field i of a key is carry-free, and its
+    low bit (bit w*i, set in the odd-field mask at odd i) is an odd
+    letter's."""
     try:
         return table._layouts[width]
     except KeyError:
         bias = sum(1 << width * (i + 1) - 1 for i in range(len(table)))
         odd = sum(1 << width * i for i, o in enumerate(table.parity) if o)
-        sigma = None
-        if table._sigma is not None:
-            sigma = _sigma_masks(width, *table._sigma, len(table))
-        return table._layouts.setdefault(width, (bias, odd, {}, sigma))
+        return table._layouts.setdefault(width, (bias, odd, {}))
 
 
-def _sigma_masks(width: int, first: int, n: int, fields: int) -> tuple:
-    """(rest, q block, p block, shift) of a key of ``fields`` fields whose n
-    q fields start at field ``first`` and are followed by their n p fields."""
-    shift = width * n
-    qblock = ((1 << shift) - 1) << width * first
-    pblock = qblock << shift
-    rest = ((1 << width * fields) - 1) ^ qblock ^ pblock
-    return rest, qblock, pblock, shift
-
-
-def _live(table: VariableTable, width: int, cap: int) -> tuple:
-    """(bias, live bias, expansion bias, runs, sigma) of the live layout of
-    table under a cover cap: a key of width-bit fields holding only the
-    positions of cover at most cap, in table order.  Each run of
-    consecutive live positions is (mask of its fields in a live key, shift
-    to its place in a full key).  sigma is None, or the masks of
-    :func:`_swapped` on live keys: a q and its p share a cover, so the live
-    q fields form one block and the live p fields the next."""
+def _window(table: VariableTable, width: int, dead: int) -> tuple:
+    """(bias, sigma, pack) of the keys a bracket forms at a key width when
+    the positions in the mask ``dead`` hold no letter: only the other
+    fields, in table order.  sigma is None or the masks of :func:`_swapped`
+    (a q and its p share a cover, so the kept q and p fields form two
+    blocks).  pack is None for dead = 0, else (full bias, expansion bias,
+    runs, units): a run of consecutive kept positions is (its fields' mask,
+    shift to a full key); units maps each kept position to its unit."""
     try:
-        return table._live[width, cap]
+        return table._windows[width, dead]
     except KeyError:
-        above = table.above(cap)
-        live = [i for i in range(len(table)) if not above >> i & 1]
-        runs = []  # a run's fields lie one distance from their positions
-        for offset, run in groupby(range(len(live)), lambda f: live[f] - f):
-            run = list(run)
-            runs.append((((1 << width * len(run)) - 1) << width * run[0],
-                         width * offset))
-        live_bias = sum(1 << width * (f + 1) - 1 for f in range(len(live)))
-        expansion = sum((live_bias & mask) << shift for mask, shift in runs)
-        sigma = None
+        kept = [i for i in range(len(table)) if not dead >> i & 1]
+        bias = sum(1 << width * (f + 1) - 1 for f in range(len(kept)))
+        sigma = pack = None
         if table._sigma is not None:
-            live_q = sum(not above >> q & 1 for q, _, _ in table.orbit_pairs)
-            sigma = _sigma_masks(width, table._sigma[0], live_q, len(live))
-        return table._live.setdefault((width, cap), (
-            _layout(table, width)[0], live_bias, expansion, tuple(runs), sigma))
-
-
-def _onto_live(partials: dict, live: tuple) -> dict:
-    """The partials (position -> records) with their keys re-packed onto
-    the live fields; every other field of a key must be 0.  Empties
-    partials as it goes, so that each list is freed once copied."""
-    bias, live_bias, _, runs, _ = live
-    out = {}
-    for pos in list(partials):
-        records = partials.pop(pos)
-        moved = out[pos] = []
-        for r in records:
-            u = r[0] + bias
-            key = -live_bias
-            for mask, shift in runs:
-                key += u >> shift & mask
-            moved.append((key,) + r[1:])
-    return out
-
-
-def _from_live(acc: dict, live: tuple) -> dict:
-    """The nonzero terms of acc, their keys expanded from the live fields
-    back to the full layout."""
-    _, live_bias, expansion, runs, _ = live
-    out = {}
-    for k, c in acc.items():
-        if c:
-            u = k + live_bias
-            key = -expansion
-            for mask, shift in runs:
-                key += (u & mask) << shift
-            out[key] = c
-    return out
+            first, n = table._sigma  # as many p's die as q's
+            shift = width * (n - dead.bit_count() // 2)
+            qblock = ((1 << shift) - 1) << width * first
+            sigma = (((1 << width * len(kept)) - 1) ^ qblock ^ qblock << shift,
+                     qblock, qblock << shift, shift)
+        if dead:
+            runs = []  # a run's fields lie one distance from their positions
+            for offset, run in groupby(range(len(kept)), lambda f: kept[f] - f):
+                run = list(run)
+                runs.append((((1 << width * len(run)) - 1) << width * run[0],
+                             width * offset))
+            pack = (_layout(table, width)[0],
+                    sum((bias & mask) << shift for mask, shift in runs),
+                    tuple(runs), {i: 1 << width * f for f, i in enumerate(kept)})
+        return table._windows.setdefault((width, dead), (bias, sigma, pack))
 
 
 def _swapped(key: int, bias: int, sigma) -> int:
@@ -570,16 +526,12 @@ class GradedSeries:
             split[r[5].bit_count() & 1].append(r)
         parts = [(odd, *_partials(self.table, records, window, width))
                  for odd, records in enumerate(split) if records]
-        if self.table.above(window.max_cover):  # dead fields: live keys
-            live = _live(self.table, width, window.max_cover)
-            parts = [(odd, _onto_live(dq, live), _onto_live(dp, live))
-                     for odd, dq, dp in parts]
         if cached is not None:
             symmetric = cached[3]
         elif self.table._sigma is None:
             symmetric = None
         else:
-            bias, _, _, sigma = _layout(self.table, self._width)
+            bias, sigma, _ = _window(self.table, self._width, 0)
             symmetric = all(self._num.get(_swapped(k, bias, sigma)) == c
                             for k, c in self._num.items())
         self._operand = (width, window, parts, symmetric)
@@ -856,18 +808,19 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     to d(sigma f)/dq_n = df/dq_n, so sigma(A) is the second sum, and the
     window is sigma-symmetric, because its cover, pq-order, t-order and
     hbar caps treat q_n and p_n alike.  The decision is taken from the
-    input alone.  The table's sigma masks are computed once per width and
-    each series' invariance once, with its operand; any other input takes
-    the two-sum loop.
+    input alone.  The sigma masks are computed once per window layout
+    (:func:`_window`) and each series' invariance once, with its operand;
+    any other input takes the two-sum loop.
 
-    Live keys: when the window's cover cap is below some q/p cover of the
-    table (``table.above(cap)`` is nonzero, as on the extended lattice of
-    :func:`sftlab.hierarchy.commutator_residuals`), no cut partial holds
-    those fields.  The cached partials then carry keys re-packed onto the
-    live fields, both loops (and sigma, which swaps the live q block with
-    the live p block) run on them, and the result's nonzero keys are
-    expanded once, before reduction.  A window with no dead field costs
-    one cached mask test and keeps the full keys.
+    Window keys: when the window's cover cap is below some q/p cover of
+    the table (``table.above(cap)`` is nonzero, as on the extended lattice
+    of :func:`sftlab.hierarchy.commutator_residuals`), no cut partial
+    holds those fields.  :func:`_partials` writes the cached partials'
+    keys on the other fields (see :func:`_window`), both loops (and sigma,
+    which swaps the kept q block with the kept p block) run on them, and
+    the result's nonzero keys are expanded once, before reduction.  A
+    window with no dead field costs one cached mask test and keeps the
+    full keys.
     """
     window = f._join(g) if policy is None else f._join(g).cap(policy)
     table = f.table
@@ -875,18 +828,16 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
     width = _common_width(f, g, top)
     fparts, fsym = f._bracket_operand(width, window)
     gparts, gsym = g._bracket_operand(width, window)
-    live = (_live(table, width, window.max_cover)
-            if table.above(window.max_cover) else None)
+    dead = table.above(window.max_cover)
+    symmetric = fsym and gsym and fparts and gparts
+    layout = _window(table, width, dead) if dead or symmetric else None
     acc: dict = {}
-    if fsym and gsym and fparts and gparts:  # one even part each: A - sigma(A)
+    if symmetric:  # one even part each: A - sigma(A)
         (_, _, fdp), (_, gdq, _) = fparts[0], gparts[0]
         for qpos, ppos, kappa in table.orbit_pairs:
             if ppos in fdp and qpos in gdq:
                 _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
-        if live:
-            bias, sigma = live[1], live[4]
-        else:
-            bias, _, _, sigma = _layout(table, width)
+        bias, sigma, _ = layout
         get = acc.get
         out = {}
         for k, c in acc.items():
@@ -906,8 +857,16 @@ def poisson_bracket(f: GradedSeries, g: GradedSeries,
                         _mul_packed(acc, fdp[ppos], gdq[qpos], window, kappa)
                     if ppos in gdp and qpos in fdq:
                         _mul_packed(acc, gdp[ppos], fdq[qpos], window, -sgn * kappa)
-    if live:
-        acc = _from_live(acc, live)
+    if dead:  # the nonzero keys back to the full layout
+        bias, _, (_, expansion, runs, _) = layout
+        out = {}
+        for k, c in acc.items():
+            if c:
+                u, key = k + bias, -expansion
+                for mask, shift in runs:
+                    key += (u & mask) << shift
+                out[key] = c
+        acc = out
     return _reduced(table, window, acc, f._den * g._den, width, top)
 
 
@@ -920,10 +879,13 @@ def _partials(table: VariableTable, records: list, policy: TruncationPolicy,
     the right.  Terms over the cover, pq-order or t-order cap of ``policy``
     are left out (see :func:`poisson_bracket`).  Differentiation by one
     variable is injective on keys, so each derivative key comes from
-    exactly one record.
+    exactly one record.  Keys are on the fields the window keeps (see
+    :func:`_window`).
     """
     kinds = table.kinds
     above = table.above(policy.max_cover)
+    if above:
+        bias, _, (full_bias, _, runs, units) = _window(table, width, above)
     dq: dict = {}
     dp: dict = {}
     for record in records:
@@ -933,6 +895,11 @@ def _partials(table: VariableTable, records: list, policy: TruncationPolicy,
         letters = support & above  # only one, at exponent 1, may go
         if letters & (letters - 1):
             continue
+        if above:  # the key on the window's fields
+            u = record[0] + full_bias
+            key = -bias
+            for mask, shift in runs:
+                key += u >> shift & mask
         letters = letters or support & table.qp_mask
         while letters:
             low = letters & -letters
@@ -940,6 +907,8 @@ def _partials(table: VariableTable, records: list, policy: TruncationPolicy,
             pos = low.bit_length() - 1
             d = _derived(table, record, pos, width, kinds[pos] == PORBIT)
             if not d[7] & above:
+                if above:
+                    d = (key - units.get(pos, 0),) + d[1:]
                 (dq if kinds[pos] == QORBIT else dp).setdefault(pos, []).append(d)
     return dq, dp
 

@@ -29,12 +29,14 @@ EXIT_INTERNAL = 3
 # or gives checks that pass whatever the data: no samples, no cover, a
 # t-order window where both recursion residuals are zero on any table of
 # the gw suite's models, or no level-1 insertion for the recursion checks
-# (their level bound is min(levels + 1, max_points - 3)).
+# (their level bound is min(levels + 1, max_points - 3)); M_{0,n} needs
+# n >= 3 points and a zero locus a marked point.
 LEAST = {
     "verify": {"trunc_t": 1, "max_cover": 1, "max_points": 4, "levels": 0,
                "samples": 1},
     "reconstruct": {"max_points": 0, "levels": 0, "max_degree": 0},
     "hierarchy": {"max_cover": 1},
+    "divisor": {"points": 3, "index": 1, "r": 1, "pos": 0, "neg": 0},
 }
 
 
@@ -150,6 +152,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_divisor(args) -> int:
+    if args.index > args.points:
+        raise ValidationError(f"must be <= --points ({args.points}), got "
+                              f"{args.index}", "--index")
     out = {"schema": "sftlab-divisor/1"}
     expr = divisors.averaged_psi(args.points, args.index)
     out["averaged_psi"] = {

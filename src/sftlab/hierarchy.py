@@ -101,16 +101,15 @@ def bad_covers(q_degrees: Optional[dict]) -> frozenset:
 
 def _zero_sum_multisets(order: int, cover_bound: int, window: int):
     """Multisets of {+-1..+-cover_bound} of the given size summing to zero,
-    allowing at most one extra element with cover in (cover_bound, window]."""
+    allowing at most one extra element with cover in (cover_bound, window];
+    each once, from one element fewer closed by minus its sum."""
     small = [n for n in range(-cover_bound, cover_bound + 1) if n]
-    for ms in combinations_with_replacement(small, order):
-        if sum(ms) == 0:
-            yield ms
-    if window > cover_bound:
-        for ms in combinations_with_replacement(small, order - 1):
-            s = sum(ms)
-            if cover_bound < abs(s) <= window:
-                yield tuple(sorted(ms + (-s,)))
+    for ms in combinations_with_replacement(small, order - 1):
+        s = -sum(ms)
+        if 0 < abs(s) <= cover_bound and s >= ms[-1]:  # s the largest
+            yield ms + (s,)
+        elif cover_bound < abs(s) <= window:
+            yield tuple(sorted(ms + (s,)))
 
 
 def _hamiltonian(lattice: OrbitLattice, level: int,

@@ -15,7 +15,8 @@ def _script():
 
 def test_smoke_run_of_the_repo_against_itself(tmp_path, monkeypatch):
     """Cover 2, levels <= 1, one run per side: both sides see zero
-    residuals and visit the same record pairs."""
+    residuals and visit the same record pairs, and the seconds in the
+    bracket operands are part of the bracket seconds."""
     monkeypatch.chdir(tmp_path)
     assert _script().main(["--base", str(ROOT), "--change", str(ROOT),
                            "--label", "smoke", "--case", "2:1", "--runs", "1"]) == 0
@@ -28,4 +29,7 @@ def test_smoke_run_of_the_repo_against_itself(tmp_path, monkeypatch):
     assert base["pairs"]["median"] > 0
     assert all(side[f]["median"] > 0 for side in (base, change)
                for f in ("build_s", "bracket_s", "peak_rss_mb"))
+    assert all(0 <= operand <= bracket for side in (base, change)
+               for operand, bracket in zip(side["operand_s"]["values"],
+                                           side["bracket_s"]["values"]))
     assert entry["change_wins_bracket_s"] in (0, 1)

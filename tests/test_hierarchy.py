@@ -247,11 +247,15 @@ def test_zero_sum_multisets_match_a_brute_force_filter():
     """Every multiset of {+-1..+-W} of size r with sum 0 and at most one
     element past K, once each: the sorted, deduplicated words of
     product(+-1..+-W, repeat=r) are the multisets
-    combinations_with_replacement gives over the sorted letters."""
+    combinations_with_replacement gives over the sorted letters.  For
+    K <= 2 the windows include commutator_residuals' W = K*(r-1)."""
     for cover in range(1, 4):
-        for window in (cover, 2 * cover, 3 * cover):
-            letters = sorted(n for n in range(-window, window + 1) if n)
-            for order in range(3, 7):
+        for order in range(3, 7):
+            windows = {cover, 2 * cover, 3 * cover}
+            if cover <= 2:
+                windows.add(cover * (order - 1))
+            for window in sorted(windows):
+                letters = sorted(n for n in range(-window, window + 1) if n)
                 got = list(_zero_sum_multisets(order, cover, window))
                 want = [ms for ms in combinations_with_replacement(letters, order)
                         if sum(ms) == 0 and sum(abs(n) > cover for n in ms) <= 1]

@@ -251,6 +251,11 @@ def test_cli_hierarchy_negative_level_exits_2(capsys):
     (["reconstruct", "--max-points", "-1"], "--max-points", 0, -1),
     (["reconstruct", "--model", "p1", "--max-degree", "-1"], "--max-degree", 0, -1),
     (["hierarchy", "--max-cover", "-2"], "--max-cover", 1, -2),
+    (["divisor", "--points", "2"], "--points", 3, 2),
+    (["divisor", "--index", "0"], "--index", 1, 0),
+    (["divisor", "--r", "0"], "--r", 1, 0),
+    (["divisor", "--r", "2", "--pos", "-1"], "--pos", 0, -1),
+    (["divisor", "--r", "2", "--neg", "-1"], "--neg", 0, -1),
 ])
 def test_cli_bound_below_its_least_value_exits_2_naming_the_option(
         argv, option, least, value, capsys):
@@ -258,6 +263,14 @@ def test_cli_bound_below_its_least_value_exits_2_naming_the_option(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {option}: must be >= {least}, got {value}\n"
+
+
+def test_cli_divisor_index_above_the_points_exits_2_naming_it(capsys):
+    assert main(["divisor", "--points", "5", "--index", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --index: must be <= --points (5), got 9\n"
+    assert main(["divisor", "--points", "3", "--index", "3"]) == 0
 
 
 @pytest.mark.parametrize("levels", ["a", "0,,1"])

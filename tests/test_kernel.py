@@ -167,7 +167,7 @@ def test_cached_operand_follows_width_and_window(case, policy):
 def test_threads_racing_for_a_fresh_operand_agree():
     """Four threads take the first bracket of fresh series at once; whichever
     fills the cached operand (and, under a cover cap of 2 on a fresh
-    table, the live layout), every result is the oracle's."""
+    table, the window layout), every result is the oracle's."""
     q0, p0 = orbit_variable_pair("e", 1)  # even pair
     q1, p1 = orbit_variable_pair("a", 1, cz=1, multiplicity=2)  # odd pair
     table = VariableTable([planck_variable(1), q0, p0, q1, p1])
@@ -416,9 +416,11 @@ def lattice_series(draw, table, policy, cap):
 
 
 def live_runs(table, window):
-    """The runs of every live layout the table holds for the window's cap."""
-    return [live[3] for (_, cap), live in table._live.items()
-            if cap == window.max_cover]
+    """The runs of every window layout the table holds for the fields the
+    window's cover cap leaves dead."""
+    dead = table.above(window.max_cover)
+    return [pack[2] for (_, mask), (_, _, pack) in table._windows.items()
+            if mask == dead]
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,16 +470,17 @@ def test_two_sum_path_on_several_live_runs_matches_reference(data):
 
 def test_a_window_with_no_dead_field_builds_no_live_layout(monkeypatch):
     """Under a cover cap no table position passes, brackets (sigma and
-    two-sum) never touch a live layout; under one that leaves fields dead,
-    each fresh operand and each bracket looks the layout up."""
+    two-sum) never re-pack a key: the only window layout they look up is
+    the full one, for sigma; under one that leaves fields dead, each fresh
+    operand and each bracket looks the re-packing layout up."""
     calls = []
-    original = algebra._live
+    original = algebra._window
 
-    def spy(table, width, cap):
-        calls.append(cap)
-        return original(table, width, cap)
+    def spy(table, width, dead):
+        calls.append(dead)
+        return original(table, width, dead)
 
-    monkeypatch.setattr(algebra, "_live", spy)
+    monkeypatch.setattr(algebra, "_window", spy)
     lattice = OrbitLattice(3, 9)
     table = lattice.table()
     f, g = (circle_hamiltonian(lattice, level, table=table) for level in (0, 1))
@@ -489,10 +492,41 @@ def test_a_window_with_no_dead_field_builds_no_live_layout(monkeypatch):
             got = poisson_bracket(x, y, window)
             agrees(got, oracle.poisson_bracket(TupleSeries.of(x), TupleSeries.of(y),
                                                window))
-    assert calls == [] and table._live == {} and odd._live == {}
+    assert not any(calls) and odd._windows == {}
+    assert [dead for _, dead in table._windows] == [0]
+    assert all(pack is None for _, _, pack in table._windows.values())
+    calls.clear()
     for x, y, cap in ((f, g, 3), (a, b, 1)):
         poisson_bracket(x, y, TruncationPolicy(max_cover=cap))
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2 * 3 and all(calls)
+
+
+def test_partials_on_window_keys_expand_to_single_derivatives():
+    """Cover 3 of a window-9 lattice: each cut partial record carries its
+    key on the fields the window keeps; expanded, the records of a
+    position are the derivative by its letter cut to the window, and each
+    record's fields are those of its full key."""
+    lattice = OrbitLattice(3, 9)
+    table = lattice.table()
+    window = TruncationPolicy(max_cover=3, max_pq_order=10)
+    kept = [pos for pos, cover in enumerate(table.covers) if cover <= 3]
+    for level in (0, 1, 2):
+        f = circle_hamiltonian(lattice, level, table=table,
+                               policy=TruncationPolicy(max_cover=9, max_pq_order=10))
+        width = f._width
+        formed = 0
+        for partials in algebra._partials(table, f._records(width), window, width):
+            for pos, records in partials.items():
+                full = {tuple((kept[field], e) for field, e
+                              in algebra._decode(r[0], width)): r for r in records}
+                assert len(full) == len(records)
+                for mono, r in full.items():
+                    assert r[2:] == algebra._mono_info(table, mono)
+                single = f.derivative(table.variables[pos].name).truncate(window)
+                assert {mono: Fraction(r[1], f._den)
+                        for mono, r in full.items()} == single.terms
+                formed += len(records)
+        assert formed > 0
 
 
 def test_field_edge_repacks_wider():

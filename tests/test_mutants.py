@@ -1,6 +1,7 @@
-"""Mutation tables for the algebra and cylhom suites: each row breaks one
-function (or the fixtures) where ``suites`` or ``cylhom`` reads it, and
-names the records that must then FAIL.
+"""Mutation tables for the algebra, hierarchy and cylhom suites: each row
+breaks one function (or the fixtures) where ``suites``, ``hierarchy``,
+``algebra`` or ``cylhom`` reads it, and names the records that must then
+FAIL.
 
 A record no row can fail is a check that cannot see a fault; a test keeps
 every algebra record in some row's must-fail set.
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sftlab import cylhom, suites
+from sftlab import algebra, cylhom, hierarchy, suites
 from sftlab.algebra import GradedSeries
 from sftlab.report import FAIL, PASS
 
@@ -99,6 +100,74 @@ def test_mutant_fails_its_records(name, monkeypatch):
 def test_every_algebra_record_has_a_mutant():
     ids = {c.id for c in suites.algebra_suite(samples=0).checks}
     assert ids == set().union(*(row[3] for row in MUTANTS.values()))
+
+
+# -- hierarchy ----------------------------------------------------------------
+
+
+def _orderings_plus_one_on_repeats(original):
+    return lambda ms, mult, *args: (original(ms, mult, *args)
+                                    + any(e > 1 for e in mult.values()))
+
+
+def _last_run_shifted(original):
+    """Window keys whose last run lands one field too far up a full key."""
+    def window(table, width, dead):
+        bias, sigma, pack = original(table, width, dead)
+        if pack is None:
+            return bias, sigma, pack
+        full_bias, expansion, runs, units = pack
+        mask, shift = runs[-1]
+        return bias, sigma, (full_bias, expansion,
+                             runs[:-1] + ((mask, shift + width),), units)
+    return window
+
+
+def _bracket_sigma_shifted(original):
+    """sigma one field short, on window keys only: the sigma-invariance
+    check reads the full layout, so the bracket still takes the half path
+    and only its swap breaks."""
+    def window(table, width, dead):
+        bias, sigma, pack = original(table, width, dead)
+        if dead and sigma:
+            rest, qblock, pblock, shift = sigma
+            sigma = rest, qblock, pblock, shift - width
+        return bias, sigma, pack
+    return window
+
+
+COMMUTE = {f"commute.g{i}g{j}" for i in range(4) for j in range(i, 4)}
+DIAGONAL = {f"commute.g{i}g{i}" for i in range(4)}
+
+# Each row's set is every record that then FAILs on hierarchy_suite(3).
+# Known-vacuous: {f,f} = 0 for every even f, so the diagonal records
+# commute.g{i}g{i} fail only when the kernel breaks, never for a wrong
+# Hamiltonian (item L drops them); and a zero bracket fails no commute.*
+# record (item G's flow record is the one that would).  No mutant fails
+# values.g0_empty, winding.zero or geodesic.* here yet.
+HIERARCHY_MUTANTS = {
+    "orderings-plus-one": (hierarchy, "_orderings", _orderings_plus_one_on_repeats,
+                           {"values.g0", "values.g1", *(COMMUTE - DIAGONAL)}),
+    "window-last-run-shifted": (algebra, "_window", _last_run_shifted, COMMUTE),
+    "bracket-sigma-shifted": (algebra, "_window", _bracket_sigma_shifted, COMMUTE),
+    "bracket-zero": (hierarchy, "poisson_bracket", _bracket_zero, set()),
+}
+
+
+def _hierarchy_not_passed():
+    return {c.id: c.status for c in suites.hierarchy_suite(cover_bound=3).checks
+            if c.status != PASS}
+
+
+def test_unmutated_hierarchy_suite_passes():
+    assert _hierarchy_not_passed() == {}
+
+
+@pytest.mark.parametrize("name", sorted(HIERARCHY_MUTANTS))
+def test_hierarchy_mutant_fails_exactly_its_records(name, monkeypatch):
+    owner, attr, mutant, must_fail = HIERARCHY_MUTANTS[name]
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
+    assert _hierarchy_not_passed() == dict.fromkeys(must_fail, FAIL)
 
 
 # -- cylhom -------------------------------------------------------------------

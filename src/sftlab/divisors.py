@@ -3,17 +3,24 @@
 Divisor symbols are two-sided splittings of marked points (and puncture
 sets, in the map case) with the descendant-carrying point on the first
 side.  Nothing geometric is modelled: expressions are formal rational
-combinations of splitting symbols, the five-point intersection form is a
-declared pairing table, and the averaged psi-class and zero-locus formulas
-are explicit coefficient rules.
+combinations of splitting symbols, and the five-point intersection form is a
+declared pairing table.
+
+Every coefficient counts the remembered pairs, m marked points and 2 - m
+punctures (m = 0, 1, 2), that a splitting D(I|J) puts on its far side J, as
+psi_i = sum over i in I and j, k in J of D(I|J) on M_{0,n}.  The targets
+are P_m(r2, p2) = C(r2, m) C(p2, 2 - m), the zero-locus variants A, B, C are
+W_m(r1, r2, p2) = sum_j C(r2, j) C(r1 - 1, m - j) C(p2 + j, 2), the averaged
+psi-class on n points is P_2(|J|, 0) / C(n - 1, 2), and each LHS factor is
+its rule at D(1 | everything else).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, product
+from math import comb
 
 from .errors import SftlabError, ValidationError
 from .linalg import solve
@@ -72,16 +79,6 @@ class DivisorExpression:
             if c:
                 self.coefficients[s] = c
 
-    def __add__(self, other):
-        out = dict(self.coefficients)
-        for s, c in other.coefficients.items():
-            v = out.get(s, Fraction(0)) + c
-            if v:
-                out[s] = v
-            else:
-                out.pop(s, None)
-        return DivisorExpression(out)
-
     def scale(self, coeff):
         c = Fraction(coeff)
         return DivisorExpression({s: c * v for s, v in self.coefficients.items()})
@@ -103,21 +100,18 @@ def averaged_psi(n: int, i: int) -> DivisorExpression:
     """Averaged psi zero-locus on the n-point moduli of curves.
 
     Sum over splittings with i on the first side and 2 <= |J| <= n-2 of
-    (n-3)!/(n-1)! * k!/(k-2)! D_(I|J), k = |J|.
+    P_2(|J|, 0) / C(n-1, 2) D_(I|J): the share of the pairs of points other
+    than i that D_(I|J) puts on its far side.
     """
     if n < 3:
         raise ValidationError("need at least 3 marked points", "n")
     if not 1 <= i <= n:
         raise ValidationError(f"descendant index {i} outside 1..{n}", "i")
-    points = set(range(1, n + 1))
-    base = Fraction(factorial(n - 3), factorial(n - 1))
-    out = {}
-    for k in range(2, n - 1):
-        coeff = base * Fraction(factorial(k), factorial(k - 2))
-        for j_side in combinations(sorted(points - {i}), k):
-            i_side = tuple(sorted(points - set(j_side)))
-            out[Splitting(i_side, j_side)] = coeff
-    return DivisorExpression(out)
+    pairs = comb(n - 1, 2)
+    return DivisorExpression({
+        Splitting((i, *near), far): Fraction(pair_count(2, len(far), 0), pairs)
+        for near, far in _sides([x for x in range(1, n + 1) if x != i])
+        if 2 <= len(far) <= n - 2})
 
 
 # -- five-point intersection form ---------------------------------------------
@@ -160,28 +154,23 @@ def m05_intersection(e1: DivisorExpression, e2: DivisorExpression) -> Fraction:
 # -- zero loci on the map moduli -----------------------------------------------
 
 
-def _coefficient(variant: str, r1: int, r2: int, p2: int) -> Fraction:
-    a = Fraction(p2 * (p2 - 1), 2)
-    if variant == "A":
-        return a
-    b = Fraction(r2 * p2 * (p2 + 1), 2) + (r1 - 1) * a
-    if variant == "B":
-        return b
-    if variant == "C":
-        return (Fraction(r2 * (r2 - 1), 2) * Fraction((p2 + 2) * (p2 + 1), 2)
-                + r2 * (r1 - 1) * Fraction(p2 * (p2 + 1), 2)
-                + Fraction((r1 - 1) * (r1 - 2), 2) * a)
-    raise ValidationError(f"unknown variant {variant!r}", "variant")
+def pair_count(m: int, r2: int, p2: int) -> int:
+    """P_m: remembered pairs of m marked points and 2 - m punctures that a
+    splitting puts on its far side."""
+    return comb(r2, m) * comb(p2, 2 - m)
 
 
-def _lhs_factor(variant: str, r: int, p: int) -> Fraction:
-    if variant == "A":
-        return Fraction(p * (p - 1), 2)
-    if variant == "B":
-        return Fraction((r - 1) * p * (p + 1), 2)
-    if variant == "C":
-        return Fraction((r - 1) * (r - 2), 2) * Fraction((p + 2) * (p + 1), 2)
-    raise ValidationError(f"unknown variant {variant!r}", "variant")
+def zero_locus_weight(m: int, r1: int, r2: int, p2: int) -> int:
+    """W_m: over the sets of m marked points other than the descendant point,
+    j of them on the far side, the sum of C(p2 + j, 2)."""
+    return sum(comb(r2, j) * comb(r1 - 1, m - j) * comb(p2 + j, 2)
+               for j in range(m + 1))
+
+
+def _sides(items):
+    """Every (near, far) split of ``items``, by far size, then far in order."""
+    return [(tuple(x for x in items if x not in far), far)
+            for k in range(len(items) + 1) for far in combinations(items, k)]
 
 
 def enumerate_splittings(r: int, pos: int, neg: int):
@@ -189,48 +178,33 @@ def enumerate_splittings(r: int, pos: int, neg: int):
     descendant point 1 on the first side."""
     if r < 1:
         raise ValidationError("need at least one marked point", "r")
-    marked = set(range(1, r + 1))
-    others = sorted(marked - {1})
-    out = []
-    for jk in range(0, r):
-        for j_side in combinations(others, jk):
-            i_side = tuple(sorted(marked - set(j_side)))
-            for pk in range(0, pos + 1):
-                for p_side2 in combinations(range(1, pos + 1), pk):
-                    p_side1 = tuple(sorted(set(range(1, pos + 1)) - set(p_side2)))
-                    for nk in range(0, neg + 1):
-                        for n_side2 in combinations(range(1, neg + 1), nk):
-                            n_side1 = tuple(sorted(set(range(1, neg + 1))
-                                                   - set(n_side2)))
-                            out.append(Splitting(i_side, tuple(j_side),
-                                                 p_side1, p_side2,
-                                                 n_side1, n_side2))
-    return out
+    return [Splitting((1, *mi), mj, pi, pj, ni, nj)
+            for (mi, mj), (pi, pj), (ni, nj) in product(
+                _sides(range(2, r + 1)), _sides(range(1, pos + 1)),
+                _sides(range(1, neg + 1)))]
+
+
+# the remembered pair of each variant, by its number m of marked points
+VARIANTS = {"A": 0, "B": 1, "C": 2}
 
 
 def map_zero_locus(r: int, pos: int, neg: int, variant: str) -> tuple:
     """(LHS factor, expression) for one averaged zero-locus formula.
 
-    variant "A" remembers the two punctures, "B" one puncture and one
-    marked point, "C" two marked points; coefficients are the displayed
-    combinatorial weights as functions of (r1, r2, P2).
+    The coefficient of a splitting is W_m(r1, r2, P2); the LHS factor is the
+    same rule at D(1 | everything else).
     """
-    expr = {}
-    for s in enumerate_splittings(r, pos, neg):
-        c = _coefficient(variant, s.r1, s.r2, s.p2)
-        if c:
-            expr[s] = c
-    return _lhs_factor(variant, r, pos + neg), DivisorExpression(expr)
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}", "variant")
+    m = VARIANTS[variant]
+    expr = {s: zero_locus_weight(m, s.r1, s.r2, s.p2)
+            for s in enumerate_splittings(r, pos, neg)}
+    return (Fraction(zero_locus_weight(m, 1, r - 1, pos + neg)),
+            DivisorExpression(expr))
 
 
-TARGET_RULES = {
-    "two-punctures": (lambda s: Fraction(s.p2 * (s.p2 - 1), 2),
-                      lambda r, p: Fraction(p * (p - 1), 2)),
-    "puncture-point": (lambda s: Fraction(s.r2 * s.p2),
-                       lambda r, p: Fraction((r - 1) * p)),
-    "two-points": (lambda s: Fraction(s.r2 * (s.r2 - 1), 2),
-                   lambda r, p: Fraction((r - 1) * (r - 2), 2)),
-}
+# the remembered pair each target counts, by its number m of marked points
+TARGET_RULES = {"two-punctures": 0, "puncture-point": 1, "two-points": 2}
 
 
 @dataclass
@@ -259,21 +233,22 @@ def solve_combination(expressions, target: str, r: int, p: int):
     """Exact weights lambda with sum(lambda_v * expr_v) = target rule.
 
     ``expressions`` is a list of (LHS factor, DivisorExpression) over a
-    common splitting set; ``target`` names a rule from TARGET_RULES.  The
+    common splitting set; ``target`` names a rule from TARGET_RULES, whose
+    coefficients are P_m(r2, P2) and LHS factor P_m(r - 1, p).  The
     proportionality constant is normalized to 1.  Returns a
     CombinationFinding; infeasibility comes with a two-splitting
     certificate (a pinned splitting and a violated one).
     """
     if target not in TARGET_RULES:
         raise ValidationError(f"unknown target {target!r}", "target")
-    rule, lhs_rule = TARGET_RULES[target]
+    m = TARGET_RULES[target]
     splittings = sorted({s for _, e in expressions for s in e.coefficients},
                         key=str)
     if not splittings:
         raise ValidationError("empty splitting set", "expressions")
     rows = [[e.coefficients.get(s, Fraction(0)) for _, e in expressions]
             for s in splittings]
-    rhs = [rule(s) for s in splittings]
+    rhs = [Fraction(pair_count(m, s.r2, s.p2)) for s in splittings]
     sol = solve(rows, rhs)  # a homogeneous system always has x = 0
     if sol is None:
         # find a small certificate: solve on a maximal consistent prefix,
@@ -289,7 +264,7 @@ def solve_combination(expressions, target: str, r: int, p: int):
     lhs = sum((Fraction(w) * Fraction(f) for w, (f, _) in zip(sol, expressions)),
               Fraction(0))
     return CombinationFinding(target, True, sol,
-                              lhs_consistent=(lhs == lhs_rule(r, p)),
+                              lhs_consistent=(lhs == pair_count(m, r - 1, p)),
                               degenerate=not any(rhs))
 
 

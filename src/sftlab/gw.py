@@ -211,9 +211,8 @@ class CorrelatorTable:
     Every stored nonzero value must pass the model's dimension filter.
     """
 
-    def __init__(self, model: TargetModel, bounds: Optional[Bounds] = None):
+    def __init__(self, model: TargetModel):
         self.model = model
-        self.bounds = bounds
         self.values = {}
 
     def set(self, key: CorrelatorKey, value):
@@ -237,7 +236,7 @@ class CorrelatorTable:
     def perturbed(self, key: CorrelatorKey, new_value) -> "CorrelatorTable":
         """Copy with one value replaced; dimension filter deliberately skipped
         so fault injection can plant inconsistent data."""
-        t = CorrelatorTable(self.model, bounds=self.bounds)
+        t = CorrelatorTable(self.model)
         t.values = dict(self.values)
         v = Fraction(new_value)
         if v:
@@ -447,7 +446,7 @@ def reconstruct(model: TargetModel, bounds: Bounds) -> CorrelatorTable:
     primaries; a key the dimension filter rejects is zero, so only
     ``admissible_keys`` are evaluated, in ``enumerate_keys`` order."""
     rec = Reconstructor(model)
-    table = CorrelatorTable(model, bounds=bounds)
+    table = CorrelatorTable(model)
     for key in admissible_keys(model, bounds):
         v = rec.value(key)
         if v:

@@ -91,6 +91,13 @@ def _bool_value(value, path):
     return value
 
 
+def _str_value(value, path):
+    """value as a JSON string, else a ValidationError at path."""
+    if not isinstance(value, str):
+        raise ValidationError(f"expected a string, got {value!r}", path)
+    return value
+
+
 def _correlator_key(model: TargetModel, item, path):
     """The key of a primaries or table-values item: [class, level] pairs."""
     pairs = []
@@ -175,14 +182,17 @@ def model_from_dict(obj: dict, path="model") -> TargetModel:
     if pairing is not None:
         pairing = [_int_value(x, f"{path}.divisor_pairing[{i}]")
                    for i, x in enumerate(_typed(obj, "divisor_pairing", path, list))]
-    unit = _require(obj, "unit", path)
+    unit = _str_value(_require(obj, "unit", path), f"{path}.unit")
+    divisor = obj.get("divisor")
+    if divisor is not None:
+        _str_value(divisor, f"{path}.divisor")
     h2_rank = _int_field(obj, "h2_rank", path, 0, minimum=0)
     chern = [_int_value(c, f"{path}.chern[{i}]")
              for i, c in enumerate(_typed(obj, "chern", path, list, []))]
     with under_path(path):
         model = TargetModel(
             obj.get("name", "model"), classes, unit, eta, h2_rank=h2_rank,
-            chern=chern, divisor=obj.get("divisor"), divisor_cup=cup,
+            chern=chern, divisor=divisor, divisor_cup=cup,
             divisor_pairing=pairing)
     for ppath, p in _objects(obj, "primaries", path, required=False):
         key = _correlator_key(model, p, ppath)
@@ -278,7 +288,8 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
     _check_schema(obj, COUNTS_SCHEMA, path)
     orbits = []
     for opath, o in _objects(obj, "orbits", path):
-        orbits.append(Orbit(_require(o, "id", opath), _int_field(o, "degree", opath),
+        orbits.append(Orbit(_str_value(_require(o, "id", opath), f"{opath}.id"),
+                            _int_field(o, "degree", opath),
                             _bool_value(o.get("good", True), f"{opath}.good")))
     equivariant = _bool_value(_require(obj, "equivariant", path),
                               f"{path}.equivariant")

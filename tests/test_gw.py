@@ -21,14 +21,19 @@ from sftlab.gw_oracle import (
 from sftlab.models import point_model, projective_line_model, two_point_model
 
 
+POINT_BOUNDS = Bounds(max_points=8, max_level=5)
+TOY_BOUNDS = Bounds(max_points=7, max_level=3)
+P1_BOUNDS = Bounds(max_points=6, max_level=2, max_degree=2)
+
+
 @pytest.fixture(scope="module")
 def point_table():
-    return reconstruct(point_model(), Bounds(max_points=8, max_level=5))
+    return reconstruct(point_model(), POINT_BOUNDS)
 
 
 @pytest.fixture(scope="module")
 def toy_table():
-    return reconstruct(two_point_model(), Bounds(max_points=7, max_level=3))
+    return reconstruct(two_point_model(), TOY_BOUNDS)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -260,7 +265,7 @@ def _filtered_keys(model, bounds):
 def _reconstruct_every_key(model, bounds):
     """The reconstruction loop over every key within bounds."""
     rec = Reconstructor(model)
-    table = CorrelatorTable(model, bounds=bounds)
+    table = CorrelatorTable(model)
     for key in enumerate_keys(model, bounds):
         v = rec.value(key)
         if v:
@@ -418,20 +423,20 @@ def test_empty_table_potential():
     assert f.is_zero()
 
 
-def _potential(table, max_level):
-    policy = TruncationPolicy(max_t_order=table.bounds.max_points)
-    return assemble_potential(table, policy, max_level=max_level)
+def _potential(table, bounds):
+    policy = TruncationPolicy(max_t_order=bounds.max_points)
+    return assemble_potential(table, policy, max_level=bounds.max_level)
 
 
 def test_trr_residuals_zero(point_table):
-    f = _potential(point_table, 5)
+    f = _potential(point_table, POINT_BOUNDS)
     for i, j, k in ((1, 0, 0), (1, 1, 0), (2, 0, 0), (3, 1, 2)):
         r = trr_residual(f, point_table.model, ("e", i), ("e", j), ("e", k))
         assert restrict_series_max_t_order(r, 5).is_zero()
 
 
 def test_trr_residuals_zero_toy(toy_table):
-    f = _potential(toy_table, 3)
+    f = _potential(toy_table, TOY_BOUNDS)
     for alpha in ("1", "x"):
         for beta, gamma in ((("x", 0), ("x", 0)), (("1", 0), ("x", 1))):
             r = trr_residual(f, toy_table.model, (alpha, 1), beta, gamma)
@@ -439,17 +444,17 @@ def test_trr_residuals_zero_toy(toy_table):
 
 
 def test_averaged_trr_zero(point_table, toy_table):
-    f = _potential(point_table, 5)
+    f = _potential(point_table, POINT_BOUNDS)
     for i in (1, 2):
         r = averaged_trr_residual(f, point_table.model, "e", i)
         assert restrict_series_max_t_order(r, 5).is_zero()
-    f = _potential(toy_table, 3)
+    f = _potential(toy_table, TOY_BOUNDS)
     r = averaged_trr_residual(f, toy_table.model, "x", 1)
     assert restrict_series_max_t_order(r, 4).is_zero()
 
 
 def test_vacuous_level_is_zero(point_table):
-    f = _potential(point_table, 5)
+    f = _potential(point_table, POINT_BOUNDS)
     # a level with no entries in bounds: vacuously zero
     r = averaged_trr_residual(f, point_table.model, "e", 5)
     assert restrict_series_max_t_order(r, 5).is_zero()
@@ -467,7 +472,7 @@ def test_fault_injection_detected(point_table):
 
 
 def test_string_dilaton(point_table):
-    f = _potential(point_table, 5)
+    f = _potential(point_table, POINT_BOUNDS)
     eq = string_dilaton_divisor_residuals(f, point_table.model)
     assert restrict_series_max_t_order(eq.string, 7).is_zero()
     assert restrict_series_max_t_order(eq.dilaton, 7).is_zero()
@@ -477,7 +482,7 @@ def test_string_dilaton(point_table):
 def test_string_dilaton_detect_a_perturbed_value(point_table):
     m = point_model()
     bad = point_table.perturbed(m.key([("e", 1)] + [("e", 0)] * 3), 2)
-    f = _potential(bad, 5)
+    f = _potential(bad, POINT_BOUNDS)
     eq = string_dilaton_divisor_residuals(f, m)
     assert not restrict_series_max_t_order(eq.string, 7).is_zero()
     assert not restrict_series_max_t_order(eq.dilaton, 7).is_zero()
@@ -563,10 +568,12 @@ def test_equations_match_the_written_out_oracle(name, point_table, toy_table,
                                                 p1_table):
     """One equation in w gives the string and divisor residuals of the
     separate formulas, on perturbed tables where they are nonzero."""
-    table, max_level = {"point": (point_table, 5), "two-point": (toy_table, 3),
-                        "p1": (p1_table, 2)}[name]
+    table, bounds = {"point": (point_table, POINT_BOUNDS),
+                     "two-point": (toy_table, TOY_BOUNDS),
+                     "p1": (p1_table, P1_BOUNDS)}[name]
     bad = _perturbed_every(table, 3)
-    policy = TruncationPolicy(max_t_order=table.bounds.max_points)
+    max_level = bounds.max_level
+    policy = TruncationPolicy(max_t_order=bounds.max_points)
     f = assemble_potential(bad, policy, max_level=max_level)
     eq = string_dilaton_divisor_residuals(f, bad.model)
     want = _equations_oracle(bad, policy, f, max_level)
@@ -585,8 +592,7 @@ def test_equations_match_the_written_out_oracle(name, point_table, toy_table,
 
 @pytest.fixture(scope="module")
 def p1_table():
-    return reconstruct(projective_line_model(),
-                       Bounds(max_points=6, max_level=2, max_degree=2))
+    return reconstruct(projective_line_model(), P1_BOUNDS)
 
 
 def test_p1_divisor_reduction(p1_table):

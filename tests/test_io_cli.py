@@ -483,6 +483,10 @@ def _drop(path):
     (_set(("entries", 2, "insertions", 0, 2), "true"), "entries[2].insertions[0][2]"),
     # a constrained insertion needs hat/check generators
     (_set(("equivariant",), True), "entries[2].insertions"),
+    (_set(("model", "unit"), []), "model.unit"),
+    (_set(("model", "divisor"), {}), "model.divisor"),
+    (_set(("orbits", 0, "id"), []), "orbits[0].id"),
+    (_set(("orbits", 0, "id"), 5), "orbits[0].id"),
 ], ids=["missing-id", "text-degree", "text-level-bound",
         "short-insertion", "text-insertion-level", "text-entry-degree",
         "model-class-missing-id", "model-class-text-degree",
@@ -496,7 +500,8 @@ def _drop(path):
         "int-table-value-item", "int-model", "bad-entry-rational",
         "bad-table-rational", "bad-primary-rational", "table-level-above-bound",
         "text-contact", "text-equivariant", "int-good", "text-constrained",
-        "constrained-in-equivariant-mode"])
+        "constrained-in-equivariant-mode", "list-unit", "object-divisor",
+        "list-orbit-id", "int-orbit-id"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)
@@ -504,6 +509,18 @@ def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, f
     path.write_text(json.dumps(obj))
     assert main(["homology", "--counts", str(path)]) == 2
     assert f"{path}.{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("unit", []), ("divisor", {})])
+def test_cli_model_string_fields_exit_2(tmp_path, capsys, field, value):
+    obj = sio.load_json(sio.fixture_path("p1.model.json"))
+    obj[field] = value
+    path = tmp_path / "bad.model.json"
+    path.write_text(json.dumps(obj))
+    assert main(["reconstruct", "--model", str(path), "--max-points", "4",
+                 "--levels", "1"]) == 2
+    assert f"{path}.{field}: expected a string, got {value!r}" in \
+        capsys.readouterr().err
 
 
 def test_cylhom_suite_reports_a_corrupted_shipped_fixture(tmp_path, monkeypatch,
@@ -749,6 +766,27 @@ def test_cli_verify_counts_report_is_byte_identical(capsys, name, fmt):
         VERIFY_COUNTS_DIGESTS[name, fmt]
 
 
+# sha256 of `sftlab divisor` output for four argument sets, among them a
+# degenerate two-points target (--r 2) and --pos 0.
+DIVISOR_DIGESTS = {
+    "5 1 3 2 1": "6b9d62eec4c7bbd43a2696071211cef2e24d95df5b2189e18609e4d0475ceccc",
+    "7 3 5 3 2": "c1cf184425ba1bddd9d14619762d2be6ff38ab9119fb419e565fa59013731f21",
+    "4 4 2 1 1": "b2824b7f0265decd26f52d017cf0a6b84055c98cdb333644895b37379947deb7",
+    "6 2 4 0 2": "d4936c25630d25ff68bf80882fde58d8c4b605fc632ef97aa95e94d8eca22e11",
+}
+
+
+@pytest.mark.parametrize("args", sorted(DIVISOR_DIGESTS))
+def test_cli_divisor_output_is_byte_identical(capsys, args):
+    import hashlib
+
+    points, index, r, pos, neg = args.split()
+    assert main(["divisor", "--points", points, "--index", index, "--r", r,
+                 "--pos", pos, "--neg", neg]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIVISOR_DIGESTS[args]
+
+
 def _generic_with_d_squared_not_zero():
     """The generic fixture plus a plain b.hat -> c.hat entry: d(a.hat) = b.hat
     then goes on to c.hat."""
@@ -813,19 +851,22 @@ def _nodes(obj, path=()):
 @st.composite
 def fixture_mutations(draw):
     """A shipped fixture with one field dropped, one integer replaced by a
-    string, float or list, or one class id replaced by an unknown one."""
+    string, float or list, one class id replaced by an unknown one, or one
+    string replaced by a list or an object."""
     name = draw(st.sampled_from(FUZZED_FIXTURES))
     obj = sio.load_json(sio.fixture_path(name))
     nodes = list(_nodes(obj))
     class_ids = {c.get("id") for path, v in nodes if path and path[-1] == "classes"
                  for c in v}
-    kind = draw(st.sampled_from(("drop", "swap", "class")))
+    kind = draw(st.sampled_from(("drop", "swap", "class", "unstring")))
     if kind == "drop":
         paths = [p for p, _ in nodes if p and isinstance(p[-1], str)]
     elif kind == "swap":
         paths = [p for p, v in nodes if type(v) is int]
-    else:
+    elif kind == "class":
         paths = [p for p, v in nodes if isinstance(v, str) and v in class_ids]
+    else:
+        paths = [p for p, v in nodes if isinstance(v, str)]
     if not paths:
         return name, obj
     *parents, last = draw(st.sampled_from(paths))
@@ -836,8 +877,10 @@ def fixture_mutations(draw):
         del parent[last]
     elif kind == "swap":
         parent[last] = draw(st.sampled_from(("one", 1.5, [1])))
-    else:
+    elif kind == "class":
         parent[last] = "no-such-class"
+    else:
+        parent[last] = draw(st.sampled_from(([], {})))
     return name, obj
 
 

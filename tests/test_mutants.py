@@ -1,10 +1,10 @@
-"""Mutation tables for the algebra, hierarchy and cylhom suites: each row
-breaks one function (or the fixtures) where ``suites``, ``hierarchy``,
-``algebra`` or ``cylhom`` reads it, and names the records that must then
-FAIL.
+"""Mutation tables for the algebra, hierarchy, cylhom and divisor suites:
+each row breaks one function (or the fixtures) where ``suites``,
+``hierarchy``, ``algebra``, ``cylhom`` or ``divisors`` reads it, and names
+the records that must then FAIL.
 
 A record no row can fail is a check that cannot see a fault; a test keeps
-every algebra record in some row's must-fail set.
+every algebra and every divisor record in some row's must-fail set.
 """
 
 from dataclasses import replace
@@ -13,8 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from sftlab import algebra, cylhom, hierarchy, suites
+from sftlab import algebra, cylhom, divisors, hierarchy, suites
 from sftlab.algebra import GradedSeries
+from sftlab.divisors import DivisorExpression, Splitting
 from sftlab.report import FAIL, PASS
 
 KAPPAS = ("weyl.kappa1", "weyl.kappa2", "weyl.kappa3")
@@ -229,3 +230,83 @@ def test_cylhom_mutant_fails_exactly_its_records(name, monkeypatch):
     owner, attr, mutant, must_fail = CYLHOM_MUTANTS[name]
     monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
     assert _cylhom_not_passed() == dict.fromkeys(must_fail, FAIL)
+
+
+# -- divisor ------------------------------------------------------------------
+
+
+def _plus_one_at(k):
+    """A pair-count rule P_m or W_m off by one for m = k only."""
+    return lambda original: lambda m, *args: original(m, *args) + (m == k)
+
+
+def _equal_pairs_read_plus_one(original):
+    return lambda d1, d2: 1 if d1 == d2 else original(d1, d2)
+
+
+def _psi_doubled(original):
+    return lambda n, i: original(n, i).scale(2)
+
+
+def _psi_with_the_unstable_splitting(original):
+    """D(i | the other two) added at n = 3 only: at n = 5 it would have no
+    two-point side, and ``as_pair_divisor`` would refuse it as bad input."""
+    def averaged_psi(n, i):
+        e = original(n, i)
+        if n != 3:
+            return e
+        others = tuple(x for x in range(1, 4) if x != i)
+        return DivisorExpression({**e.coefficients, Splitting((i,), others): 1})
+    return averaged_psi
+
+
+def _combinations(*targets, sizes=("r2p2", "r3p3", "r4p4")):
+    return {f"combinations.{size}.{target}" for size in sizes for target in targets}
+
+
+PSI = {"psi.four-points", "psi.five-points", "pairing.psi-square",
+       "ledger.restriction"}
+
+# Each row's set is every record that then FAILs on divisor_suite().  The
+# target and zero-locus rules share P_m and W_m with their LHS factors, and
+# the averaged psi-class reads P_2, so P_2 + 1 fails the psi records too.
+DIVISOR_MUTANTS = {
+    "two-punctures-count-plus-one": (divisors, "pair_count", _plus_one_at(0),
+                                     _combinations("two-punctures")),
+    "puncture-point-count-plus-one": (divisors, "pair_count", _plus_one_at(1),
+                                      _combinations("puncture-point")),
+    "two-points-count-plus-one": (divisors, "pair_count", _plus_one_at(2),
+                                  _combinations("two-points") | PSI),
+    "variant-a-weight-plus-one": (
+        divisors, "zero_locus_weight", _plus_one_at(0),
+        {"locus.variant-a-support", *_combinations("two-punctures", "puncture-point"),
+         *_combinations("two-points", sizes=("r3p3", "r4p4"))}),
+    "equal-pairs-plus-one": (divisors, "m05_pair_index", _equal_pairs_read_plus_one,
+                             {"pairing.table", "pairing.psi-square",
+                              "ledger.consistency", "ledger.fault-detection"}),
+    "psi-doubled": (divisors, "averaged_psi", _psi_doubled, PSI),
+    "psi-unstable-splitting": (divisors, "averaged_psi",
+                               _psi_with_the_unstable_splitting, {"psi.three-points"}),
+}
+
+
+def _divisor_not_passed():
+    return {c.id: c.status for c in suites.divisor_suite().checks
+            if c.status != PASS}
+
+
+def test_unmutated_divisor_suite_passes():
+    assert _divisor_not_passed() == {}
+
+
+@pytest.mark.parametrize("name", sorted(DIVISOR_MUTANTS))
+def test_divisor_mutant_fails_exactly_its_records(name, monkeypatch):
+    owner, attr, mutant, must_fail = DIVISOR_MUTANTS[name]
+    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr)))
+    assert _divisor_not_passed() == dict.fromkeys(must_fail, FAIL)
+
+
+def test_every_divisor_record_has_a_mutant():
+    ids = {c.id for c in suites.divisor_suite().checks}
+    assert len(ids) == 18
+    assert ids == set().union(*(row[3] for row in DIVISOR_MUTANTS.values()))

@@ -167,12 +167,12 @@ def cmd_divisor(args) -> int:
             divisors.m05_intersection(expr, expr))
     if args.r is not None:
         exprs = [divisors.map_zero_locus(args.r, args.pos, args.neg, v)
-                 for v in "ABC"]
+                 for v in divisors.VARIANTS]
         out["zero_loci"] = {
             v: {"lhs_factor": sio.encode_rational(lhs),
                 "coefficients": [[str(s), sio.encode_rational(c)]
                                  for s, c in e.items_sorted()]}
-            for v, (lhs, e) in zip("ABC", exprs)}
+            for v, (lhs, e) in zip(divisors.VARIANTS, exprs)}
         out["combinations"] = {
             target: divisors.solve_combination(
                 exprs, target, args.r, args.pos + args.neg).describe()

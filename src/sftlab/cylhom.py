@@ -972,22 +972,17 @@ def build_floer_model(fiber: TargetModel, periods: int = 2, level_bound: int = 2
             tuple(insertions), dvec, Fraction(value)))
 
     for ai, alpha in enumerate(fiber.classes):
-        # level 0: plain quantum action, constrained on alpha and free on
-        # the wedged partner
-        for (b, b2), poly in q_matrix(ai).items():
-            for dvec, v in poly.items():
-                for period in range(1, periods + 1):
-                    for flavor in ("hat", "check"):
-                        emit(b, b2, period, flavor,
-                             [Insertion(alpha.id, 0, True)], dvec, v)
-                        emit(b, b2, period, flavor,
-                             [Insertion(wedged_id(alpha.id), 0, False)], dvec, v)
-        # level >= 1 dressings from the recursion seed: the series
+        # the level-i dressings, constrained on alpha and free on the wedged
+        # partner: at level 0 the quantum multiplication by alpha itself; at
+        # level i >= 1 the recursion seed, the series
         # d2f/dt^{alpha,i-1}dt^{mu,0} eta^{mu nu} per t-monomial, times the
         # quantum multiplication by nu
-        for i in range(1, level_bound + 1):
-            two = second_derivative_series(fiber_potential, fiber, alpha.id, i - 1)
-            acc = {}  # (b, b2, U-monomial, dvec) -> value
+        for i in range(level_bound + 1):
+            acc = {} if i else {  # (b, b2, U-monomial, dvec) -> value
+                (b, b2, (), dvec): v for (b, b2), poly in q_matrix(ai).items()
+                for dvec, v in poly.items()}
+            two = second_derivative_series(fiber_potential, fiber, alpha.id,
+                                           i - 1) if i else ()
             for nu, series in enumerate(two):
                 for (b, b2), poly in q_matrix(nu).items():
                     for mono, c in series.terms.items():

@@ -48,8 +48,8 @@ from math import factorial
 from typing import Callable, Optional
 
 from .algebra import (
-    GradedSeries, TruncationPolicy, Variable, VariableTable, _layout, _reduced,
-    _width_for, planck_variable, poisson_bracket,
+    GradedSeries, TruncationPolicy, VariableTable, _layout, _reduced, _width_for,
+    orbit_variable_pair, planck_variable, poisson_bracket,
 )
 from .errors import ValidationError
 
@@ -81,9 +81,9 @@ class OrbitLattice:
             if qdeg is None:
                 raise ValidationError(f"no degree declared for cover {n}",
                                       f"q_degrees.{n}")
-            q = Variable(f"q[o,{n}]", "q", ("o", n), qdeg, n)
-            p = Variable(f"p[o,{n}]", "p", ("o", n), 2 * (self.half_dim - 3) - qdeg, n)
-            variables.extend((q, p))
+            variables.extend(orbit_variable_pair(
+                "o", n, cz=qdeg - (self.half_dim - 3), half_dim=self.half_dim,
+                multiplicity=n))
         return VariableTable(variables, half_dim=self.half_dim)
 
     def u_name(self, n: int) -> str:

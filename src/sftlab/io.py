@@ -1,9 +1,14 @@
 """JSON serialization of models, count data, profiles and series.
 
 All rationals travel as "numerator/denominator" strings (plain integers
-accepted) so files round-trip exactly.  Every file carries a versioned
-``schema`` field.  Loaders raise ValidationError with a field path on any
-malformed input.
+accepted, booleans refused) so files round-trip exactly.  Every file
+carries a versioned ``schema`` field.  Loaders read each field through one
+typed reader, ``_field`` (``_value`` for a list item), which names the
+field's kind where it is read: int, str, bool, list, dict, Fraction (read
+by ``decode_rational``) or object (unchecked, for callers that check the
+shape themselves).  An optional field may be absent or null, and then
+reads as its default.  Any malformed input raises ValidationError with a
+field path.
 """
 
 from __future__ import annotations
@@ -30,92 +35,70 @@ def encode_rational(x) -> str:
 
 
 def decode_rational(x, path="value") -> Fraction:
+    if type(x) not in (str, int):  # bool is an int subclass and is refused too
+        raise ValidationError(
+            f"rationals must be strings or integers, got {type(x).__name__}", path)
     try:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, int):
-            return Fraction(x)
+        return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad rational {x!r}: {exc}", path) from None
-    raise ValidationError(f"rationals must be strings or integers, got {type(x).__name__}",
-                          path)
 
 
-def _require(obj, key, path):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"expected a JSON object, got {obj!r}", path)
-    if key not in obj:
-        raise ValidationError(f"missing field {key!r}", f"{path}.{key}")
-    return obj[key]
+REQUIRED = object()
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
+               list: "a JSON list", dict: "a JSON object"}
 
 
-def _typed(obj, key, path, kind, default=None):
-    """obj[key], required to be a JSON list or object (``kind``); required
-    unless a default is given."""
-    value = _require(obj, key, path) if default is None else obj.get(key, default)
-    if not isinstance(value, kind):
-        raise ValidationError(f"expected a JSON {'list' if kind is list else 'object'}"
-                              f", got {value!r}", f"{path}.{key}")
-    return value
-
-
-def _objects(obj, key, path, required=True):
-    """(item path, item) of the JSON list obj[key], each item an object."""
-    items = _typed(obj, key, path, list, None if required else [])
-    for k, item in enumerate(items):
-        ipath = f"{path}.{key}[{k}]"
-        if not isinstance(item, dict):
-            raise ValidationError(f"expected a JSON object, got {item!r}", ipath)
-        yield ipath, item
-
-
-def _int_value(value, path, minimum=None):
-    """value as a JSON integer, else a ValidationError at path."""
-    if type(value) is not int:  # bool is an int subclass and is refused too
-        raise ValidationError(f"expected an integer, got {value!r}", path)
+def _value(value, path, kind, minimum=None):
+    """value as a JSON value of ``kind`` (a rational for Fraction, anything
+    for object; an int at least ``minimum`` if given), else a
+    ValidationError at path."""
+    if kind is Fraction:
+        return decode_rational(value, path)
+    if kind is not object and type(value) is not kind:  # so a bool is no int
+        raise ValidationError(f"expected {_KIND_NAMES[kind]}, got {value!r}", path)
     if minimum is not None and value < minimum:
         raise ValidationError(f"must be at least {minimum}, got {value}", path)
     return value
 
 
-def _int_field(obj, key, path, default=None, minimum=None):
-    """obj[key] as a JSON integer; required unless a default is given."""
-    value = _require(obj, key, path) if default is None else obj.get(key, default)
-    return _int_value(value, f"{path}.{key}", minimum)
+def _field(obj, key, path, kind, default=REQUIRED, minimum=None):
+    """obj[key] read by ``_value``; required unless a default is given,
+    which an absent or null field reads as."""
+    _value(obj, path, dict)
+    if obj.get(key) is None and default is not REQUIRED:
+        return default
+    if key not in obj:
+        raise ValidationError(f"missing field {key!r}", f"{path}.{key}")
+    return _value(obj[key], f"{path}.{key}", kind, minimum)
 
 
-def _bool_value(value, path):
-    """value as a JSON boolean, else a ValidationError at path."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"expected a boolean, got {value!r}", path)
-    return value
-
-
-def _str_value(value, path):
-    """value as a JSON string, else a ValidationError at path."""
-    if not isinstance(value, str):
-        raise ValidationError(f"expected a string, got {value!r}", path)
-    return value
+def _objects(obj, key, path, default=REQUIRED):
+    """(item path, item) of the JSON list obj[key], each item an object."""
+    for k, item in enumerate(_field(obj, key, path, list, default)):
+        ipath = f"{path}.{key}[{k}]"
+        yield ipath, _value(item, ipath, dict)
 
 
 def _correlator_key(model: TargetModel, item, path):
     """The key of a primaries or table-values item: [class, level] pairs."""
     pairs = []
-    for i, ins in enumerate(_typed(item, "insertions", path, list)):
+    for i, ins in enumerate(_field(item, "insertions", path, list)):
         ipath = f"{path}.insertions[{i}]"
         if not isinstance(ins, list) or len(ins) != 2:
             raise ValidationError(f"expected [class, level], got {ins!r}", ipath)
+        cid = _value(ins[0], f"{ipath}[0]", str)
         with under_path(ipath, item=True):
-            model.class_index(str(ins[0]))
-        pairs.append((ins[0], _int_value(ins[1], f"{ipath}[1]")))
-    degree = [_int_value(x, f"{path}.degree[{i}]")
-              for i, x in enumerate(_typed(item, "degree", path, list, []))]
+            model.class_index(cid)
+        pairs.append((cid, _value(ins[1], f"{ipath}[1]", int)))
+    degree = [_value(x, f"{path}.degree[{i}]", int)
+              for i, x in enumerate(_field(item, "degree", path, list, []))]
     with under_path(path):
         return model.key(pairs, degree)
 
 
 def _check_schema(obj, expected, path):
-    schema = _require(obj, "schema", path)
+    schema = _field(obj, "schema", path, object)
     if schema != expected:
         raise ValidationError(f"schema {schema!r}, expected {expected!r}",
                               f"{path}.schema")
@@ -165,38 +148,33 @@ def model_to_dict(model: TargetModel) -> dict:
 
 def model_from_dict(obj: dict, path="model") -> TargetModel:
     _check_schema(obj, MODEL_SCHEMA, path)
-    classes = [(_require(c, "id", cpath), _int_field(c, "degree", cpath))
+    classes = [(_field(c, "id", cpath, str), _field(c, "degree", cpath, int))
                for cpath, c in _objects(obj, "classes", path)]
-    eta = []
-    for i, row in enumerate(_typed(obj, "eta", path, list)):
-        if not isinstance(row, list):
-            raise ValidationError(f"expected a JSON list, got {row!r}",
-                                  f"{path}.eta[{i}]")
-        eta.append([decode_rational(x, f"{path}.eta") for x in row])
-    cup = obj.get("divisor_cup")
+    eta = [[_value(x, f"{path}.eta[{i}][{j}]", Fraction)
+            for j, x in enumerate(_value(row, f"{path}.eta[{i}]", list))]
+           for i, row in enumerate(_field(obj, "eta", path, list))]
+    cup = _field(obj, "divisor_cup", path, dict, None)
     if cup is not None:
-        cup = {cid: {b: decode_rational(v, f"{path}.divisor_cup")
-                     for b, v in _typed(cup, cid, f"{path}.divisor_cup", dict).items()}
-               for cid in _typed(obj, "divisor_cup", path, dict)}
-    pairing = obj.get("divisor_pairing")
+        cup = {cid: {b: _value(v, f"{path}.divisor_cup.{cid}.{b}", Fraction)
+                     for b, v in _field(cup, cid, f"{path}.divisor_cup", dict).items()}
+               for cid in cup}
+    pairing = _field(obj, "divisor_pairing", path, list, None)
     if pairing is not None:
-        pairing = [_int_value(x, f"{path}.divisor_pairing[{i}]")
-                   for i, x in enumerate(_typed(obj, "divisor_pairing", path, list))]
-    unit = _str_value(_require(obj, "unit", path), f"{path}.unit")
-    divisor = obj.get("divisor")
-    if divisor is not None:
-        _str_value(divisor, f"{path}.divisor")
-    h2_rank = _int_field(obj, "h2_rank", path, 0, minimum=0)
-    chern = [_int_value(c, f"{path}.chern[{i}]")
-             for i, c in enumerate(_typed(obj, "chern", path, list, []))]
+        pairing = [_value(x, f"{path}.divisor_pairing[{i}]", int)
+                   for i, x in enumerate(pairing)]
+    name = _field(obj, "name", path, str, "model")
+    unit = _field(obj, "unit", path, str)
+    divisor = _field(obj, "divisor", path, str, None)
+    h2_rank = _field(obj, "h2_rank", path, int, 0, minimum=0)
+    chern = [_value(c, f"{path}.chern[{i}]", int)
+             for i, c in enumerate(_field(obj, "chern", path, list, []))]
     with under_path(path):
         model = TargetModel(
-            obj.get("name", "model"), classes, unit, eta, h2_rank=h2_rank,
-            chern=chern, divisor=divisor, divisor_cup=cup,
-            divisor_pairing=pairing)
-    for ppath, p in _objects(obj, "primaries", path, required=False):
+            name, classes, unit, eta, h2_rank=h2_rank, chern=chern, divisor=divisor,
+            divisor_cup=cup, divisor_pairing=pairing)
+    for ppath, p in _objects(obj, "primaries", path, []):
         key = _correlator_key(model, p, ppath)
-        value = decode_rational(_require(p, "value", ppath), f"{ppath}.value")
+        value = _field(p, "value", ppath, Fraction)
         with under_path(ppath, item=True):
             model.add_primary(key, value)
     return model
@@ -225,11 +203,12 @@ def table_to_dict(table: CorrelatorTable) -> dict:
 
 
 def table_from_dict(obj, model: TargetModel, path="table") -> CorrelatorTable:
+    """Correlator values over ``model``; the file's ``model`` name is ignored."""
     _check_schema(obj, TABLE_SCHEMA, path)
     table = CorrelatorTable(model)
-    for ipath, item in _objects(obj, "values", path, required=False):
+    for ipath, item in _objects(obj, "values", path, []):
         key = _correlator_key(model, item, ipath)
-        value = decode_rational(_require(item, "value", ipath), f"{ipath}.value")
+        value = _field(item, "value", ipath, Fraction)
         with under_path(ipath, item=True):
             table.set(key, value)
     return table
@@ -274,7 +253,7 @@ def counts_to_dict(data: ChainComplexData) -> dict:
 
 def _generator_key(entry, end, path):
     """entry[end] as an (orbit id, flavor) generator key."""
-    value = _typed(entry, end, path, list)
+    value = _field(entry, end, path, list)
     if len(value) != 2 or not all(isinstance(x, str) for x in value):
         raise ValidationError(f"expected [orbit, flavor], got {value!r}",
                               f"{path}.{end}")
@@ -286,48 +265,47 @@ def counts_from_dict(obj, path="counts") -> ChainComplexData:
     top-level ``wedge_map`` fields are ignored.  A constrained insertion
     needs a hat/check generator set (non-equivariant mode)."""
     _check_schema(obj, COUNTS_SCHEMA, path)
-    orbits = []
-    for opath, o in _objects(obj, "orbits", path):
-        orbits.append(Orbit(_str_value(_require(o, "id", opath), f"{opath}.id"),
-                            _int_field(o, "degree", opath),
-                            _bool_value(o.get("good", True), f"{opath}.good")))
-    equivariant = _bool_value(_require(obj, "equivariant", path),
-                              f"{path}.equivariant")
-    model = model_from_dict(_require(obj, "model", path), f"{path}.model")
-    table = table_from_dict(_require(obj, "table", path), model, f"{path}.table")
+    orbits = [Orbit(_field(o, "id", opath, str), _field(o, "degree", opath, int),
+                    _field(o, "good", opath, bool, True))
+              for opath, o in _objects(obj, "orbits", path)]
+    equivariant = _field(obj, "equivariant", path, bool)
+    model = model_from_dict(_field(obj, "model", path, dict), f"{path}.model")
+    table = table_from_dict(_field(obj, "table", path, dict), model, f"{path}.table")
     entries = []
-    for epath, e in _objects(obj, "entries", path, required=False):
-        insertions = _typed(e, "insertions", epath, list, [])
-        for i, ins in enumerate(insertions):
+    for epath, e in _objects(obj, "entries", path, []):
+        insertions = []
+        for i, ins in enumerate(_field(e, "insertions", epath, list, [])):
+            ipath = f"{epath}.insertions[{i}]"
             if not isinstance(ins, list) or len(ins) != 3:
                 raise ValidationError(f"expected [class, level, constrained], got {ins!r}",
-                                      f"{epath}.insertions[{i}]")
-        insertions = tuple(
-            Insertion(str(c), _int_value(a, f"{epath}.insertions[{i}][1]"),
-                      _bool_value(flag, f"{epath}.insertions[{i}][2]"))
-            for i, (c, a, flag) in enumerate(insertions))
+                                      ipath)
+            insertions.append(Insertion(_value(ins[0], f"{ipath}[0]", str),
+                                        _value(ins[1], f"{ipath}[1]", int),
+                                        _value(ins[2], f"{ipath}[2]", bool)))
         if equivariant and any(i.constrained for i in insertions):
             raise ValidationError("constrained insertion in equivariant mode",
                                   f"{epath}.insertions")
         entries.append(CountEntry(
             _generator_key(e, "src", epath), _generator_key(e, "dst", epath),
-            insertions,
-            tuple(_int_value(x, f"{epath}.degree[{i}]")
-                  for i, x in enumerate(_typed(e, "degree", epath, list, []))),
-            decode_rational(_require(e, "value", epath), f"{epath}.value")))
-    fiber_model = fiber_table = None
-    if obj.get("fiber_model") is not None:
-        fiber_model = model_from_dict(obj["fiber_model"], f"{path}.fiber_model")
-        fiber_table = table_from_dict(_require(obj, "fiber_table", path), fiber_model,
-                                      f"{path}.fiber_table")
-    level_bound = _int_field(obj, "level_bound", path, 2, minimum=0)
-    t_order = _int_field(obj, "t_order", path, 2, minimum=0)
+            tuple(insertions),
+            tuple(_value(x, f"{epath}.degree[{i}]", int)
+                  for i, x in enumerate(_field(e, "degree", epath, list, []))),
+            _field(e, "value", epath, Fraction)))
+    fiber_model = _field(obj, "fiber_model", path, dict, None)
+    fiber_table = None
+    if fiber_model is not None:
+        fiber_model = model_from_dict(fiber_model, f"{path}.fiber_model")
+        fiber_table = table_from_dict(_field(obj, "fiber_table", path, dict),
+                                      fiber_model, f"{path}.fiber_table")
+    section_choice = _field(obj, "section_choice", path, str, "generic")
+    level_bound = _field(obj, "level_bound", path, int, 2, minimum=0)
+    t_order = _field(obj, "t_order", path, int, 2, minimum=0)
+    contact = _field(obj, "contact", path, bool, False)
+    name = _field(obj, "name", path, str, "counts")
     with under_path(path):
         return ChainComplexData(
-            OrbitSet(orbits, equivariant), entries, model, table,
-            obj.get("section_choice", "generic"), level_bound, t_order,
-            _bool_value(obj.get("contact", False), f"{path}.contact"),
-            fiber_model, fiber_table, name=obj.get("name", "counts"))
+            OrbitSet(orbits, equivariant), entries, model, table, section_choice,
+            level_bound, t_order, contact, fiber_model, fiber_table, name=name)
 
 
 def load_counts(path) -> ChainComplexData:
@@ -341,25 +319,23 @@ def save_counts(data: ChainComplexData, path):
 # -- grading / sign profiles -----------------------------------------------------------
 
 
-def load_profiles(path):
-    obj = load_json(path)
-    _check_schema(obj, PROFILES_SCHEMA, str(path))
-    p = str(path)
-    half_dim = _int_field(obj, "half_dim", p)
-    q_degrees = obj.get("q_degrees")
+def profiles_from_dict(obj, path="profiles") -> dict:
+    _check_schema(obj, PROFILES_SCHEMA, path)
+    half_dim = _field(obj, "half_dim", path, int)
+    q_degrees = _field(obj, "q_degrees", path, dict, None)
     if q_degrees is None and half_dim % 2 == 0:
         raise ValidationError(
             f"a circle profile (no q_degrees) needs an odd half_dim: {half_dim} "
-            f"makes every q_n and p_n odd", f"{p}.half_dim")
+            f"makes every q_n and p_n odd", f"{path}.half_dim")
     if q_degrees is not None:
-        q_degrees = {}
-        for k, v in _typed(obj, "q_degrees", p, dict).items():
+        given, q_degrees = q_degrees, {}
+        for k, v in given.items():
             try:
                 cover = int(k)
             except ValueError:
                 raise ValidationError(f"cover {k!r} is not an integer",
-                                      f"{p}.q_degrees.{k}") from None
-            q_degrees[cover] = _int_value(v, f"{p}.q_degrees.{k}")
+                                      f"{path}.q_degrees.{k}") from None
+            q_degrees[cover] = _value(v, f"{path}.q_degrees.{k}", int)
         least = {}  # deg q_n mod 2 depends only on n mod 2
         for n in sorted(q_degrees):
             m = least.setdefault(n % 2, n)
@@ -367,39 +343,44 @@ def load_profiles(path):
                 raise ValidationError(
                     f"deg q_{n} = {q_degrees[n]} and deg q_{m} = {q_degrees[m]} "
                     f"differ in parity, but the parity of deg q_n depends only "
-                    f"on n mod 2", f"{p}.q_degrees.{n}")
-    signs_obj = {} if obj.get("signs") is None else _typed(obj, "signs", p, dict)
+                    f"on n mod 2", f"{path}.q_degrees.{n}")
+    signs = _field(obj, "signs", path, dict, {})
     explicit = {}
-    for i, item in enumerate(_typed(signs_obj, "explicit", f"{p}.signs", list, [])):
-        epath = f"{p}.signs.explicit[{i}]"
+    for i, item in enumerate(_field(signs, "explicit", f"{path}.signs", list, [])):
+        epath = f"{path}.signs.explicit[{i}]"
         if (not isinstance(item, list) or len(item) != 2
                 or not isinstance(item[0], list)):
             raise ValidationError(f"expected [[covers], sign], got {item!r}", epath)
         tup, eps = item
-        eps = _int_value(eps, f"{epath}[1]")
+        eps = _value(eps, f"{epath}[1]", int)
         if eps not in (-1, 0, 1):
             raise ValidationError(f"sign {eps} for {tup} not in -1..1", epath)
-        explicit[tuple(_int_value(n, f"{epath}[0][{j}]")
+        explicit[tuple(_value(n, f"{epath}[0][{j}]", int)
                        for j, n in enumerate(tup))] = eps
     if explicit and q_degrees is None:
         raise ValidationError("a circle profile (no q_degrees) takes every sign "
                               "+1; explicit signs need q_degrees",
-                              f"{p}.signs.explicit")
-    if "bad_covers" in signs_obj:  # legacy field: must be the derived set
-        declared = {_int_value(b, f"{p}.signs.bad_covers[{i}]") for i, b in
-                    enumerate(_typed(signs_obj, "bad_covers", f"{p}.signs", list))}
+                              f"{path}.signs.explicit")
+    declared = _field(signs, "bad_covers", f"{path}.signs", list, None)
+    if declared is not None:  # legacy field: must be the derived set
+        declared = {_value(b, f"{path}.signs.bad_covers[{i}]", int)
+                    for i, b in enumerate(declared)}
         if declared != bad_covers(q_degrees):
             raise ValidationError(
                 f"declared {sorted(declared)}, but the degrees make "
                 f"{sorted(bad_covers(q_degrees))} bad (the even covers whose q "
-                f"has the other parity than q_1)", f"{p}.signs.bad_covers")
+                f"has the other parity than q_1)", f"{path}.signs.bad_covers")
     return {
-        "name": obj.get("name", "profiles"),
+        "name": _field(obj, "name", path, str, "profiles"),
         "half_dim": half_dim,
-        "cover_bound": _int_field(obj, "cover_bound", p, 3, minimum=1),
+        "cover_bound": _field(obj, "cover_bound", path, int, 3, minimum=1),
         "q_degrees": q_degrees,
         "explicit": explicit,
     }
+
+
+def load_profiles(path) -> dict:
+    return profiles_from_dict(load_json(path), str(path))
 
 
 # -- perturbation ledgers ---------------------------------------------------------------
@@ -409,54 +390,50 @@ def _marked_pair(value, path):
     """Two distinct marked points of the five-point moduli space, as a list."""
     if not isinstance(value, list) or len(value) != 2:
         raise ValidationError(f"expected two marked points, got {value!r}", path)
-    pair = [_int_value(x, f"{path}[{i}]", minimum=1) for i, x in enumerate(value)]
+    pair = [_value(x, f"{path}[{i}]", int, minimum=1) for i, x in enumerate(value)]
     if pair[0] == pair[1] or max(pair) > 5:
         raise ValidationError(f"expected two distinct points of 1..5, got {pair}",
                               path)
     return pair
 
 
-def _labelled_rationals(obj, key, path):
-    """obj[key] as a list of [label, rational] items."""
+def _labelled_rationals(obj, key, path, label=str):
+    """obj[key] as a list of [label, rational] items, each label of kind
+    ``label``."""
     out = []
-    for i, item in enumerate(_typed(obj, key, path, list)):
+    for i, item in enumerate(_field(obj, key, path, list)):
         ipath = f"{path}.{key}[{i}]"
         if not isinstance(item, list) or len(item) != 2:
             raise ValidationError(f"expected [label, rational], got {item!r}", ipath)
-        out.append([item[0], decode_rational(item[1], f"{ipath}[1]")])
+        out.append([_value(item[0], f"{ipath}[0]", label),
+                    _value(item[1], f"{ipath}[1]", Fraction)])
     return out
 
 
 def ledger_from_dict(obj, path="ledger") -> dict:
     """The ``divisors.ledger_check`` / ``restriction_check`` input, validated:
-    point pairs as int lists and weights as Fractions."""
+    point pairs as int lists, weights as Fractions and labels as strings."""
     _check_schema(obj, LEDGER_SCHEMA, path)
     selfs = []
-    for k, item in enumerate(_typed(obj, "self_intersections", path, list)):
-        ipath = f"{path}.self_intersections[{k}]"
-        at = _labelled_rationals(item, "at", ipath)
+    for ipath, item in _objects(obj, "self_intersections", path):
+        at = _labelled_rationals(item, "at", ipath, object)
         for j, pt in enumerate(at):
             pt[0] = _marked_pair(pt[0], f"{ipath}.at[{j}][0]")
         selfs.append({
-            "divisor": _marked_pair(_require(item, "divisor", ipath),
+            "divisor": _marked_pair(_field(item, "divisor", ipath, object),
                                     f"{ipath}.divisor"),
-            "weight": decode_rational(_require(item, "weight", ipath),
-                                      f"{ipath}.weight"),
+            "weight": _field(item, "weight", ipath, Fraction),
             "at": at})
     if not selfs:  # the suite's fault check flips the first entry
         raise ValidationError("needs at least one entry",
                               f"{path}.self_intersections")
-    cross = []
-    for k, item in enumerate(_typed(obj, "cross_intersections", path, list)):
-        ipath = f"{path}.cross_intersections[{k}]"
-        cross.append({
-            "a": _marked_pair(_require(item, "a", ipath), f"{ipath}.a"),
-            "a_weight": decode_rational(_require(item, "a_weight", ipath),
-                                        f"{ipath}.a_weight"),
-            "b": _marked_pair(_require(item, "b", ipath), f"{ipath}.b"),
-            "at": _labelled_rationals(item, "at", ipath)})
+    cross = [{"a": _marked_pair(_field(item, "a", ipath, object), f"{ipath}.a"),
+              "a_weight": _field(item, "a_weight", ipath, Fraction),
+              "b": _marked_pair(_field(item, "b", ipath, object), f"{ipath}.b"),
+              "at": _labelled_rationals(item, "at", ipath)}
+             for ipath, item in _objects(obj, "cross_intersections", path)]
     restrictions = {}
-    table = _typed(obj, "restrictions", path, dict)
+    table = _field(obj, "restrictions", path, dict)
     for label in table:
         rpath = f"{path}.restrictions.{label}"
         parts = label.split(",")
@@ -464,12 +441,9 @@ def ledger_from_dict(obj, path="ledger") -> dict:
             raise ValidationError(f"label {label!r} is not 'j,k'", rpath)
         _marked_pair([int(x) for x in parts], rpath)
         restrictions[label] = [
-            {"at": _marked_pair(_require(pt, "at", f"{rpath}[{i}]"),
-                                f"{rpath}[{i}].at"),
-             "contributions": _labelled_rationals(pt, "contributions",
-                                                  f"{rpath}[{i}]")}
-            for i, pt in enumerate(_typed(table, label, f"{path}.restrictions",
-                                          list))]
+            {"at": _marked_pair(_field(pt, "at", ipath, object), f"{ipath}.at"),
+             "contributions": _labelled_rationals(pt, "contributions", ipath)}
+            for ipath, pt in _objects(table, label, f"{path}.restrictions")]
     return {"self_intersections": selfs, "cross_intersections": cross,
             "restrictions": restrictions}
 

@@ -665,7 +665,8 @@ def divisor_suite(ledger=None) -> VerificationReport:
 
     @cache
     def zero_loci(r, p):
-        return [divisors.map_zero_locus(r, p // 2, p - p // 2, v) for v in "ABC"]
+        return [divisors.map_zero_locus(r, p // 2, p - p // 2, v)
+                for v in divisors.VARIANTS]
 
     def combination(r, p, target):
         finding = divisors.solve_combination(zero_loci(r, p), target, r, p)
@@ -697,7 +698,7 @@ def divisor_suite(ledger=None) -> VerificationReport:
                 f"exact weights for the {target} rule at r={r}, P={p}",
                 lambda r=r, p=p, target=target: combination(r, p, target))
                for r, p in ((2, 2), (3, 3), (4, 4))
-               for target in ("two-punctures", "puncture-point", "two-points")]
+               for target in divisors.TARGET_RULES]
     checks.append(("locus.variant-a-support",
                    "two-puncture locus carries no splitting with fewer than two "
                    "punctures on the far side", variant_a_support))

@@ -268,6 +268,22 @@ def test_no_levels_give_no_residuals():
     assert commutator_residuals([], 3) == ([], [])
 
 
+@pytest.mark.parametrize("lattice", [
+    OrbitLattice(3), OrbitLattice(2, 3, q_degrees={1: 2, 2: 1, 3: 4}, half_dim=5)],
+    ids=["circle", "q-degrees"])
+def test_lattice_variables_are_the_orbit_pairs(lattice):
+    """The lattice names its covers through ``orbit_variable_pair``: q_n of
+    the given degree, p_n of degree 2(m-3) - deg q_n, both of multiplicity n."""
+    m = lattice.half_dim
+    want = [algebra.planck_variable(m)]
+    for n in range(1, lattice.window + 1):
+        qdeg = m - 3 if lattice.q_degrees is None else lattice.q_degrees[n]
+        want += [algebra.Variable(f"q[o,{n}]", "q", ("o", n), qdeg, n),
+                 algebra.Variable(f"p[o,{n}]", "p", ("o", n), 2 * (m - 3) - qdeg, n)]
+    variables = lattice.table().variables
+    assert len(variables) == len(want) and set(variables) == set(want)
+
+
 def test_pinned_circle_values():
     assert circle_hamiltonian(OrbitLattice(1), 0).is_zero()
     lat = OrbitLattice(2)

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,9 @@ def test_rational_round_trip():
         sio.decode_rational("x/y")
     with pytest.raises(ValidationError):
         sio.decode_rational(1.5)
+    with pytest.raises(ValidationError,
+                       match="^x: rationals must be strings or integers, got bool$"):
+        sio.decode_rational(True, "x")
 
 
 def test_model_round_trip(tmp_path):
@@ -487,6 +491,7 @@ def _drop(path):
     (_set(("model", "divisor"), {}), "model.divisor"),
     (_set(("orbits", 0, "id"), []), "orbits[0].id"),
     (_set(("orbits", 0, "id"), 5), "orbits[0].id"),
+    (_set(("entries", 0, "value"), True), "entries[0].value"),
 ], ids=["missing-id", "text-degree", "text-level-bound",
         "short-insertion", "text-insertion-level", "text-entry-degree",
         "model-class-missing-id", "model-class-text-degree",
@@ -501,7 +506,7 @@ def _drop(path):
         "bad-table-rational", "bad-primary-rational", "table-level-above-bound",
         "text-contact", "text-equivariant", "int-good", "text-constrained",
         "constrained-in-equivariant-mode", "list-unit", "object-divisor",
-        "list-orbit-id", "int-orbit-id"])
+        "list-orbit-id", "int-orbit-id", "bool-entry-value"])
 def test_cli_malformed_counts_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("generic.counts.json"))
     mutate(obj)
@@ -551,9 +556,10 @@ def test_cylhom_suite_reports_a_corrupted_shipped_fixture(tmp_path, monkeypatch,
     (_set(("restrictions", "3,4", 0, "contributions", 0, 1), 0.5),
      "restrictions.3,4[0].contributions[0][1]"),
     (_set(("restrictions", "three,4"), []), "restrictions.three,4"),
+    (_set(("self_intersections", 0, "weight"), True), "self_intersections[0].weight"),
 ], ids=["missing-restrictions", "missing-self-at", "text-weight",
         "text-divisor-point", "no-self-intersection", "short-cross-at",
-        "float-contribution", "text-restriction-label"])
+        "float-contribution", "text-restriction-label", "bool-weight"])
 def test_cli_malformed_ledger_exit_2_with_field_path(tmp_path, capsys, mutate, field):
     obj = sio.load_json(sio.fixture_path("m05_ledger.json"))
     mutate(obj)
@@ -897,3 +903,119 @@ def test_fuzzed_fixtures_exit_2_with_a_field_path_never_3(case):
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
         assert f"{path}." in err.getvalue()
+
+
+# -- field sweep ---------------------------------------------------------------
+
+SWEEP_LOADERS = {".counts.json": sio.counts_from_dict,
+                 ".model.json": sio.model_from_dict,
+                 ".profiles.json": sio.profiles_from_dict,
+                 "_ledger.json": sio.ledger_from_dict}
+# one value of every JSON kind
+SWEEP_VALUES = ([], {}, "x", 7, True, None)
+# the allow-list: where a rational is expected, an integer is one too ...
+RATIONAL_FIELDS = re.compile(r"(^|\.)(value|weight|a_weight|eta\[\]\[\d+\])$"
+                             r"|(^|model\.)divisor_cup\.[^.]+\.[^.]+$"
+                             r"|\.(at|contributions)\[\]\[1\]$")
+# ... ignored fields take any value ...
+IGNORED_FIELDS = re.compile(r"^(fiber_)?table\.model$|^orbits\[\]\.multiplicity$"
+                            r"|^wedge_map(\.|$)")
+# ... and a field that may be absent may be null (checked by dropping it)
+DROPPED = object()
+# the kinds of the fields that some fixture leaves null
+NULL_FIELD_KINDS = {"divisor": str, "divisor_cup": dict, "divisor_pairing": list}
+
+
+def _sweep_loader(name):
+    return next(f for suffix, f in SWEEP_LOADERS.items() if name.endswith(suffix))
+
+
+def _sweep_documents():
+    """(name, document) of every shipped fixture, plus counts and profiles
+    that still carry the legacy orbit multiplicity, wedge map and bad covers."""
+    docs = [(name, sio.load_json(sio.fixture_path(name))) for name in FUZZED_FIXTURES]
+    legacy = sio.load_json(sio.fixture_path("generic.counts.json"))
+    for orbit in legacy["orbits"]:
+        orbit["multiplicity"] = 1
+    legacy["wedge_map"] = {"e": "e~dt"}
+    profiles = sio.load_json(sio.fixture_path("geodesic.profiles.json"))
+    profiles["signs"]["bad_covers"] = []
+    return docs + [("legacy.counts.json", legacy), ("legacy.profiles.json", profiles)]
+
+
+def _folded(path, value):
+    """A field path with its list indices folded to [], but for a scalar's
+    own index, which is its position in a tuple such as [class, level,
+    constrained]: entries[].insertions[][1]."""
+    own = len(path) - 1 if type(value) not in (list, dict) else len(path)
+    return "".join(f".{k}" if type(k) is str else f"[{k}]" if i == own else "[]"
+                   for i, k in enumerate(path)).lstrip(".")
+
+
+def _replaced(obj, path, value):
+    """obj with the field at path set to value (or dropped), copying only
+    the containers on the path."""
+    if not path:
+        return value
+    head, *rest = path
+    out = list(obj) if type(obj) is list else dict(obj)
+    if value is DROPPED and not rest:
+        del out[head]
+    else:
+        out[head] = _replaced(obj[head], rest, value)
+    return out
+
+
+def _sweep_cases():
+    """(name, document, path, value) of one field for each distinct folded
+    field path per loader, taken from the smallest document where it is not
+    null, if there is one."""
+    docs = dict(_sweep_documents())
+    sizes = {name: len(json.dumps(obj)) for name, obj in docs.items()}
+    seen = set()
+    for _, _, name, path, value in sorted(
+            (value is None, sizes[name], name, path, value)
+            for name, obj in docs.items() for path, value in _nodes(obj) if path):
+        key = (_sweep_loader(name), _folded(path, value))
+        if key not in seen:
+            seen.add(key)
+            yield name, docs[name], path, value
+
+
+def _load(name, obj):
+    """None if the document loads, else the ValidationError it raises."""
+    try:
+        _sweep_loader(name)(obj, name)
+    except ValidationError as exc:
+        return exc
+    return None
+
+
+def test_every_field_of_every_other_kind_is_a_validation_error():
+    """Each field of the shipped fixtures, replaced by a value of every other
+    JSON kind, raises a ValidationError at a path in the file, unless the
+    allow-list above permits the value; it never raises anything else."""
+    cases = list(_sweep_cases())
+    assert {_sweep_loader(name) for name, *_ in cases} == set(SWEEP_LOADERS.values())
+    faults = []
+    for name, obj, path, current in cases:
+        folded = _folded(path, current)
+        field = f"{name}: {folded}"
+        kind = NULL_FIELD_KINDS[path[-1]] if current is None else type(current)
+        for value in SWEEP_VALUES:
+            if type(value) is kind:
+                continue
+            allowed = (IGNORED_FIELDS.search(folded)
+                       or type(value) is int and RATIONAL_FIELDS.search(folded)
+                       or value is None and type(path[-1]) is str
+                       and _load(name, _replaced(obj, path, DROPPED)) is None)
+            try:
+                exc = _load(name, _replaced(obj, path, value))
+            except Exception as other:  # noqa: BLE001 - any other is a fault
+                faults.append(f"{field} = {value!r}: {other!r}")
+                continue
+            if exc is None and not allowed:
+                faults.append(f"{field} = {value!r} loads")
+            elif exc is not None and not exc.path.startswith(f"{name}."):
+                faults.append(f"{field} = {value!r}: raised at {exc.path!r}")
+    assert not faults, "\n".join(faults)
